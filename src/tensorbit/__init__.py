@@ -24,7 +24,7 @@ from .deflation import (DeflationReport, ExperimentStats, ExperimentTolerances,
                         write_trial_csv)
 from .document import TensorDocument, parse_document
 from .orbits import (OrbitLabel, SymTensor222, canonical_form, classify, classify_sym,
-                     hyperdet, hyperdet_sym, pencil_eigs)
+                     hyperdet, hyperdet_sym, pencil_eigs, slab_pencil)
 from .rank1 import (BestRank1Result, StationaryPoint, SymStationaryPoint, best_rank1_222,
                     best_rank1_sym, detect_infinite_best, hopm, optimal_x, psi,
                     psi_surface, stationary_points_222, stationary_points_sym)

@@ -9,6 +9,7 @@ commands and seeds give byte-identical output.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -19,7 +20,7 @@ from . import deflation, rank1
 from .decomp import DomainError, sylvester_rank, sym_rank2_decompose, \
     sym_rank3_decompose
 from .document import TensorDocument, parse_document
-from .orbits import SymTensor222, classify, classify_sym, hyperdet, hyperdet_sym
+from .orbits import SymTensor222, classify, classify_sym, hyperdet, hyperdet_sym, slab_pencil
 from .smallalg import EigenPair2, NumericalFailure
 from .tensors import Tensor222, frobenius_norm_sq, multilinear_rank
 
@@ -105,14 +106,13 @@ def cmd_classify(args) -> int:
         label = classify_sym(tensor, args.tol, coincidence_tol=args.coincidence_tol)
         delta = hyperdet_sym(tensor)
         mlr = multilinear_rank(tensor.tensor(), args.tol)
-        pencil = deflation._pencil_or_none(tensor, args.coincidence_tol)
     elif isinstance(tensor, Tensor222):
-        label = classify(tensor, args.tol, coincidence_tol=args.coincidence_tol)
+        label = classify(tensor, args.tol)
         delta = hyperdet(tensor)
         mlr = multilinear_rank(tensor, args.tol)
-        pencil = deflation._pencil_or_none(tensor, args.coincidence_tol)
     else:
         raise ValueError("classify handles full222 and sym222 documents")
+    pencil = slab_pencil(tensor, args.coincidence_tol)
     _emit({
         "command": "classify",
         "kind": doc.kind,
@@ -272,14 +272,13 @@ def cmd_experiment(args) -> int:
     tols = deflation.ExperimentTolerances()
     seed = _seed_from(args)
     if args.experiment_kind == "generic":
-        stats = deflation.experiment_generic(args.trials, seed, tols, threads=args.threads)
+        stats = deflation.experiment_generic(args.trials, seed, tols)
     elif args.experiment_kind == "symmetric":
-        stats = deflation.experiment_symmetric(args.trials, seed, tols, threads=args.threads)
+        stats = deflation.experiment_symmetric(args.trials, seed, tols)
     elif args.experiment_kind == "d3":
-        stats = deflation.experiment_d3_closure(args.trials, seed, tols, threads=args.threads)
+        stats = deflation.experiment_d3_closure(args.trials, seed, tols)
     elif args.experiment_kind == "pxp2":
-        stats = deflation.experiment_pxpx2(args.p, args.trials, seed, tols,
-                                           threads=args.threads)
+        stats = deflation.experiment_pxpx2(args.p, args.trials, seed, tols)
     else:
         raise ValueError(f"unknown experiment kind {args.experiment_kind!r}")
     if args.csv:
@@ -333,15 +332,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--p", type=int, default=3)
     p.add_argument("--csv")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker cap (aggregation is trial-ordered either way)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_experiment)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args leaves the parser unchanged, so one instance serves every call
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

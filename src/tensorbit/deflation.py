@@ -6,11 +6,12 @@ residual on the rank-2/rank-3 boundary orbit D3, i.e. the residual slab
 pencil acquires a defective double eigenvalue and the hyperdeterminant of
 the residual vanishes.
 
-Experiments draw i.i.d. standard-normal tensors from a counter-based RNG
-(one Philox stream per trial keyed on the run seed), so results are
-bit-identical for a fixed (seed, trials, tolerances) regardless of
-execution order.  Per-trial rows can be dumped as CSV; summaries are
-plain dicts ready for JSON.
+Each experiment is a sampler and a per-trial solver run by one trial
+loop.  Trial t draws its input from its own counter-based RNG stream
+(Philox keyed on the run seed and t), so results are bit-identical for a
+fixed (seed, trials, tolerances).  A trial that raises becomes an error
+row with a failure reason and does not stop the run.  Per-trial rows can
+be dumped as CSV; summaries are plain dicts ready for JSON.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from . import rank1
 from .decomp import DomainError
 from .orbits import (OrbitLabel, SymTensor222, canonical_form, classify, classify_sym,
-                     hyperdet, hyperdet_sym, pencil_eigs)
+                     hyperdet, hyperdet_sym, slab_pencil)
 from .smallalg import spectrum_small
 from .tensors import MultilinearRank, Tensor222, TensorPxPx2, frobenius_norm_sq, \
     multilinear_rank, multilinear_transform
@@ -106,15 +107,6 @@ class ExperimentStats:
         return out
 
 
-def _pencil_or_none(X, coincidence_tol):
-    for order in ("21", "12"):
-        try:
-            return pencil_eigs(X, order, coincidence_tol)
-        except ValueError:
-            continue
-    return None
-
-
 def _pencil_gap(pencil):
     if pencil is None:
         return None
@@ -145,26 +137,25 @@ def deflate_once(X, tol: float = 1e-9, coincidence_tol: float = 1e-6,
         mlr = multilinear_rank(residual.tensor(), max(tol, 1e-9))
     else:
         t = X if isinstance(X, Tensor222) else Tensor222(X)
-        before = classify(t, tol, coincidence_tol=coincidence_tol)
+        before = classify(t, tol)
         result = rank1.best_rank1_222(t, cross_check=cross_check)
         residual = Tensor222(t.array - result.term.tensor())
         scale = float(np.max(np.abs(t.array)))
-        after = classify(residual, max(tol, 1e-6), zero_scale=scale,
-                         coincidence_tol=coincidence_tol)
+        after = classify(residual, max(tol, 1e-6), zero_scale=scale)
         d_before, d_after = hyperdet(t), hyperdet(residual)
         mlr = multilinear_rank(residual.array, max(tol, 1e-9))
     report = DeflationReport(
         orbit_before=before, orbit_after=after,
         delta_before=float(d_before), delta_after=float(d_after),
-        pencil_before=_pencil_or_none(X, coincidence_tol),
-        pencil_after=_pencil_or_none(residual, coincidence_tol),
+        pencil_before=slab_pencil(X, coincidence_tol),
+        pencil_after=slab_pencil(residual, coincidence_tol),
         residual_mlrank=mlr, psi=float(result.psi), ties=result.multiplicity,
         warnings=result.warnings)
     return residual, report
 
 
 # ---------------------------------------------------------------------------
-# experiment plumbing
+# experiments: one trial loop, one sampler and one solver per kind
 # ---------------------------------------------------------------------------
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -187,65 +178,29 @@ def _histogram(gaps) -> tuple:
     return tuple((_bucket_label(i), c) for i, c in enumerate(counts) if c)
 
 
-def _mlrank_str(mlr) -> str:
-    return "x".join(str(r) for r in mlr.as_tuple())
-
-
 _ORBIT_ORDER = ("D0", "D1", "D2", "D2p", "D2pp", "G2", "D3", "G3", "error")
 
 
-def _aggregate(kind, trials, seed, rows, failures, reasons, extras=()):
+def _aggregate(kind, trials, seed, rows, reasons, extras=()):
     counts = {k: 0 for k in _ORBIT_ORDER}
     gaps = []
     max_delta = 0.0
-    d3 = 0
     for row in rows:
         counts[row["orbit_after"]] = counts.get(row["orbit_after"], 0) + 1
-        if row["orbit_after"] == "D3":
-            d3 += 1
         gap = row.get("eigen_gap")
         if gap is not None and np.isfinite(gap):
             gaps.append(gap)
         scaled = row.get("delta_after_scaled")
         if scaled is not None and np.isfinite(scaled):
             max_delta = max(max_delta, abs(scaled))
-    n_ok = max(1, sum(1 for r in rows if r["orbit_after"] != "error"))
     return ExperimentStats(
         kind=kind, trials=trials, seed=seed,
         counts=tuple((k, v) for k, v in counts.items() if v),
-        fraction_d3=d3 / n_ok,
+        fraction_d3=counts["D3"] / max(1, trials - counts["error"]),
         max_abs_delta_after=max_delta,
         eigen_gap_histogram=_histogram(gaps),
-        failures=failures, failure_reasons=tuple(reasons),
+        failures=counts["error"], failure_reasons=tuple(reasons),
         extras=tuple(extras), rows=tuple(rows))
-
-
-def _classify_residual(Z: Tensor222, scale: float, tols: ExperimentTolerances) -> OrbitLabel:
-    return classify(Z, tols.delta_band, zero_scale=scale, coincidence_tol=tols.eigen_gap)
-
-
-def _deflate_row(trial: int, X: Tensor222, tols: ExperimentTolerances) -> dict:
-    enum = rank1.stationary_points_222(X, hessian=False)
-    usable = [p for p in enum.points if not p.degenerate]
-    if not usable:
-        raise RuntimeError("no usable stationary point")
-    best = min(usable, key=lambda p: p.psi)
-    Z = Tensor222(X.array - best.term().tensor())
-    scale = float(np.max(np.abs(X.array)))
-    orbit_after = _classify_residual(Z, scale, tols)
-    pencil = _pencil_or_none(Z, tols.eigen_gap)
-    mlr = multilinear_rank(Z.array, tols.rank_tol)
-    return {
-        "trial": trial,
-        "orbit_before": classify(X, tols.rank_tol).orbit,
-        "orbit_after": orbit_after.orbit,
-        "delta_before": hyperdet(X),
-        "delta_after": best.delta_residual,
-        "delta_after_scaled": abs(best.delta_residual) / scale ** 4,
-        "psi": best.psi,
-        "eigen_gap": _pencil_gap(pencil),
-        "mlrank": _mlrank_str(mlr),
-    }
 
 
 def _error_row(trial: int) -> dict:
@@ -254,95 +209,82 @@ def _error_row(trial: int) -> dict:
             "psi": None, "eigen_gap": None, "mlrank": ""}
 
 
-def _run_trials(trials: int, worker, threads: int = 1):
-    """Run per-trial workers, returning (row, reason) pairs in trial order.
+def _run(trials: int, seed: int, tolerances, sample, solve):
+    """Run every trial of an experiment; returns (rows, failure reasons).
 
-    Every trial has its own random stream, so the output is identical for
-    any worker count; failures are captured per trial, never aborting the
-    run.
+    Trial t draws its input with ``sample`` from its own Philox stream
+    keyed on (seed, t), and ``solve(X, tols, t)`` turns it into the row.
+    An exception fails that trial only: it gets an error row and a reason.
     """
-    def call(trial):
-        try:
-            return worker(trial), None
-        except Exception as exc:
-            return None, f"trial {trial}: {exc}"
-
-    if threads and threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(call, range(trials)))
-    return [call(t) for t in range(trials)]
-
-
-def _collect(results):
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    tols = tolerances or ExperimentTolerances()
     rows, reasons = [], []
-    failures = 0
-    for trial, (row, reason) in enumerate(results):
-        if row is None:
-            failures += 1
-            reasons.append(reason)
+    for trial in range(trials):
+        try:
+            rows.append({"trial": trial, **solve(sample(_trial_rng(seed, trial)), tols, trial)})
+        except Exception as exc:
+            reasons.append(f"trial {trial}: {exc}")
             rows.append(_error_row(trial))
-        else:
-            rows.append(row)
-    return rows, reasons, failures
+    return rows, reasons
+
+
+def _residual_row(X, Z, psi: float, tols: ExperimentTolerances, orbit_before=None) -> dict:
+    """Orbit, hyperdeterminant, pencil gap and multilinear rank of the
+    input X and the residual Z of a 2x2x2 (or symmetric) deflation."""
+    if isinstance(X, SymTensor222):
+        label, delta, entries, full = classify_sym, hyperdet_sym, X.as_tuple(), Z.tensor()
+    else:
+        label, delta, entries, full = classify, hyperdet, X.array, Z
+    scale = float(np.max(np.abs(entries)))
+    delta_after = delta(Z)
+    return {
+        "orbit_before": orbit_before or label(X, tols.rank_tol).orbit,
+        "orbit_after": label(Z, tols.delta_band, zero_scale=scale).orbit,
+        "delta_before": delta(X),
+        "delta_after": delta_after,
+        "delta_after_scaled": abs(delta_after) / scale ** 4,
+        "psi": psi,
+        "eigen_gap": _pencil_gap(slab_pencil(Z, tols.eigen_gap)),
+        "mlrank": "x".join(str(r) for r in multilinear_rank(full, tols.rank_tol).as_tuple()),
+    }
+
+
+def _mlrank_extras(rows) -> tuple:
+    ok = [r for r in rows if r["orbit_after"] != "error"]
+    return (("fraction_mlrank_222", sum(r["mlrank"] == "2x2x2" for r in ok) / max(1, len(ok))),)
+
+
+def _solve_generic(X: Tensor222, tols: ExperimentTolerances, trial: int) -> dict:
+    usable = [p for p in rank1.stationary_points_222(X, hessian=False) if not p.degenerate]
+    if not usable:
+        raise RuntimeError("no usable stationary point")
+    best = min(usable, key=lambda p: p.psi)
+    return _residual_row(X, Tensor222(X.array - best.term().tensor()), best.psi, tols)
 
 
 def experiment_generic(trials: int, seed: int = 0,
-                       tolerances: ExperimentTolerances | None = None,
-                       threads: int = 1) -> ExperimentStats:
+                       tolerances: ExperimentTolerances | None = None) -> ExperimentStats:
     """Deflate i.i.d. standard-normal 2x2x2 tensors and classify residuals."""
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    tols = tolerances or ExperimentTolerances()
+    rows, reasons = _run(trials, seed, tolerances,
+                         lambda rng: Tensor222.from_flat(rng.standard_normal(8)), _solve_generic)
+    return _aggregate("generic", trials, seed, rows, reasons, _mlrank_extras(rows))
 
-    def worker(trial):
-        X = Tensor222.from_flat(_trial_rng(seed, trial).standard_normal(8))
-        return _deflate_row(trial, X, tols)
 
-    rows, reasons, failures = _collect(_run_trials(trials, worker, threads))
-    n_ok = max(1, trials - failures)
-    mlrank_222 = sum(1 for r in rows if r["mlrank"] == "2x2x2")
-    return _aggregate("generic", trials, seed, rows, failures, reasons,
-                      extras=(("fraction_mlrank_222", mlrank_222 / n_ok),))
+def _solve_symmetric(Xs: SymTensor222, tols: ExperimentTolerances, trial: int) -> dict:
+    enum = rank1.stationary_points_sym(Xs)
+    if not len(enum):
+        raise RuntimeError("no real stationary point")
+    best = enum[0]
+    return _residual_row(Xs, Xs.rank1_update(best.y, -1.0), best.psi, tols)
 
 
 def experiment_symmetric(trials: int, seed: int = 0,
-                         tolerances: ExperimentTolerances | None = None,
-                         threads: int = 1) -> ExperimentStats:
+                         tolerances: ExperimentTolerances | None = None) -> ExperimentStats:
     """Symmetric analogue: (a, b, c, d) i.i.d. normal, symmetric deflation."""
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    tols = tolerances or ExperimentTolerances()
-
-    def worker(trial):
-        Xs = SymTensor222(*_trial_rng(seed, trial).standard_normal(4))
-        enum = rank1.stationary_points_sym(Xs)
-        if not len(enum):
-            raise RuntimeError("no real stationary point")
-        best = enum[0]
-        Z = Xs.rank1_update(best.y, -1.0)
-        scale = max(abs(v) for v in Xs.as_tuple())
-        after = classify_sym(Z, tols.delta_band, zero_scale=scale,
-                             coincidence_tol=tols.eigen_gap)
-        pencil = _pencil_or_none(Z, tols.eigen_gap)
-        mlr = multilinear_rank(Z.tensor().array, tols.rank_tol)
-        return {
-            "trial": trial,
-            "orbit_before": classify_sym(Xs, tols.rank_tol).orbit,
-            "orbit_after": after.orbit,
-            "delta_before": hyperdet_sym(Xs),
-            "delta_after": best.delta_residual,
-            "delta_after_scaled": abs(best.delta_residual) / scale ** 4,
-            "psi": best.psi,
-            "eigen_gap": _pencil_gap(pencil),
-            "mlrank": _mlrank_str(mlr),
-        }
-
-    rows, reasons, failures = _collect(_run_trials(trials, worker, threads))
-    n_ok = max(1, trials - failures)
-    mlrank_222 = sum(1 for r in rows if r["mlrank"] == "2x2x2")
-    return _aggregate("symmetric", trials, seed, rows, failures, reasons,
-                      extras=(("fraction_mlrank_222", mlrank_222 / n_ok),))
+    rows, reasons = _run(trials, seed, tolerances,
+                         lambda rng: SymTensor222(*rng.standard_normal(4)), _solve_symmetric)
+    return _aggregate("symmetric", trials, seed, rows, reasons, _mlrank_extras(rows))
 
 
 def _random_invertible(rng: np.random.Generator, cond_cap: float = 1e3) -> np.ndarray:
@@ -352,61 +294,38 @@ def _random_invertible(rng: np.random.Generator, cond_cap: float = 1e3) -> np.nd
             return M
 
 
+def _sample_d3(rng: np.random.Generator) -> Tensor222:
+    S, T, U = (_random_invertible(rng) for _ in range(3))
+    return multilinear_transform(canonical_form("D3"), S, T, U)
+
+
+def _solve_d3(X: Tensor222, tols: ExperimentTolerances, trial: int) -> dict:
+    result = rank1.best_rank1_222(X, cross_check=False)
+    return _residual_row(X, Tensor222(X.array - result.term.tensor()), result.psi, tols,
+                         orbit_before="D3")
+
+
 def experiment_d3_closure(trials: int, seed: int = 0,
-                          tolerances: ExperimentTolerances | None = None,
-                          threads: int = 1) -> ExperimentStats:
+                          tolerances: ExperimentTolerances | None = None) -> ExperimentStats:
     """Deflate random orbit-D3 tensors (random transforms of the canonical
     form) and tally the residual orbits; supports, not asserts, closure."""
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    tols = tolerances or ExperimentTolerances()
-    base = canonical_form("D3")
-
-    def worker(trial):
-        rng = _trial_rng(seed, trial)
-        S, T, U = (_random_invertible(rng) for _ in range(3))
-        X = multilinear_transform(base, S, T, U)
-        result = rank1.best_rank1_222(X, cross_check=False)
-        Z = Tensor222(X.array - result.term.tensor())
-        scale = float(np.max(np.abs(X.array)))
-        after = _classify_residual(Z, scale, tols)
-        pencil = _pencil_or_none(Z, tols.eigen_gap)
-        return {
-            "trial": trial,
-            "orbit_before": "D3",
-            "orbit_after": after.orbit,
-            "delta_before": hyperdet(X),
-            "delta_after": hyperdet(Z),
-            "delta_after_scaled": abs(hyperdet(Z)) / scale ** 4,
-            "psi": result.psi,
-            "eigen_gap": _pencil_gap(pencil),
-            "mlrank": _mlrank_str(multilinear_rank(Z.array, tols.rank_tol)),
-        }
-
-    rows, reasons, failures = _collect(_run_trials(trials, worker, threads))
-    return _aggregate("d3", trials, seed, rows, failures, reasons)
+    rows, reasons = _run(trials, seed, tolerances, _sample_d3, _solve_d3)
+    return _aggregate("d3", trials, seed, rows, reasons)
 
 
 def experiment_pxpx2(p: int, trials: int, seed: int = 0,
                      tolerances: ExperimentTolerances | None = None,
-                     max_iter: int = 1500, restarts: int = 6,
-                     threads: int = 1) -> ExperimentStats:
+                     max_iter: int = 1500, restarts: int = 6) -> ExperimentStats:
     """pxpx2 deflation via alternating least squares; spectra comparison.
 
     For each trial the slab-pencil spectrum of the residual is compared
     with the input's: conjecture-consistent means exactly one coincident
-    real pair appears and the complex-pair count drops from n to
-    max(0, n - 1).
+    pair appears and the complex-pair count drops from n to max(0, n - 1).
     """
     if not 2 <= p <= 8:
         raise ValueError("p must be between 2 and 8")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    tols = tolerances or ExperimentTolerances()
 
-    def worker(trial):
-        rng = _trial_rng(seed, trial)
-        X = TensorPxPx2(rng.standard_normal((p, p, 2)))
+    def solve(X, tols, trial):
         result = rank1.hopm(X, max_iter=max_iter, tol=1e-14, restarts=restarts,
                             seed=seed * 1000003 + trial)
         Z = X.array - result.term.tensor()
@@ -414,12 +333,11 @@ def experiment_pxpx2(p: int, trials: int, seed: int = 0,
         spec_z = spectrum_small(np.linalg.solve(Z[:, :, 0].T, Z[:, :, 1].T).T,
                                 tols.eigen_gap)
         n = spec_x.n_complex_pairs
-        one_pair = spec_z.n_coincident_real_pairs == 1
-        dec = spec_z.n_complex_pairs == max(0, n - 1)
+        consistent = (spec_z.n_coincident_real_pairs == 1
+                      and spec_z.n_complex_pairs == max(0, n - 1))
         return {
-            "trial": trial,
             "orbit_before": f"ncomplex={n}",
-            "orbit_after": "D3" if (one_pair and dec) else "other",
+            "orbit_after": "D3" if consistent else "other",
             "delta_before": None,
             "delta_after": None,
             "delta_after_scaled": None,
@@ -432,28 +350,21 @@ def experiment_pxpx2(p: int, trials: int, seed: int = 0,
             "complex_after": spec_z.n_complex_pairs,
         }
 
-    rows, reasons, failures = _collect(_run_trials(trials, worker, threads))
-    consistent = coincident_hits = decrement_hits = converged_count = 0
-    for row in rows:
-        if row.get("converged"):
-            converged_count += 1
-            one_pair = row["coincident_pairs"] == 1
-            dec = row["complex_after"] == max(0, row["complex_before"] - 1)
-            coincident_hits += one_pair
-            decrement_hits += dec
-            consistent += one_pair and dec
-        elif "converged" in row:
-            reasons.append(
-                f"trial {row['trial']}: alternating least squares did not converge")
-    n_conv = max(1, converged_count)
+    rows, reasons = _run(trials, seed, tolerances,
+                         lambda rng: TensorPxPx2(rng.standard_normal((p, p, 2))), solve)
+    reasons += [f"trial {r['trial']}: alternating least squares did not converge"
+                for r in rows if "converged" in r and not r["converged"]]
+    done = [r for r in rows if r.get("converged")]
+    n_conv = max(1, len(done))
     extras = (
         ("p", p),
-        ("converged", converged_count),
-        ("coincident_pair_fraction", coincident_hits / n_conv),
-        ("complex_decrement_fraction", decrement_hits / n_conv),
-        ("consistent_fraction", consistent / n_conv),
+        ("converged", len(done)),
+        ("coincident_pair_fraction", sum(r["coincident_pairs"] == 1 for r in done) / n_conv),
+        ("complex_decrement_fraction",
+         sum(r["complex_after"] == max(0, r["complex_before"] - 1) for r in done) / n_conv),
+        ("consistent_fraction", sum(r["orbit_after"] == "D3" for r in done) / n_conv),
     )
-    return _aggregate("pxp2", trials, seed, rows, failures, reasons, extras=extras)
+    return _aggregate("pxp2", trials, seed, rows, reasons, extras)
 
 
 def write_trial_csv(stats: ExperimentStats, path) -> None:
@@ -537,7 +448,7 @@ def check_degenerate_props(X, tol: float = 1e-9) -> DeflationReport:
     return DeflationReport(
         orbit_before=label, orbit_after=after,
         delta_before=hyperdet(t), delta_after=hyperdet(residual),
-        pencil_before=_pencil_or_none(t, 1e-6),
-        pencil_after=_pencil_or_none(residual, 1e-6),
+        pencil_before=slab_pencil(t),
+        pencil_after=slab_pencil(residual),
         residual_mlrank=multilinear_rank(residual.array, tol),
         psi=float(best_psi), ties=int(ties))

@@ -27,6 +27,7 @@ __all__ = [
     "classify",
     "classify_sym",
     "pencil_eigs",
+    "slab_pencil",
     "canonical_form",
 ]
 
@@ -165,15 +166,15 @@ def pencil_eigs(X, slab_order: str = "21",
     return eig2(quotient, coincidence_tol)
 
 
-def _pencil_auto(X, coincidence_tol):
-    """Slab quotient in the preferred order, None if both slabs are singular."""
-    X1, _ = _slabs(X)
-    for order in (("21", "12") if np.linalg.cond(X1) <= PENCIL_COND_CAP else ("12", "21")):
+def slab_pencil(X, coincidence_tol: float = DEFAULT_COINCIDENCE_TOL) -> EigenPair2 | None:
+    """`pencil_eigs` of X2 X1^-1, or of X1 X2^-1 when X1 is singular; None
+    when both slabs are."""
+    for order in ("21", "12"):
         try:
-            return pencil_eigs(X, order, coincidence_tol), order
+            return pencil_eigs(X, order, coincidence_tol)
         except ValueError:
             continue
-    return None, None
+    return None
 
 
 def _entry_scale(X) -> float:
@@ -183,8 +184,7 @@ def _entry_scale(X) -> float:
     return float(max(np.max(np.abs(X1)), np.max(np.abs(X2))))
 
 
-def classify(X, tol: float = 1e-9, zero_scale: float | None = None,
-             coincidence_tol: float = DEFAULT_COINCIDENCE_TOL) -> OrbitLabel:
+def classify(X, tol: float = 1e-9, zero_scale: float | None = None) -> OrbitLabel:
     """Orbit of a 2x2x2 tensor.
 
     Multilinear rank separates the degenerate orbits; for full multilinear
@@ -242,7 +242,7 @@ def classify_sym(Xs: SymTensor222, tol: float = 1e-9, zero_scale: float | None =
         # on Delta is the scale-honest boundary test even when a slab is
         # nearly singular and the raw eigenvalue gap looks wide
         return OrbitLabel("D3", margin)
-    pencil, _ = _pencil_auto(Xs, coincidence_tol)
+    pencil = slab_pencil(Xs, coincidence_tol)
     if pencil is not None:
         if pencil.kind == "DistinctReal":
             return OrbitLabel("G2", margin)

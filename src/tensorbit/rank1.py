@@ -271,27 +271,6 @@ def _eval_quads(quads, t):
     return tuple(float(P.polyval(t, q)) for q in quads)
 
 
-def _recover_partner(q1_coefs, q2_coefs, tol=1e-8):
-    """Common root of two concrete quadratics via the closed form, falling
-    back to root-set intersection when the formula degenerates."""
-    al, be, ga = q1_coefs
-    de, ep, nu = q2_coefs
-    scale = max(abs(v) for v in (al, be, ga, de, ep, nu))
-    if scale == 0.0:
-        return None
-    den1 = ga * de - al * nu
-    den2 = al * ep - be * de
-    num = be * nu - ep * ga
-    if abs(den1) > 1e-10 * scale ** 2:
-        return num / den1
-    if abs(den2) > 1e-10 * scale ** 2 and abs(den1) > 0.0:
-        return den1 / den2
-    try:
-        return smallalg.common_root(Polynomial([ga, be, al]), Polynomial([nu, ep, de]), tol)
-    except ValueError:
-        return None
-
-
 def _newton_polish(quads_z, y2, z2, iters=4):
     """A few Newton steps on the 2x2 polynomial system (F1, F2)(y2, z2)."""
     (A1, B1, C1), (A2, B2, C2) = quads_z
@@ -354,7 +333,7 @@ def _build_point(X, y2, z2, hessian: bool = True) -> StationaryPoint:
 def stationary_points_222(X, tol: float = 1e-8, hessian: bool = True) -> EnumerationResult:
     """All real stationary points of the rank-1 criterion for a 2x2x2 tensor.
 
-    Solves the degree-8 resultant in z2, recovers y2 as the common root of
+    Solves the degree-8 resultant in z2, recovers y2 as the common roots of
     the two stationarity quadratics, and Newton-polishes each pair.  The
     complex stationary points are counted but not returned.  If the
     resultant collapses below degree 8 the reduced equation is solved and
@@ -383,12 +362,13 @@ def stationary_points_222(X, tol: float = 1e-8, hessian: bool = True) -> Enumera
             n_complex += 1
             continue
         z2 = float(r.real)
-        y2 = _recover_partner(_eval_quads(quads[0], z2), _eval_quads(quads[1], z2), tol)
-        if y2 is None or isinstance(y2, complex):
+        # two partners when both quadratics vanish or are proportional at z2
+        partners = smallalg.common_roots(_eval_quads(quads[0], z2),
+                                         _eval_quads(quads[1], z2), tol)
+        if not partners:
             n_complex += 1
-            continue
-        y2, z2 = _newton_polish(quads, float(y2), z2)
-        points.append(_build_point(t, y2, z2, hessian))
+        for y2 in partners:
+            points.append(_build_point(t, *_newton_polish(quads, float(y2), z2), hessian))
     points.sort(key=lambda s: (s.psi, s.y2, s.z2))
     return EnumerationResult(tuple(points), n_complex, reduced)
 
@@ -611,7 +591,9 @@ def _hopm_once(arr, x, y, z, max_iter, tol):
         x = np.einsum("ijk,j,k->i", arr, y, z) / (ny * nz)
         nx = float(x @ x)
         if nx == 0.0:
-            break
+            # x = 0 solves the normal equations: the zero term is a
+            # stationary point with criterion ||X||^2
+            return norm_sq, x, y, z, it, True
         y = np.einsum("ijk,i,k->j", arr, x, z) / (nx * nz)
         ny = float(y @ y)
         if ny == 0.0:

@@ -18,6 +18,7 @@ __all__ = [
     "NumericalFailure",
     "roots",
     "common_root",
+    "common_roots",
     "EigenPair2",
     "Spectrum",
     "eig2",
@@ -134,13 +135,48 @@ def _real_roots(f: Polynomial, tol: float = 1e-8) -> np.ndarray:
     return np.array(sorted(r.real for r in rs if is_real_root(r)))
 
 
+def common_roots(f, g, tol: float = 1e-8) -> tuple:
+    """Real common roots of f = a u^2 + b u + c and g = d u^2 + e u + n
+    that are known to share one; f and g are the float triples (a, b, c)
+    and (d, e, n).
+
+    The shared root is (bn - ec)/(cd - an) = (cd - an)/(ae - bd).  When
+    both denominators vanish, f and g are proportional or one of them is
+    zero, so they can share both roots: every real root of the one that
+    the other also has (within ``tol``) is returned, in ascending order.
+    """
+    a, b, c = f
+    d, e, n = g
+    scale = max(abs(a), abs(b), abs(c), abs(d), abs(e), abs(n))
+    if scale == 0.0:
+        return ()
+    den1 = c * d - a * n
+    den2 = a * e - b * d
+    if abs(den1) > 1e-10 * scale ** 2:
+        return ((b * n - e * c) / den1,)
+    if abs(den2) > 1e-10 * scale ** 2:
+        return (den1 / den2,)
+    pf, pg = Polynomial([c, b, a]), Polynomial([n, e, d])
+    if pf.degree == 0 or pg.degree == 0:
+        return ()   # a nonzero constant has no root
+    if pf.degree < 0 or pg.degree < 0:
+        return tuple(_real_roots(pg if pf.degree < 0 else pf, tol))
+    rg = _real_roots(pg, tol)
+    shared = []
+    for u in _real_roots(pf, tol):
+        for v in rg:
+            if abs(u - v) <= 10.0 * tol * (1.0 + abs(0.5 * (u + v))):
+                shared.append(0.5 * (u + v))
+                break
+    return tuple(shared)
+
+
 def common_root(f: Polynomial, g: Polynomial, tol: float = 1e-8):
     """Common root of two quadratics, or None.
 
-    Uses the resultant relation (ae - bd)(bn - ec) = (cd - an)^2 for
-    f = a u^2 + b u + c, g = d u^2 + e u + n, and recovers the root as
-    (bn - ec)/(cd - an) = (cd - an)/(ae - bd).  Near-degenerate factors
-    fall back to explicit root-set intersection.
+    Tests the resultant relation (ae - bd)(bn - ec) = (cd - an)^2 for
+    f = a u^2 + b u + c, g = d u^2 + e u + n, and returns the first of
+    their `common_roots`.
     """
     if not isinstance(f, Polynomial):
         f = Polynomial(f)
@@ -150,15 +186,8 @@ def common_root(f: Polynomial, g: Polynomial, tol: float = 1e-8):
         raise ValueError("common_root expects polynomials of degree at most 2")
     if f.degree < 0 and g.degree < 0:
         raise ValueError("both polynomials are zero")
-    if f.degree < 1 or g.degree < 1:
-        # a constant (or zero) polynomial shares no root unless it is zero,
-        # in which case any root of the other counts
-        lo, hi = (f, g) if f.degree < 1 else (g, f)
-        if lo.degree == 0:
-            return None
-        rr = _real_roots(hi, tol)
-        return float(rr[0]) if rr.size else None
-
+    if f.degree == 0 or g.degree == 0:
+        return None   # a nonzero constant shares no root
     ca = np.zeros(3)
     ca[: f.coefficients.size] = f.coefficients[:3]
     cb = np.zeros(3)
@@ -170,24 +199,8 @@ def common_root(f: Polynomial, g: Polynomial, tol: float = 1e-8):
     rhs = (c_ * d_ - a_ * n_) ** 2
     if abs(lhs - rhs) > tol * scale ** 4 * 4.0:
         return None
-    den1 = c_ * d_ - a_ * n_
-    den2 = a_ * e_ - b_ * d_
-    if abs(den1) > 1e-10 * scale ** 2:
-        return float((b_ * n_ - e_ * c_) / den1)
-    if abs(den2) > 1e-10 * scale ** 2:
-        return float(den1 / den2)
-    # closed form degenerates; intersect the root sets directly
-    rf = _real_roots(f, tol)
-    rg = _real_roots(g, tol)
-    best = None
-    for u in rf:
-        for v in rg:
-            d = abs(u - v)
-            if best is None or d < best[0]:
-                best = (d, 0.5 * (u + v))
-    if best is not None and best[0] <= tol * (1.0 + abs(best[1])) * 10.0:
-        return float(best[1])
-    return None
+    shared = common_roots((a_, b_, c_), (d_, e_, n_), tol)
+    return float(shared[0]) if shared else None
 
 
 @dataclass(frozen=True)
@@ -253,9 +266,10 @@ class Spectrum:
 def spectrum_small(M, coincidence_tol: float = DEFAULT_COINCIDENCE_TOL) -> Spectrum:
     """Eigenvalues of a p x p matrix (p <= 16) with pair counting.
 
-    Complex eigenvalues are reported in conjugate pairs.  Real eigenvalues
-    within a relative gap of ``coincidence_tol`` are counted as coincident
-    pairs (greedy matching on the sorted list, each value used once).
+    Two real eigenvalues, or a conjugate pair, within a relative gap of
+    ``coincidence_tol`` count as one coincident pair (closest pairs first,
+    each value used once).  The remaining complex eigenvalues are counted
+    in conjugate pairs.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -270,17 +284,21 @@ def spectrum_small(M, coincidence_tol: float = DEFAULT_COINCIDENCE_TOL) -> Spect
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise NumericalFailure(f"eigenvalue iteration failed: {exc}", iterations=30 * M.shape[0]) from exc
     real_mask = np.abs(vals.imag) <= IMAG_TOL * (1.0 + np.abs(vals.real))
-    reals = np.sort(vals[real_mask].real)
-    n_complex = int(np.count_nonzero(~real_mask)) // 2
     lam_max = np.max(np.abs(vals)) if vals.size else 0.0
     band = coincidence_tol * (1.0 + lam_max)
+    # round-off splits a double real eigenvalue into two close reals or
+    # into a close conjugate pair; either way it is one coincident pair
+    pairs = sorted((abs(vals[i] - vals[j]), i, j)
+                   for i in range(vals.size) for j in range(i + 1, vals.size)
+                   if (real_mask[i] and real_mask[j]) or vals[i] == np.conj(vals[j]))
+    paired = np.zeros(vals.size, dtype=bool)
     coincident = 0
-    i = 0
-    while i + 1 < reals.size:
-        if reals[i + 1] - reals[i] <= band:
+    for gap, i, j in pairs:
+        if gap > band:
+            break
+        if not (paired[i] or paired[j]):
+            paired[i] = paired[j] = True
             coincident += 1
-            i += 2
-        else:
-            i += 1
+    n_complex = int(np.count_nonzero(~real_mask & ~paired)) // 2
     ordered = tuple(complex(v) for v in sorted(vals, key=lambda v: (v.real, v.imag)))
     return Spectrum(ordered, n_complex, coincident)

@@ -112,6 +112,14 @@ def test_cli_rank1_exact_rank1_document(capsys):
     assert payload["stationary_points"][0]["psi"] <= 1e-12
 
 
+@pytest.mark.parametrize("data", ["0,0,0,0,0,0,0,0", "3" + ",0" * 18])
+def test_cli_rank1_zero_tensor(capsys, data):
+    # the best rank-1 term of a zero 2x2x2 or 3x3x2 tensor is zero, psi = 0
+    code, out, _ = _run(capsys, "rank1", f"--data={data}", "--json")
+    payload = json.loads(out)
+    assert code == 0 and payload["psi"] == 0 and payload["converged"]
+
+
 def test_cli_rank1_hopm(capsys):
     data = ",".join(str(v) for v in EXAMPLE_A1)
     code, out, _ = _run(capsys, "rank1", f"--data={data}", "--method", "hopm", "--json")

@@ -70,15 +70,6 @@ def test_experiment_generic_reproducible():
     assert s3.rows != s1.rows
 
 
-def test_experiment_thread_count_invariance():
-    base = experiment_generic(40, seed=13)
-    threaded = experiment_generic(40, seed=13, threads=4)
-    assert base == threaded
-    base_px = experiment_pxpx2(3, 20, seed=13)
-    threaded_px = experiment_pxpx2(3, 20, seed=13, threads=3)
-    assert base_px == threaded_px
-
-
 def test_experiment_counts_sum_to_trials():
     for stats in (experiment_generic(30, seed=1), experiment_symmetric(30, seed=1),
                   experiment_d3_closure(30, seed=1), experiment_pxpx2(2, 30, seed=1)):
@@ -130,7 +121,8 @@ def test_experiment_pxpx2_p3():
 
 def test_experiment_gap_statistics():
     # the residual pencil gap collapses while the input pencil gap stays wide
-    from tensorbit.deflation import _pencil_gap, _pencil_or_none, _trial_rng
+    from tensorbit.deflation import _pencil_gap, _trial_rng
+    from tensorbit.orbits import slab_pencil
     stats = experiment_generic(200, seed=77)
     gaps = [row["eigen_gap"] for row in stats.rows if row["eigen_gap"] is not None]
     frac_tight = np.mean([g <= 1e-4 for g in gaps])
@@ -138,7 +130,7 @@ def test_experiment_gap_statistics():
     before = []
     for trial in range(200):
         t = Tensor222.from_flat(_trial_rng(77, trial).standard_normal(8))
-        g = _pencil_gap(_pencil_or_none(t, 1e-4))
+        g = _pencil_gap(slab_pencil(t, 1e-4))
         if g is not None:
             before.append(g)
     assert np.mean([g > 1e-2 for g in before]) >= 0.95

@@ -235,6 +235,19 @@ def test_best_rank1_boundary_examples_replace_the_two():
         np.testing.assert_allclose(residual, expected, atol=1e-8)
 
 
+@pytest.mark.parametrize("k", [0, 1])
+def test_best_rank1_zero_mode3_slab(k):
+    # for X = M (x) e_k both stationarity quadratics share both partner
+    # roots in one chart; the optimum keeps sigma_1 of M, psi = sigma_2^2
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        arr = np.zeros((2, 2, 2))
+        arr[:, :, k] = rng.standard_normal((2, 2))
+        sigma = np.linalg.svd(arr[:, :, k], compute_uv=False)
+        res = best_rank1_222(Tensor222(arr), cross_check=False)
+        assert abs(res.psi - sigma[1] ** 2) <= 1e-9 * sigma[0] ** 2
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_orthonormal_covariance(seed):
     # best rank-1 approximation commutes with orthonormal transforms

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tensorbit import Polynomial, common_root, eig2, roots, spectrum_small
-from tensorbit.smallalg import is_real_root
+from tensorbit.smallalg import common_roots, is_real_root
 
 
 def test_roots_simple_quadratic():
@@ -61,6 +61,12 @@ def test_common_root_none():
     f = Polynomial([2.0, -3.0, 1.0])     # (u-1)(u-2)
     g = Polynomial([15.0, -8.0, 1.0])    # (u-3)(u-5)
     assert common_root(f, g) is None
+
+
+@pytest.mark.parametrize("g", [(2.0, -6.0, 4.0), (0.0, 0.0, 0.0)])
+def test_common_roots_of_proportional_or_zero_quadratic(g):
+    # (u-1)(u-2) shares both roots with a multiple of itself and with zero
+    np.testing.assert_allclose(common_roots((1.0, -3.0, 2.0), g), [1.0, 2.0])
 
 
 def test_common_root_both_zero_rejected():
@@ -178,6 +184,15 @@ def test_spectrum_matches_characteristic_roots(seed):
     got = sorted((v.real, abs(v.imag)) for v in spec.eigenvalues)
     want = sorted((r.real, abs(r.imag)) for r in rs)
     np.testing.assert_allclose(got, want, atol=1e-8)
+
+
+@pytest.mark.parametrize("M", [[[0.5, 1.0], [-1e-12, 0.5]],
+                               [[0.5, 1.0, 0.0], [-1e-12, 0.5, 0.0], [0.0, 0.0, -2.0]]])
+def test_spectrum_pairs_a_double_eigenvalue_split_into_complex(M):
+    # round-off has split the double eigenvalue 0.5 into 0.5 +- 1e-6 i
+    spec = spectrum_small(M, 1e-4)
+    assert spec.n_coincident_real_pairs == 1
+    assert spec.n_complex_pairs == 0
 
 
 def test_spectrum_size_cap():
