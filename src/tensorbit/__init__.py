@@ -18,10 +18,9 @@ from .decomp import (CanonicalSymForm, CanonicalTransform, DomainError, SymDecom
                      canonical_transform, canonicalize_sym_form, sylvester_rank,
                      sym_rank2_decompose, sym_rank3_decompose,
                      transform_from_canonical_D3, transform_from_canonical_G3)
-from .deflation import (DeflationReport, ExperimentStats, ExperimentTolerances,
-                        check_degenerate_props, deflate_once, experiment_d3_closure,
-                        experiment_generic, experiment_pxpx2, experiment_symmetric,
-                        write_trial_csv)
+from .deflation import (DeflationReport, ExperimentStats, check_degenerate_props,
+                        deflate_once, experiment_d3_closure, experiment_generic,
+                        experiment_pxpx2, experiment_symmetric, write_trial_csv)
 from .document import TensorDocument, parse_document
 from .orbits import (OrbitLabel, SymTensor222, canonical_form, classify, classify_sym,
                      hyperdet, hyperdet_sym, pencil_eigs, slab_pencil)

@@ -1,9 +1,10 @@
 """Command-line front end: tensorbit classify|rank1|deflate|decompose|experiment.
 
 All structured output is JSON on stdout with a fixed field order; floats
-are printed with 17 significant digits in --json mode so identical
-commands and seeds give byte-identical output.  Exit codes: 0 success,
-2 input error, 3 numerical failure, 4 infeasible request.
+are printed with 17 significant digits so identical commands and seeds
+give byte-identical output.  Only rank1 reads --json (without it, it
+prints a table).  Exit codes: 0 success, 2 input error, 3 numerical
+failure, 4 infeasible request.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ import sys
 import numpy as np
 
 from . import deflation, rank1
-from .decomp import DomainError, sylvester_rank, sym_rank2_decompose, \
-    sym_rank3_decompose
+from .decomp import DomainError, sylvester_rank, sym_rank3_decompose
 from .document import TensorDocument, parse_document
 from .orbits import SymTensor222, classify, classify_sym, hyperdet, hyperdet_sym, slab_pencil
 from .smallalg import EigenPair2, NumericalFailure
@@ -253,8 +253,6 @@ def cmd_decompose(args) -> int:
         if wanted != rank:
             raise DomainError(
                 f"tensor has symmetric rank {rank}; exact rank-{wanted} output unsupported")
-    if dec is None and rank == 2:
-        dec = sym_rank2_decompose(tensor, args.tol)
     if dec is None and rank == 3:
         dec = sym_rank3_decompose(tensor, args.tol)
     payload = {
@@ -269,16 +267,15 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    tols = deflation.ExperimentTolerances()
     seed = _seed_from(args)
     if args.experiment_kind == "generic":
-        stats = deflation.experiment_generic(args.trials, seed, tols)
+        stats = deflation.experiment_generic(args.trials, seed)
     elif args.experiment_kind == "symmetric":
-        stats = deflation.experiment_symmetric(args.trials, seed, tols)
+        stats = deflation.experiment_symmetric(args.trials, seed)
     elif args.experiment_kind == "d3":
-        stats = deflation.experiment_d3_closure(args.trials, seed, tols)
+        stats = deflation.experiment_d3_closure(args.trials, seed)
     elif args.experiment_kind == "pxp2":
-        stats = deflation.experiment_pxpx2(args.p, args.trials, seed, tols)
+        stats = deflation.experiment_pxpx2(args.p, args.trials, seed)
     else:
         raise ValueError(f"unknown experiment kind {args.experiment_kind!r}")
     if args.csv:

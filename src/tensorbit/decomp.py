@@ -115,96 +115,37 @@ def sylvester_rank(Xs: SymTensor222, tol: float = 1e-9):
             v1 = v2 * (c / d)
         v = np.array([v1, v2])
         return 1, SymDecomposition(1, (v,), _recon_error(Xs, (v,)))
-    disc = g[1] ** 2 - 4.0 * g[0] * g[2]
-    if disc > tol * scale ** 4:
-        dec = _rank2_from_kernel(Xs, g, tol)
-        if dec is not None:
-            return 2, dec
-        return 2, None
+    if g[1] ** 2 - 4.0 * g[0] * g[2] > tol * scale ** 4:
+        return 2, _rank2_from_kernel(Xs, g)
     try:
         return 3, sym_rank3_decompose(Xs, tol)
     except (DomainError, NumericalFailure):
         return 3, None
 
 
-def _rank2_from_kernel(Xs: SymTensor222, g, tol):
-    """Decomposition from the roots of q(u1, u2) = g2 u1^2 + g1 u1 u2 + g0 u2^2."""
+def _rank2_from_kernel(Xs: SymTensor222, g) -> SymDecomposition:
+    """Decomposition along the roots of q(u1, u2) = g2 u1^2 + g1 u1 u2 + g0 u2^2.
+
+    With s = -(g1 + sign(g1) sqrt(disc)) / 2 the homogeneous roots are
+    (s, g2) and (g0, s): neither subtracts nearly equal numbers, and a
+    vanishing g2 or g0 needs no separate branch.  Requires disc(q) > 0.
+    """
     g0, g1, g2 = g
-    scale = max(abs(v) for v in Xs.as_tuple())
-    dirs = []
-    if abs(g2) <= tol * scale ** 2:
-        if abs(g1) <= tol * scale ** 2:
-            return None
-        dirs.append(np.array([1.0, 0.0]))
-        dirs.append(np.array([-g0 / g1, 1.0]))
-    else:
-        disc = g1 ** 2 - 4.0 * g0 * g2
-        if disc <= 0:
-            return None
-        root = np.sqrt(disc)
-        dirs.append(np.array([(-g1 + root) / (2.0 * g2), 1.0]))
-        dirs.append(np.array([(-g1 - root) / (2.0 * g2), 1.0]))
-    return _weighted_vectors(Xs, dirs)
-
-
-def _weighted_vectors(Xs: SymTensor222, dirs):
-    """Solve the moment system for cube weights along the given directions."""
-    cols = []
-    for u in dirs:
-        x, y = u
-        cols.append([x ** 3, x * x * y, x * y * y, y ** 3])
-    A = np.array(cols).T
-    target = np.array(Xs.as_tuple())
-    w, *_ = np.linalg.lstsq(A, target, rcond=None)
+    s = -0.5 * (g1 + np.copysign(np.sqrt(g1 * g1 - 4.0 * g0 * g2), g1))
+    dirs = [u / np.linalg.norm(u) for u in (np.array([s, g2]), np.array([g0, s]))]
+    cols = [[x ** 3, x * x * y, x * y * y, y ** 3] for x, y in dirs]
+    w, *_ = np.linalg.lstsq(np.array(cols).T, np.array(Xs.as_tuple()), rcond=None)
     vectors = tuple(np.cbrt(wi) * u for wi, u in zip(w, dirs))
-    return SymDecomposition(len(vectors), vectors, _recon_error(Xs, vectors))
+    return SymDecomposition(2, vectors, _recon_error(Xs, vectors))
 
 
 def sym_rank2_decompose(Xs: SymTensor222, tol: float = 1e-9) -> SymDecomposition:
-    """Rank-2 decomposition through the slab-pencil eigenvectors.
-
-    The pencil X2 X1^-1 has companion form [0 1; x y] with eigenvectors
-    (1, lambda_i); cube weights come from the first slab's entries.  The
-    mirrored pencil is used when the first slab is singular.
-    """
+    """Rank-2 decomposition of an orbit-G2 tensor along the two real roots
+    of Sylvester's kernel quadratic (whose discriminant is Delta > 0)."""
     label = classify_sym(Xs, max(tol, 1e-12))
     if label.orbit != "G2":
         raise DomainError(f"rank-2 decomposition needs orbit G2, got {label.orbit}")
-    a, b, c, d = Xs.as_tuple()
-    scale = max(abs(v) for v in (a, b, c, d))
-    det1 = a * c - b * b
-    det2 = b * d - c * c
-    if abs(det1) > tol * scale ** 2:
-        x = (c * c - b * d) / det1
-        y = (a * d - b * c) / det1
-        disc = y * y + 4.0 * x
-        if disc <= 0:
-            raise DomainError("pencil eigenvalues are not distinct real")
-        lam = ((y + np.sqrt(disc)) / 2.0, (y - np.sqrt(disc)) / 2.0)
-        # the two relations a l1 l2 - b (l1+l2) + c and the (b,c,d) analogue
-        # vanish by construction; solve the slab-1 system for the cube weights
-        A = np.array([[1.0, 1.0], [lam[0], lam[1]]])
-        w = np.linalg.solve(A, np.array([a, b]))
-        dirs = [np.array([1.0, lam[0]]), np.array([1.0, lam[1]])]
-    elif abs(det2) > tol * scale ** 2:
-        x = (b * b - a * c) / det2
-        y = (a * d - b * c) / det2
-        disc = y * y + 4.0 * x
-        if disc <= 0:
-            raise DomainError("pencil eigenvalues are not distinct real")
-        lam = ((y + np.sqrt(disc)) / 2.0, (y - np.sqrt(disc)) / 2.0)
-        A = np.array([[1.0, 1.0], [lam[0], lam[1]]])
-        w = np.linalg.solve(A, np.array([d, c]))
-        dirs = [np.array([lam[0], 1.0]), np.array([lam[1], 1.0])]
-    else:
-        # both slabs singular but G2 (e.g. (1,0,0,1)): fall back to the
-        # Sylvester kernel construction
-        dec = _rank2_from_kernel(Xs, _kernel_vector(Xs), tol)
-        if dec is None:
-            raise DomainError("no rank-2 decomposition found")
-        return dec
-    vectors = tuple(np.cbrt(wi) * u for wi, u in zip(w, dirs))
-    return SymDecomposition(2, vectors, _recon_error(Xs, vectors))
+    return _rank2_from_kernel(Xs, _kernel_vector(Xs))
 
 
 def sym_rank3_decompose(Xs: SymTensor222, tol: float = 1e-9) -> SymDecomposition:

@@ -9,7 +9,7 @@ the residual vanishes.
 Each experiment is a sampler and a per-trial solver run by one trial
 loop.  Trial t draws its input from its own counter-based RNG stream
 (Philox keyed on the run seed and t), so results are bit-identical for a
-fixed (seed, trials, tolerances).  A trial that raises becomes an error
+fixed (seed, trials).  A trial that raises becomes an error
 row with a failure reason and does not stop the run.  Per-trial rows can
 be dumped as CSV; summaries are plain dicts ready for JSON.
 """
@@ -17,14 +17,15 @@ be dumped as CSV; summaries are plain dicts ready for JSON.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import rank1
 from .decomp import DomainError
-from .orbits import (OrbitLabel, SymTensor222, canonical_form, classify, classify_sym,
-                     hyperdet, hyperdet_sym, slab_pencil)
+from .orbits import (OrbitLabel, SymTensor222, _entry_scale, canonical_form, classify,
+                     classify_sym, hyperdet, hyperdet_sym, slab_pencil)
 from .smallalg import spectrum_small
 from .tensors import MultilinearRank, Tensor222, TensorPxPx2, frobenius_norm_sq, \
     multilinear_rank, multilinear_transform
@@ -32,7 +33,6 @@ from .tensors import MultilinearRank, Tensor222, TensorPxPx2, frobenius_norm_sq,
 __all__ = [
     "DeflationReport",
     "ExperimentStats",
-    "ExperimentTolerances",
     "deflate_once",
     "experiment_generic",
     "experiment_symmetric",
@@ -43,19 +43,9 @@ __all__ = [
 ]
 
 GAP_BUCKETS = (1e-14, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 1.0)
-
-
-@dataclass(frozen=True)
-class ExperimentTolerances:
-    """Classification bands for deflation experiments.
-
-    Looser than the library defaults because residuals reach the boundary
-    only up to root-solver accuracy.
-    """
-
-    delta_band: float = 1e-6
-    eigen_gap: float = 1e-4
-    rank_tol: float = 1e-9
+# band for pairing pxpx2 pencil eigenvalues, wider than the library's 1e-6:
+# an error e in the HOPM term splits a defective double eigenvalue by ~sqrt(e)
+PAIRING_BAND = 1e-4
 
 
 @dataclass(frozen=True)
@@ -114,8 +104,30 @@ def _pencil_gap(pencil):
     return float(pencil.gap / (1.0 + lam))
 
 
-def deflate_once(X, tol: float = 1e-9, coincidence_tol: float = 1e-6,
-                 cross_check: bool = False):
+def _report(X, residual, psi: float, ties: int, warnings, tol: float,
+            coincidence_tol: float) -> DeflationReport:
+    """Orbits, hyperdeterminants and slab pencils of the input X and the
+    residual of one deflation step, plus the residual's multilinear rank.
+
+    The residual is classified with the Delta band max(tol, 1e-6): it
+    reaches the boundary only up to root-solver accuracy.
+    """
+    if isinstance(X, SymTensor222):
+        label = functools.partial(classify_sym, coincidence_tol=coincidence_tol)
+        delta, full = hyperdet_sym, residual.tensor()
+    else:
+        label, delta, full = classify, hyperdet, residual
+    return DeflationReport(
+        orbit_before=label(X, tol),
+        orbit_after=label(residual, max(tol, 1e-6), zero_scale=_entry_scale(X)),
+        delta_before=float(delta(X)), delta_after=float(delta(residual)),
+        pencil_before=slab_pencil(X, coincidence_tol),
+        pencil_after=slab_pencil(residual, coincidence_tol),
+        residual_mlrank=multilinear_rank(full, max(tol, 1e-9)),
+        psi=float(psi), ties=ties, warnings=tuple(warnings))
+
+
+def deflate_once(X, tol: float = 1e-9, coincidence_tol: float = 1e-6):
     """Subtract a best rank-1 approximation and report the orbit transition.
 
     Symmetric input follows the symmetric route (term y (x) y (x) y and
@@ -126,32 +138,14 @@ def deflate_once(X, tol: float = 1e-9, coincidence_tol: float = 1e-6,
         raise ValueError("deflate_once handles 2x2x2 tensors; use hopm plus "
                          "spectrum_small (or experiment_pxpx2) for pxpx2 input")
     if isinstance(X, SymTensor222):
-        before = classify_sym(X, tol, coincidence_tol=coincidence_tol)
         result = rank1.best_rank1_sym(X)
-        y = result.term.y
-        residual = X.rank1_update(y, -1.0)
-        scale = max(abs(v) for v in X.as_tuple())
-        after = classify_sym(residual, max(tol, 1e-6), zero_scale=scale,
-                             coincidence_tol=coincidence_tol)
-        d_before, d_after = hyperdet_sym(X), hyperdet_sym(residual)
-        mlr = multilinear_rank(residual.tensor(), max(tol, 1e-9))
+        residual = X.rank1_update(result.term.y, -1.0)
     else:
-        t = X if isinstance(X, Tensor222) else Tensor222(X)
-        before = classify(t, tol)
-        result = rank1.best_rank1_222(t, cross_check=cross_check)
-        residual = Tensor222(t.array - result.term.tensor())
-        scale = float(np.max(np.abs(t.array)))
-        after = classify(residual, max(tol, 1e-6), zero_scale=scale)
-        d_before, d_after = hyperdet(t), hyperdet(residual)
-        mlr = multilinear_rank(residual.array, max(tol, 1e-9))
-    report = DeflationReport(
-        orbit_before=before, orbit_after=after,
-        delta_before=float(d_before), delta_after=float(d_after),
-        pencil_before=slab_pencil(X, coincidence_tol),
-        pencil_after=slab_pencil(residual, coincidence_tol),
-        residual_mlrank=mlr, psi=float(result.psi), ties=result.multiplicity,
-        warnings=result.warnings)
-    return residual, report
+        X = X if isinstance(X, Tensor222) else Tensor222(X)
+        result = rank1.best_rank1_222(X, cross_check=False)
+        residual = Tensor222(X.array - result.term.tensor())
+    return residual, _report(X, residual, result.psi, result.multiplicity, result.warnings,
+                             tol, coincidence_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -209,45 +203,41 @@ def _error_row(trial: int) -> dict:
             "psi": None, "eigen_gap": None, "mlrank": ""}
 
 
-def _run(trials: int, seed: int, tolerances, sample, solve):
+def _run(trials: int, seed: int, sample, solve):
     """Run every trial of an experiment; returns (rows, failure reasons).
 
     Trial t draws its input with ``sample`` from its own Philox stream
-    keyed on (seed, t), and ``solve(X, tols, t)`` turns it into the row.
+    keyed on (seed, t), and ``solve(X, t)`` turns it into the row.
     An exception fails that trial only: it gets an error row and a reason.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    tols = tolerances or ExperimentTolerances()
     rows, reasons = [], []
     for trial in range(trials):
         try:
-            rows.append({"trial": trial, **solve(sample(_trial_rng(seed, trial)), tols, trial)})
+            rows.append({"trial": trial, **solve(sample(_trial_rng(seed, trial)), trial)})
         except Exception as exc:
             reasons.append(f"trial {trial}: {exc}")
             rows.append(_error_row(trial))
     return rows, reasons
 
 
-def _residual_row(X, Z, psi: float, tols: ExperimentTolerances, orbit_before=None) -> dict:
-    """Orbit, hyperdeterminant, pencil gap and multilinear rank of the
-    input X and the residual Z of a 2x2x2 (or symmetric) deflation."""
-    if isinstance(X, SymTensor222):
-        label, delta, entries, full = classify_sym, hyperdet_sym, X.as_tuple(), Z.tensor()
-    else:
-        label, delta, entries, full = classify, hyperdet, X.array, Z
-    scale = float(np.max(np.abs(entries)))
-    delta_after = delta(Z)
+def _report_row(X, report: DeflationReport) -> dict:
+    """The experiment row of one deflation report of input X."""
     return {
-        "orbit_before": orbit_before or label(X, tols.rank_tol).orbit,
-        "orbit_after": label(Z, tols.delta_band, zero_scale=scale).orbit,
-        "delta_before": delta(X),
-        "delta_after": delta_after,
-        "delta_after_scaled": abs(delta_after) / scale ** 4,
-        "psi": psi,
-        "eigen_gap": _pencil_gap(slab_pencil(Z, tols.eigen_gap)),
-        "mlrank": "x".join(str(r) for r in multilinear_rank(full, tols.rank_tol).as_tuple()),
+        "orbit_before": report.orbit_before.orbit,
+        "orbit_after": report.orbit_after.orbit,
+        "delta_before": report.delta_before,
+        "delta_after": report.delta_after,
+        "delta_after_scaled": abs(report.delta_after) / _entry_scale(X) ** 4,
+        "psi": report.psi,
+        "eigen_gap": _pencil_gap(report.pencil_after),
+        "mlrank": "x".join(str(r) for r in report.residual_mlrank.as_tuple()),
     }
+
+
+def _deflation_row(X, trial: int) -> dict:
+    return _report_row(X, deflate_once(X)[1])
 
 
 def _mlrank_extras(rows) -> tuple:
@@ -255,35 +245,28 @@ def _mlrank_extras(rows) -> tuple:
     return (("fraction_mlrank_222", sum(r["mlrank"] == "2x2x2" for r in ok) / max(1, len(ok))),)
 
 
-def _solve_generic(X: Tensor222, tols: ExperimentTolerances, trial: int) -> dict:
+def _solve_generic(X: Tensor222, trial: int) -> dict:
+    # the chart-(0,0) optimum: best_rank1_222 would solve four charts, at
+    # about four times the cost, for the measure-zero y1 = 0 or z1 = 0 case
     usable = [p for p in rank1.stationary_points_222(X, hessian=False) if not p.degenerate]
     if not usable:
         raise RuntimeError("no usable stationary point")
     best = min(usable, key=lambda p: p.psi)
-    return _residual_row(X, Tensor222(X.array - best.term().tensor()), best.psi, tols)
+    residual = Tensor222(X.array - best.term().tensor())
+    return _report_row(X, _report(X, residual, best.psi, 1, (), tol=1e-9, coincidence_tol=1e-6))
 
 
-def experiment_generic(trials: int, seed: int = 0,
-                       tolerances: ExperimentTolerances | None = None) -> ExperimentStats:
+def experiment_generic(trials: int, seed: int = 0) -> ExperimentStats:
     """Deflate i.i.d. standard-normal 2x2x2 tensors and classify residuals."""
-    rows, reasons = _run(trials, seed, tolerances,
-                         lambda rng: Tensor222.from_flat(rng.standard_normal(8)), _solve_generic)
+    rows, reasons = _run(trials, seed, lambda rng: Tensor222.from_flat(rng.standard_normal(8)),
+                         _solve_generic)
     return _aggregate("generic", trials, seed, rows, reasons, _mlrank_extras(rows))
 
 
-def _solve_symmetric(Xs: SymTensor222, tols: ExperimentTolerances, trial: int) -> dict:
-    enum = rank1.stationary_points_sym(Xs)
-    if not len(enum):
-        raise RuntimeError("no real stationary point")
-    best = enum[0]
-    return _residual_row(Xs, Xs.rank1_update(best.y, -1.0), best.psi, tols)
-
-
-def experiment_symmetric(trials: int, seed: int = 0,
-                         tolerances: ExperimentTolerances | None = None) -> ExperimentStats:
+def experiment_symmetric(trials: int, seed: int = 0) -> ExperimentStats:
     """Symmetric analogue: (a, b, c, d) i.i.d. normal, symmetric deflation."""
-    rows, reasons = _run(trials, seed, tolerances,
-                         lambda rng: SymTensor222(*rng.standard_normal(4)), _solve_symmetric)
+    rows, reasons = _run(trials, seed, lambda rng: SymTensor222(*rng.standard_normal(4)),
+                         _deflation_row)
     return _aggregate("symmetric", trials, seed, rows, reasons, _mlrank_extras(rows))
 
 
@@ -299,23 +282,16 @@ def _sample_d3(rng: np.random.Generator) -> Tensor222:
     return multilinear_transform(canonical_form("D3"), S, T, U)
 
 
-def _solve_d3(X: Tensor222, tols: ExperimentTolerances, trial: int) -> dict:
-    result = rank1.best_rank1_222(X, cross_check=False)
-    return _residual_row(X, Tensor222(X.array - result.term.tensor()), result.psi, tols,
-                         orbit_before="D3")
-
-
-def experiment_d3_closure(trials: int, seed: int = 0,
-                          tolerances: ExperimentTolerances | None = None) -> ExperimentStats:
+def experiment_d3_closure(trials: int, seed: int = 0) -> ExperimentStats:
     """Deflate random orbit-D3 tensors (random transforms of the canonical
     form) and tally the residual orbits; supports, not asserts, closure."""
-    rows, reasons = _run(trials, seed, tolerances, _sample_d3, _solve_d3)
+    # the input is D3 by construction, whatever its classification reads
+    rows, reasons = _run(trials, seed, _sample_d3,
+                         lambda X, t: {**_deflation_row(X, t), "orbit_before": "D3"})
     return _aggregate("d3", trials, seed, rows, reasons)
 
 
-def experiment_pxpx2(p: int, trials: int, seed: int = 0,
-                     tolerances: ExperimentTolerances | None = None,
-                     max_iter: int = 1500, restarts: int = 6) -> ExperimentStats:
+def experiment_pxpx2(p: int, trials: int, seed: int = 0) -> ExperimentStats:
     """pxpx2 deflation via alternating least squares; spectra comparison.
 
     For each trial the slab-pencil spectrum of the residual is compared
@@ -325,13 +301,12 @@ def experiment_pxpx2(p: int, trials: int, seed: int = 0,
     if not 2 <= p <= 8:
         raise ValueError("p must be between 2 and 8")
 
-    def solve(X, tols, trial):
-        result = rank1.hopm(X, max_iter=max_iter, tol=1e-14, restarts=restarts,
+    def solve(X, trial):
+        result = rank1.hopm(X, max_iter=1500, tol=1e-14, restarts=6,
                             seed=seed * 1000003 + trial)
         Z = X.array - result.term.tensor()
-        spec_x = spectrum_small(np.linalg.solve(X.slab1.T, X.slab2.T).T, tols.eigen_gap)
-        spec_z = spectrum_small(np.linalg.solve(Z[:, :, 0].T, Z[:, :, 1].T).T,
-                                tols.eigen_gap)
+        spec_x = spectrum_small(np.linalg.solve(X.slab1.T, X.slab2.T).T, PAIRING_BAND)
+        spec_z = spectrum_small(np.linalg.solve(Z[:, :, 0].T, Z[:, :, 1].T).T, PAIRING_BAND)
         n = spec_x.n_complex_pairs
         consistent = (spec_z.n_coincident_real_pairs == 1
                       and spec_z.n_complex_pairs == max(0, n - 1))
@@ -350,8 +325,8 @@ def experiment_pxpx2(p: int, trials: int, seed: int = 0,
             "complex_after": spec_z.n_complex_pairs,
         }
 
-    rows, reasons = _run(trials, seed, tolerances,
-                         lambda rng: TensorPxPx2(rng.standard_normal((p, p, 2))), solve)
+    rows, reasons = _run(trials, seed, lambda rng: TensorPxPx2(rng.standard_normal((p, p, 2))),
+                         solve)
     reasons += [f"trial {r['trial']}: alternating least squares did not converge"
                 for r in rows if "converged" in r and not r["converged"]]
     done = [r for r in rows if r.get("converged")]

@@ -16,6 +16,7 @@ components, and by an alternating least-squares fallback (`hopm`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -268,31 +269,36 @@ class EnumerationResult:
 
 
 def _eval_quads(quads, t):
-    return tuple(float(P.polyval(t, q)) for q in quads)
+    """Values at t of quadratics given as ascending plain-float triples."""
+    return tuple(q0 + (q1 + q2 * t) * t for q0, q1, q2 in quads)
+
+
+def _eval_derivs(quads, t):
+    """Derivatives at t of quadratics given as ascending plain-float triples."""
+    return tuple(q1 + 2.0 * q2 * t for _, q1, q2 in quads)
 
 
 def _newton_polish(quads_z, y2, z2, iters=4):
-    """A few Newton steps on the 2x2 polynomial system (F1, F2)(y2, z2)."""
-    (A1, B1, C1), (A2, B2, C2) = quads_z
-    dA1, dB1, dC1 = (P.polyder(q) for q in (A1, B1, C1))
-    dA2, dB2, dC2 = (P.polyder(q) for q in (A2, B2, C2))
+    """A few Newton steps on the 2x2 polynomial system (F1, F2)(y2, z2);
+    ``quads_z`` holds the stationarity quadratics as plain-float triples."""
+    quads1, quads2 = quads_z
     for _ in range(iters):
-        a1, b1, c1 = _eval_quads((A1, B1, C1), z2)
-        a2, b2, c2 = _eval_quads((A2, B2, C2), z2)
+        a1, b1, c1 = _eval_quads(quads1, z2)
+        a2, b2, c2 = _eval_quads(quads2, z2)
+        da1, db1, dc1 = _eval_derivs(quads1, z2)
+        da2, db2, dc2 = _eval_derivs(quads2, z2)
         f1 = a1 * y2 * y2 + b1 * y2 + c1
         f2 = a2 * y2 * y2 + b2 * y2 + c2
         j11 = 2.0 * a1 * y2 + b1
         j21 = 2.0 * a2 * y2 + b2
-        j12 = (float(P.polyval(z2, dA1)) * y2 * y2 + float(P.polyval(z2, dB1)) * y2
-               + float(P.polyval(z2, dC1)))
-        j22 = (float(P.polyval(z2, dA2)) * y2 * y2 + float(P.polyval(z2, dB2)) * y2
-               + float(P.polyval(z2, dC2)))
+        j12 = da1 * y2 * y2 + db1 * y2 + dc1
+        j22 = da2 * y2 * y2 + db2 * y2 + dc2
         det = j11 * j22 - j12 * j21
         if abs(det) < 1e-14 * (1.0 + abs(j11 * j22)):
             break
         dy = (f1 * j22 - f2 * j12) / det
         dz = (j11 * f2 - j21 * f1) / det
-        if not (np.isfinite(dy) and np.isfinite(dz)):
+        if not (math.isfinite(dy) and math.isfinite(dz)):
             break
         y2n, z2n = y2 - dy, z2 - dz
         if abs(dy) + abs(dz) > 1e-2 * (1.0 + abs(y2) + abs(z2)):
@@ -306,12 +312,12 @@ def _newton_polish(quads_z, y2, z2, iters=4):
 def _hessian_pd(X, y2, z2) -> bool:
     hy = HESSIAN_STEP * (1.0 + abs(y2))
     hz = HESSIAN_STEP * (1.0 + abs(z2))
-    f = lambda u, v: psi_surface(X, u, v)
-    f0 = f(y2, z2)
-    hyy = (f(y2 + hy, z2) - 2.0 * f0 + f(y2 - hy, z2)) / hy ** 2
-    hzz = (f(y2, z2 + hz) - 2.0 * f0 + f(y2, z2 - hz)) / hz ** 2
-    hyz = (f(y2 + hy, z2 + hz) - f(y2 + hy, z2 - hz)
-           - f(y2 - hy, z2 + hz) + f(y2 - hy, z2 - hz)) / (4.0 * hy * hz)
+    steps = np.array([-1.0, 0.0, 1.0])
+    # f[i, j] = psi at (y2 + (i - 1) hy, z2 + (j - 1) hz)
+    f = psi_surface(X, (y2 + hy * steps)[:, None], (z2 + hz * steps)[None, :])
+    hyy = (f[2, 1] - 2.0 * f[1, 1] + f[0, 1]) / hy ** 2
+    hzz = (f[1, 2] - 2.0 * f[1, 1] + f[1, 0]) / hz ** 2
+    hyz = (f[2, 2] - f[2, 0] - f[0, 2] + f[0, 0]) / (4.0 * hy * hz)
     det = hyy * hzz - hyz * hyz
     return bool(det > 0.0 and hyy + hzz > 0.0)
 
@@ -345,9 +351,9 @@ def stationary_points_222(X, tol: float = 1e-8, hessian: bool = True) -> Enumera
     chart-merging `best_rank1_222` handles both through its fallback.
     """
     t = _as_tensor(X)
-    quads = stationarity_quadratics(t, "z")
-    pz = stationary_poly(t, "z")
-    pol = Polynomial(pz)
+    quad_arrays = stationarity_quadratics(t, "z")
+    quads = tuple(tuple(q.tolist() for q in eq) for eq in quad_arrays)
+    pol = Polynomial(resultant_poly(*quad_arrays))
     deg = pol.degree
     if deg < 1:
         raise ValueError("stationary-point resultant vanishes identically: the "
@@ -355,7 +361,7 @@ def stationary_points_222(X, tol: float = 1e-8, hessian: bool = True) -> Enumera
                          "or orthogonal-pencil input); use best_rank1_222")
     reduced = deg < 8
     roots = smallalg.roots(pol, tol)
-    points = []
+    pairs = []
     n_complex = 0
     for r in roots:
         if not is_real_root(r):
@@ -368,8 +374,12 @@ def stationary_points_222(X, tol: float = 1e-8, hessian: bool = True) -> Enumera
         if not partners:
             n_complex += 1
         for y2 in partners:
-            points.append(_build_point(t, *_newton_polish(quads, float(y2), z2), hessian))
-    points.sort(key=lambda s: (s.psi, s.y2, s.z2))
+            pair = _newton_polish(quads, float(y2), z2)
+            # each copy of an exact multiple root yields the same points
+            if pair not in pairs:
+                pairs.append(pair)
+    points = sorted((_build_point(t, y2, z2, hessian) for y2, z2 in pairs),
+                    key=lambda s: (s.psi, s.y2, s.z2))
     return EnumerationResult(tuple(points), n_complex, reduced)
 
 
@@ -633,8 +643,8 @@ def _hopm_inits(arr, restarts, seed):
     return inits[:restarts] if restarts >= 2 else inits[:max(1, restarts)]
 
 
-def hopm(X, init: str = "auto", max_iter: int = 500, tol: float = 1e-14,
-         restarts: int = 8, seed: int = 0) -> BestRank1Result:
+def hopm(X, max_iter: int = 500, tol: float = 1e-14, restarts: int = 8,
+         seed: int = 0) -> BestRank1Result:
     """Best rank-1 approximation by alternating least squares.
 
     Cycles the three normal-equation updates until the relative change in
@@ -647,16 +657,9 @@ def hopm(X, init: str = "auto", max_iter: int = 500, tol: float = 1e-14,
     if tol <= 0:
         raise ValueError("tol must be positive")
     arr = X.array if isinstance(X, (Tensor222, TensorPxPx2)) else np.asarray(X, float)
-    if init not in ("auto", "svd", "random"):
-        raise ValueError("init must be 'auto', 'svd' or 'random'")
-    inits = _hopm_inits(arr, restarts, seed)
-    if init == "svd":
-        inits = inits[:2]
-    elif init == "random":
-        inits = inits[2:] or inits
     best = None
     total_it = 0
-    for x0, y0, z0 in inits:
+    for x0, y0, z0 in _hopm_inits(arr, restarts, seed):
         value, x, y, z, it, conv = _hopm_once(arr, x0.copy(), y0.copy(), z0.copy(),
                                               max_iter, tol)
         total_it += it

@@ -161,6 +161,12 @@ def test_cli_decompose(capsys):
     assert json.loads(out)["rank"] == 3
     code, out, _ = _run(capsys, "decompose", "--data=1,0,0,0")
     assert json.loads(out)["rank"] == 1
+    # a G2 input with a small kernel coefficient bd - c^2
+    code, out, _ = _run(capsys, "decompose", "--data=-9.379801539813561,"
+                        "-0.0013975774248260503,0.10560578244887422,-8.165825929871872")
+    payload = json.loads(out)
+    assert code == 0 and payload["rank"] == 2
+    assert payload["reconstruction_error"] <= 1e-12 * 9.379801539813561
 
 
 def test_cli_decompose_infeasible_rank(capsys):

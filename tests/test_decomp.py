@@ -90,6 +90,21 @@ def test_rank2_construct_then_recover():
     assert found > 100
 
 
+@pytest.mark.parametrize("entries", [
+    # kernel coefficient g2 = bd - c^2 small against g1: the textbook root
+    # formula cancels
+    (-9.379801539813561, -0.0013975774248260503, 0.10560578244887422, -8.165825929871872),
+    # g0 = ac - b^2 small against g1: the first slab is nearly singular
+    (-4.126380022164158, 0.5616749478583076, -0.07627749766114014, 6.7536705554405145),
+])
+def test_rank2_reconstruction_to_round_off(entries):
+    s = SymTensor222(*entries)
+    bound = 1e-12 * max(abs(v) for v in entries)
+    rank, dec = sylvester_rank(s)
+    assert rank == 2 and dec.reconstruction_error <= bound
+    assert sym_rank2_decompose(s).reconstruction_error <= bound
+
+
 def test_rank2_rejects_rank3_input(sym_g3):
     with pytest.raises(DomainError):
         sym_rank2_decompose(sym_g3)

@@ -248,6 +248,32 @@ def test_best_rank1_zero_mode3_slab(k):
         assert abs(res.psi - sigma[1] ** 2) <= 1e-9 * sigma[0] ** 2
 
 
+def test_enumeration_lists_each_point_once():
+    # X = M (x) e_1: the resultant has the exact double root z2 = 0, and the
+    # two stationary points are the singular pairs of M
+    arr = np.zeros((2, 2, 2))
+    arr[:, :, 0] = np.random.default_rng(3).standard_normal((2, 2))
+    sigma = np.linalg.svd(arr[:, :, 0], compute_uv=False)
+    points = stationary_points_222(Tensor222(arr))
+    np.testing.assert_allclose([p.psi for p in points], [sigma[1] ** 2, sigma[0] ** 2],
+                               rtol=0, atol=1e-12 * sigma[0] ** 2)
+
+
+@pytest.mark.parametrize("mode", [1, 2])
+def test_best_rank1_optimum_outside_the_first_chart(mode):
+    # rotating mode 2 (or 3) so the optimal y (or z) is e_2 puts the optimum
+    # at y1 = 0 (or z1 = 0), which only a flipped normalization chart holds
+    for seed in range(20):
+        t = random_tensor(seed + 1300)
+        res = best_rank1_222(t, cross_check=False)
+        v = (res.term.y, res.term.z)[mode - 1]
+        v = v / np.linalg.norm(v)
+        mats = [np.eye(2)] * 3
+        mats[mode] = np.array([[v[1], -v[0]], [v[0], v[1]]])
+        rotated = best_rank1_222(multilinear_transform(t, *mats), cross_check=False)
+        assert abs(rotated.psi - res.psi) <= 1e-12 * (1 + res.psi)
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_orthonormal_covariance(seed):
     # best rank-1 approximation commutes with orthonormal transforms
