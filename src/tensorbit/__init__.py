@@ -4,8 +4,8 @@ Core capabilities:
 
 * closed-form enumeration of the stationary points of the best rank-1
   approximation problem for 2x2x2 tensors (degree-8 resultant) and
-  symmetric 2x2x2 tensors (cubic), plus an alternating least-squares
-  method for pxpx2;
+  symmetric 2x2x2 tensors (cubic), a certified one-angle grid solver
+  for pxpx2 (p = 2 included), and alternating least squares;
 * hyperdeterminant computation and complete orbit classification
   (D0, D1, D2, D2p, D2pp, G2, D3, G3; symmetric subset);
 * symmetric rank via Sylvester's criterion with constructive rank-1/2/3
@@ -25,8 +25,8 @@ from .document import TensorDocument, parse_document
 from .orbits import (OrbitLabel, SymTensor222, canonical_form, classify, classify_sym,
                      hyperdet, hyperdet_sym, pencil_eigs, slab_pencil)
 from .rank1 import (BestRank1Result, StationaryPoint, SymStationaryPoint, best_rank1_222,
-                    best_rank1_sym, detect_infinite_best, hopm, optimal_x, psi,
-                    psi_surface, stationary_points_222, stationary_points_sym)
+                    best_rank1_pxpx2, best_rank1_sym, detect_infinite_best, hopm, optimal_x,
+                    psi, psi_surface, stationary_points_222, stationary_points_sym)
 from .smallalg import (EigenPair2, NumericalFailure, Polynomial, Spectrum, common_root,
                        eig2, roots, spectrum_small)
 from .tensors import (MultilinearRank, Rank1Term, Tensor222, TensorPxPx2, contract_mode,

@@ -163,12 +163,15 @@ def cmd_rank1(args) -> int:
         rows = _sym_point_rows(result.all_points)
         table_cols = ("z", "y2", "psi", "delta_residual")
     else:
-        if args.method == "hopm" or not isinstance(tensor, Tensor222):
+        if args.method == "hopm":
             result = rank1.hopm(tensor, seed=_seed_from(args))
             rows = []
-        else:
+        elif isinstance(tensor, Tensor222):
             result = rank1.best_rank1_222(tensor)
             rows = _point_rows(result.all_points)
+        else:
+            result = rank1.best_rank1_pxpx2(tensor)
+            rows = []
         if not rows and isinstance(tensor, Tensor222):
             rows = [_term_row(tensor, result)]
         table_cols = ("y2", "z2", "psi", "delta_residual", "hessian_pd", "degenerate")
@@ -309,7 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rank1", help="best rank-1 approximation + stationary table")
     _add_input_args(p)
-    p.add_argument("--method", choices=("enumerate", "hopm"), default="enumerate")
+    p.add_argument("--method", choices=("enumerate", "hopm"), default="enumerate",
+                   help="enumerate: stationary points (full222) or the theta-grid "
+                        "solver (pxpx2); hopm: alternating least squares")
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_rank1)
 

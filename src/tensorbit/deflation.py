@@ -44,7 +44,7 @@ __all__ = [
 
 GAP_BUCKETS = (1e-14, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 1.0)
 # band for pairing pxpx2 pencil eigenvalues, wider than the library's 1e-6:
-# an error e in the HOPM term splits a defective double eigenvalue by ~sqrt(e)
+# an error e in the rank-1 term splits a defective double eigenvalue by ~sqrt(e)
 PAIRING_BAND = 1e-4
 
 
@@ -131,18 +131,20 @@ def deflate_once(X, tol: float = 1e-9, coincidence_tol: float = 1e-6):
     """Subtract a best rank-1 approximation and report the orbit transition.
 
     Symmetric input follows the symmetric route (term y (x) y (x) y and
-    symmetric classification); the residual keeps the input's type.
+    symmetric classification); the residual keeps the input's type.  Full
+    input takes the `best_rank1_222` term, which the theta-grid solver
+    cross-checks.
     Returns (residual, DeflationReport).
     """
     if isinstance(X, TensorPxPx2):
-        raise ValueError("deflate_once handles 2x2x2 tensors; use hopm plus "
-                         "spectrum_small (or experiment_pxpx2) for pxpx2 input")
+        raise ValueError("deflate_once handles 2x2x2 tensors; use best_rank1_pxpx2 "
+                         "plus spectrum_small (or experiment_pxpx2) for pxpx2 input")
     if isinstance(X, SymTensor222):
         result = rank1.best_rank1_sym(X)
         residual = X.rank1_update(result.term.y, -1.0)
     else:
         X = X if isinstance(X, Tensor222) else Tensor222(X)
-        result = rank1.best_rank1_222(X, cross_check=False)
+        result = rank1.best_rank1_222(X)
         residual = Tensor222(X.array - result.term.tensor())
     return residual, _report(X, residual, result.psi, result.multiplicity, result.warnings,
                              tol, coincidence_tol)
@@ -292,18 +294,21 @@ def experiment_d3_closure(trials: int, seed: int = 0) -> ExperimentStats:
 
 
 def experiment_pxpx2(p: int, trials: int, seed: int = 0) -> ExperimentStats:
-    """pxpx2 deflation via alternating least squares; spectra comparison.
+    """pxpx2 deflation by the theta-grid best rank-1 term; spectra comparison.
 
-    For each trial the slab-pencil spectrum of the residual is compared
-    with the input's: conjecture-consistent means exactly one coincident
-    pair appears and the complex-pair count drops from n to max(0, n - 1).
+    Each trial subtracts the term from `rank1.best_rank1_pxpx2`, which is
+    deterministic (no restarts, so ``seed`` only draws the inputs).  The
+    slab-pencil spectrum of the residual is compared with the input's:
+    conjecture-consistent means exactly one coincident pair appears and
+    the complex-pair count drops from n to max(0, n - 1).  A trial whose
+    refinement did not converge is listed in the failure reasons and left
+    out of the fractions.
     """
     if not 2 <= p <= 8:
         raise ValueError("p must be between 2 and 8")
 
     def solve(X, trial):
-        result = rank1.hopm(X, max_iter=1500, tol=1e-14, restarts=6,
-                            seed=seed * 1000003 + trial)
+        result = rank1.best_rank1_pxpx2(X)
         Z = X.array - result.term.tensor()
         spec_x = spectrum_small(np.linalg.solve(X.slab1.T, X.slab2.T).T, PAIRING_BAND)
         spec_z = spectrum_small(np.linalg.solve(Z[:, :, 0].T, Z[:, :, 1].T).T, PAIRING_BAND)
@@ -327,7 +332,7 @@ def experiment_pxpx2(p: int, trials: int, seed: int = 0) -> ExperimentStats:
 
     rows, reasons = _run(trials, seed, lambda rng: TensorPxPx2(rng.standard_normal((p, p, 2))),
                          solve)
-    reasons += [f"trial {r['trial']}: alternating least squares did not converge"
+    reasons += [f"trial {r['trial']}: theta-grid refinement did not converge"
                 for r in rows if "converged" in r and not r["converged"]]
     done = [r for r in rows if r.get("converged")]
     n_conv = max(1, len(done))

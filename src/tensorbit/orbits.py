@@ -10,6 +10,7 @@ Symmetric tensors occupy the sub-list D0, D1, G2, D3, G3.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,7 +192,10 @@ def classify(X, tol: float = 1e-9, zero_scale: float | None = None) -> OrbitLabe
     rank (2,2,2) the sign of the hyperdeterminant with a band of
     ``tol * max|entry|^4`` separates G2 (+), G3 (-) and the boundary D3.
     ``zero_scale`` supplies an external magnitude reference so that
-    numerically-zero residual tensors classify as D0/D1.
+    numerically-zero residual tensors classify as D0/D1.  The rank and
+    Delta decisions run on X / 2^e with max|entry| / 2^e in [1/2, 1): the
+    division is exact, so the label and margin do not depend on the scale
+    and the degree-4 hyperdeterminant neither overflows nor underflows.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -200,6 +204,9 @@ def classify(X, tol: float = 1e-9, zero_scale: float | None = None) -> OrbitLabe
     scale = _entry_scale(X)
     if scale == 0.0 or (zero_scale is not None and scale <= tol * float(zero_scale)):
         return OrbitLabel("D0", 0.0)
+    exponent = math.frexp(scale)[1]
+    X = np.ldexp(X.array if isinstance(X, Tensor222) else np.asarray(X, dtype=float), -exponent)
+    scale = math.ldexp(scale, -exponent)
     delta = hyperdet(X)
     quartic = scale ** 4
     margin = abs(delta) / quartic

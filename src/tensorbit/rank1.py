@@ -7,11 +7,18 @@ coefficients are quadratics in z2; eliminating y2 through the common-root
 resultant yields a degree-8 polynomial in z2.  Each stationary point
 carries the criterion value, the hyperdeterminant of the residual, a
 finite-difference Hessian test and a zero-factor (degenerate) flag.
-
 Tensors whose optimum violates the y1, z1 != 0 normalization (a measure
 zero set) are handled by rerunning the enumeration on index-reversed
 copies of the tensor, which swap the roles of the normalized and free
-components, and by an alternating least-squares fallback (`hopm`).
+components.
+
+For a pxpx2 tensor (p = 2 included) and a unit z = (cos t, sin t) the
+best x (x) y is the top singular pair of cos t X1 + sin t X2, so the best
+rank-1 term is a maximization over the single angle t (Stegeman & Comon,
+arXiv 0906.0483).  `best_rank1_pxpx2` solves it deterministically on a
+certified grid with a Newton refinement; `best_rank1_222` uses it to
+cross-check the enumeration and as its fallback.  `hopm` (alternating
+least squares) remains as an independent iterative method.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ __all__ = [
     "optimal_x",
     "stationary_points_222",
     "best_rank1_222",
+    "best_rank1_pxpx2",
     "stationary_points_sym",
     "best_rank1_sym",
     "hopm",
@@ -55,6 +63,9 @@ __all__ = [
 DEGENERATE_X_TOL = 1e-8
 TIE_REL_TOL = 1e-9
 HESSIAN_STEP = 1e-5
+THETA_GRID_PER_P = 16    # grid points in phi = 2t per unit of p
+THETA_MAX_STEPS = 8
+HOPM_RESTARTS = 8
 
 
 # ---------------------------------------------------------------------------
@@ -445,9 +456,11 @@ def best_rank1_222(X, tol: float = 1e-8, cross_check: bool = True) -> BestRank1R
     Enumerates stationary points in all four normalization charts (so that
     optima with zero leading factor components are still found exactly),
     discards the zero-factor degenerate pair, and returns the minimizer.
-    An alternating least-squares pass cross-checks the result; if it finds
-    a strictly better value the input is flagged as non-generic and the
-    better term is returned.
+    The theta-grid solver `best_rank1_pxpx2` cross-checks the result and
+    is the fallback when no usable stationary point exists.  When its
+    value is lower by more than 1e-8 ||X||^2 the input is flagged as
+    non-generic.  A result that takes the solver's term, in either case,
+    has ``method`` "theta".
     """
     t = _as_tensor(X)
     norm_sq = frobenius_norm_sq(t)
@@ -457,27 +470,119 @@ def best_rank1_222(X, tol: float = 1e-8, cross_check: bool = True) -> BestRank1R
     base_points = base_enum.points if base_enum is not None else ()
     n_complex = base_enum.n_complex if base_enum is not None else 0
 
-    best = None
-    if usable:
-        best = min(usable, key=lambda c: c[0])
+    best = min(usable, key=lambda c: c[0]) if usable else None
+    method, converged = "enumerate", True
     if cross_check or best is None:
-        als = hopm(t, max_iter=2000, tol=1e-15, restarts=8, seed=0)
+        grid = best_rank1_pxpx2(t)
         if best is None:
-            warnings.append("no usable stationary point; alternating least squares fallback")
-            best = (als.psi, als.term, False)
-            method = "hopm"
-        elif als.psi < best[0] - 1e-8 * (1.0 + norm_sq):
-            warnings.append("non-generic input: iterative search beat the enumeration")
-            best = (als.psi, als.term, False)
-            method = "hopm"
+            warnings.append("no usable stationary point; theta-grid fallback")
+        elif grid.psi < best[0] - 1e-8 * norm_sq:
+            warnings.append("non-generic input: the theta-grid solver beat the enumeration")
         else:
-            method = "enumerate"
-    else:
-        method = "enumerate"
+            grid = None
+        if grid is not None:
+            best, method, converged = (grid.psi, grid.term, False), "theta", grid.converged
+            warnings.extend(grid.warnings)
     ties = [c for c in usable if c[0] <= best[0] + TIE_REL_TOL * (1.0 + abs(best[0]))]
     multiplicity = max(1, len(ties))
     return BestRank1Result(best[1], float(best[0]), tuple(base_points), multiplicity,
-                           n_complex=n_complex, method=method, warnings=tuple(warnings))
+                           n_complex=n_complex, converged=converged, method=method,
+                           warnings=tuple(warnings))
+
+
+# ---------------------------------------------------------------------------
+# pxpx2: one angle
+# ---------------------------------------------------------------------------
+
+def _slab_combination(arr, phi):
+    """cos(phi/2) X1 + sin(phi/2) X2 for each angle in ``phi``, stacked."""
+    half = 0.5 * phi
+    return np.cos(half)[:, None, None] * arr[:, :, 0] + np.sin(half)[:, None, None] * arr[:, :, 1]
+
+
+def _theta_eval(arr, S, phi):
+    """lambda = sigma_max^2 of the slab combination at each angle in ``phi``,
+    its first and second derivatives in phi, and the term factors x, y.
+
+    lambda is the top eigenvalue of S[0] + cos(phi) S[1] + sin(phi) S[2];
+    its right singular vectors are the eigenvectors.
+    """
+    U, sigma, Vt = np.linalg.svd(_slab_combination(arr, phi))
+    lam = sigma * sigma
+    v = Vt[:, 0]
+    # Q[k, a, i] = v_i^T S[a] v_1 at phi[k], with v_i the i-th right singular vector
+    Q = (Vt[:, None] @ (S @ v[:, None, :, None]))[..., 0]
+    # c[k, i] = v_i^T S'(phi) v_1, with S' = -sin(phi) S[1] + cos(phi) S[2]
+    c = np.cos(phi)[:, None] * Q[:, 2] - np.sin(phi)[:, None] * Q[:, 1]
+    gap = lam[:, :1] - lam[:, 1:]
+    # a zero gap is a multiplicity that persists in phi (orthogonal slabs),
+    # for which the coupling inside the eigenspace vanishes
+    coupling = c[:, 1:] ** 2 / np.where(gap > 0.0, gap, np.inf)
+    # S''(phi) = S[0] - S(phi)
+    d2 = Q[:, 0, 0] - lam[:, 0] + 2.0 * coupling.sum(axis=1)
+    return lam[:, 0], c[:, 0], d2, sigma[:, 0, None] * U[:, :, 0], v
+
+
+def best_rank1_pxpx2(X) -> BestRank1Result:
+    """Globally best rank-1 approximation of a pxpx2 tensor (p = 2 included).
+
+    With z = (cos t, sin t), psi = ||X||^2 - max_t sigma_max(cos t X1 +
+    sin t X2)^2.  In phi = 2t, sigma_max^2 is lambda(phi), the top
+    eigenvalue of S0 + cos(phi) S1 + sin(phi) S2 with A = X1^T X1,
+    C = X2^T X2, S0 = (A + C)/2, S1 = (A - C)/2 and S2 = sym(X1^T X2).
+
+    *Grid.* lambda is evaluated at 16p angles phi_j with step h.
+    *Certificate.* lambda is the maximum over unit v of
+    v^T S0 v + r cos(phi - phi_v) with r <= L = sqrt(||S1||_F^2 + ||S2||_F^2),
+    so lambda(phi) >= lambda* - L (1 - cos(phi - phi*)) around a maximizer
+    phi*.  Every grid point with lambda_j + L (1 - cos(h/2)) at or above
+    the grid maximum is kept; the maximizer lies within h/2 of one of them.
+    *Refinement.* From each kept point, Newton steps on the exact first and
+    second derivatives of lambda, safeguarded by bisection inside a
+    bracket of +-h, until the predicted gain is below round-off.  The best
+    value seen gives x = sigma u, y = v and z.
+
+    No restarts or seeds.  The solve runs on X / 2^e with max|entry| / 2^e
+    in [1/2, 1), which is exact, so psi(2^k X) = 4^k psi(X) over the whole
+    double range.  ``converged`` is False when the refinement stopped at
+    its step limit without reaching a stationary point.
+    """
+    arr = X.array if isinstance(X, (Tensor222, TensorPxPx2)) else np.asarray(X, float)
+    exponent = math.frexp(float(np.abs(arr).max()))[1]
+    arr = np.ldexp(arr, -exponent)
+    X1, X2 = arr[:, :, 0], arr[:, :, 1]
+    A, B, C = X1.T @ X1, X1.T @ X2, X2.T @ X2
+    S = np.stack([(A + C) / 2.0, (A - C) / 2.0, (B + B.T) / 2.0])
+    lip = math.sqrt(float((S[1:] ** 2).sum()))
+    h = 2.0 * math.pi / (THETA_GRID_PER_P * arr.shape[0])
+    phi = np.arange(THETA_GRID_PER_P * arr.shape[0]) * h
+    grid = np.linalg.svd(_slab_combination(arr, phi), compute_uv=False)[:, 0] ** 2
+    phi = phi[grid + lip * (1.0 - math.cos(0.5 * h)) >= grid.max()]
+    lo, hi = phi - h, phi + h
+    best = None
+    for steps in range(1, THETA_MAX_STEPS + 1):
+        lam, d1, d2, x, y = _theta_eval(arr, S, phi)
+        # stationary to round-off, or a predicted Newton gain below it
+        done = (np.abs(d1) <= 1e-14 * lip) | ((d2 < 0.0) & (d1 * d1 <= -2e-15 * d2 * lam))
+        k = int(np.argmax(lam))
+        if best is None or lam[k] >= best[0]:
+            best = (lam[k], phi[k], x[k], y[k], bool(done[k]))
+        if done.all():
+            break
+        rising = d1 > 0.0
+        lo = np.where(rising, phi, lo)
+        hi = np.where(rising, hi, phi)
+        newton = phi - d1 / np.where(d2 < 0.0, d2, -np.inf)
+        inside = done | ((d2 < 0.0) & (lo <= newton) & (newton <= hi))
+        phi = np.where(inside, newton, 0.5 * (lo + hi))
+    _, phi_best, x, y, converged = best
+    z = np.array([math.cos(0.5 * phi_best), math.sin(0.5 * phi_best)])
+    value = float(((arr - np.einsum("i,j,k->ijk", x, y, z)) ** 2).sum())
+    term = Rank1Term(np.ldexp(x, exponent), y, z)
+    warnings = () if converged else ("theta-grid refinement did not converge",)
+    return BestRank1Result(term, float(np.ldexp(value, 2 * exponent)), (), 1,
+                           converged=converged, iterations=steps, method="theta",
+                           warnings=warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +731,7 @@ def _hopm_once(arr, x, y, z, max_iter, tol):
     return prev, x, y, z, it, converged
 
 
-def _hopm_inits(arr, restarts, seed):
+def _hopm_inits(arr, seed):
     p1, p2, _ = arr.shape
     inits = []
     slab_sum = arr[:, :, 0] + arr[:, :, 1]
@@ -634,23 +739,22 @@ def _hopm_inits(arr, restarts, seed):
     inits.append((u[:, 0].copy(), vt[0].copy(), np.array([1.0, 1.0]) / np.sqrt(2.0)))
     u2, _, vt2 = np.linalg.svd(arr[:, :, 0] - arr[:, :, 1])
     inits.append((u2[:, 0].copy(), vt2[0].copy(), np.array([1.0, -1.0]) / np.sqrt(2.0)))
-    for k in range(max(0, restarts - len(inits))):
+    for k in range(HOPM_RESTARTS - len(inits)):
         rng = np.random.Generator(np.random.Philox(key=np.array([seed, k], dtype=np.uint64)))
         x = rng.standard_normal(p1)
         y = rng.standard_normal(p2)
         z = rng.standard_normal(2)
         inits.append((x / np.linalg.norm(x), y / np.linalg.norm(y), z / np.linalg.norm(z)))
-    return inits[:restarts] if restarts >= 2 else inits[:max(1, restarts)]
+    return inits
 
 
-def hopm(X, max_iter: int = 500, tol: float = 1e-14, restarts: int = 8,
-         seed: int = 0) -> BestRank1Result:
+def hopm(X, max_iter: int = 500, tol: float = 1e-14, seed: int = 0) -> BestRank1Result:
     """Best rank-1 approximation by alternating least squares.
 
     Cycles the three normal-equation updates until the relative change in
-    the criterion drops below ``tol``, over several deterministic restarts
-    (slab-sum singular vectors plus seeded random unit vectors).  Works
-    for 2x2x2 and pxpx2 tensors.
+    the criterion drops below ``tol``, from each of HOPM_RESTARTS
+    deterministic starts (slab-sum singular vectors plus seeded random
+    unit vectors), and keeps the best.  Works for 2x2x2 and pxpx2 tensors.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
@@ -659,7 +763,7 @@ def hopm(X, max_iter: int = 500, tol: float = 1e-14, restarts: int = 8,
     arr = X.array if isinstance(X, (Tensor222, TensorPxPx2)) else np.asarray(X, float)
     best = None
     total_it = 0
-    for x0, y0, z0 in _hopm_inits(arr, restarts, seed):
+    for x0, y0, z0 in _hopm_inits(arr, seed):
         value, x, y, z, it, conv = _hopm_once(arr, x0.copy(), y0.copy(), z0.copy(),
                                               max_iter, tol)
         total_it += it

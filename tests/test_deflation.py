@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+import scipy.optimize
 
 from tensorbit import (DomainError, Tensor222, canonical_form,
                        check_degenerate_props, deflate_once, experiment_d3_closure,
                        experiment_generic, experiment_pxpx2, experiment_symmetric,
-                       multilinear_transform)
-from tensorbit.deflation import write_trial_csv
+                       frobenius_norm_sq, multilinear_transform)
+from tensorbit.deflation import _sample_d3, _trial_rng, write_trial_csv
 from conftest import BOUNDARY_TO_D2
 
 
@@ -47,6 +48,33 @@ def test_deflate_boundary_examples_drop_to_d2_family():
 def test_deflate_canonical_d3_stays_d3():
     _, report = deflate_once(canonical_form("D3"))
     assert report.orbit_after.orbit == "D3"
+
+
+def _direction_search_psi(t: Tensor222) -> float:
+    # psi over unit y = (cos a, sin a), z = (cos b, sin b): a 400x400 grid,
+    # then Nelder-Mead from the best grid point
+    angles = np.linspace(0.0, np.pi, 400, endpoint=False)
+    Y = np.stack([np.cos(angles), np.sin(angles)])
+    V = np.einsum("ijk,jn,km->inm", t.array, Y, Y)
+    ia, ib = np.unravel_index(np.argmax((V ** 2).sum(axis=0)), (400, 400))
+
+    def unit_psi(u):
+        v = np.einsum("ijk,j,k->i", t.array, [np.cos(u[0]), np.sin(u[0])],
+                      [np.cos(u[1]), np.sin(u[1])])
+        return frobenius_norm_sq(t) - float(v @ v)
+
+    return scipy.optimize.minimize(
+        unit_psi, [angles[ia], angles[ib]], method="Nelder-Mead",
+        options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000}).fun
+
+
+@pytest.mark.parametrize("seed, trial", [(0, 189), (1, 85), (1, 173), (4, 15), (4, 38)])
+def test_deflate_once_subtracts_the_global_term_on_d3_inputs(seed, trial):
+    # inputs on which the four-chart enumeration alone returns a
+    # non-optimal term (psi 37.57 against 3.02e-4 for seed 4, trial 38)
+    t = _sample_d3(_trial_rng(seed, trial))
+    _, report = deflate_once(t)
+    assert abs(report.psi - _direction_search_psi(t)) <= 1e-9 * frobenius_norm_sq(t)
 
 
 # ---------------------------------------------------------------------------

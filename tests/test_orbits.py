@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensorbit import (SymTensor222, Tensor222, canonical_form, classify, classify_sym,
                        hyperdet, hyperdet_sym, multilinear_transform, pencil_eigs,
@@ -49,6 +51,26 @@ def test_classify_sym_examples():
 def test_classify_tol_validation():
     with pytest.raises(ValueError):
         classify(canonical_form("G2"), tol=0.0)
+
+
+def test_classify_at_extreme_scales():
+    # max|entry|^4 overflows a float at 1e80 and underflows to zero at 1e-160
+    x = np.random.default_rng(3).standard_normal(8)
+    base = classify(Tensor222.from_flat(x))
+    for factor in (1e80, 1e-160, 1e300, 1e-300):
+        assert classify(Tensor222.from_flat(x * factor)) == base
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), orbit=st.sampled_from(ORBITS),
+       k=st.integers(-500, 500))
+def test_classify_power_of_two_scale_invariant(seed, orbit, k):
+    mats = np.random.default_rng(seed).standard_normal((3, 2, 2))
+    t = multilinear_transform(canonical_form(orbit), *mats)
+    label = classify(t)
+    scaled = classify(Tensor222(np.ldexp(t.array, k)))
+    assert scaled == label
+    assert scaled.boundary_margin == label.boundary_margin
 
 
 def test_pencil_eigs_worked_examples():

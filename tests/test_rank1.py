@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tensorbit import (Rank1Term, Tensor222, best_rank1_222, canonical_form,
-                       detect_infinite_best, frobenius_norm_sq, hopm, hyperdet,
-                       multilinear_transform, optimal_x, psi, psi_surface,
+from tensorbit import (Rank1Term, Tensor222, TensorPxPx2, best_rank1_222, best_rank1_pxpx2,
+                       canonical_form, detect_infinite_best, frobenius_norm_sq, hopm,
+                       hyperdet, multilinear_transform, optimal_x, psi, psi_surface,
                        stationary_points_222)
 from conftest import (BOUNDARY_TO_D2, TABLE_A1, TABLE_A2, WORKED_G2, WORKED_G3,
                       random_tensor)
@@ -293,6 +297,65 @@ def test_canonical_g2_ties():
     assert res.multiplicity == 2  # either unit entry may be removed
 
 
+def test_best_rank1_small_scale_fallback_is_global():
+    # at 2^-66 every stationary point falls under the absolute zero-factor
+    # threshold, so the result comes from the fallback, which must be global
+    x = np.random.default_rng(3).standard_normal(8)
+    res = best_rank1_222(Tensor222.from_flat(np.ldexp(x, -66)))
+    ref = best_rank1_222(Tensor222.from_flat(x))
+    assert res.method == "theta"
+    assert abs(math.ldexp(res.psi, 132) - ref.psi) <= 1e-12 * ref.psi
+
+
+# ---------------------------------------------------------------------------
+# pxpx2: the theta-grid solver
+# ---------------------------------------------------------------------------
+
+def test_theta_solver_matches_the_enumeration():
+    for seed in range(200):
+        t = random_tensor(seed + 2000)
+        res = best_rank1_pxpx2(t)
+        assert res.method == "theta" and res.converged
+        enum = best_rank1_222(t, cross_check=False)
+        assert abs(res.psi - enum.psi) <= 1e-12 * frobenius_norm_sq(t)
+        assert abs(psi(t, res.term) - res.psi) <= 1e-12 * frobenius_norm_sq(t)
+
+
+@pytest.mark.parametrize("p", range(3, 9))
+def test_theta_solver_no_worse_than_hopm(p):
+    rng = np.random.default_rng(p)
+    for _ in range(8):
+        t = TensorPxPx2(rng.standard_normal((p, p, 2)))
+        res = best_rank1_pxpx2(t)
+        assert res.converged
+        norm_sq = float((t.array ** 2).sum())
+        assert res.psi <= hopm(t).psi + 1e-12 * norm_sq
+        assert abs(psi(t, res.term) - res.psi) <= 1e-12 * norm_sq
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), p=st.integers(2, 5), k=st.integers(-500, 500))
+def test_theta_solver_scale_equivariant(seed, p, k):
+    arr = np.random.default_rng(seed).standard_normal((p, p, 2))
+    res = best_rank1_pxpx2(arr)
+    scaled = best_rank1_pxpx2(np.ldexp(arr, k))
+    assert scaled.psi == math.ldexp(res.psi, 2 * k)
+    np.testing.assert_array_equal(scaled.term.tensor(), np.ldexp(res.term.tensor(), k))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_theta_solver_zero_tensor(p):
+    res = best_rank1_pxpx2(np.zeros((p, p, 2)))
+    assert res.psi == 0.0
+    assert res.converged
+
+
+def test_theta_solver_constant_criterion(khl):
+    res = best_rank1_pxpx2(khl)
+    assert abs(res.psi - 3.0) <= 1e-12
+    assert res.converged
+
+
 # ---------------------------------------------------------------------------
 # alternating least squares
 # ---------------------------------------------------------------------------
@@ -334,7 +397,7 @@ def test_infinite_best_khl(khl):
     assert detect_infinite_best(khl)
     res = best_rank1_222(khl)
     assert abs(res.psi - 3.0) < 1e-10
-    assert res.method == "hopm"
+    assert res.method == "theta"
     assert any("degenerate" in w or "fallback" in w for w in res.warnings)
 
 
