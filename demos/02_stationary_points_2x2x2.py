@@ -1,11 +1,12 @@
-# Closed-form enumeration of rank-1 stationary points.
+# Enumeration of rank-1 stationary points.
 #
-# With the normalization y = (1, y2), z = (1, z2) the first-order
-# conditions of min ||X - x o y o z||^2 reduce to two quadratics in y2
-# whose coefficients are quadratics in z2.  Their common-root resultant
-# is a degree-8 polynomial in z2, so there are eight stationary points
-# (some complex).  Two of the real ones carry a zero mode-1 factor and
-# criterion value ||X||^2; they never win.
+# For unit z = (cos t, sin t) the best x o y in min ||X - x o y o z||^2 is
+# a singular pair of cos t X1 + sin t X2, so the stationary points are the
+# critical points of the two eigenvalues of its Gram matrix along the
+# angle.  They are the real roots of one degree-4 trigonometric
+# polynomial: eight stationary points (some complex).  The table shows them
+# in the chart y = (1, y2), z = (1, z2).  Two of the real ones carry a zero
+# mode-1 factor and criterion value ||X||^2; they never win.
 
 import numpy as np
 

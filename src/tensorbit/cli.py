@@ -2,7 +2,7 @@
 
 All structured output is JSON on stdout with a fixed field order; floats
 are printed with 17 significant digits so identical commands and seeds
-give byte-identical output.  Only rank1 reads --json (without it, it
+give byte-identical output.  Only rank1 takes --json (without it, it
 prints a table).  Exit codes: 0 success, 2 input error, 3 numerical
 failure, 4 infeasible request.
 """
@@ -299,7 +299,6 @@ def _add_input_args(p):
     p.add_argument("--coincidence-tol", type=float, default=1e-6,
                    dest="coincidence_tol",
                    help="band for calling two eigenvalues identical")
-    p.add_argument("--json", action="store_true")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -316,6 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="enumerate: stationary points (full222) or the theta-grid "
                         "solver (pxpx2); hopm: alternating least squares")
     p.add_argument("--seed", type=int)
+    p.add_argument("--json", action="store_true", help="JSON instead of a table")
     p.set_defaults(func=cmd_rank1)
 
     p = sub.add_parser("deflate", help="chained rank-1 deflation reports")
@@ -334,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--p", type=int, default=3)
     p.add_argument("--csv")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_experiment)
     return parser
 

@@ -248,9 +248,9 @@ def _mlrank_extras(rows) -> tuple:
 
 
 def _solve_generic(X: Tensor222, trial: int) -> dict:
-    # the chart-(0,0) optimum: best_rank1_222 would solve four charts, at
-    # about four times the cost, for the measure-zero y1 = 0 or z1 = 0 case
-    usable = [p for p in rank1.stationary_points_222(X, hessian=False) if not p.degenerate]
+    # one enumeration without the theta-grid cross-check that deflate_once
+    # adds through best_rank1_222, which would nearly double the trial's cost
+    usable = [p for p in rank1.stationary_points_222(X) if not p.degenerate]
     if not usable:
         raise RuntimeError("no usable stationary point")
     best = min(usable, key=lambda p: p.psi)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .smallalg import DEFAULT_COINCIDENCE_TOL, EigenPair2, eig2
-from .tensors import Tensor222, multilinear_rank
+from .tensors import Tensor222, multilinear_rank, scaled_entries, unit_scaled
 
 __all__ = [
     "ORBITS",
@@ -87,7 +87,7 @@ class SymTensor222:
     def __init__(self, a, b, c, d):
         for name, v in (("a", a), ("b", b), ("c", c), ("d", d)):
             v = float(v)
-            if not np.isfinite(v):
+            if not math.isfinite(v):
                 raise ValueError("tensor entries must be finite")
             object.__setattr__(self, name, v)
 
@@ -125,22 +125,47 @@ def _slabs(X):
     return arr[:, :, 0], arr[:, :, 1]
 
 
+def _ldexp(value: float, exponent: int) -> float:
+    """value * 2^exponent, and +-inf where that overflows."""
+    try:
+        return math.ldexp(value, exponent)
+    except OverflowError:
+        return math.copysign(math.inf, value)
+
+
+def _delta(a, b, c, d, e, f, g, h) -> float:
+    """Hyperdeterminant of the slabs [[a, b], [c, d]] and [[e, f], [g, h]]."""
+    det = lambda p, q, r, s: p * s - q * r
+    mix = (det(a + e, b + f, c + g, d + h) - det(a - e, b - f, c - g, d - h)) / 2.0
+    return mix * mix - 4.0 * det(a, b, c, d) * det(e, f, g, h)
+
+
+def _delta_sym(a, b, c, d) -> float:
+    return (b * c - a * d) ** 2 - 4.0 * (b * d - c * c) * (a * c - b * b)
+
+
+def _slab_entries(X) -> list:
+    X1, X2 = _slabs(X)
+    return X1.ravel().tolist() + X2.ravel().tolist()
+
+
 def hyperdet(X) -> float:
     """Hyperdeterminant: discriminant of det(l1 X1 + l2 X2) in (l1, l2).
 
     Positive for orbit G2, negative for G3, zero on the boundary (D3 and
-    the degenerate orbits).
+    the degenerate orbits).  Computed on X / 2^e (`scaled_entries`) and
+    multiplied by 2^(4e), so the value overflows or underflows only where
+    Delta itself does.
     """
-    X1, X2 = _slabs(X)
-    det = lambda M: M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-    mix = (det(X1 + X2) - det(X1 - X2)) / 2.0
-    return float(mix * mix - 4.0 * det(X1) * det(X2))
+    entries, exponent = scaled_entries(_slab_entries(X))
+    return _ldexp(_delta(*entries), 4 * exponent)
 
 
 def hyperdet_sym(Xs: SymTensor222) -> float:
-    """Closed form (bc - ad)^2 - 4 (bd - c^2)(ac - b^2) for symmetric input."""
-    a, b, c, d = Xs.as_tuple() if isinstance(Xs, SymTensor222) else Xs
-    return float((b * c - a * d) ** 2 - 4.0 * (b * d - c * c) * (a * c - b * b))
+    """Closed form (bc - ad)^2 - 4 (bd - c^2)(ac - b^2) for symmetric input,
+    with the scaling of `hyperdet`."""
+    entries, exponent = scaled_entries(Xs.as_tuple() if isinstance(Xs, SymTensor222) else Xs)
+    return _ldexp(_delta_sym(*entries), 4 * exponent)
 
 
 def pencil_eigs(X, slab_order: str = "21",
@@ -204,11 +229,9 @@ def classify(X, tol: float = 1e-9, zero_scale: float | None = None) -> OrbitLabe
     scale = _entry_scale(X)
     if scale == 0.0 or (zero_scale is not None and scale <= tol * float(zero_scale)):
         return OrbitLabel("D0", 0.0)
-    exponent = math.frexp(scale)[1]
-    X = np.ldexp(X.array if isinstance(X, Tensor222) else np.asarray(X, dtype=float), -exponent)
-    scale = math.ldexp(scale, -exponent)
-    delta = hyperdet(X)
-    quartic = scale ** 4
+    X, exponent = unit_scaled(X)
+    quartic = math.ldexp(scale, -exponent) ** 4
+    delta = _delta(*_slab_entries(X))
     margin = abs(delta) / quartic
     mlr = multilinear_rank(X, tol).as_tuple()
     if max(mlr) <= 1:
@@ -231,19 +254,21 @@ def classify_sym(Xs: SymTensor222, tol: float = 1e-9, zero_scale: float | None =
     the boundary D3; otherwise the slab-pencil eigenstructure separates
     G2 (distinct real) from G3 (complex), with the hyperdeterminant sign
     as the arbiter when both slabs are singular.  The pencil and the
-    hyperdeterminant criteria are equivalent in exact arithmetic.
+    hyperdeterminant criteria are equivalent in exact arithmetic.  The
+    decisions run on Xs / 2^e, as in `classify`.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    full = Xs.tensor()
     scale = _entry_scale(Xs)
     if scale == 0.0 or (zero_scale is not None and scale <= tol * float(zero_scale)):
         return OrbitLabel("D0", 0.0)
-    delta = hyperdet_sym(Xs)
-    margin = abs(delta) / scale ** 4
-    if max(multilinear_rank(full, tol).as_tuple()) <= 1:
+    entries, exponent = scaled_entries(Xs.as_tuple())
+    Xs = SymTensor222(*entries)
+    quartic = math.ldexp(scale, -exponent) ** 4
+    delta = _delta_sym(*entries)
+    margin = abs(delta) / quartic
+    if max(multilinear_rank(Xs.tensor(), tol).as_tuple()) <= 1:
         return OrbitLabel("D1", margin)
-    quartic = scale ** 4
     if abs(delta) <= tol * quartic:
         # Delta equals the pencil discriminant times det(X1)^2, so the band
         # on Delta is the scale-honest boundary test even when a slab is

@@ -1,22 +1,21 @@
 """Best rank-1 approximation of 2x2x2, symmetric 2x2x2 and pxpx2 tensors.
 
-For a 2x2x2 tensor the stationary points of the least-squares criterion
-are enumerated in closed form.  With the normalization y = (1, y2),
-z = (1, z2) the two first-order conditions become quadratics in y2 whose
-coefficients are quadratics in z2; eliminating y2 through the common-root
-resultant yields a degree-8 polynomial in z2.  Each stationary point
-carries the criterion value, the hyperdeterminant of the residual, a
-finite-difference Hessian test and a zero-factor (degenerate) flag.
-Tensors whose optimum violates the y1, z1 != 0 normalization (a measure
-zero set) are handled by rerunning the enumeration on index-reversed
-copies of the tensor, which swap the roles of the normalized and free
-components.
+For a unit z = (cos t, sin t) the best x (x) y is the top singular pair of
+M = cos t X1 + sin t X2, and M^T M = S0 + cos(phi) S1 + sin(phi) S2 with
+phi = 2t (Stegeman & Comon, arXiv 0906.0483).  For a 2x2x2 tensor every
+stationary point of the least-squares criterion is an eigenvector of that
+2x2 matrix at a critical point of its eigenvalue m +- sqrt(Q), so the
+points are the real roots of one degree-4 trigonometric polynomial in phi,
+F = m'^2 Q - (Q'/2)^2, with 8 roots (generically 6 + 2, Friedland &
+Ottaviani).  `stationary_points_222` finds them on the circle, in one pass
+without normalization charts; each point carries the criterion value, the
+hyperdeterminant of the residual, an exact local-minimum flag and a
+zero-factor (degenerate) flag.  The chart resultants in y2 = y_2/y_1 and
+z2 = z_2/z_1 (`stationary_poly` and its companions) remain as identities.
 
-For a pxpx2 tensor (p = 2 included) and a unit z = (cos t, sin t) the
-best x (x) y is the top singular pair of cos t X1 + sin t X2, so the best
-rank-1 term is a maximization over the single angle t (Stegeman & Comon,
-arXiv 0906.0483).  `best_rank1_pxpx2` solves it deterministically on a
-certified grid with a Newton refinement; `best_rank1_222` uses it to
+For a pxpx2 tensor (p = 2 included) the best rank-1 term is a maximization
+over the single angle t.  `best_rank1_pxpx2` solves it deterministically
+on a certified grid with a Newton refinement; `best_rank1_222` uses it to
 cross-check the enumeration and as its fallback.  `hopm` (alternating
 least squares) remains as an independent iterative method.
 """
@@ -31,9 +30,7 @@ import numpy as np
 from . import smallalg
 from .orbits import SymTensor222, hyperdet, hyperdet_sym
 from .smallalg import Polynomial, is_real_root
-from .tensors import Rank1Term, Tensor222, TensorPxPx2, frobenius_norm_sq
-
-P = np.polynomial.polynomial
+from .tensors import Rank1Term, Tensor222, TensorPxPx2, frobenius_norm_sq, unit_scaled
 
 __all__ = [
     "StationaryPoint",
@@ -62,7 +59,9 @@ __all__ = [
 
 DEGENERATE_X_TOL = 1e-8
 TIE_REL_TOL = 1e-9
-HESSIAN_STEP = 1e-5
+CIRCLE_STEPS = 4        # Newton or Gauss-Newton steps per root of the circle solve
+CROSSING_TOL = 1e-9     # sqrt(Q) / scale at or below which S(phi) is a multiple of I
+F_ROUNDOFF = 16.0 * np.finfo(float).eps   # |F| / (m'^2 Q + (Q'/2)^2) of round-off
 THETA_GRID_PER_P = 16    # grid points in phi = 2t per unit of p
 THETA_MAX_STEPS = 8
 HOPM_RESTARTS = 8
@@ -112,7 +111,8 @@ def psi_surface(X, y2, z2):
 
 
 # ---------------------------------------------------------------------------
-# the resultant machinery (quadratics in one variable, coefficients in the other)
+# chart resultants (quadratics in one variable, coefficients in the other);
+# identities of the criterion, not used by the enumeration
 # ---------------------------------------------------------------------------
 
 def stationarity_quadratics(X, var: str = "z"):
@@ -171,19 +171,15 @@ def boundary_quadratic(X, var: str = "z"):
 def resultant_poly(quad1, quad2) -> np.ndarray:
     """Common-root condition of two quadratics with polynomial coefficients.
 
-    For quad1 = (al, be, ga) and quad2 = (de, ep, nu) the returned
-    ascending coefficient array is (al ep - be de)(be nu - ep ga)
-    - (ga de - al nu)^2, a polynomial of degree <= 8.
+    For quad1 = (al, be, ga) and quad2 = (de, ep, nu), each an ascending
+    coefficient array of length 3, the returned length-9 ascending array
+    is (al ep - be de)(be nu - ep ga) - (ga de - al nu)^2.
     """
     al, be, ga = quad1
     de, ep, nu = quad2
-    t1 = P.polymul(P.polysub(P.polymul(al, ep), P.polymul(be, de)),
-                   P.polysub(P.polymul(be, nu), P.polymul(ep, ga)))
-    t2 = P.polysub(P.polymul(ga, de), P.polymul(al, nu))
-    out = P.polysub(t1, P.polymul(t2, t2))
-    full = np.zeros(9)
-    full[: out.size] = out
-    return full
+    cv = np.convolve
+    t2 = cv(ga, de) - cv(al, nu)
+    return cv(cv(al, ep) - cv(be, de), cv(be, nu) - cv(ep, ga)) - cv(t2, t2)
 
 
 def stationary_poly(X, var: str = "z") -> np.ndarray:
@@ -206,14 +202,9 @@ def chart_consistency_poly(X) -> np.ndarray:
     stationarity pair with the y2 recovered through (eq 1, boundary)."""
     (A1, B1, C1), (A2, B2, C2) = stationarity_quadratics(X, "z")
     A3, B3, C3 = boundary_quadratic(X, "z")
-    lhs = P.polymul(P.polysub(P.polymul(B1, C3), P.polymul(B3, C1)),
-                    P.polysub(P.polymul(C1, A2), P.polymul(A1, C2)))
-    rhs = P.polymul(P.polysub(P.polymul(B1, C2), P.polymul(B2, C1)),
-                    P.polysub(P.polymul(C1, A3), P.polymul(A1, C3)))
-    out = P.polysub(lhs, rhs)
-    full = np.zeros(9)
-    full[: out.size] = out
-    return full
+    cv = np.convolve
+    return (cv(cv(B1, C3) - cv(B3, C1), cv(C1, A2) - cv(A1, C2))
+            - cv(cv(B1, C2) - cv(B2, C1), cv(C1, A3) - cv(A1, C3)))
 
 
 def zero_factor_quadratic(X, var: str = "z") -> np.ndarray:
@@ -242,11 +233,21 @@ def boundary_only_quadratic(X, var: str = "z") -> np.ndarray:
 # stationary point enumeration for 2x2x2
 # ---------------------------------------------------------------------------
 
+def _gram_pencil(arr):
+    """S = (S0, S1, S2) with S0 + cos(phi) S1 + sin(phi) S2 = M^T M for the
+    slab combination M = cos(phi/2) X1 + sin(phi/2) X2 (also of pxpx2)."""
+    X1, X2 = arr[:, :, 0], arr[:, :, 1]
+    A, B, C = X1.T @ X1, X1.T @ X2, X2.T @ X2
+    return np.stack([(A + C) / 2.0, (A - C) / 2.0, (B + B.T) / 2.0])
+
+
 @dataclass(frozen=True)
 class StationaryPoint:
     """One stationary point of the criterion in the (y2, z2) chart.
 
-    ``hessian_pd`` is None when the positive-definiteness test was skipped.
+    ``x`` is scaled for y = (1, y2) and z = (1, z2).  A point at y or z = e_2
+    has |y2| or |z2| near 1.6e16 = 1 / cos(pi/2) in floating point, and its
+    term is still exact to round-off.
     """
 
     y2: float
@@ -254,7 +255,7 @@ class StationaryPoint:
     x: np.ndarray
     psi: float
     delta_residual: float
-    hessian_pd: bool | None
+    hessian_pd: bool
     degenerate: bool
 
     def term(self) -> Rank1Term:
@@ -279,123 +280,179 @@ class EnumerationResult:
         return self.points[idx]
 
 
-def _eval_quads(quads, t):
-    """Values at t of quadratics given as ascending plain-float triples."""
-    return tuple(q0 + (q1 + q2 * t) * t for q0, q1, q2 in quads)
+def _circle_values(T, phi):
+    """Values and first and second phi-derivatives, each of shape (len(T), n),
+    of the trigonometric polynomials a + b cos(phi) + c sin(phi) given as the
+    rows (a, b, c) of T, from (b - i c) e^{i phi} = b cos + c sin - i (c cos - b sin)."""
+    wave = (T[:, 1:2] - 1j * T[:, 2:]) * np.exp(1j * phi)
+    return T[:, :1] + wave.real, -wave.imag, -wave.real
 
 
-def _eval_derivs(quads, t):
-    """Derivatives at t of quadratics given as ascending plain-float triples."""
-    return tuple(q1 + 2.0 * q2 * t for _, q1, q2 in quads)
+def _circle_roots(T, scale):
+    """Real parts, as angles phi, of the 8 roots of
+    F = m'^2 Q - (Q'/2)^2, in which m, D, E are the rows of T and Q = D^2 + E^2.
+
+    F is a degree-4 trigonometric polynomial.  With phi = phi0 + theta and
+    s = tan(theta/2), (1 + s^2)^4 F is a real degree-8 polynomial in s whose
+    s^8 coefficient is F(phi0 + pi); phi0 puts the largest of 16 grid values
+    of F there, so the degree never drops.
+    """
+    grid = np.arange(16) * (np.pi / 8.0)
+    (_, D, E), (m1, D1, E1), _ = _circle_values(T, grid)
+    h = D * D1 + E * E1
+    mq = m1 * m1 * (D * D + E * E)
+    F = mq - h * h
+    j = int(np.argmax(np.abs(F)))
+    # each value is a difference of two terms, each evaluated to a few ulp
+    if abs(F[j]) <= F_ROUNDOFF * float((mq + h * h).max()):
+        raise ValueError("the stationarity polynomial vanishes to round-off; "
+                         "use best_rank1_222")
+    phi0 = grid[j] - np.pi
+    c0, s0 = math.cos(phi0), math.sin(phi0)
+    # rows m, D, E, m', D', E', shifted to theta, then times (1 + s^2)
+    T = np.concatenate([T, np.stack([np.zeros(3), T[:, 2], -T[:, 1]], axis=1)])
+    b = T[:, 1] * c0 + T[:, 2] * s0
+    c = T[:, 2] * c0 - T[:, 1] * s0
+    _, D, E, m1, D1, E1 = np.stack([T[:, 0] + b, 2.0 * c, T[:, 0] - b], axis=1)
+    h = np.convolve(D, D1) + np.convolve(E, E1)
+    poly = np.convolve(np.convolve(m1, m1), np.convolve(D, D) + np.convolve(E, E))
+    poly -= np.convolve(h, h)
+    return phi0 + 2.0 * np.arctan(np.roots(poly[::-1]).real)
 
 
-def _newton_polish(quads_z, y2, z2, iters=4):
-    """A few Newton steps on the 2x2 polynomial system (F1, F2)(y2, z2);
-    ``quads_z`` holds the stationarity quadratics as plain-float triples."""
-    quads1, quads2 = quads_z
-    for _ in range(iters):
-        a1, b1, c1 = _eval_quads(quads1, z2)
-        a2, b2, c2 = _eval_quads(quads2, z2)
-        da1, db1, dc1 = _eval_derivs(quads1, z2)
-        da2, db2, dc2 = _eval_derivs(quads2, z2)
-        f1 = a1 * y2 * y2 + b1 * y2 + c1
-        f2 = a2 * y2 * y2 + b2 * y2 + c2
-        j11 = 2.0 * a1 * y2 + b1
-        j21 = 2.0 * a2 * y2 + b2
-        j12 = da1 * y2 * y2 + db1 * y2 + dc1
-        j22 = da2 * y2 * y2 + db2 * y2 + dc2
-        det = j11 * j22 - j12 * j21
-        if abs(det) < 1e-14 * (1.0 + abs(j11 * j22)):
-            break
-        dy = (f1 * j22 - f2 * j12) / det
-        dz = (j11 * f2 - j21 * f1) / det
-        if not (math.isfinite(dy) and math.isfinite(dz)):
-            break
-        y2n, z2n = y2 - dy, z2 - dz
-        if abs(dy) + abs(dz) > 1e-2 * (1.0 + abs(y2) + abs(z2)):
-            break
-        y2, z2 = y2n, z2n
-        if abs(f1) + abs(f2) < 1e-14:
-            break
-    return y2, z2
+def _lambda_derivatives(T, phi, sign):
+    """sqrt(Q), the angle of the top eigenvector and the first four
+    derivatives of lambda = m + sign sqrt(Q) at each phi: differentiate
+    r r' = h = D D' + E E', with r = sqrt(Q), three times, and use that
+    m, D and E have third and fourth derivatives minus their first and second.
+    """
+    (_, D, E), (m1, D1, E1), (m2, D2, E2) = _circle_values(T, phi)
+    r, h, g = np.hypot(D, E), D * D1 + E * E1, D1 * D1 + E1 * E1
+    h1 = g + D * D2 + E * E2
+    r1 = h / r
+    r2 = (h1 - r1 * r1) / r
+    r3 = (3.0 * (D1 * D2 + E1 * E2) - h - 3.0 * r1 * r2) / r
+    r4 = (3.0 * (D2 * D2 + E2 * E2 - g) - h1 - 3.0 * r2 * r2 - 4.0 * r1 * r3) / r
+    return r, np.arctan2(E, D) / 2.0, (m1 + sign * r1, m2 + sign * r2, sign * r3 - m1, sign * r4 - m2)
 
 
-def _hessian_pd(X, y2, z2) -> bool:
-    hy = HESSIAN_STEP * (1.0 + abs(y2))
-    hz = HESSIAN_STEP * (1.0 + abs(z2))
-    steps = np.array([-1.0, 0.0, 1.0])
-    # f[i, j] = psi at (y2 + (i - 1) hy, z2 + (j - 1) hz)
-    f = psi_surface(X, (y2 + hy * steps)[:, None], (z2 + hz * steps)[None, :])
-    hyy = (f[2, 1] - 2.0 * f[1, 1] + f[0, 1]) / hy ** 2
-    hzz = (f[1, 2] - 2.0 * f[1, 1] + f[1, 0]) / hz ** 2
-    hyz = (f[2, 2] - f[2, 0] - f[0, 2] + f[0, 0]) / (4.0 * hy * hz)
-    det = hyy * hzz - hyz * hyz
-    return bool(det > 0.0 and hyy + hzz > 0.0)
+def _circle_points(T, scale):
+    """(phi, alpha, hessian_pd) of the distinct stationary points, with
+    y = (cos alpha, sin alpha) and z = (cos phi/2, sin phi/2).
+
+    Every root seeds three lanes: Newton steps on lambda' of the top and of
+    the bottom branch lambda = m +- sqrt(Q), and Gauss-Newton steps on
+    (D, E) towards an angle where S(phi) is a multiple of I.  There y is
+    stationary iff y^T S'(phi) y = m' + nu cos(2 alpha - beta) = 0, with
+    (D', E') = nu (cos beta, sin beta); when S'(phi) = 0 every y is, and no
+    point is isolated.
+    """
+    roots = _circle_roots(T, scale)
+    phi = np.tile(roots, 3)
+    sign = np.repeat([1.0, -1.0, 0.0], roots.size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(CIRCLE_STEPS + 1):
+            (_, D, E), (m1, D1, E1), (m2, D2, E2) = _circle_values(T, phi)
+            r = np.hypot(D, E)        # sqrt(Q)
+            h = D * D1 + E * E1       # Q' / 2
+            g = D1 * D1 + E1 * E1
+            slope = m1 + sign * h / r
+            curv = m2 + sign * (g + D * D2 + E * E2 - h * h / (r * r)) / r
+            step = np.where(sign == 0.0, h / g, slope / curv)
+            if k < CIRCLE_STEPS:
+                phi = phi - np.clip(step, -0.5, 0.5)
+        nu = np.sqrt(g)
+        # converged: lambda' is zero to its round-off (~ scale^2 / sqrt(Q)) and the
+        # next step is below 1e-9, which a multiple root, approached linearly, is not
+        lanes = (sign != 0.0) & (r > CROSSING_TOL * scale)
+        branch = lanes & (np.abs(slope) <= 1e-13 * scale * (1.0 + scale / r)) & (np.abs(step) <= 1e-9)
+        pd = branch & (sign > 0.0) & (curv < 0.0)
+        on = ((sign == 0.0) & (r <= CROSSING_TOL * scale)
+              & (np.abs(m1) < nu) & (nu > CROSSING_TOL * scale))
+        # the top eigenvector of [[D, E], [E, -D]] is at angle atan2(E, D) / 2
+        offset = np.where(sign > 0.0, 0.0, np.pi / 2.0)
+        alpha = np.arctan2(E, D) / 2.0 + offset
+        beta, gamma = np.arctan2(E1[on], D1[on]), np.arccos(-m1[on] / nu[on])
+        # at a double or triple root of lambda' (say the flat optimum of the
+        # worked G2 example) Newton on lambda' stalls about eps^(1/3) away, so
+        # such lanes step on lambda'' and then lambda''', whose root there is
+        # simple; lambda'' = 0 there, so these points are no strict minima
+        idx = np.flatnonzero(lanes & ~branch & (np.abs(curv) <= 1e-6 * scale)
+                             & (np.abs(slope) <= 1e-10 * scale * (1.0 + scale / r)))
+        for order in (1, 2):
+            if not idx.size:
+                break
+            trial = phi[idx]
+            for k in range(CIRCLE_STEPS + 1):
+                r, top, lam = _lambda_derivatives(T, trial, sign[idx])
+                step = lam[order] / lam[order + 1]
+                if k < CIRCLE_STEPS:
+                    trial = trial - np.clip(step, -0.5, 0.5)
+            ok = (np.abs(step) <= 1e-9) & (np.abs(lam[0]) <= 1e-13 * scale * (1.0 + scale / r))
+            phi[idx[ok]], alpha[idx[ok]], branch[idx[ok]] = trial[ok], top[ok] + offset[idx[ok]], True
+            idx = idx[~ok]
+    phi = np.concatenate([phi[branch], phi[on], phi[on]])
+    alpha = np.concatenate([alpha[branch], (beta + gamma) / 2.0, (beta - gamma) / 2.0])
+    pd = np.concatenate([pd[branch], np.zeros(2 * on.sum(), bool)])
+    # the same point: equal z and y up to sign; a strict minimum only if
+    # every copy says so
+    same = ((np.abs(np.sin((phi[:, None] - phi) / 2.0)) <= 1e-9)
+            & (np.abs(np.sin(alpha[:, None] - alpha)) <= 1e-9))
+    keep = ~np.tril(same, -1).any(axis=1)
+    pd &= ~(same & ~pd).any(axis=1)
+    return phi[keep], alpha[keep], pd[keep]
 
 
-def _build_point(X, y2, z2, hessian: bool = True) -> StationaryPoint:
-    t = _as_tensor(X)
-    y = np.array([1.0, y2])
-    z = np.array([1.0, z2])
-    x = optimal_x(t, y, z)
-    term = Rank1Term(x, y, z)
-    value = psi(t, term)
-    resid = Tensor222(t.array - term.tensor())
-    norm = np.sqrt(frobenius_norm_sq(t))
-    degenerate = bool(np.linalg.norm(x) <= DEGENERATE_X_TOL * (1.0 + norm))
-    return StationaryPoint(float(y2), float(z2), x, value, hyperdet(resid),
-                           _hessian_pd(t, y2, z2) if hessian else None, degenerate)
-
-
-def stationary_points_222(X, tol: float = 1e-8, hessian: bool = True) -> EnumerationResult:
+def stationary_points_222(X) -> EnumerationResult:
     """All real stationary points of the rank-1 criterion for a 2x2x2 tensor.
 
-    Solves the degree-8 resultant in z2, recovers y2 as the common roots of
-    the two stationarity quadratics, and Newton-polishes each pair.  The
-    complex stationary points are counted but not returned.  If the
-    resultant collapses below degree 8 the reduced equation is solved and
-    the result is flagged.
+    Each is an eigenvector y of S(phi) = M^T M (`_gram_pencil`), for
+    z = (cos t, sin t) and phi = 2t, at a critical point of its eigenvalue
+    lambda = m +- sqrt(Q): a real root of F = m'^2 Q - (Q'/2)^2, a degree-4
+    trigonometric polynomial with 8 roots (`_circle_roots`).  Every root
+    seeds Newton steps on lambda' of both branches, and the distinct
+    converged angles give the points (`_circle_points`, which also handles
+    a root where S(phi) is a multiple of I, and a double or triple root of
+    lambda' such as the flat optimum of the worked G2 example).
 
-    Raises ValueError if the resultant vanishes identically, which happens
-    when the stationary set is positive-dimensional: constant-criterion
-    tensors (orthogonal slab pencils) and exact rank-1 tensors.  The
-    chart-merging `best_rank1_222` handles both through its fallback.
+    ``hessian_pd`` is exact: a point is a strict local minimum iff it is on
+    the top branch with lambda'' < 0, since the curvature in y is
+    -2 (lambda_1 - lambda_2) and the reduced curvature in phi is lambda''.
+    ``degenerate`` marks |x| <= DEGENERATE_X_TOL (1 + ||X||) for unit y, z.
+    ``n_complex`` is 8 minus the number of points listed.  The solve runs on
+    X / 2^e (exact).  Raises ValueError when F vanishes to round-off
+    (F_ROUNDOFF of m'^2 Q + (Q'/2)^2), where its roots carry no
+    information: on orthogonal-pencil, rank-1 and zero input, whose
+    stationary set is not finite, and on input within about 1e-7 relative
+    of rank 1.  `best_rank1_222` then takes the theta-grid solver's term.
     """
     t = _as_tensor(X)
-    quad_arrays = stationarity_quadratics(t, "z")
-    quads = tuple(tuple(q.tolist() for q in eq) for eq in quad_arrays)
-    pol = Polynomial(resultant_poly(*quad_arrays))
-    deg = pol.degree
-    if deg < 1:
-        raise ValueError("stationary-point resultant vanishes identically: the "
-                         "stationary set is positive-dimensional (exact rank-1 "
-                         "or orthogonal-pencil input); use best_rank1_222")
-    reduced = deg < 8
-    roots = smallalg.roots(pol, tol)
-    pairs = []
-    n_complex = 0
-    for r in roots:
-        if not is_real_root(r):
-            n_complex += 1
-            continue
-        z2 = float(r.real)
-        # two partners when both quadratics vanish or are proportional at z2
-        partners = smallalg.common_roots(_eval_quads(quads[0], z2),
-                                         _eval_quads(quads[1], z2), tol)
-        if not partners:
-            n_complex += 1
-        for y2 in partners:
-            pair = _newton_polish(quads, float(y2), z2)
-            # each copy of an exact multiple root yields the same points
-            if pair not in pairs:
-                pairs.append(pair)
-    points = sorted((_build_point(t, y2, z2, hessian) for y2, z2 in pairs),
-                    key=lambda s: (s.psi, s.y2, s.z2))
-    return EnumerationResult(tuple(points), n_complex, reduced)
+    arr, exponent = unit_scaled(t)
+    S = _gram_pencil(arr)
+    # m = tr S / 2, D = (S11 - S22) / 2 and E = S12, as (a, b, c) rows
+    T = np.stack([(S[:, 0, 0] + S[:, 1, 1]) / 2.0, (S[:, 0, 0] - S[:, 1, 1]) / 2.0,
+                  S[:, 0, 1]])
+    scale = float(np.abs(T).max())
+    phi, alpha, pd = _circle_points(T, scale)
+    Y = np.stack([np.cos(alpha), np.sin(alpha)], axis=1)
+    Z = np.stack([np.cos(phi / 2.0), np.sin(phi / 2.0)], axis=1)
+    x = np.einsum("ijk,nj,nk->ni", arr, Y, Z)
+    resid = arr - np.einsum("ni,nj,nk->nijk", x, Y, Z)
+    values = np.ldexp((resid ** 2).sum(axis=(1, 2, 3)), 2 * exponent)
+    x = np.ldexp(x, exponent)
+    degenerate = np.linalg.norm(x, axis=1) <= DEGENERATE_X_TOL * (1.0 + np.linalg.norm(t.array))
+    # cos never returns 0, so the chart coordinates are finite
+    y2, z2 = Y[:, 1] / Y[:, 0], Z[:, 1] / Z[:, 0]
+    x *= (Y[:, 0] * Z[:, 0])[:, None]
+    points = sorted((StationaryPoint(float(y2[n]), float(z2[n]), x[n], float(values[n]),
+                                     hyperdet(np.ldexp(resid[n], exponent)), bool(pd[n]),
+                                     bool(degenerate[n]))
+                     for n in range(phi.size)), key=lambda s: (s.psi, s.y2, s.z2))
+    return EnumerationResult(tuple(points), max(0, 8 - len(points)))
 
 
 # ---------------------------------------------------------------------------
-# global best over all normalization charts
+# global best
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -413,64 +470,27 @@ class BestRank1Result:
     warnings: tuple = field(default_factory=tuple)
 
 
-def _flip(arr: np.ndarray, fy: int, fz: int) -> np.ndarray:
-    out = arr[:, ::-1, :] if fy else arr
-    return out[:, :, ::-1] if fz else out
-
-
-def _chart_candidates(t: Tensor222, tol: float):
-    """(psi, term, degenerate) candidates from the four normalization charts."""
-    cands = []
-    warnings = []
-    base_enum = None
-    for fy in (0, 1):
-        for fz in (0, 1):
-            arr = _flip(t.array, fy, fz)
-            try:
-                enum = stationary_points_222(Tensor222(arr), tol)
-            except (ValueError, smallalg.NumericalFailure):
-                warnings.append(f"enumeration degenerate in chart ({fy},{fz})")
-                continue
-            if (fy, fz) == (0, 0):
-                base_enum = enum
-            for pt in enum.points:
-                y = np.array([1.0, pt.y2])[::-1] if fy else np.array([1.0, pt.y2])
-                z = np.array([1.0, pt.z2])[::-1] if fz else np.array([1.0, pt.z2])
-                cands.append((pt.psi, Rank1Term(pt.x, y, z), pt.degenerate))
-    return cands, base_enum, warnings
-
-
-def _dedupe_terms(cands, scale):
-    kept = []
-    for ps, term, degen in sorted(cands, key=lambda c: c[0]):
-        arr = term.tensor()
-        if any(np.max(np.abs(arr - other)) <= 1e-7 * (1.0 + scale) for _, other in kept):
-            continue
-        kept.append(((ps, term, degen), arr))
-    return [k for k, _ in kept]
-
-
-def best_rank1_222(X, tol: float = 1e-8, cross_check: bool = True) -> BestRank1Result:
+def best_rank1_222(X, cross_check: bool = True) -> BestRank1Result:
     """Globally best rank-1 approximation of a 2x2x2 tensor.
 
-    Enumerates stationary points in all four normalization charts (so that
-    optima with zero leading factor components are still found exactly),
-    discards the zero-factor degenerate pair, and returns the minimizer.
-    The theta-grid solver `best_rank1_pxpx2` cross-checks the result and
-    is the fallback when no usable stationary point exists.  When its
-    value is lower by more than 1e-8 ||X||^2 the input is flagged as
-    non-generic.  A result that takes the solver's term, in either case,
-    has ``method`` "theta".
+    The smallest psi among the non-degenerate points of one
+    `stationary_points_222` enumeration; ``multiplicity`` counts the
+    distinct minimizers within TIE_REL_TOL.  The theta-grid solver
+    `best_rank1_pxpx2` cross-checks the result and is the fallback when no
+    usable stationary point exists.  When its value is lower by more than
+    1e-8 ||X||^2 the input is flagged as non-generic.  A result that takes
+    the solver's term, in either case, has ``method`` "theta".
     """
     t = _as_tensor(X)
     norm_sq = frobenius_norm_sq(t)
-    scale = np.sqrt(norm_sq)
-    cands, base_enum, warnings = _chart_candidates(t, tol)
-    usable = [c for c in _dedupe_terms(cands, scale) if not c[2]]
-    base_points = base_enum.points if base_enum is not None else ()
-    n_complex = base_enum.n_complex if base_enum is not None else 0
-
-    best = min(usable, key=lambda c: c[0]) if usable else None
+    warnings = []
+    try:
+        enum = stationary_points_222(t)
+    except ValueError:
+        enum = EnumerationResult((), 0)
+        warnings.append("enumeration degenerate: the stationarity polynomial is round-off")
+    usable = [p for p in enum.points if not p.degenerate]
+    best = (usable[0].psi, usable[0].term()) if usable else None
     method, converged = "enumerate", True
     if cross_check or best is None:
         grid = best_rank1_pxpx2(t)
@@ -481,12 +501,11 @@ def best_rank1_222(X, tol: float = 1e-8, cross_check: bool = True) -> BestRank1R
         else:
             grid = None
         if grid is not None:
-            best, method, converged = (grid.psi, grid.term, False), "theta", grid.converged
+            best, method, converged = (grid.psi, grid.term), "theta", grid.converged
             warnings.extend(grid.warnings)
-    ties = [c for c in usable if c[0] <= best[0] + TIE_REL_TOL * (1.0 + abs(best[0]))]
-    multiplicity = max(1, len(ties))
-    return BestRank1Result(best[1], float(best[0]), tuple(base_points), multiplicity,
-                           n_complex=n_complex, converged=converged, method=method,
+    ties = [p for p in usable if p.psi <= best[0] + TIE_REL_TOL * (1.0 + abs(best[0]))]
+    return BestRank1Result(best[1], float(best[0]), enum.points, max(1, len(ties)),
+                           n_complex=enum.n_complex, converged=converged, method=method,
                            warnings=tuple(warnings))
 
 
@@ -547,12 +566,8 @@ def best_rank1_pxpx2(X) -> BestRank1Result:
     double range.  ``converged`` is False when the refinement stopped at
     its step limit without reaching a stationary point.
     """
-    arr = X.array if isinstance(X, (Tensor222, TensorPxPx2)) else np.asarray(X, float)
-    exponent = math.frexp(float(np.abs(arr).max()))[1]
-    arr = np.ldexp(arr, -exponent)
-    X1, X2 = arr[:, :, 0], arr[:, :, 1]
-    A, B, C = X1.T @ X1, X1.T @ X2, X2.T @ X2
-    S = np.stack([(A + C) / 2.0, (A - C) / 2.0, (B + B.T) / 2.0])
+    arr, exponent = unit_scaled(X)
+    S = _gram_pencil(arr)
     lip = math.sqrt(float((S[1:] ** 2).sum()))
     h = 2.0 * math.pi / (THETA_GRID_PER_P * arr.shape[0])
     phi = np.arange(THETA_GRID_PER_P * arr.shape[0]) * h

@@ -12,6 +12,7 @@ i.e. ``(a, b, c, d, e, f, g, h)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,8 @@ __all__ = [
     "contract_mode",
     "multilinear_transform",
     "frobenius_norm_sq",
+    "scaled_entries",
+    "unit_scaled",
     "multilinear_rank",
 ]
 
@@ -219,6 +222,23 @@ def frobenius_norm_sq(X) -> float:
     """Sum of squared entries; zero iff the all-zero tensor."""
     arr = _as_array(X)
     return float((arr ** 2).sum())
+
+
+def scaled_entries(values):
+    """(the values / 2^e as a list of floats, e) with max|value| / 2^e in
+    [1/2, 1), or e = 0 when every value is zero.  Dividing by a power of
+    two is exact, so a computation on the scaled values and a final
+    multiplication by the right power of 2^e is scale-covariant."""
+    values = [float(v) for v in values]
+    exponent = math.frexp(max(map(abs, values)))[1]
+    return [math.ldexp(v, -exponent) for v in values], exponent
+
+
+def unit_scaled(X):
+    """(X / 2^e, e) as in `scaled_entries`, in the shape of X."""
+    arr = _as_array(X)
+    entries, exponent = scaled_entries(arr.ravel().tolist())
+    return np.array(entries).reshape(arr.shape), exponent
 
 
 def _unfolding_rank(mat: np.ndarray, tol: float) -> int:

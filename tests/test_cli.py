@@ -128,7 +128,7 @@ def test_cli_rank1_hopm(capsys):
 
 
 def test_cli_deflate_symmetric(capsys):
-    code, out, _ = _run(capsys, "deflate", "--data=0,1,1,0", "--steps", "1", "--json")
+    code, out, _ = _run(capsys, "deflate", "--data=0,1,1,0", "--steps", "1")
     payload = json.loads(out)
     step = payload["steps"][0]
     assert step["orbit_after"] == "D3"
@@ -137,8 +137,7 @@ def test_cli_deflate_symmetric(capsys):
 
 
 def test_cli_deflate_d1_reaches_zero(capsys):
-    code, out, _ = _run(capsys, "deflate", "--data=2,0,0,0,0,0,0,0", "--steps", "3",
-                        "--json")
+    code, out, _ = _run(capsys, "deflate", "--data=2,0,0,0,0,0,0,0", "--steps", "3")
     payload = json.loads(out)
     assert payload["steps"][0]["orbit_after"] == "D0"
     assert len(payload["steps"]) == 1  # chain stops at the zero residual
@@ -146,7 +145,7 @@ def test_cli_deflate_d1_reaches_zero(capsys):
 
 def test_cli_deflate_generic_chain(capsys):
     data = ",".join(str(v) for v in EXAMPLE_A1)
-    code, out, _ = _run(capsys, "deflate", f"--data={data}", "--steps", "3", "--json")
+    code, out, _ = _run(capsys, "deflate", f"--data={data}", "--steps", "3")
     payload = json.loads(out)
     assert payload["steps"][0]["orbit_after"] == "D3"
     for step in payload["steps"][1:]:

@@ -7,6 +7,7 @@ from tensorbit import (DomainError, Tensor222, canonical_form,
                        experiment_generic, experiment_pxpx2, experiment_symmetric,
                        frobenius_norm_sq, multilinear_transform)
 from tensorbit.deflation import _sample_d3, _trial_rng, write_trial_csv
+from tensorbit.rank1 import best_rank1_222
 from conftest import BOUNDARY_TO_D2
 
 
@@ -75,6 +76,9 @@ def test_deflate_once_subtracts_the_global_term_on_d3_inputs(seed, trial):
     t = _sample_d3(_trial_rng(seed, trial))
     _, report = deflate_once(t)
     assert abs(report.psi - _direction_search_psi(t)) <= 1e-9 * frobenius_norm_sq(t)
+    # the enumeration without the theta-grid cross-check finds it too
+    enumerated = best_rank1_222(t, cross_check=False)
+    assert abs(enumerated.psi - report.psi) <= 1e-12 * frobenius_norm_sq(t)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,18 @@ def test_hyperdet_canonical_g3():
 
 def test_hyperdet_zero_tensor():
     assert hyperdet(Tensor222.from_flat(np.zeros(8))) == 0.0
+
+
+def test_hyperdet_at_extreme_scales():
+    # Delta ~ max|entry|^4: at 1e150 only its sign is representable, and at
+    # 2^-262 it is subnormal, which the products of slab entries would
+    # round more than once
+    x = np.random.default_rng(3).standard_normal(8)
+    delta = hyperdet(Tensor222.from_flat(x))
+    assert hyperdet(Tensor222.from_flat(x * 1e150)) == math.copysign(math.inf, delta)
+    assert hyperdet(Tensor222.from_flat(np.ldexp(x, -262))) == math.ldexp(delta, -1048)
+    delta = hyperdet_sym(SymTensor222(*x[:4]))
+    assert hyperdet_sym(SymTensor222(*np.ldexp(x[:4], -262))) == math.ldexp(delta, -1048)
 
 
 def test_hyperdet_sym_matches_full_expansion():
@@ -57,8 +71,10 @@ def test_classify_at_extreme_scales():
     # max|entry|^4 overflows a float at 1e80 and underflows to zero at 1e-160
     x = np.random.default_rng(3).standard_normal(8)
     base = classify(Tensor222.from_flat(x))
+    base_sym = classify_sym(SymTensor222(*x[:4]))
     for factor in (1e80, 1e-160, 1e300, 1e-300):
         assert classify(Tensor222.from_flat(x * factor)) == base
+        assert classify_sym(SymTensor222(*(x[:4] * factor))) == base_sym
 
 
 @settings(max_examples=200, deadline=None)
@@ -69,6 +85,11 @@ def test_classify_power_of_two_scale_invariant(seed, orbit, k):
     t = multilinear_transform(canonical_form(orbit), *mats)
     label = classify(t)
     scaled = classify(Tensor222(np.ldexp(t.array, k)))
+    assert scaled == label
+    assert scaled.boundary_margin == label.boundary_margin
+    sym = SymTensor222(*np.random.default_rng(seed).standard_normal(4))
+    label = classify_sym(sym)
+    scaled = classify_sym(SymTensor222(*np.ldexp(sym.as_tuple(), k)))
     assert scaled == label
     assert scaled.boundary_margin == label.boundary_margin
 

@@ -125,6 +125,24 @@ def test_enumeration_near_rank1_matches_grid(ex_a1):
     assert grid.min() >= best.psi - 1e-10
     iy, iz = np.unravel_index(np.argmin(grid), grid.shape)
     assert abs(ys[iy] - best.y2) < 0.1 and abs(zs[iz] - best.z2) < 0.1
+    # rank 1 plus a relative perturbation: at 1e-7 the stationarity
+    # polynomial is well above round-off and the optimum is listed; at 1e-9
+    # it is round-off, and the enumeration refuses
+    rng = np.random.default_rng(2)
+    base = Rank1Term(*rng.standard_normal((3, 2))).tensor()
+    noise = np.linalg.norm(base) * rng.standard_normal((2, 2, 2))
+    near = Tensor222(base + 1e-7 * noise)
+    grid = best_rank1_pxpx2(near).psi
+    best = min(p.psi for p in stationary_points_222(near) if not p.degenerate)
+    assert abs(best - grid) <= 1e-12 * frobenius_norm_sq(near)
+    res = best_rank1_222(near, cross_check=False)
+    assert res.method == "enumerate" and not res.warnings
+    closer = Tensor222(base + 1e-9 * noise)
+    with pytest.raises(ValueError, match="round-off"):
+        stationary_points_222(closer)
+    res = best_rank1_222(closer, cross_check=False)
+    assert res.method == "theta"
+    assert abs(res.psi - best_rank1_pxpx2(closer).psi) <= 1e-12 * frobenius_norm_sq(closer)
 
 
 def test_resultant_roots_match_table_column(ex_a1):
@@ -178,7 +196,7 @@ def test_boundary_and_degenerate_structure_random(block):
         delta = hyperdet(t)
         norm_sq = frobenius_norm_sq(t)
         scale = max(abs(v) for v in t.entries) ** 4
-        enum = stationary_points_222(t, hessian=False)
+        enum = stationary_points_222(t)
         degen = [p for p in enum.points if p.degenerate]
         for p in enum.points:
             if p.degenerate:
@@ -190,6 +208,17 @@ def test_boundary_and_degenerate_structure_random(block):
             assert len(degen) == 2
         elif delta < -1e-6:
             assert not degen
+
+
+@pytest.mark.parametrize("seed", [299, 704, 931])
+def test_hessian_flag_at_a_minimum_far_out_in_the_chart(seed):
+    # the global minimum sits at |y2| ~ 600 or |z2| ~ 1000, where a
+    # finite-difference Hessian test in the chart reads it as indefinite
+    t = Tensor222.from_flat(np.random.default_rng(seed).standard_normal(8))
+    best = min(stationary_points_222(t).points, key=lambda p: p.psi)
+    assert max(abs(best.y2), abs(best.z2)) > 500
+    assert abs(best.psi - best_rank1_pxpx2(t).psi) <= 1e-12 * frobenius_norm_sq(t)
+    assert best.hessian_pd
 
 
 def test_global_optimum_components_nonzero():
@@ -220,6 +249,11 @@ def test_best_rank1_worked_g2():
     residual = t.array - res.term.tensor()
     np.testing.assert_allclose(residual.ravel(),
                                Tensor222.from_flat(WORKED_G2[1]).array.ravel(), atol=1e-8)
+    # the optimum y = z = e_2 is a flat maximum of lambda (a triple root of
+    # lambda'), which the enumeration lists by itself
+    assert min(abs(p.psi - 3.0) for p in stationary_points_222(t)) <= 1e-12
+    alone = best_rank1_222(t, cross_check=False)
+    assert abs(alone.psi - 3.0) <= 1e-12 and alone.method == "enumerate"
 
 
 def test_best_rank1_worked_g3():
@@ -276,6 +310,8 @@ def test_best_rank1_optimum_outside_the_first_chart(mode):
         mats[mode] = np.array([[v[1], -v[0]], [v[0], v[1]]])
         rotated = best_rank1_222(multilinear_transform(t, *mats), cross_check=False)
         assert abs(rotated.psi - res.psi) <= 1e-12 * (1 + res.psi)
+        points = stationary_points_222(multilinear_transform(t, *mats))
+        assert min(abs(p.psi - res.psi) for p in points) <= 1e-12 * (1 + res.psi)
 
 
 @pytest.mark.parametrize("seed", range(20))
