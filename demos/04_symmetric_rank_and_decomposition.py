@@ -2,9 +2,9 @@
 #
 # A symmetric tensor (a, b, c, d) is a binary cubic in disguise.  Its
 # symmetric rank follows Sylvester's kernel-vector criterion, the rank-2
-# decomposition comes from the slab-pencil eigenvectors, and every
-# rank-3 tensor is an explicit (S, S, S) transform of the canonical D3
-# or G3 representative.
+# decomposition comes from the two real roots of Sylvester's kernel
+# quadratic, and every rank-3 tensor is an explicit (S, S, S) transform
+# of the canonical D3 or G3 representative.
 
 import numpy as np
 

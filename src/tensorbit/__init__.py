@@ -5,10 +5,12 @@ Core capabilities:
 * enumeration of the stationary points of the best rank-1
   approximation problem for 2x2x2 tensors (the real roots of one
   degree-4 trigonometric polynomial in the mode-3 angle) and symmetric
-  2x2x2 tensors (cubic), a certified one-angle grid solver for pxpx2
-  (p = 2 included), and alternating least squares;
+  2x2x2 tensors (the real roots of one binary cubic, in a chart that
+  loses none), a certified one-angle grid solver for pxpx2 (p = 2
+  included), and alternating least squares;
 * hyperdeterminant computation and complete orbit classification
-  (D0, D1, D2, D2p, D2pp, G2, D3, G3; symmetric subset);
+  (D0, D1, D2, D2p, D2pp, G2, D3, G3), one classifier for full and
+  symmetric tensors;
 * symmetric rank via Sylvester's criterion with constructive rank-1/2/3
   decompositions and explicit transforms from the canonical D3 / G3 forms;
 * rank-1 deflation reports and seeded Monte Carlo experiments showing

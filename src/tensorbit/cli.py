@@ -20,7 +20,7 @@ import numpy as np
 from . import deflation, rank1
 from .decomp import DomainError, sylvester_rank, sym_rank3_decompose
 from .document import TensorDocument, parse_document
-from .orbits import SymTensor222, classify, classify_sym, hyperdet, hyperdet_sym, slab_pencil
+from .orbits import SymTensor222, classify, hyperdet, slab_pencil
 from .smallalg import EigenPair2, NumericalFailure
 from .tensors import Tensor222, frobenius_norm_sq, multilinear_rank
 
@@ -102,16 +102,11 @@ def _seed_from(args) -> int:
 def cmd_classify(args) -> int:
     doc = _load_document(args)
     tensor = doc.to_tensor()
-    if isinstance(tensor, SymTensor222):
-        label = classify_sym(tensor, args.tol, coincidence_tol=args.coincidence_tol)
-        delta = hyperdet_sym(tensor)
-        mlr = multilinear_rank(tensor.tensor(), args.tol)
-    elif isinstance(tensor, Tensor222):
-        label = classify(tensor, args.tol)
-        delta = hyperdet(tensor)
-        mlr = multilinear_rank(tensor, args.tol)
-    else:
+    if not isinstance(tensor, (Tensor222, SymTensor222)):
         raise ValueError("classify handles full222 and sym222 documents")
+    label = classify(tensor, args.tol)
+    delta = hyperdet(tensor)
+    mlr = multilinear_rank(tensor, args.tol)
     pencil = slab_pencil(tensor, args.coincidence_tol)
     _emit({
         "command": "classify",
@@ -213,8 +208,7 @@ def cmd_deflate(args) -> int:
     tensor = doc.to_tensor()
     if args.steps < 1:
         raise ValueError("--steps must be at least 1")
-    start_norm = frobenius_norm_sq(tensor.tensor() if isinstance(tensor, SymTensor222)
-                                   else tensor)
+    start_norm = frobenius_norm_sq(tensor)
     reports = []
     current = tensor
     for step in range(args.steps):
@@ -234,9 +228,7 @@ def cmd_deflate(args) -> int:
             "warnings": list(report.warnings),
         })
         current = residual
-        resid_norm = frobenius_norm_sq(current.tensor() if isinstance(current, SymTensor222)
-                                       else current)
-        if resid_norm < 1e-12 * max(1.0, start_norm):
+        if frobenius_norm_sq(current) < 1e-12 * max(1.0, start_norm):
             break
     _emit({"command": "deflate", "kind": doc.kind, "label": doc.label,
            "steps": reports})
@@ -291,14 +283,16 @@ def cmd_experiment(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_input_args(p):
+def _add_input_args(p, tol=False, coincidence_tol=False):
     p.add_argument("input", nargs="?", help="JSON tensor document file")
     p.add_argument("--data", help="inline values, e.g. 'a,b,c,d,e,f,g,h'")
     p.add_argument("--kind", choices=("full222", "sym222", "pxpx2"))
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--coincidence-tol", type=float, default=1e-6,
-                   dest="coincidence_tol",
-                   help="band for calling two eigenvalues identical")
+    if tol:
+        p.add_argument("--tol", type=float, default=1e-9)
+    if coincidence_tol:
+        p.add_argument("--coincidence-tol", type=float, default=1e-6,
+                       dest="coincidence_tol",
+                       help="band for calling two eigenvalues identical")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -306,25 +300,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="orbit classification report")
-    _add_input_args(p)
+    _add_input_args(p, tol=True, coincidence_tol=True)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("rank1", help="best rank-1 approximation + stationary table")
     _add_input_args(p)
     p.add_argument("--method", choices=("enumerate", "hopm"), default="enumerate",
-                   help="enumerate: stationary points (full222) or the theta-grid "
-                        "solver (pxpx2); hopm: alternating least squares")
+                   help="enumerate: stationary points (full222, sym222) or the "
+                        "theta-grid solver (pxpx2); hopm: alternating least squares "
+                        "(full222, pxpx2)")
     p.add_argument("--seed", type=int)
     p.add_argument("--json", action="store_true", help="JSON instead of a table")
     p.set_defaults(func=cmd_rank1)
 
     p = sub.add_parser("deflate", help="chained rank-1 deflation reports")
-    _add_input_args(p)
+    _add_input_args(p, tol=True, coincidence_tol=True)
     p.add_argument("--steps", type=int, default=1)
     p.set_defaults(func=cmd_deflate)
 
     p = sub.add_parser("decompose", help="symmetric decomposition")
-    _add_input_args(p)
+    _add_input_args(p, tol=True)
     p.add_argument("--rank", choices=("auto", "1", "2", "3"), default="auto")
     p.set_defaults(func=cmd_decompose)
 

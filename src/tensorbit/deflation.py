@@ -17,7 +17,6 @@ be dumped as CSV; summaries are plain dicts ready for JSON.
 from __future__ import annotations
 
 import csv
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +24,7 @@ import numpy as np
 from . import rank1
 from .decomp import DomainError
 from .orbits import (OrbitLabel, SymTensor222, _entry_scale, canonical_form, classify,
-                     classify_sym, hyperdet, hyperdet_sym, slab_pencil)
+                     hyperdet, slab_pencil)
 from .smallalg import spectrum_small
 from .tensors import MultilinearRank, Tensor222, TensorPxPx2, frobenius_norm_sq, \
     multilinear_rank, multilinear_transform
@@ -110,20 +109,16 @@ def _report(X, residual, psi: float, ties: int, warnings, tol: float,
     residual of one deflation step, plus the residual's multilinear rank.
 
     The residual is classified with the Delta band max(tol, 1e-6): it
-    reaches the boundary only up to root-solver accuracy.
+    reaches the boundary only up to root-solver accuracy.  X and the
+    residual are both Tensor222 or both SymTensor222.
     """
-    if isinstance(X, SymTensor222):
-        label = functools.partial(classify_sym, coincidence_tol=coincidence_tol)
-        delta, full = hyperdet_sym, residual.tensor()
-    else:
-        label, delta, full = classify, hyperdet, residual
     return DeflationReport(
-        orbit_before=label(X, tol),
-        orbit_after=label(residual, max(tol, 1e-6), zero_scale=_entry_scale(X)),
-        delta_before=float(delta(X)), delta_after=float(delta(residual)),
+        orbit_before=classify(X, tol),
+        orbit_after=classify(residual, max(tol, 1e-6), zero_scale=_entry_scale(X)),
+        delta_before=hyperdet(X), delta_after=hyperdet(residual),
         pencil_before=slab_pencil(X, coincidence_tol),
         pencil_after=slab_pencil(residual, coincidence_tol),
-        residual_mlrank=multilinear_rank(full, max(tol, 1e-9)),
+        residual_mlrank=multilinear_rank(residual, max(tol, 1e-9)),
         psi=float(psi), ties=ties, warnings=tuple(warnings))
 
 

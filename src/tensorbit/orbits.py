@@ -221,6 +221,7 @@ def classify(X, tol: float = 1e-9, zero_scale: float | None = None) -> OrbitLabe
     Delta decisions run on X / 2^e with max|entry| / 2^e in [1/2, 1): the
     division is exact, so the label and margin do not depend on the scale
     and the degree-4 hyperdeterminant neither overflows nor underflows.
+    A SymTensor222 is classified by its expansion.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -246,40 +247,11 @@ def classify(X, tol: float = 1e-9, zero_scale: float | None = None) -> OrbitLabe
     return OrbitLabel("D3", margin)
 
 
-def classify_sym(Xs: SymTensor222, tol: float = 1e-9, zero_scale: float | None = None,
-                 coincidence_tol: float = DEFAULT_COINCIDENCE_TOL) -> OrbitLabel:
-    """Orbit of a symmetric 2x2x2 tensor among D0, D1, G2, D3, G3.
+def classify_sym(Xs: SymTensor222, tol: float = 1e-9,
+                 zero_scale: float | None = None) -> OrbitLabel:
+    """Orbit of a symmetric 2x2x2 tensor: `classify` of its expansion.
 
-    Multilinear rank rules out D0/D1; the hyperdeterminant band declares
-    the boundary D3; otherwise the slab-pencil eigenstructure separates
-    G2 (distinct real) from G3 (complex), with the hyperdeterminant sign
-    as the arbiter when both slabs are singular.  The pencil and the
-    hyperdeterminant criteria are equivalent in exact arithmetic.  The
-    decisions run on Xs / 2^e, as in `classify`.
+    All three unfoldings of a symmetric tensor are the same matrix up to a
+    column order, so the label is one of D0, D1, G2, D3, G3.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    scale = _entry_scale(Xs)
-    if scale == 0.0 or (zero_scale is not None and scale <= tol * float(zero_scale)):
-        return OrbitLabel("D0", 0.0)
-    entries, exponent = scaled_entries(Xs.as_tuple())
-    Xs = SymTensor222(*entries)
-    quartic = math.ldexp(scale, -exponent) ** 4
-    delta = _delta_sym(*entries)
-    margin = abs(delta) / quartic
-    if max(multilinear_rank(Xs.tensor(), tol).as_tuple()) <= 1:
-        return OrbitLabel("D1", margin)
-    if abs(delta) <= tol * quartic:
-        # Delta equals the pencil discriminant times det(X1)^2, so the band
-        # on Delta is the scale-honest boundary test even when a slab is
-        # nearly singular and the raw eigenvalue gap looks wide
-        return OrbitLabel("D3", margin)
-    pencil = slab_pencil(Xs, coincidence_tol)
-    if pencil is not None:
-        if pencil.kind == "DistinctReal":
-            return OrbitLabel("G2", margin)
-        if pencil.kind == "ComplexPair":
-            return OrbitLabel("G3", margin)
-        if pencil.kind == "DoubleRealDefective":
-            return OrbitLabel("D3", margin)
-    return OrbitLabel("G2" if delta > 0 else "G3", margin)
+    return classify(Xs.tensor(), tol, zero_scale)

@@ -13,6 +13,12 @@ hyperdeterminant of the residual, an exact local-minimum flag and a
 zero-factor (degenerate) flag.  The chart resultants in y2 = y_2/y_1 and
 z2 = z_2/z_1 (`stationary_poly` and its companions) remain as identities.
 
+For a symmetric 2x2x2 tensor the stationary directions are the real roots
+of one binary cubic, which `stationary_points_sym` solves in a single
+rotated chart that keeps its degree 3; `best_rank1_sym` takes the best of
+them, which by Banach's theorem is also the best rank-1 term of the
+expansion.
+
 For a pxpx2 tensor (p = 2 included) the best rank-1 term is a maximization
 over the single angle t.  `best_rank1_pxpx2` solves it deterministically
 on a certified grid with a Newton refinement; `best_rank1_222` uses it to
@@ -29,8 +35,8 @@ import numpy as np
 
 from . import smallalg
 from .orbits import SymTensor222, hyperdet, hyperdet_sym
-from .smallalg import Polynomial, is_real_root
-from .tensors import Rank1Term, Tensor222, TensorPxPx2, frobenius_norm_sq, unit_scaled
+from .tensors import (Rank1Term, Tensor222, TensorPxPx2, frobenius_norm_sq, scaled_entries,
+                      unit_scaled)
 
 __all__ = [
     "StationaryPoint",
@@ -268,7 +274,6 @@ class EnumerationResult:
 
     points: tuple
     n_complex: int
-    reduced_degree: bool = False
 
     def __iter__(self):
         return iter(self.points)
@@ -503,7 +508,7 @@ def best_rank1_222(X, cross_check: bool = True) -> BestRank1Result:
         if grid is not None:
             best, method, converged = (grid.psi, grid.term), "theta", grid.converged
             warnings.extend(grid.warnings)
-    ties = [p for p in usable if p.psi <= best[0] + TIE_REL_TOL * (1.0 + abs(best[0]))]
+    ties = [p for p in usable if p.psi <= best[0] + TIE_REL_TOL * norm_sq]
     return BestRank1Result(best[1], float(best[0]), enum.points, max(1, len(ties)),
                            n_complex=enum.n_complex, converged=converged, method=method,
                            warnings=tuple(warnings))
@@ -620,90 +625,98 @@ class SymStationaryPoint:
 
 def sym_stationarity_cubic(Xs: SymTensor222) -> np.ndarray:
     """Ascending coefficients of the cubic in z = y1/y2 solved by the
-    symmetric stationary points: -b z^3 + (a - 2c) z^2 + (2b - d) z + c."""
+    symmetric stationary points: -b z^3 + (a - 2c) z^2 + (2b - d) z + c.
+
+    It is H(z, 1) for the binary cubic H(y1, y2) = y2 (X y y)_1 - y1 (X y y)_2,
+    which is zero exactly where X y y is parallel to y.
+    """
     a, b, c, d = Xs.as_tuple()
     return np.array([c, 2.0 * b - d, a - 2.0 * c, -b])
 
 
-def stationary_points_sym(Xs: SymTensor222, tol: float = 1e-8) -> EnumerationResult:
+def _sym_contraction(entries, Y) -> np.ndarray:
+    """X y y for each row y of ``Y``, from the entries (a, b, c, d)."""
+    a, b, c, d = entries
+    y1, y2 = Y[..., 0], Y[..., 1]
+    return np.stack([a * y1 * y1 + 2.0 * b * y1 * y2 + c * y2 * y2,
+                     b * y1 * y1 + 2.0 * c * y1 * y2 + d * y2 * y2], axis=-1)
+
+
+def stationary_points_sym(Xs: SymTensor222) -> EnumerationResult:
     """Real stationary points of the symmetric rank-1 criterion.
 
-    Solves the cubic in z = y1/y2 (reduced degree when b = 0) and recovers
-    y2^3 from the closed form whose denominator (z^2 + 1)^2 never
-    vanishes; every real root yields a genuine stationary point.
+    A stationary y = s u with |u| = 1 has X u u parallel to u, so u is a
+    real root of the binary cubic H (`sym_stationarity_cubic`), and then
+    s^3 = f(u) = <X, u (x) u (x) u> and psi = ||X||^2 - f(u)^2.  H is
+    solved in one rotated chart z = u . w / u . v, with (w, v) the basis
+    that puts the chart's point at infinity at the angle k pi / 6 where |H|
+    is largest.  A nonzero binary cubic vanishes at three directions at
+    most, so the chart cubic keeps degree 3 and no root is lost, including
+    y2 = 0 when b = 0.  Roots within `smallalg.IMAG_TOL` of the real axis
+    are real and those that close to each other are one direction, which
+    is listed once; ``n_complex`` is 3 minus the number listed.  ``z`` is
+    y1/y2 (+-inf at y2 = 0).  The solve runs on Xs / 2^e (exact), so psi
+    scales exactly.  Raises ValueError for the zero tensor, on which H
+    vanishes identically.
     """
-    cubic = Polynomial(sym_stationarity_cubic(Xs))
-    deg = cubic.degree
-    if deg < 1:
-        raise ValueError("stationarity cubic degenerates for this tensor")
-    roots = smallalg.roots(cubic, tol)
-    a, b, c, d = Xs.as_tuple()
-    full = Xs.tensor()
-    points = []
-    n_complex = 0
-    for r in roots:
-        if not is_real_root(r):
-            n_complex += 1
-            continue
-        z = float(r.real)
-        w = (b * z * z + 2.0 * c * z + d) / (z * z + 1.0) ** 2
-        y2 = float(np.cbrt(w))
-        y = np.array([z * y2, y2])
-        term = Rank1Term(y, y, y)
-        value = psi(full, term)
-        resid = Xs.rank1_update(y, -1.0)
-        points.append(SymStationaryPoint(z, y, float(w), value, hyperdet_sym(resid)))
-    points.sort(key=lambda s: (s.psi, s.z))
-    return EnumerationResult(tuple(points), n_complex, deg < 3)
+    entries, exponent = scaled_entries(Xs.as_tuple())
+    angles = np.arange(6) * (np.pi / 6.0)
+    U = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    G = _sym_contraction(entries, U)
+    H = U[:, 1] * G[:, 0] - U[:, 0] * G[:, 1]
+    j = int(np.argmax(np.abs(H)))
+    if H[j] == 0.0:
+        raise ValueError("the stationarity cubic vanishes: zero tensor")
+    w, v = U[j], np.array([-U[j, 1], U[j, 0]])
+    gv = _sym_contraction(entries, v)
+    # the tensor in the basis (w, v): its cubic in z has leading term H(w) z^3
+    rotated = SymTensor222(w @ G[j], v @ G[j], w @ gv, v @ gv)
+    z = np.roots(sym_stationarity_cubic(rotated)[::-1])
+    # round-off moves a double root off the real axis or splits it along it
+    # by about the same amount, so one band decides realness and distinctness
+    z = np.sort(z.real[np.abs(z.imag) <= smallalg.IMAG_TOL * (1.0 + np.abs(z.real))])
+    z = z[np.append(True, np.diff(z) > smallalg.IMAG_TOL * (1.0 + np.abs(z[1:])))]
+    u = (z[:, None] * w + v) / np.hypot(z, 1.0)[:, None]
+    f = (u * _sym_contraction(entries, u)).sum(axis=1)
+    Y = np.cbrt(f)[:, None] * u
+    a, b, c, d = entries
+    resid = np.stack([a - Y[:, 0] ** 3, b - Y[:, 0] ** 2 * Y[:, 1],
+                      c - Y[:, 0] * Y[:, 1] ** 2, d - Y[:, 1] ** 3], axis=1)
+    # ||X - y (x) y (x) y||^2, which equals ||X||^2 - f(u)^2 without its cancellation
+    values = resid ** 2 @ np.array([1.0, 3.0, 3.0, 1.0])
+    y = np.cbrt(np.ldexp(f, exponent))[:, None] * u
+    with np.errstate(divide="ignore"):
+        ratio = u[:, 0] / u[:, 1]
+    points = sorted((SymStationaryPoint(float(ratio[n]), y[n], float(y[n, 1] ** 3),
+                                        float(np.ldexp(values[n], 2 * exponent)),
+                                        hyperdet_sym(np.ldexp(resid[n], exponent)))
+                     for n in range(z.size)), key=lambda s: (s.psi, s.z))
+    return EnumerationResult(tuple(points), 3 - len(points))
 
 
 def _sym_gradient(Xs: SymTensor222, y) -> np.ndarray:
-    a, b, c, d = Xs.as_tuple()
-    y1, y2 = float(y[0]), float(y[1])
-    contr = np.array([a * y1 * y1 + 2.0 * b * y1 * y2 + c * y2 * y2,
-                      b * y1 * y1 + 2.0 * c * y1 * y2 + d * y2 * y2])
-    return -6.0 * (contr - (y1 * y1 + y2 * y2) ** 2 * np.asarray(y, float))
+    y = np.asarray(y, float)
+    return -6.0 * (_sym_contraction(Xs.as_tuple(), y) - float(y @ y) ** 2 * y)
 
 
-def best_rank1_sym(Xs: SymTensor222, tol: float = 1e-8) -> BestRank1Result:
+def best_rank1_sym(Xs: SymTensor222) -> BestRank1Result:
     """Best symmetric rank-1 approximation y (x) y (x) y.
 
-    The minimizer over the cubic's real roots; a real cubic always has a
-    real root, so an empty enumeration triggers a coarse grid fallback
-    with a diagnostic warning.
+    The smallest psi among the `stationary_points_sym` enumeration, which
+    is complete: by Banach's theorem it is also the best rank-1 term of the
+    expansion.  ``multiplicity`` counts the points within TIE_REL_TOL
+    ||X||^2 of it.  The zero tensor gives the zero term, with a warning.
     """
-    warnings = []
-    points = ()
-    n_complex = 0
     try:
-        enum = stationary_points_sym(Xs, tol)
-        points = enum.points
-        n_complex = enum.n_complex
-    except (ValueError, smallalg.NumericalFailure):
-        warnings.append("symmetric enumeration degenerate")
-    full = Xs.tensor()
-    if points:
-        best = points[0]
-        ties = [p for p in points if p.psi <= best.psi + TIE_REL_TOL * (1.0 + abs(best.psi))]
-        return BestRank1Result(best.term(), best.psi, points, len(ties),
-                               n_complex=n_complex, method="enumerate",
-                               warnings=tuple(warnings))
-    # grid fallback: minimize over directions, cube-root scale closed form
-    warnings.append("grid-search fallback for symmetric optimum")
-    angles = np.linspace(0.0, np.pi, 721)
-    best_val, best_y = np.inf, None
-    for th in angles:
-        u = np.array([np.cos(th), np.sin(th)])
-        # optimal scale s for term (s u)^(x)3 minimizes a cubic in s^3
-        inner = float(np.einsum("ijk,i,j,k->", full.array, u, u, u))
-        s3 = inner  # |u| = 1, so best s^3 equals the contraction
-        y = np.cbrt(s3) * u
-        val = psi(full, Rank1Term(y, y, y))
-        if val < best_val:
-            best_val, best_y = val, y
-    term = Rank1Term(best_y, best_y, best_y)
-    return BestRank1Result(term, float(best_val), (), 1, method="grid",
-                           warnings=tuple(warnings))
+        enum = stationary_points_sym(Xs)
+    except ValueError:
+        zero = np.zeros(2)
+        return BestRank1Result(Rank1Term(zero, zero, zero), 0.0, (), 1,
+                               warnings=("symmetric enumeration degenerate",))
+    best = enum.points[0]
+    bound = best.psi + TIE_REL_TOL * frobenius_norm_sq(Xs)
+    return BestRank1Result(best.term(), best.psi, enum.points,
+                           sum(p.psi <= bound for p in enum.points), n_complex=enum.n_complex)
 
 
 # ---------------------------------------------------------------------------

@@ -176,6 +176,9 @@ class MultilinearRank:
 def _as_array(X) -> np.ndarray:
     if isinstance(X, (Tensor222, TensorPxPx2)):
         return X.array
+    if hasattr(X, "tensor"):
+        # orbits.SymTensor222 (whose module imports this one), by its expansion
+        return _as_array(X.tensor())
     return np.asarray(X, dtype=float)
 
 

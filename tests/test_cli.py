@@ -143,6 +143,21 @@ def test_cli_deflate_d1_reaches_zero(capsys):
     assert len(payload["steps"]) == 1  # chain stops at the zero residual
 
 
+def test_cli_deflate_sym_cube_reaches_zero(capsys):
+    code, out, _ = _run(capsys, "deflate", "--data=1,0,0,0", "--steps", "3")
+    payload = json.loads(out)
+    assert payload["steps"][0]["orbit_after"] == "D0"
+    assert len(payload["steps"]) == 1
+
+
+@pytest.mark.parametrize("argv", [("rank1", "--tol", "1e-9"),
+                                  ("rank1", "--coincidence-tol", "1e-6"),
+                                  ("decompose", "--coincidence-tol", "1e-6")])
+def test_cli_rejects_unused_tolerance_flags(capsys, argv):
+    code, _, err = _run(capsys, argv[0], "--data=0,1,1,0", *argv[1:])
+    assert code == 2 and "unrecognized arguments" in err
+
+
 def test_cli_deflate_generic_chain(capsys):
     data = ",".join(str(v) for v in EXAMPLE_A1)
     code, out, _ = _run(capsys, "deflate", f"--data={data}", "--steps", "3")

@@ -1,9 +1,17 @@
-import numpy as np
+import itertools
 
-from tensorbit import (Rank1Term, SymTensor222, best_rank1_sym, deflate_once,
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tensorbit import (Rank1Term, SymTensor222, best_rank1_pxpx2, best_rank1_sym, deflate_once,
                        frobenius_norm_sq, psi, stationary_points_sym)
 from tensorbit.rank1 import sym_stationarity_cubic
 from conftest import SYM_G3, random_sym
+
+# every nonzero symmetric tensor with integer entries in -2..2
+INTEGER_SYM = [SymTensor222(*t) for t in itertools.product(range(-2, 3), repeat=4) if any(t)]
 
 
 def test_cubic_coefficients_worked_example():
@@ -96,11 +104,63 @@ def test_sym_deflation_pencils(sym_g3, sym_g2):
         assert abs(report.pencil_after.values[0] - (-1.0)) < 1e-8
 
 
-def test_sym_term_matches_full_criterion():
-    for seed in range(50):
-        s = random_sym(seed + 900)
+@pytest.mark.parametrize("inputs", [[random_sym(seed + 900) for seed in range(50)], INTEGER_SYM],
+                         ids=["gaussian", "integers"])
+def test_sym_term_matches_full_criterion(inputs):
+    # by Banach's theorem the symmetric optimum is the best rank-1 term of
+    # the expansion, which the theta-grid solver finds independently
+    for s in inputs:
         res = best_rank1_sym(s)
         y = res.term.y
+        norm_sq = frobenius_norm_sq(s.tensor())
         direct = psi(s.tensor(), Rank1Term(y, y, y))
         assert abs(direct - res.psi) < 1e-10 * (1 + abs(res.psi))
-        assert res.psi <= frobenius_norm_sq(s.tensor()) + 1e-12
+        assert res.psi <= norm_sq + 1e-12
+        assert res.psi <= best_rank1_pxpx2(s.tensor()).psi + 1e-12 * norm_sq
+
+
+def test_best_rank1_sym_when_b_is_zero():
+    # the optimum y is parallel to e1, the direction at y2 = 0
+    cube = best_rank1_sym(SymTensor222(1, 0, 0, 0))
+    assert cube.psi <= 1e-15
+    np.testing.assert_allclose(np.abs(cube.term.y), [1.0, 0.0], atol=1e-12)
+    res = best_rank1_sym(SymTensor222(2, 0, 1, 0))
+    assert abs(res.psi - 3.0) <= 1e-12 * 7.0 and res.warnings == ()
+    s = SymTensor222(3, 0, -0.1, 2)
+    norm_sq = frobenius_norm_sq(s)
+    assert abs(best_rank1_sym(s).psi - (norm_sq - 9.0)) <= 1e-12 * norm_sq
+
+
+def test_stationary_points_sym_lists_each_direction_once():
+    # H = y1^2 y2: e1 (the cube itself) and the double root e2 (the zero term)
+    enum = stationary_points_sym(SymTensor222(1, 0, 0, 0))
+    assert len(enum) == 2 and enum.n_complex == 1
+    np.testing.assert_allclose([p.psi for p in enum], [0.0, 1.0], atol=1e-15)
+    assert abs(enum[0].z) == np.inf
+
+
+def test_best_rank1_sym_counts_ties():
+    assert best_rank1_sym(SymTensor222(1, 0, 0, 1)).multiplicity == 2   # e1 and e2
+    assert best_rank1_sym(SymTensor222(1, 0, -1, 0)).multiplicity == 3  # Re (y1 + i y2)^3
+
+
+def test_best_rank1_sym_zero_tensor():
+    res = best_rank1_sym(SymTensor222(0, 0, 0, 0))
+    assert res.psi == 0.0 and not res.term.y.any()
+    assert res.warnings == ("symmetric enumeration degenerate",)
+
+
+def test_best_rank1_sym_tie_rule_is_relative():
+    x = np.random.default_rng(3).standard_normal(8)
+    assert best_rank1_sym(SymTensor222(*x[:4] * 1e-150)).multiplicity == \
+        best_rank1_sym(SymTensor222(*x[:4])).multiplicity == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(-500, 500))
+def test_best_rank1_sym_power_of_two_scale(seed, k):
+    s = random_sym(seed)
+    base = best_rank1_sym(s)
+    scaled = best_rank1_sym(SymTensor222(*np.ldexp(s.as_tuple(), k)))
+    assert np.ldexp(scaled.psi, -2 * k) == base.psi
+    assert scaled.multiplicity == base.multiplicity
