@@ -20,7 +20,7 @@ import numpy as np
 from . import deflation, rank1
 from .decomp import DomainError, sylvester_rank, sym_rank3_decompose
 from .document import TensorDocument, parse_document
-from .orbits import SymTensor222, classify, hyperdet, slab_pencil
+from .orbits import SymTensor222, _rank_tol, classify, hyperdet, slab_pencil
 from .smallalg import EigenPair2, NumericalFailure
 from .tensors import Tensor222, frobenius_norm_sq, multilinear_rank
 
@@ -106,7 +106,7 @@ def cmd_classify(args) -> int:
         raise ValueError("classify handles full222 and sym222 documents")
     label = classify(tensor, args.tol)
     delta = hyperdet(tensor)
-    mlr = multilinear_rank(tensor, args.tol)
+    mlr = multilinear_rank(tensor, _rank_tol(args.tol))
     pencil = slab_pencil(tensor, args.coincidence_tol)
     _emit({
         "command": "classify",

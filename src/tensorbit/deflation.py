@@ -6,12 +6,18 @@ residual on the rank-2/rank-3 boundary orbit D3, i.e. the residual slab
 pencil acquires a defective double eigenvalue and the hyperdeterminant of
 the residual vanishes.
 
-Each experiment is a sampler and a per-trial solver run by one trial
-loop.  Trial t draws its input from its own counter-based RNG stream
-(Philox keyed on the run seed and t), so results are bit-identical for a
-fixed (seed, trials).  A trial that raises becomes an error
-row with a failure reason and does not stop the run.  Per-trial rows can
-be dumped as CSV; summaries are plain dicts ready for JSON.
+Each experiment is a sampler and a solver run by one harness.  Trial t
+draws its input from its own counter-based RNG stream (Philox keyed on the
+run seed and t), so results are bit-identical for a fixed (seed, trials).
+The solver then takes every trial's input at once.  The D3-closure and
+pxpx2 kinds solve the whole stack in one call of the theta-grid kernel,
+and a trial whose refinement did not converge is named in the failure
+reasons; the generic kind takes each trial's term from one
+stationary-point enumeration.  Both full 2x2x2 kinds compute their orbit
+reports as a stack.  Where a solver works trial by trial, a trial that
+raises becomes an error row with a failure reason and does not stop the
+run.  Per-trial rows can be dumped as CSV; summaries are
+plain dicts ready for JSON.
 """
 
 from __future__ import annotations
@@ -23,11 +29,12 @@ import numpy as np
 
 from . import rank1
 from .decomp import DomainError
-from .orbits import (OrbitLabel, SymTensor222, _entry_scale, canonical_form, classify,
-                     hyperdet, slab_pencil)
-from .smallalg import spectrum_small
-from .tensors import MultilinearRank, Tensor222, TensorPxPx2, frobenius_norm_sq, \
-    multilinear_rank, multilinear_transform
+from .orbits import (OrbitLabel, SymTensor222, _entry_scale, _hyperdets, _invertible, _is_zero,
+                     _orbit, _quotient, _rank_tol, canonical_form, classify, hyperdet,
+                     slab_pencil)
+from .smallalg import _eig2_terms, spectrum_small
+from .tensors import MultilinearRank, Tensor222, TensorPxPx2, _ranks, _slab_major, \
+    frobenius_norm_sq, multilinear_rank, multilinear_transform
 
 __all__ = [
     "DeflationReport",
@@ -42,6 +49,9 @@ __all__ = [
 ]
 
 GAP_BUCKETS = (1e-14, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 1.0)
+# the Delta band of a residual, which reaches the boundary only up to
+# root-solver accuracy
+RESIDUAL_BAND = 1e-6
 # band for pairing pxpx2 pencil eigenvalues, wider than the library's 1e-6:
 # an error e in the rank-1 term splits a defective double eigenvalue by ~sqrt(e)
 PAIRING_BAND = 1e-4
@@ -108,18 +118,75 @@ def _report(X, residual, psi: float, ties: int, warnings, tol: float,
     """Orbits, hyperdeterminants and slab pencils of the input X and the
     residual of one deflation step, plus the residual's multilinear rank.
 
-    The residual is classified with the Delta band max(tol, 1e-6): it
-    reaches the boundary only up to root-solver accuracy.  X and the
-    residual are both Tensor222 or both SymTensor222.
+    The residual is classified with the Delta band max(tol, RESIDUAL_BAND),
+    and its multilinear rank is the one that label uses.  X and the
+    residual are both Tensor222 or both SymTensor222.  `_report_rows` gives
+    the same fields for stacks.
     """
+    band = max(tol, RESIDUAL_BAND)
     return DeflationReport(
         orbit_before=classify(X, tol),
-        orbit_after=classify(residual, max(tol, 1e-6), zero_scale=_entry_scale(X)),
+        orbit_after=classify(residual, band, zero_scale=_entry_scale(X)),
         delta_before=hyperdet(X), delta_after=hyperdet(residual),
         pencil_before=slab_pencil(X, coincidence_tol),
         pencil_after=slab_pencil(residual, coincidence_tol),
-        residual_mlrank=multilinear_rank(residual, max(tol, 1e-9)),
+        residual_mlrank=multilinear_rank(residual, _rank_tol(band)),
         psi=float(psi), ties=ties, warnings=tuple(warnings))
+
+
+def _labels(A, tol: float, zero_scale=None):
+    """`classify(A[n], tol, zero_scale[n]).orbit`, `hyperdet(A[n])` and the
+    rank triples of the stack A (N, 2, 2, 2), from the same exact scaling."""
+    delta, exponent, unit, scale = _hyperdets(A)
+    ranks = np.stack(_ranks(unit, _rank_tol(tol)), axis=1).tolist()
+    quartic = np.ldexp(scale, -exponent) ** 4
+    zero_scale = [None] * len(A) if zero_scale is None else zero_scale.tolist()
+    labels = ["D0" if _is_zero(s, z, tol) else _orbit(tuple(r), d, q, tol)
+              for s, z, r, d, q in zip(scale.tolist(), zero_scale, ranks, delta.tolist(),
+                                       quartic.tolist())]
+    with np.errstate(over="ignore"):
+        return labels, np.ldexp(delta, 4 * exponent).tolist(), ranks
+
+
+def _pencil_gaps(A, coincidence_tol: float) -> list:
+    """`_pencil_gap(slab_pencil(A[n], coincidence_tol))` of the stack A
+    (N, 2, 2, 2): the slab choice of `slab_pencil`, and the closed form of
+    `eig2` on the quotients."""
+    X1, X2 = A[..., 0], A[..., 1]
+    first = _invertible(X1)
+    has = first | _invertible(X2)
+    swap = first[:, None, None]
+    Q = _quotient(np.where(swap, X2, X1)[has], np.where(swap, X1, X2)[has])
+    half, disc, gap, double = _eig2_terms(Q, coincidence_tol)
+    # the largest |value| of eig2: |half| for a double eigenvalue, |half| +
+    # gap / 2 for distinct real ones, and max(|half|, gap / 2) for a pair
+    # half +- i gap / 2
+    size = np.where(double, np.abs(half), np.where(disc > 0, np.abs(half) + gap / 2.0,
+                                                    np.maximum(np.abs(half), gap / 2.0)))
+    gaps = iter((gap / (1.0 + size)).tolist())
+    return [next(gaps) if h else None for h in has.tolist()]
+
+
+def _report_rows(X, R, psi, tol: float, coincidence_tol: float) -> list:
+    """The rows that `_report_row` makes of `_report`, for stacks (N, 2, 2, 2):
+    the input X[n] deflated to the residual R[n] with criterion psi[n]."""
+    if not len(X):
+        return []
+    scale = np.abs(X).max(axis=(1, 2, 3))
+    before, delta_before, _ = _labels(X, tol)
+    after, delta_after, ranks = _labels(R, max(tol, RESIDUAL_BAND), zero_scale=scale)
+    return [{
+        "orbit_before": b,
+        "orbit_after": a,
+        "delta_before": db,
+        "delta_after": da,
+        "delta_after_scaled": abs(da) / s ** 4,
+        "psi": p,
+        "eigen_gap": g,
+        "mlrank": "x".join(map(str, r)),
+    } for b, a, db, da, s, p, g, r in zip(before, after, delta_before, delta_after,
+                                          scale.tolist(), psi.tolist(),
+                                          _pencil_gaps(R, coincidence_tol), ranks)]
 
 
 def deflate_once(X, tol: float = 1e-9, coincidence_tol: float = 1e-6):
@@ -146,12 +213,28 @@ def deflate_once(X, tol: float = 1e-9, coincidence_tol: float = 1e-6):
 
 
 # ---------------------------------------------------------------------------
-# experiments: one trial loop, one sampler and one solver per kind
+# experiments: one harness, one sampler and one solver per kind
 # ---------------------------------------------------------------------------
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
+    """The generator of trial ``trial``: Philox keyed on (seed, trial)."""
     key = np.array([np.uint64(seed), np.uint64(trial)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _trial_rngs(seed: int, trials: int):
+    """The generator of each trial in turn, drawing what `_trial_rng` draws:
+    one Philox generator, re-keyed on (seed, t) with its counter and buffer
+    reset, instead of a new generator per trial."""
+    bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    rng = np.random.Generator(bits)
+    state = bits.state
+    for trial in range(trials):
+        state["state"]["key"] = np.array([seed, trial], dtype=np.uint64)
+        state["state"]["counter"] = np.zeros(4, dtype=np.uint64)
+        state.update(buffer_pos=4, has_uint32=0, uinteger=0)
+        bits.state = state
+        yield rng
 
 
 def _bucket_label(i: int) -> str:
@@ -194,8 +277,8 @@ def _aggregate(kind, trials, seed, rows, reasons, extras=()):
         extras=tuple(extras), rows=tuple(rows))
 
 
-def _error_row(trial: int) -> dict:
-    return {"trial": trial, "orbit_before": "error", "orbit_after": "error",
+def _error_row() -> dict:
+    return {"orbit_before": "error", "orbit_after": "error",
             "delta_before": None, "delta_after": None, "delta_after_scaled": None,
             "psi": None, "eigen_gap": None, "mlrank": ""}
 
@@ -204,19 +287,32 @@ def _run(trials: int, seed: int, sample, solve):
     """Run every trial of an experiment; returns (rows, failure reasons).
 
     Trial t draws its input with ``sample`` from its own Philox stream
-    keyed on (seed, t), and ``solve(X, t)`` turns it into the row.
-    An exception fails that trial only: it gets an error row and a reason.
+    keyed on (seed, t), and ``solve`` turns the list of all inputs into
+    (rows, reasons), a row per trial.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    rows, reasons = [], []
-    for trial in range(trials):
-        try:
-            rows.append({"trial": trial, **solve(sample(_trial_rng(seed, trial)), trial)})
-        except Exception as exc:
-            reasons.append(f"trial {trial}: {exc}")
-            rows.append(_error_row(trial))
-    return rows, reasons
+    rows, reasons = solve([sample(rng) for rng in _trial_rngs(seed, trials)])
+    return [{"trial": trial, **row} for trial, row in enumerate(rows)], reasons
+
+
+def _each(solve):
+    """The list solver that turns each input into its row with ``solve``.
+    An exception fails that trial only: it gets an error row and a reason."""
+    def run(inputs):
+        rows, reasons = [], []
+        for trial, X in enumerate(inputs):
+            try:
+                rows.append(solve(X))
+            except Exception as exc:
+                reasons.append(f"trial {trial}: {exc}")
+                rows.append(_error_row())
+        return rows, reasons
+    return run
+
+
+def _unconverged(converged) -> list:
+    return [f"trial {t}: {rank1.NOT_CONVERGED}" for t in np.flatnonzero(~converged)]
 
 
 def _report_row(X, report: DeflationReport) -> dict:
@@ -233,7 +329,7 @@ def _report_row(X, report: DeflationReport) -> dict:
     }
 
 
-def _deflation_row(X, trial: int) -> dict:
+def _deflation_row(X) -> dict:
     return _report_row(X, deflate_once(X)[1])
 
 
@@ -242,28 +338,46 @@ def _mlrank_extras(rows) -> tuple:
     return (("fraction_mlrank_222", sum(r["mlrank"] == "2x2x2" for r in ok) / max(1, len(ok))),)
 
 
-def _solve_generic(X: Tensor222, trial: int) -> dict:
-    # one enumeration without the theta-grid cross-check that deflate_once
-    # adds through best_rank1_222, which would nearly double the trial's cost
-    usable = [p for p in rank1.stationary_points_222(X) if not p.degenerate]
+def _enumerated_term(A):
+    """psi and the term (2, 2, 2) of the best usable stationary point of the
+    2x2x2 array A, from one `rank1.stationary_points_222` enumeration."""
+    usable = [p for p in rank1.stationary_points_222(A) if not p.degenerate]
     if not usable:
         raise RuntimeError("no usable stationary point")
     best = min(usable, key=lambda p: p.psi)
-    residual = Tensor222(X.array - best.term().tensor())
-    return _report_row(X, _report(X, residual, best.psi, 1, (), tol=1e-9, coincidence_tol=1e-6))
+    return best.psi, best.term().tensor()
 
 
 def experiment_generic(trials: int, seed: int = 0) -> ExperimentStats:
-    """Deflate i.i.d. standard-normal 2x2x2 tensors and classify residuals."""
-    rows, reasons = _run(trials, seed, lambda rng: Tensor222.from_flat(rng.standard_normal(8)),
-                         _solve_generic)
+    """Deflate i.i.d. standard-normal 2x2x2 tensors and classify residuals.
+
+    Each trial's term is the best usable point of one stationary-point
+    enumeration, without the theta-grid cross-check that `deflate_once`
+    adds; a trial with no usable point is an error row.  The residuals are
+    then reported as one stack.
+    """
+    def solve(flat):
+        X = _slab_major(np.array(flat))
+        psi, terms = np.zeros(len(X)), np.zeros_like(X)
+        ok, reasons = np.ones(len(X), dtype=bool), []
+        for trial, A in enumerate(X):
+            try:
+                psi[trial], terms[trial] = _enumerated_term(A)
+            except Exception as exc:
+                ok[trial] = False
+                reasons.append(f"trial {trial}: {exc}")
+        rows = iter(_report_rows(X[ok], X[ok] - terms[ok], psi[ok], tol=1e-9,
+                                 coincidence_tol=1e-6))
+        return [next(rows) if good else _error_row() for good in ok.tolist()], reasons
+
+    rows, reasons = _run(trials, seed, lambda rng: rng.standard_normal(8), solve)
     return _aggregate("generic", trials, seed, rows, reasons, _mlrank_extras(rows))
 
 
 def experiment_symmetric(trials: int, seed: int = 0) -> ExperimentStats:
     """Symmetric analogue: (a, b, c, d) i.i.d. normal, symmetric deflation."""
     rows, reasons = _run(trials, seed, lambda rng: SymTensor222(*rng.standard_normal(4)),
-                         _deflation_row)
+                         _each(_deflation_row))
     return _aggregate("symmetric", trials, seed, rows, reasons, _mlrank_extras(rows))
 
 
@@ -281,18 +395,30 @@ def _sample_d3(rng: np.random.Generator) -> Tensor222:
 
 def experiment_d3_closure(trials: int, seed: int = 0) -> ExperimentStats:
     """Deflate random orbit-D3 tensors (random transforms of the canonical
-    form) and tally the residual orbits; supports, not asserts, closure."""
-    # the input is D3 by construction, whatever its classification reads
-    rows, reasons = _run(trials, seed, _sample_d3,
-                         lambda X, t: {**_deflation_row(X, t), "orbit_before": "D3"})
-    return _aggregate("d3", trials, seed, rows, reasons)
+    form) by their theta-grid terms, as one stack, and tally the residual
+    orbits; supports, not asserts, closure.  Unconverged trials are named
+    in the failure reasons, and ``converged`` counts the others."""
+    def solve(arrays):
+        X = np.array(arrays)
+        psi, x, y, z, converged, _ = rank1._best_rank1_stack(X)
+        rows = _report_rows(X, X - np.einsum("ni,nj,nk->nijk", x, y, z), psi, tol=1e-9,
+                            coincidence_tol=1e-6)
+        for row, ok in zip(rows, converged.tolist()):
+            # the input is D3 by construction, whatever its classification reads
+            row.update(orbit_before="D3", converged=ok)
+        return rows, _unconverged(converged)
+
+    rows, reasons = _run(trials, seed, lambda rng: _sample_d3(rng).array, solve)
+    return _aggregate("d3", trials, seed, rows, reasons,
+                      (("converged", sum(r["converged"] for r in rows)),))
 
 
 def experiment_pxpx2(p: int, trials: int, seed: int = 0) -> ExperimentStats:
     """pxpx2 deflation by the theta-grid best rank-1 term; spectra comparison.
 
-    Each trial subtracts the term from `rank1.best_rank1_pxpx2`, which is
-    deterministic (no restarts, so ``seed`` only draws the inputs).  The
+    Each trial subtracts the term of `rank1.best_rank1_pxpx2`, which is
+    deterministic (no restarts, so ``seed`` only draws the inputs); all
+    trials are solved in one call of its stacked kernel.  The
     slab-pencil spectrum of the residual is compared with the input's:
     conjecture-consistent means exactly one coincident pair appears and
     the complex-pair count drops from n to max(0, n - 1).  A trial whose
@@ -302,11 +428,10 @@ def experiment_pxpx2(p: int, trials: int, seed: int = 0) -> ExperimentStats:
     if not 2 <= p <= 8:
         raise ValueError("p must be between 2 and 8")
 
-    def solve(X, trial):
-        result = rank1.best_rank1_pxpx2(X)
-        Z = X.array - result.term.tensor()
-        spec_x = spectrum_small(np.linalg.solve(X.slab1.T, X.slab2.T).T, PAIRING_BAND)
-        spec_z = spectrum_small(np.linalg.solve(Z[:, :, 0].T, Z[:, :, 1].T).T, PAIRING_BAND)
+    def spectra_row(trial):
+        X, Z, psi, converged = trial
+        spec_x = spectrum_small(_quotient(X[:, :, 1], X[:, :, 0]), PAIRING_BAND)
+        spec_z = spectrum_small(_quotient(Z[:, :, 1], Z[:, :, 0]), PAIRING_BAND)
         n = spec_x.n_complex_pairs
         consistent = (spec_z.n_coincident_real_pairs == 1
                       and spec_z.n_complex_pairs == max(0, n - 1))
@@ -316,19 +441,23 @@ def experiment_pxpx2(p: int, trials: int, seed: int = 0) -> ExperimentStats:
             "delta_before": None,
             "delta_after": None,
             "delta_after_scaled": None,
-            "psi": result.psi,
+            "psi": psi,
             "eigen_gap": None,
             "mlrank": "",
-            "converged": result.converged,
+            "converged": converged,
             "coincident_pairs": spec_z.n_coincident_real_pairs,
             "complex_before": n,
             "complex_after": spec_z.n_complex_pairs,
         }
 
-    rows, reasons = _run(trials, seed, lambda rng: TensorPxPx2(rng.standard_normal((p, p, 2))),
-                         solve)
-    reasons += [f"trial {r['trial']}: theta-grid refinement did not converge"
-                for r in rows if "converged" in r and not r["converged"]]
+    def solve(inputs):
+        X = np.stack(inputs)
+        psi, x, y, z, converged, _ = rank1._best_rank1_stack(X)
+        Z = X - np.einsum("ni,nj,nk->nijk", x, y, z)
+        rows, reasons = _each(spectra_row)(list(zip(X, Z, psi.tolist(), converged.tolist())))
+        return rows, reasons + _unconverged(converged)
+
+    rows, reasons = _run(trials, seed, lambda rng: rng.standard_normal((p, p, 2)), solve)
     done = [r for r in rows if r.get("converged")]
     n_conv = max(1, len(done))
     extras = (

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .smallalg import DEFAULT_COINCIDENCE_TOL, EigenPair2, eig2
-from .tensors import Tensor222, multilinear_rank, scaled_entries, unit_scaled
+from .tensors import DEFAULT_RANK_TOL, Tensor222, multilinear_rank, scaled_entries, unit_scaled
 
 __all__ = [
     "ORBITS",
@@ -149,6 +149,17 @@ def _slab_entries(X) -> list:
     return X1.ravel().tolist() + X2.ravel().tolist()
 
 
+def _hyperdets(A):
+    """`hyperdet` of each tensor of the stack A (..., 2, 2, 2), with the
+    same exact scaling: (Delta of A / 2^e, e, A / 2^e, max|entry|), with
+    max|entry| / 2^e in [1/2, 1).  Delta is Delta of A / 2^e times 2^(4e)."""
+    scale = np.abs(A).max(axis=(-3, -2, -1))
+    exponent = np.frexp(scale)[1]
+    unit = np.ldexp(A, -exponent[..., None, None, None])
+    delta = _delta(*(unit[..., i, j, k] for k in (0, 1) for i in (0, 1) for j in (0, 1)))
+    return delta, exponent, unit, scale
+
+
 def hyperdet(X) -> float:
     """Hyperdeterminant: discriminant of det(l1 X1 + l2 X2) in (l1, l2).
 
@@ -185,11 +196,21 @@ def pencil_eigs(X, slab_order: str = "21",
         other = "21"
     else:
         raise ValueError("slab_order must be '21' or '12'")
-    if np.linalg.cond(den) > PENCIL_COND_CAP:
+    if not _invertible(den):
         raise ValueError(
             f"designated slab is singular or ill-conditioned; try slab_order='{other}'")
-    quotient = np.linalg.solve(den.T, num.T).T
-    return eig2(quotient, coincidence_tol)
+    return eig2(_quotient(num, den), coincidence_tol)
+
+
+def _invertible(den):
+    """Whether each slab (..., 2, 2) is inverted in a pencil quotient: its
+    condition number is at most PENCIL_COND_CAP."""
+    return np.linalg.cond(den) <= PENCIL_COND_CAP
+
+
+def _quotient(num, den):
+    """num den^-1 for each pair of slabs (..., 2, 2), as (den^-T num^T)^T."""
+    return np.linalg.solve(den.swapaxes(-1, -2), num.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
 def slab_pencil(X, coincidence_tol: float = DEFAULT_COINCIDENCE_TOL) -> EigenPair2 | None:
@@ -210,6 +231,36 @@ def _entry_scale(X) -> float:
     return float(max(np.max(np.abs(X1)), np.max(np.abs(X2))))
 
 
+def _rank_tol(tol: float) -> float:
+    """The relative cutoff of the rank and zero decisions that go with the
+    Delta band ``tol``.  A residual meets Delta = 0 only to solver accuracy,
+    so its Delta band is wide, but an unfolding with sigma_2 / sigma_1 of
+    1e-7 has rank 2: these cutoffs never exceed DEFAULT_RANK_TOL."""
+    return min(tol, DEFAULT_RANK_TOL)
+
+
+def _is_zero(scale: float, zero_scale, tol: float) -> bool:
+    """The D0 decision on the largest entry magnitude ``scale``, relative to
+    an external ``zero_scale`` when one is given."""
+    return scale == 0.0 or (zero_scale is not None and scale <= _rank_tol(tol) * zero_scale)
+
+
+def _orbit(mlr: tuple, delta: float, quartic: float, tol: float) -> str:
+    """The orbit of a nonzero tensor from its multilinear rank and its
+    hyperdeterminant, with ``quartic`` the fourth power of its largest entry
+    magnitude on the scale of ``delta``: |Delta| <= tol * quartic is the
+    boundary D3."""
+    if max(mlr) <= 1:
+        return "D1"
+    if min(mlr) == 1:
+        return ("D2p", "D2pp", "D2")[mlr.index(1)]
+    if delta > tol * quartic:
+        return "G2"
+    if delta < -tol * quartic:
+        return "G3"
+    return "D3"
+
+
 def classify(X, tol: float = 1e-9, zero_scale: float | None = None) -> OrbitLabel:
     """Orbit of a 2x2x2 tensor.
 
@@ -217,34 +268,26 @@ def classify(X, tol: float = 1e-9, zero_scale: float | None = None) -> OrbitLabe
     rank (2,2,2) the sign of the hyperdeterminant with a band of
     ``tol * max|entry|^4`` separates G2 (+), G3 (-) and the boundary D3.
     ``zero_scale`` supplies an external magnitude reference so that
-    numerically-zero residual tensors classify as D0/D1.  The rank and
-    Delta decisions run on X / 2^e with max|entry| / 2^e in [1/2, 1): the
-    division is exact, so the label and margin do not depend on the scale
-    and the degree-4 hyperdeterminant neither overflows nor underflows.
-    A SymTensor222 is classified by its expansion.
+    numerically-zero residual tensors classify as D0.  The rank and zero
+    decisions use the relative cutoff min(tol, DEFAULT_RANK_TOL), so a
+    Delta band widened for residuals does not lower their rank.  The rank
+    and Delta decisions run on X / 2^e with max|entry| / 2^e in [1/2, 1):
+    the division is exact, so the label and margin do not depend on the
+    scale and the degree-4 hyperdeterminant neither overflows nor
+    underflows.  A SymTensor222 is classified by its expansion.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if isinstance(X, SymTensor222):
         X = X.tensor()
     scale = _entry_scale(X)
-    if scale == 0.0 or (zero_scale is not None and scale <= tol * float(zero_scale)):
+    if _is_zero(scale, zero_scale, tol):
         return OrbitLabel("D0", 0.0)
     X, exponent = unit_scaled(X)
     quartic = math.ldexp(scale, -exponent) ** 4
     delta = _delta(*_slab_entries(X))
-    margin = abs(delta) / quartic
-    mlr = multilinear_rank(X, tol).as_tuple()
-    if max(mlr) <= 1:
-        return OrbitLabel("D1", margin)
-    if min(mlr) == 1:
-        which = mlr.index(1)
-        return OrbitLabel(("D2p", "D2pp", "D2")[which], margin)
-    if delta > tol * quartic:
-        return OrbitLabel("G2", margin)
-    if delta < -tol * quartic:
-        return OrbitLabel("G3", margin)
-    return OrbitLabel("D3", margin)
+    mlr = multilinear_rank(X, _rank_tol(tol)).as_tuple()
+    return OrbitLabel(_orbit(mlr, delta, quartic, tol), abs(delta) / quartic)
 
 
 def classify_sym(Xs: SymTensor222, tol: float = 1e-9,

@@ -34,9 +34,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import smallalg
-from .orbits import SymTensor222, hyperdet, hyperdet_sym
-from .tensors import (Rank1Term, Tensor222, TensorPxPx2, frobenius_norm_sq, scaled_entries,
-                      unit_scaled)
+from .orbits import SymTensor222, _hyperdets, hyperdet_sym
+from .tensors import (Rank1Term, Tensor222, TensorPxPx2, _as_array, frobenius_norm_sq,
+                      scaled_entries, unit_scaled)
 
 __all__ = [
     "StationaryPoint",
@@ -70,6 +70,8 @@ CROSSING_TOL = 1e-9     # sqrt(Q) / scale at or below which S(phi) is a multiple
 F_ROUNDOFF = 16.0 * np.finfo(float).eps   # |F| / (m'^2 Q + (Q'/2)^2) of round-off
 THETA_GRID_PER_P = 16    # grid points in phi = 2t per unit of p
 THETA_MAX_STEPS = 8
+THETA_STACK_CHUNK = 256   # tensors per stacked solve, which bounds its memory
+NOT_CONVERGED = "theta-grid refinement did not converge"
 HOPM_RESTARTS = 8
 
 
@@ -241,10 +243,12 @@ def boundary_only_quadratic(X, var: str = "z") -> np.ndarray:
 
 def _gram_pencil(arr):
     """S = (S0, S1, S2) with S0 + cos(phi) S1 + sin(phi) S2 = M^T M for the
-    slab combination M = cos(phi/2) X1 + sin(phi/2) X2 (also of pxpx2)."""
-    X1, X2 = arr[:, :, 0], arr[:, :, 1]
-    A, B, C = X1.T @ X1, X1.T @ X2, X2.T @ X2
-    return np.stack([(A + C) / 2.0, (A - C) / 2.0, (B + B.T) / 2.0])
+    slab combination M = cos(phi/2) X1 + sin(phi/2) X2 (also of pxpx2), for
+    one tensor (p, p, 2) or a stack (..., p, p, 2); S has shape (..., 3, p, p)."""
+    X1, X2 = arr[..., 0], arr[..., 1]
+    X1t = X1.swapaxes(-1, -2)
+    A, B, C = X1t @ X1, X1t @ X2, X2.swapaxes(-1, -2) @ X2
+    return np.stack([(A + C) / 2.0, (A - C) / 2.0, (B + B.swapaxes(-1, -2)) / 2.0], axis=-3)
 
 
 @dataclass(frozen=True)
@@ -445,13 +449,15 @@ def stationary_points_222(X) -> EnumerationResult:
     resid = arr - np.einsum("ni,nj,nk->nijk", x, Y, Z)
     values = np.ldexp((resid ** 2).sum(axis=(1, 2, 3)), 2 * exponent)
     x = np.ldexp(x, exponent)
+    delta, resid_exponent = _hyperdets(resid)[:2]
+    with np.errstate(over="ignore"):
+        delta = np.ldexp(delta, 4 * (resid_exponent + exponent)).tolist()
     degenerate = np.linalg.norm(x, axis=1) <= DEGENERATE_X_TOL * (1.0 + np.linalg.norm(t.array))
     # cos never returns 0, so the chart coordinates are finite
     y2, z2 = Y[:, 1] / Y[:, 0], Z[:, 1] / Z[:, 0]
     x *= (Y[:, 0] * Z[:, 0])[:, None]
     points = sorted((StationaryPoint(float(y2[n]), float(z2[n]), x[n], float(values[n]),
-                                     hyperdet(np.ldexp(resid[n], exponent)), bool(pd[n]),
-                                     bool(degenerate[n]))
+                                     delta[n], bool(pd[n]), bool(degenerate[n]))
                      for n in range(phi.size)), key=lambda s: (s.psi, s.y2, s.z2))
     return EnumerationResult(tuple(points), max(0, 8 - len(points)))
 
@@ -519,32 +525,131 @@ def best_rank1_222(X, cross_check: bool = True) -> BestRank1Result:
 # ---------------------------------------------------------------------------
 
 def _slab_combination(arr, phi):
-    """cos(phi/2) X1 + sin(phi/2) X2 for each angle in ``phi``, stacked."""
+    """cos(phi/2) X1 + sin(phi/2) X2 of the tensors arr (..., p, p, 2) at the
+    angles phi, broadcast against the leading axes of arr."""
     half = 0.5 * phi
-    return np.cos(half)[:, None, None] * arr[:, :, 0] + np.sin(half)[:, None, None] * arr[:, :, 1]
+    return np.cos(half)[..., None, None] * arr[..., 0] + np.sin(half)[..., None, None] * arr[..., 1]
 
 
 def _theta_eval(arr, S, phi):
-    """lambda = sigma_max^2 of the slab combination at each angle in ``phi``,
-    its first and second derivatives in phi, and the term factors x, y.
+    """lambda = sigma_max^2 of the slab combination at each angle, its first
+    and second derivatives in phi, and the term factors x, y; arr (..., p, p, 2)
+    and its `_gram_pencil` S broadcast against the angles phi.
 
     lambda is the top eigenvalue of S[0] + cos(phi) S[1] + sin(phi) S[2];
     its right singular vectors are the eigenvectors.
     """
     U, sigma, Vt = np.linalg.svd(_slab_combination(arr, phi))
     lam = sigma * sigma
-    v = Vt[:, 0]
-    # Q[k, a, i] = v_i^T S[a] v_1 at phi[k], with v_i the i-th right singular vector
-    Q = (Vt[:, None] @ (S @ v[:, None, :, None]))[..., 0]
-    # c[k, i] = v_i^T S'(phi) v_1, with S' = -sin(phi) S[1] + cos(phi) S[2]
-    c = np.cos(phi)[:, None] * Q[:, 2] - np.sin(phi)[:, None] * Q[:, 1]
-    gap = lam[:, :1] - lam[:, 1:]
+    v = Vt[..., 0, :]
+    # Q[..., a, i] = v_i^T S[a] v_1, with v_i the i-th right singular vector
+    Q = (Vt[..., None, :, :] @ (S @ v[..., None, :, None]))[..., 0]
+    # c[..., i] = v_i^T S'(phi) v_1, with S' = -sin(phi) S[1] + cos(phi) S[2]
+    c = np.cos(phi)[..., None] * Q[..., 2, :] - np.sin(phi)[..., None] * Q[..., 1, :]
+    gap = lam[..., :1] - lam[..., 1:]
     # a zero gap is a multiplicity that persists in phi (orthogonal slabs),
     # for which the coupling inside the eigenspace vanishes
-    coupling = c[:, 1:] ** 2 / np.where(gap > 0.0, gap, np.inf)
+    coupling = c[..., 1:] ** 2 / np.where(gap > 0.0, gap, np.inf)
     # S''(phi) = S[0] - S(phi)
-    d2 = Q[:, 0, 0] - lam[:, 0] + 2.0 * coupling.sum(axis=1)
-    return lam[:, 0], c[:, 0], d2, sigma[:, 0, None] * U[:, :, 0], v
+    d2 = Q[..., 0, 0] - lam[..., 0] + 2.0 * coupling.sum(axis=-1)
+    return lam[..., 0], c[..., 0], d2, sigma[..., :1] * U[..., 0], v
+
+
+def _best_rank1_stack(X):
+    """`best_rank1_pxpx2` of each tensor of the stack X (N, p, p, 2), as the
+    arrays (psi, x, y, z, converged, steps); solved THETA_STACK_CHUNK
+    tensors at a time."""
+    X = np.asarray(X, dtype=float)
+    parts = [_theta_stack(X[i:i + THETA_STACK_CHUNK])
+             for i in range(0, len(X), THETA_STACK_CHUNK)]
+    return parts[0] if len(parts) == 1 else tuple(np.concatenate(a) for a in zip(*parts))
+
+
+def _theta_stack(X):
+    """`_best_rank1_stack` of one chunk.
+
+    Each tensor gets the computation it would get alone: its own exact
+    prescale, grid maximum and certificate, and its kept lanes are refined
+    until all of them are done, or THETA_MAX_STEPS.  A tensor's lanes form
+    a row, padded with copies of its last lane, which take the same steps;
+    a tensor leaves the refinement with its row.
+    """
+    n, p = len(X), X.shape[1]
+    exponent = np.frexp(np.abs(X.reshape(n, -1)).max(axis=1))[1]
+    unit = np.ldexp(X, -exponent[:, None, None, None])
+    arr = unit[:, None]
+    S = _gram_pencil(arr)
+    lip = np.sqrt((S[:, 0, 1:] ** 2).reshape(n, -1).sum(axis=1))
+    h = 2.0 * math.pi / (THETA_GRID_PER_P * p)
+    grid = np.linalg.svd(_slab_combination(arr, np.arange(THETA_GRID_PER_P * p) * h),
+                         compute_uv=False)[..., 0] ** 2
+    kept = grid + (lip * (1.0 - math.cos(0.5 * h)))[:, None] >= grid.max(axis=1, keepdims=True)
+    count = kept.sum(axis=1)
+    width = count.max()
+    lanes = np.nonzero(kept)[1]
+    if lanes.size < n * width:
+        lanes = lanes[(np.cumsum(count) - count)[:, None]
+                      + np.minimum(np.arange(width), count[:, None] - 1)]
+    phi = lanes.reshape(n, width) * h
+    lo, hi = phi - h, phi + h
+    flat = 1e-14 * lip[:, None]
+    active = np.arange(n)
+    # per tensor: its steps, and phi, x, y and done of its chosen evaluation
+    out = (np.empty(n, dtype=int), np.empty(n), np.empty((n, p)), np.empty((n, p)),
+           np.empty(n, dtype=bool))
+    for steps in range(1, THETA_MAX_STEPS + 1):
+        lam, d1, d2, x, y = _theta_eval(arr, S, phi)
+        # stationary to round-off, or a predicted Newton gain below it
+        done = (np.abs(d1) <= flat) | ((d2 < 0.0) & (d1 * d1 <= -2e-15 * d2 * lam))
+        # each lane's largest lambda so far, on a tie the latest step: its
+        # lambda, phi, x, y and done there, and that step (one number while
+        # every lane's best is its latest evaluation)
+        later = None if steps == 1 else lam >= best[0]
+        if later is None or later.all():
+            best, best_step = (lam, phi, x, y, done), steps
+        else:
+            wide = later[..., None]
+            best = (np.where(later, lam, best[0]), np.where(later, phi, best[1]),
+                    np.where(wide, x, best[2]), np.where(wide, y, best[3]),
+                    np.where(later, done, best[4]))
+            best_step = np.where(later, steps, best_step)
+        # every tensor leaves, or those whose lanes are all done, which with
+        # one tensor left is the same
+        finished = steps == THETA_MAX_STEPS or done.all()
+        leave = None if finished or len(active) == 1 else done.all(axis=1)
+        if finished or (leave is not None and leave.any()):
+            # the largest lambda, on a tie the latest step and in it the
+            # first lane: the running best of the scalar solve, which takes
+            # each step's first argmax lane when it is no lower
+            rows = slice(None) if finished else leave
+            top = best[0][rows]
+            if np.ndim(best_step):
+                top = np.where(top == top.max(axis=1, keepdims=True), best_step[rows], 0)
+            pick, idx = (np.arange(len(top)), top.argmax(axis=1)), active[rows]
+            out[0][idx] = steps
+            for o, b in zip(out[1:], best[1:]):
+                o[idx] = b[rows][pick]
+            if finished:
+                break
+            stay = ~leave
+            best = tuple(b[stay] for b in best)
+            if np.ndim(best_step):
+                best_step = best_step[stay]
+            active, arr, S, flat, phi, lo, hi, d1, d2, done = (
+                a[stay] for a in (active, arr, S, flat, phi, lo, hi, d1, d2, done))
+        rising = d1 > 0.0
+        lo = np.where(rising, phi, lo)
+        hi = np.where(rising, hi, phi)
+        newton = phi - d1 / np.where(d2 < 0.0, d2, -np.inf)
+        inside = done | ((d2 < 0.0) & (lo <= newton) & (newton <= hi))
+        phi = np.where(inside, newton, 0.5 * (lo + hi))
+    taken, phi, x, y, converged = out
+    half, z = 0.5 * phi, np.empty((n, 2))
+    np.cos(half, out=z[:, 0])
+    np.sin(half, out=z[:, 1])
+    value = ((unit - np.einsum("ni,nj,nk->nijk", x, y, z)) ** 2).sum(axis=(1, 2, 3))
+    return (np.ldexp(value, 2 * exponent), np.ldexp(x, exponent[:, None]), y, z, converged,
+            taken)
 
 
 def best_rank1_pxpx2(X) -> BestRank1Result:
@@ -569,40 +674,14 @@ def best_rank1_pxpx2(X) -> BestRank1Result:
     No restarts or seeds.  The solve runs on X / 2^e with max|entry| / 2^e
     in [1/2, 1), which is exact, so psi(2^k X) = 4^k psi(X) over the whole
     double range.  ``converged`` is False when the refinement stopped at
-    its step limit without reaching a stationary point.
+    its step limit without reaching a stationary point.  This is the
+    one-tensor case of the stacked solve that the experiments run.
     """
-    arr, exponent = unit_scaled(X)
-    S = _gram_pencil(arr)
-    lip = math.sqrt(float((S[1:] ** 2).sum()))
-    h = 2.0 * math.pi / (THETA_GRID_PER_P * arr.shape[0])
-    phi = np.arange(THETA_GRID_PER_P * arr.shape[0]) * h
-    grid = np.linalg.svd(_slab_combination(arr, phi), compute_uv=False)[:, 0] ** 2
-    phi = phi[grid + lip * (1.0 - math.cos(0.5 * h)) >= grid.max()]
-    lo, hi = phi - h, phi + h
-    best = None
-    for steps in range(1, THETA_MAX_STEPS + 1):
-        lam, d1, d2, x, y = _theta_eval(arr, S, phi)
-        # stationary to round-off, or a predicted Newton gain below it
-        done = (np.abs(d1) <= 1e-14 * lip) | ((d2 < 0.0) & (d1 * d1 <= -2e-15 * d2 * lam))
-        k = int(np.argmax(lam))
-        if best is None or lam[k] >= best[0]:
-            best = (lam[k], phi[k], x[k], y[k], bool(done[k]))
-        if done.all():
-            break
-        rising = d1 > 0.0
-        lo = np.where(rising, phi, lo)
-        hi = np.where(rising, hi, phi)
-        newton = phi - d1 / np.where(d2 < 0.0, d2, -np.inf)
-        inside = done | ((d2 < 0.0) & (lo <= newton) & (newton <= hi))
-        phi = np.where(inside, newton, 0.5 * (lo + hi))
-    _, phi_best, x, y, converged = best
-    z = np.array([math.cos(0.5 * phi_best), math.sin(0.5 * phi_best)])
-    value = float(((arr - np.einsum("i,j,k->ijk", x, y, z)) ** 2).sum())
-    term = Rank1Term(np.ldexp(x, exponent), y, z)
-    warnings = () if converged else ("theta-grid refinement did not converge",)
-    return BestRank1Result(term, float(np.ldexp(value, 2 * exponent)), (), 1,
-                           converged=converged, iterations=steps, method="theta",
-                           warnings=warnings)
+    psi, x, y, z, converged, steps = _best_rank1_stack(_as_array(X)[None])
+    converged = bool(converged[0])
+    return BestRank1Result(Rank1Term(x[0], y[0], z[0]), float(psi[0]), (), 1,
+                           converged=converged, iterations=int(steps[0]), method="theta",
+                           warnings=() if converged else (NOT_CONVERGED,))
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +733,8 @@ def stationary_points_sym(Xs: SymTensor222) -> EnumerationResult:
     most, so the chart cubic keeps degree 3 and no root is lost, including
     y2 = 0 when b = 0.  Roots within `smallalg.IMAG_TOL` of the real axis
     are real and those that close to each other are one direction, which
-    is listed once; ``n_complex`` is 3 minus the number listed.  ``z`` is
+    is listed once; ``n_complex`` counts the non-real roots, so a double
+    real root is one point and no complex one.  ``z`` is
     y1/y2 (+-inf at y2 = 0).  The solve runs on Xs / 2^e (exact), so psi
     scales exactly.  Raises ValueError for the zero tensor, on which H
     vanishes identically.
@@ -674,7 +754,9 @@ def stationary_points_sym(Xs: SymTensor222) -> EnumerationResult:
     z = np.roots(sym_stationarity_cubic(rotated)[::-1])
     # round-off moves a double root off the real axis or splits it along it
     # by about the same amount, so one band decides realness and distinctness
-    z = np.sort(z.real[np.abs(z.imag) <= smallalg.IMAG_TOL * (1.0 + np.abs(z.real))])
+    real = np.abs(z.imag) <= smallalg.IMAG_TOL * (1.0 + np.abs(z.real))
+    n_complex = int(z.size - np.count_nonzero(real))
+    z = np.sort(z.real[real])
     z = z[np.append(True, np.diff(z) > smallalg.IMAG_TOL * (1.0 + np.abs(z[1:])))]
     u = (z[:, None] * w + v) / np.hypot(z, 1.0)[:, None]
     f = (u * _sym_contraction(entries, u)).sum(axis=1)
@@ -691,7 +773,7 @@ def stationary_points_sym(Xs: SymTensor222) -> EnumerationResult:
                                         float(np.ldexp(values[n], 2 * exponent)),
                                         hyperdet_sym(np.ldexp(resid[n], exponent)))
                      for n in range(z.size)), key=lambda s: (s.psi, s.z))
-    return EnumerationResult(tuple(points), 3 - len(points))
+    return EnumerationResult(tuple(points), n_complex)
 
 
 def _sym_gradient(Xs: SymTensor222, y) -> np.ndarray:

@@ -224,6 +224,19 @@ class EigenPair2:
         return self.kind == "DoubleRealDefective"
 
 
+def _eig2_terms(M, coincidence_tol: float):
+    """The closed form behind `eig2` for each 2x2 matrix of M (..., 2, 2):
+    half the trace, the discriminant, the gap sqrt(|discriminant|), and
+    whether the eigenvalues are one double eigenvalue, i.e. closer than
+    ``coincidence_tol * (1 + max|lambda|)``."""
+    tr = M[..., 0, 0] + M[..., 1, 1]
+    det = M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
+    disc = tr * tr - 4.0 * det
+    gap = np.sqrt(abs(disc))
+    lam_scale = np.maximum(abs(tr) / 2.0 + gap / 2.0, np.sqrt(abs(det)))
+    return tr / 2.0, disc, gap, gap <= coincidence_tol * (1.0 + lam_scale)
+
+
 def eig2(M, coincidence_tol: float = DEFAULT_COINCIDENCE_TOL) -> EigenPair2:
     """Classify the eigenstructure of a 2x2 matrix with a coincidence band.
 
@@ -231,27 +244,18 @@ def eig2(M, coincidence_tol: float = DEFAULT_COINCIDENCE_TOL) -> EigenPair2:
     identical; defectiveness is decided by the rank of M - lambda I.
     """
     M = np.asarray(M, dtype=float)
-    if M.shape != (2, 2) or not np.all(np.isfinite(M)):
+    if M.shape != (2, 2) or not np.isfinite(M).all():
         raise ValueError("expected a finite 2x2 matrix")
-    tr = M[0, 0] + M[1, 1]
-    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-    disc = tr * tr - 4.0 * det
-    gap = np.sqrt(abs(disc))
-    lam_scale = max(abs(tr) / 2.0 + gap / 2.0, np.sqrt(abs(det)))
-    band = coincidence_tol * (1.0 + lam_scale)
-    if gap <= band:
-        lam = tr / 2.0
-        shifted = M - lam * np.eye(2)
-        sigma_max = np.linalg.norm(shifted, 2)
+    half, disc, gap, double = _eig2_terms(M, coincidence_tol)
+    if double:
+        sigma_max = np.linalg.norm(M - half * np.eye(2), 2)
         mat_scale = 1.0 + np.abs(M).max()
         if sigma_max <= coincidence_tol * mat_scale:
-            return EigenPair2("DoubleRealDiagonalizable", (lam, lam), 2, gap)
-        return EigenPair2("DoubleRealDefective", (lam, lam), 1, gap)
+            return EigenPair2("DoubleRealDiagonalizable", (half, half), 2, gap)
+        return EigenPair2("DoubleRealDefective", (half, half), 1, gap)
     if disc > 0:
-        lam1 = (tr + np.sqrt(disc)) / 2.0
-        lam2 = (tr - np.sqrt(disc)) / 2.0
-        return EigenPair2("DistinctReal", (lam1, lam2), 2, gap)
-    return EigenPair2("ComplexPair", (tr / 2.0, np.sqrt(-disc) / 2.0), 2, gap)
+        return EigenPair2("DistinctReal", (half + gap / 2.0, half - gap / 2.0), 2, gap)
+    return EigenPair2("ComplexPair", (half, gap / 2.0), 2, gap)
 
 
 @dataclass(frozen=True)

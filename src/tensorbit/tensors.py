@@ -35,7 +35,7 @@ DEFAULT_RANK_TOL = 1e-9
 
 def _frozen_array(values, shape) -> np.ndarray:
     arr = np.array(values, dtype=float).reshape(shape)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("tensor entries must be finite")
     arr.flags.writeable = False
     return arr
@@ -173,6 +173,12 @@ class MultilinearRank:
         return hash(self.as_tuple())
 
 
+def _slab_major(flat) -> np.ndarray:
+    """The (..., 2, 2, 2) arrays of slab-major entries (..., 8), (a, ..., h)."""
+    flat = np.asarray(flat)
+    return np.moveaxis(flat.reshape(flat.shape[:-1] + (2, 2, 2)), -3, -1)
+
+
 def _as_array(X) -> np.ndarray:
     if isinstance(X, (Tensor222, TensorPxPx2)):
         return X.array
@@ -244,11 +250,18 @@ def unit_scaled(X):
     return np.array(entries).reshape(arr.shape), exponent
 
 
-def _unfolding_rank(mat: np.ndarray, tol: float) -> int:
-    sv = np.linalg.svd(mat, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(sv > tol * sv[0]))
+def _ranks(arr, tol: float) -> tuple:
+    """Mode-1, 2 and 3 unfolding ranks of a tensor, or of each tensor of a
+    stack (..., n1, n2, n3): the singular values above ``tol`` times the
+    largest one."""
+    k = arr.ndim - 3
+    lead = tuple(range(k))
+    ranks = []
+    for axes in ((k, k + 1, k + 2), (k + 1, k, k + 2), (k + 2, k, k + 1)):
+        mat = arr.transpose(lead + axes)
+        sv = np.linalg.svd(mat.reshape(mat.shape[:-2] + (-1,)), compute_uv=False)
+        ranks.append((sv > tol * sv[..., :1]).sum(axis=-1))
+    return tuple(ranks)
 
 
 def multilinear_rank(X, tol: float = DEFAULT_RANK_TOL) -> MultilinearRank:
@@ -258,9 +271,4 @@ def multilinear_rank(X, tol: float = DEFAULT_RANK_TOL) -> MultilinearRank:
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    arr = _as_array(X)
-    n1, n2, n3 = arr.shape
-    m1 = arr.reshape(n1, n2 * n3)
-    m2 = np.moveaxis(arr, 1, 0).reshape(n2, n1 * n3)
-    m3 = np.moveaxis(arr, 2, 0).reshape(n3, n1 * n2)
-    return MultilinearRank(*(_unfolding_rank(m, tol) for m in (m1, m2, m3)))
+    return MultilinearRank(*(int(r) for r in _ranks(_as_array(X), tol)))

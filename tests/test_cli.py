@@ -150,6 +150,22 @@ def test_cli_deflate_sym_cube_reaches_zero(capsys):
     assert len(payload["steps"]) == 1
 
 
+def test_cli_deflate_keeps_a_residual_near_rank_one_on_d3(capsys):
+    # the step-1 residual's unfoldings have sigma_2 / sigma_1 = 1.5e-7: rank
+    # 2, so the wide Delta band of a residual must not relabel it D1, nor
+    # the tiny step-2 residual D0
+    data = "1.4046058249188424,-0.35844521370669874,1.5310752312805849,-0.8948617269467041"
+    code, out, _ = _run(capsys, "deflate", f"--data={data}", "--steps", "2")
+    first, second = json.loads(out)["steps"]
+    assert (first["orbit_after"], first["residual_mlrank"]) == ("D3", [2, 2, 2])
+    assert second["orbit_after"] != "D0"
+
+
+def test_cli_rank1_sym_double_root_is_not_complex(capsys):
+    code, out, _ = _run(capsys, "rank1", "--data=1,0,0,0", "--json")
+    assert json.loads(out)["n_complex_points"] == 0
+
+
 @pytest.mark.parametrize("argv", [("rank1", "--tol", "1e-9"),
                                   ("rank1", "--coincidence-tol", "1e-6"),
                                   ("decompose", "--coincidence-tol", "1e-6")])

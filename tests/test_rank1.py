@@ -9,6 +9,8 @@ from tensorbit import (Rank1Term, Tensor222, TensorPxPx2, best_rank1_222, best_r
                        canonical_form, detect_infinite_best, frobenius_norm_sq, hopm,
                        hyperdet, multilinear_transform, optimal_x, psi, psi_surface,
                        stationary_points_222)
+from tensorbit import rank1
+from tensorbit.rank1 import NOT_CONVERGED, _best_rank1_stack
 from conftest import (BOUNDARY_TO_D2, TABLE_A1, TABLE_A2, WORKED_G2, WORKED_G3,
                       random_tensor)
 
@@ -390,6 +392,35 @@ def test_theta_solver_constant_criterion(khl):
     res = best_rank1_pxpx2(khl)
     assert abs(res.psi - 3.0) <= 1e-12
     assert res.converged
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_theta_stack_solves_each_tensor_as_alone(p, khl):
+    # mixed scales, the zero tensor and (for p = 2) the orthogonal-slab
+    # tensor, whose criterion is constant, in one stack
+    rng = np.random.default_rng(40 + p)
+    stack = [np.ldexp(rng.standard_normal((p, p, 2)), k) for k in (0, 500, -500, 3, -7)]
+    stack.append(np.zeros((p, p, 2)))
+    stack += list(rng.standard_normal((20, p, p, 2)))
+    if p == 2:
+        stack.append(khl.array)
+    psis, x, y, z, converged, steps = _best_rank1_stack(np.stack(stack))
+    for n, arr in enumerate(stack):
+        alone = best_rank1_pxpx2(arr)
+        assert abs(psis[n] - alone.psi) <= 1e-15 * float((arr ** 2).sum())
+        assert converged[n] == alone.converged and steps[n] == alone.iterations
+        warnings = () if converged[n] else (NOT_CONVERGED,)
+        assert warnings == alone.warnings
+        term = np.einsum("i,j,k->ijk", x[n], y[n], z[n])
+        np.testing.assert_array_equal(term, alone.term.tensor())
+
+
+def test_theta_stack_in_chunks_matches_one_call(monkeypatch):
+    X = np.random.default_rng(7).standard_normal((8, 3, 3, 2))
+    whole = _best_rank1_stack(X)
+    monkeypatch.setattr(rank1, "THETA_STACK_CHUNK", 3)
+    for chunked, one in zip(_best_rank1_stack(X), whole):
+        np.testing.assert_array_equal(chunked, one)
 
 
 # ---------------------------------------------------------------------------

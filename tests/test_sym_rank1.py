@@ -134,7 +134,7 @@ def test_best_rank1_sym_when_b_is_zero():
 def test_stationary_points_sym_lists_each_direction_once():
     # H = y1^2 y2: e1 (the cube itself) and the double root e2 (the zero term)
     enum = stationary_points_sym(SymTensor222(1, 0, 0, 0))
-    assert len(enum) == 2 and enum.n_complex == 1
+    assert len(enum) == 2 and enum.n_complex == 0
     np.testing.assert_allclose([p.psi for p in enum], [0.0, 1.0], atol=1e-15)
     assert abs(enum[0].z) == np.inf
 
