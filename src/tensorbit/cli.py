@@ -228,7 +228,7 @@ def cmd_deflate(args) -> int:
             "warnings": list(report.warnings),
         })
         current = residual
-        if frobenius_norm_sq(current) < 1e-12 * max(1.0, start_norm):
+        if frobenius_norm_sq(current) <= 1e-12 * start_norm:
             break
     _emit({"command": "deflate", "kind": doc.kind, "label": doc.label,
            "steps": reports})

@@ -14,9 +14,11 @@ pxpx2 kinds solve the whole stack in one call of the theta-grid kernel,
 and a trial whose refinement did not converge is named in the failure
 reasons; the generic kind takes each trial's term from one
 stationary-point enumeration.  Both full 2x2x2 kinds compute their orbit
-reports as a stack.  Where a solver works trial by trial, a trial that
-raises becomes an error row with a failure reason and does not stop the
-run.  Per-trial rows can be dumped as CSV; summaries are
+reports as a stack, and the pxpx2 kind counts the slab-pencil spectra of
+its inputs and of its residuals as two stacks, one eigenvalue call each.
+A trial that cannot be reported (it raises, or its slab quotient is
+singular or not finite) becomes an error row with a failure reason and
+does not stop the run.  Per-trial rows can be dumped as CSV; summaries are
 plain dicts ready for JSON.
 """
 
@@ -32,7 +34,7 @@ from .decomp import DomainError
 from .orbits import (OrbitLabel, SymTensor222, _entry_scale, _hyperdets, _invertible, _is_zero,
                      _orbit, _quotient, _rank_tol, canonical_form, classify, hyperdet,
                      slab_pencil)
-from .smallalg import _eig2_terms, spectrum_small
+from .smallalg import _eig2_terms, spectra_small
 from .tensors import MultilinearRank, Tensor222, TensorPxPx2, _ranks, _slab_major, \
     frobenius_norm_sq, multilinear_rank, multilinear_transform
 
@@ -421,40 +423,32 @@ def experiment_pxpx2(p: int, trials: int, seed: int = 0) -> ExperimentStats:
     trials are solved in one call of its stacked kernel.  The
     slab-pencil spectrum of the residual is compared with the input's:
     conjecture-consistent means exactly one coincident pair appears and
-    the complex-pair count drops from n to max(0, n - 1).  A trial whose
-    refinement did not converge is listed in the failure reasons and left
-    out of the fractions.
+    the complex-pair count drops from n to max(0, n - 1).  The spectra are
+    counted as a stack, the inputs' and the residuals' with one
+    `smallalg.spectra_small` call each; a trial whose slab quotient is
+    singular or not finite is an error row.  A trial whose refinement did
+    not converge is listed in the failure reasons and left out of the
+    fractions.
     """
     if not 2 <= p <= 8:
         raise ValueError("p must be between 2 and 8")
-
-    def spectra_row(trial):
-        X, Z, psi, converged = trial
-        spec_x = spectrum_small(_quotient(X[:, :, 1], X[:, :, 0]), PAIRING_BAND)
-        spec_z = spectrum_small(_quotient(Z[:, :, 1], Z[:, :, 0]), PAIRING_BAND)
-        n = spec_x.n_complex_pairs
-        consistent = (spec_z.n_coincident_real_pairs == 1
-                      and spec_z.n_complex_pairs == max(0, n - 1))
-        return {
-            "orbit_before": f"ncomplex={n}",
-            "orbit_after": "D3" if consistent else "other",
-            "delta_before": None,
-            "delta_after": None,
-            "delta_after_scaled": None,
-            "psi": psi,
-            "eigen_gap": None,
-            "mlrank": "",
-            "converged": converged,
-            "coincident_pairs": spec_z.n_coincident_real_pairs,
-            "complex_before": n,
-            "complex_after": spec_z.n_complex_pairs,
-        }
 
     def solve(inputs):
         X = np.stack(inputs)
         psi, x, y, z, converged, _ = rank1._best_rank1_stack(X)
         Z = X - np.einsum("ni,nj,nk->nijk", x, y, z)
-        rows, reasons = _each(spectra_row)(list(zip(X, Z, psi.tolist(), converged.tolist())))
+        _, before, _, ok_x = spectra_small(_quotient(X[..., 1], X[..., 0]), PAIRING_BAND)
+        _, after, pairs, ok_z = spectra_small(_quotient(Z[..., 1], Z[..., 0]), PAIRING_BAND)
+        ok = ok_x & ok_z
+        # no Delta, gap or mlrank here: those fields keep the error row's blanks
+        rows = [dict(_error_row(), orbit_before=f"ncomplex={n}", psi=v, converged=conv,
+                     orbit_after="D3" if c == 1 and m == max(0, n - 1) else "other",
+                     coincident_pairs=c, complex_before=n, complex_after=m)
+                if good else _error_row()
+                for n, m, c, good, v, conv in zip(before.tolist(), after.tolist(), pairs.tolist(),
+                                                  ok.tolist(), psi.tolist(), converged.tolist())]
+        reasons = [f"trial {t}: a slab quotient is singular or not finite"
+                   for t in np.flatnonzero(~ok)]
         return rows, reasons + _unconverged(converged)
 
     rows, reasons = _run(trials, seed, lambda rng: rng.standard_normal((p, p, 2)), solve)

@@ -209,8 +209,16 @@ def _invertible(den):
 
 
 def _quotient(num, den):
-    """num den^-1 for each pair of slabs (..., 2, 2), as (den^-T num^T)^T."""
-    return np.linalg.solve(den.swapaxes(-1, -2), num.swapaxes(-1, -2)).swapaxes(-1, -2)
+    """num den^-1 for each pair of slabs (..., p, p), as (den^-T num^T)^T;
+    NaN for a pair whose den is exactly singular, so one such pair does not
+    fail the others."""
+    try:
+        return np.linalg.solve(den.swapaxes(-1, -2), num.swapaxes(-1, -2)).swapaxes(-1, -2)
+    except np.linalg.LinAlgError:
+        # solve and slogdet factorize den^T alike, and meet the same zero pivot
+        singular = (np.linalg.slogdet(den.swapaxes(-1, -2))[0] == 0.0)[..., None, None]
+        safe = np.where(singular, np.eye(den.shape[-1]), den)
+        return np.where(singular, np.nan, _quotient(num, safe))
 
 
 def slab_pencil(X, coincidence_tol: float = DEFAULT_COINCIDENCE_TOL) -> EigenPair2 | None:

@@ -21,9 +21,11 @@ expansion.
 
 For a pxpx2 tensor (p = 2 included) the best rank-1 term is a maximization
 over the single angle t.  `best_rank1_pxpx2` solves it deterministically
-on a certified grid with a Newton refinement; `best_rank1_222` uses it to
-cross-check the enumeration and as its fallback.  `hopm` (alternating
-least squares) remains as an independent iterative method.
+on a certified grid with a Newton refinement, evaluating lambda(phi) =
+sigma_max^2 by `eigh` of the Gram pencil S0 + cos(phi) S1 + sin(phi) S2;
+`best_rank1_222` uses it to cross-check the enumeration and as its
+fallback.  `hopm` (alternating least squares) remains as an independent
+iterative method.
 """
 
 from __future__ import annotations
@@ -427,7 +429,7 @@ def stationary_points_222(X) -> EnumerationResult:
     ``hessian_pd`` is exact: a point is a strict local minimum iff it is on
     the top branch with lambda'' < 0, since the curvature in y is
     -2 (lambda_1 - lambda_2) and the reduced curvature in phi is lambda''.
-    ``degenerate`` marks |x| <= DEGENERATE_X_TOL (1 + ||X||) for unit y, z.
+    ``degenerate`` marks |x| <= DEGENERATE_X_TOL ||X|| for unit y, z.
     ``n_complex`` is 8 minus the number of points listed.  The solve runs on
     X / 2^e (exact).  Raises ValueError when F vanishes to round-off
     (F_ROUNDOFF of m'^2 Q + (Q'/2)^2), where its roots carry no
@@ -452,7 +454,7 @@ def stationary_points_222(X) -> EnumerationResult:
     delta, resid_exponent = _hyperdets(resid)[:2]
     with np.errstate(over="ignore"):
         delta = np.ldexp(delta, 4 * (resid_exponent + exponent)).tolist()
-    degenerate = np.linalg.norm(x, axis=1) <= DEGENERATE_X_TOL * (1.0 + np.linalg.norm(t.array))
+    degenerate = np.linalg.norm(x, axis=1) <= DEGENERATE_X_TOL * np.linalg.norm(t.array)
     # cos never returns 0, so the chart coordinates are finite
     y2, z2 = Y[:, 1] / Y[:, 0], Z[:, 1] / Z[:, 0]
     x *= (Y[:, 0] * Z[:, 0])[:, None]
@@ -531,28 +533,35 @@ def _slab_combination(arr, phi):
     return np.cos(half)[..., None, None] * arr[..., 0] + np.sin(half)[..., None, None] * arr[..., 1]
 
 
+def _pencil(S, phi):
+    """S[0] + cos(phi) S[1] + sin(phi) S[2], the Gram matrix M^T M of the slab
+    combination M at each angle, for the `_gram_pencil` S (..., 3, p, p)
+    broadcast against the angles phi."""
+    return (S[..., 0, :, :] + np.cos(phi)[..., None, None] * S[..., 1, :, :]
+            + np.sin(phi)[..., None, None] * S[..., 2, :, :])
+
+
 def _theta_eval(arr, S, phi):
     """lambda = sigma_max^2 of the slab combination at each angle, its first
     and second derivatives in phi, and the term factors x, y; arr (..., p, p, 2)
     and its `_gram_pencil` S broadcast against the angles phi.
 
-    lambda is the top eigenvalue of S[0] + cos(phi) S[1] + sin(phi) S[2];
-    its right singular vectors are the eigenvectors.
+    lambda and y = v are the top eigenpair from `eigh` of the Gram pencil
+    S[0] + cos(phi) S[1] + sin(phi) S[2], and x = M v.
     """
-    U, sigma, Vt = np.linalg.svd(_slab_combination(arr, phi))
-    lam = sigma * sigma
-    v = Vt[..., 0, :]
-    # Q[..., a, i] = v_i^T S[a] v_1, with v_i the i-th right singular vector
-    Q = (Vt[..., None, :, :] @ (S @ v[..., None, :, None]))[..., 0]
-    # c[..., i] = v_i^T S'(phi) v_1, with S' = -sin(phi) S[1] + cos(phi) S[2]
+    w, V = np.linalg.eigh(_pencil(S, phi))
+    lam, v = w[..., -1], V[..., -1]
+    # Q[..., a, i] = v_i^T S[a] v, with v_i the i-th eigenvector (ascending)
+    Q = (V.swapaxes(-1, -2)[..., None, :, :] @ (S @ v[..., None, :, None]))[..., 0]
+    # c[..., i] = v_i^T S'(phi) v, with S' = -sin(phi) S[1] + cos(phi) S[2]
     c = np.cos(phi)[..., None] * Q[..., 2, :] - np.sin(phi)[..., None] * Q[..., 1, :]
-    gap = lam[..., :1] - lam[..., 1:]
+    gap = lam[..., None] - w[..., :-1]
     # a zero gap is a multiplicity that persists in phi (orthogonal slabs),
     # for which the coupling inside the eigenspace vanishes
-    coupling = c[..., 1:] ** 2 / np.where(gap > 0.0, gap, np.inf)
+    coupling = c[..., :-1] ** 2 / np.where(gap > 0.0, gap, np.inf)
     # S''(phi) = S[0] - S(phi)
-    d2 = Q[..., 0, 0] - lam[..., 0] + 2.0 * coupling.sum(axis=-1)
-    return lam[..., 0], c[..., 0], d2, sigma[..., :1] * U[..., 0], v
+    d2 = Q[..., 0, -1] - lam + 2.0 * coupling.sum(axis=-1)
+    return lam, c[..., -1], d2, (_slab_combination(arr, phi) @ v[..., None])[..., 0], v
 
 
 def _best_rank1_stack(X):
@@ -581,8 +590,7 @@ def _theta_stack(X):
     S = _gram_pencil(arr)
     lip = np.sqrt((S[:, 0, 1:] ** 2).reshape(n, -1).sum(axis=1))
     h = 2.0 * math.pi / (THETA_GRID_PER_P * p)
-    grid = np.linalg.svd(_slab_combination(arr, np.arange(THETA_GRID_PER_P * p) * h),
-                         compute_uv=False)[..., 0] ** 2
+    grid = np.linalg.eigvalsh(_pencil(S, np.arange(THETA_GRID_PER_P * p) * h))[..., -1]
     kept = grid + (lip * (1.0 - math.cos(0.5 * h)))[:, None] >= grid.max(axis=1, keepdims=True)
     count = kept.sum(axis=1)
     width = count.max()
@@ -660,6 +668,8 @@ def best_rank1_pxpx2(X) -> BestRank1Result:
     eigenvalue of S0 + cos(phi) S1 + sin(phi) S2 with A = X1^T X1,
     C = X2^T X2, S0 = (A + C)/2, S1 = (A - C)/2 and S2 = sym(X1^T X2).
 
+    lambda and its top eigenvector come from `eigh` of that p x p Gram
+    pencil; no SVD of the slab combination is taken.
     *Grid.* lambda is evaluated at 16p angles phi_j with step h.
     *Certificate.* lambda is the maximum over unit v of
     v^T S0 v + r cos(phi - phi_v) with r <= L = sqrt(||S1||_F^2 + ||S2||_F^2),
@@ -893,18 +903,11 @@ def hopm(X, max_iter: int = 500, tol: float = 1e-14, seed: int = 0) -> BestRank1
 def _orthogonal_pencil(M1, M2, tol):
     """True when (a M1 + b M2)^T (a M1 + b M2) is proportional to I for all
     (a, b), with strictly positive scale on the basis matrices."""
-    scale = max(np.abs(M1).max(), np.abs(M2).max()) ** 2
-    if scale == 0.0:
-        return False
+    band = tol * max(np.abs(M1).max(), np.abs(M2).max()) ** 2
 
     def prop_to_identity(G, require_positive):
-        off = max(abs(G[0, 1]), abs(G[1, 0]))
-        diag_gap = abs(G[0, 0] - G[1, 1])
-        if off > tol * (1.0 + scale) or diag_gap > tol * (1.0 + scale):
-            return False
-        if require_positive and G[0, 0] <= tol * (1.0 + scale):
-            return False
-        return True
+        return (max(abs(G[0, 1]), abs(G[1, 0]), abs(G[0, 0] - G[1, 1])) <= band
+                and (not require_positive or G[0, 0] > band))
 
     return (prop_to_identity(M1.T @ M1, True)
             and prop_to_identity(M2.T @ M2, True)

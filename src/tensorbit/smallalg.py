@@ -23,6 +23,7 @@ __all__ = [
     "Spectrum",
     "eig2",
     "spectrum_small",
+    "spectra_small",
     "DEFAULT_COINCIDENCE_TOL",
 ]
 
@@ -237,6 +238,15 @@ def _eig2_terms(M, coincidence_tol: float):
     return tr / 2.0, disc, gap, gap <= coincidence_tol * (1.0 + lam_scale)
 
 
+def _norm2(A) -> float:
+    """Spectral norm of a 2x2 matrix in closed form: sigma_max^2 =
+    (f + sqrt(f^2 - 4 det^2)) / 2 with f = ||A||_F^2, which is
+    ((|z1| + |z2|) / 2)^2 for z1 = (a + d) + i (c - b) and z2 = (a - d) + i (b + c),
+    written that way to avoid the cancellation in f^2 - 4 det^2."""
+    (a, b), (c, d) = A
+    return float(np.hypot(a + d, c - b) + np.hypot(a - d, b + c)) / 2.0
+
+
 def eig2(M, coincidence_tol: float = DEFAULT_COINCIDENCE_TOL) -> EigenPair2:
     """Classify the eigenstructure of a 2x2 matrix with a coincidence band.
 
@@ -248,9 +258,7 @@ def eig2(M, coincidence_tol: float = DEFAULT_COINCIDENCE_TOL) -> EigenPair2:
         raise ValueError("expected a finite 2x2 matrix")
     half, disc, gap, double = _eig2_terms(M, coincidence_tol)
     if double:
-        sigma_max = np.linalg.norm(M - half * np.eye(2), 2)
-        mat_scale = 1.0 + np.abs(M).max()
-        if sigma_max <= coincidence_tol * mat_scale:
+        if _norm2(M - half * np.eye(2)) <= coincidence_tol * (1.0 + np.abs(M).max()):
             return EigenPair2("DoubleRealDiagonalizable", (half, half), 2, gap)
         return EigenPair2("DoubleRealDefective", (half, half), 1, gap)
     if disc > 0:
@@ -267,42 +275,54 @@ class Spectrum:
     n_coincident_real_pairs: int
 
 
+def spectra_small(M, coincidence_tol: float = DEFAULT_COINCIDENCE_TOL):
+    """The pair counts of `spectrum_small` for each matrix of the stack M
+    (N, p, p), from one eigenvalue call: (eigenvalues (N, p) in LAPACK
+    order, complex-pair counts (N,), coincident-pair counts (N,), finite
+    (N,)).  A matrix with a non-finite entry enters the call as zeros and
+    gets ``finite`` False, NaN eigenvalues and zero counts, so it fails
+    alone.
+    """
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 3 or M.shape[1] != M.shape[2] or M.shape[1] > 16:
+        raise ValueError("expected square matrices of size p <= 16")
+    n, p = M.shape[:2]
+    finite = np.isfinite(M).all(axis=(1, 2))[:, None]
+    try:
+        # LAPACK geev: balancing + Hessenberg + shifted QR
+        vals = np.where(finite, np.linalg.eigvals(np.where(finite[..., None], M, 0.0)), np.nan)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
+        raise NumericalFailure(f"eigenvalue iteration failed: {exc}", iterations=30 * p) from exc
+    real = np.abs(vals.imag) <= IMAG_TOL * (1.0 + np.abs(vals.real))
+    band = coincidence_tol * (1.0 + np.abs(vals).max(axis=1, initial=0.0))
+    # round-off splits a double real eigenvalue into two close reals or
+    # into a close conjugate pair; either way it is one coincident pair.
+    # The candidate pairs (i, j), i < j, within the band, closest first
+    # (ties in (i, j) order), are taken greedily, each value used once.
+    i, j = np.nonzero(np.less.outer(np.arange(p), np.arange(p)))
+    gap = np.abs(vals[:, i] - vals[:, j])
+    close = (((real[:, i] & real[:, j]) | (vals[:, i] == np.conj(vals[:, j])))
+             & (gap <= band[:, None]))
+    order = np.argsort(np.where(close, gap, np.inf), axis=1, kind="stable")
+    paired, rows = np.zeros((n, p), dtype=bool), np.arange(n)
+    for pair in order.T[:close.sum(axis=1).max(initial=0)]:
+        a, b = i[pair], j[pair]
+        take = close[rows, pair] & ~paired[rows, a] & ~paired[rows, b]
+        paired[rows, a] |= take
+        paired[rows, b] |= take
+    n_complex = np.count_nonzero(~real & ~paired & finite, axis=1) // 2
+    return vals, n_complex, paired.sum(axis=1) // 2, finite[:, 0]
+
+
 def spectrum_small(M, coincidence_tol: float = DEFAULT_COINCIDENCE_TOL) -> Spectrum:
     """Eigenvalues of a p x p matrix (p <= 16) with pair counting.
 
     Two real eigenvalues, or a conjugate pair, within a relative gap of
     ``coincidence_tol`` count as one coincident pair (closest pairs first,
     each value used once).  The remaining complex eigenvalues are counted
-    in conjugate pairs.
+    in conjugate pairs.  This is the one-matrix case of `spectra_small`.
     """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("expected a square matrix")
-    if M.shape[0] > 16:
-        raise ValueError("spectrum_small is limited to p <= 16")
-    if not np.all(np.isfinite(M)):
+    vals, n_complex, coincident, finite = spectra_small([M], coincidence_tol)
+    if not finite[0]:
         raise ValueError("matrix entries must be finite")
-    try:
-        # LAPACK geev: balancing + Hessenberg + shifted QR
-        vals = np.linalg.eigvals(M)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
-        raise NumericalFailure(f"eigenvalue iteration failed: {exc}", iterations=30 * M.shape[0]) from exc
-    real_mask = np.abs(vals.imag) <= IMAG_TOL * (1.0 + np.abs(vals.real))
-    lam_max = np.max(np.abs(vals)) if vals.size else 0.0
-    band = coincidence_tol * (1.0 + lam_max)
-    # round-off splits a double real eigenvalue into two close reals or
-    # into a close conjugate pair; either way it is one coincident pair
-    pairs = sorted((abs(vals[i] - vals[j]), i, j)
-                   for i in range(vals.size) for j in range(i + 1, vals.size)
-                   if (real_mask[i] and real_mask[j]) or vals[i] == np.conj(vals[j]))
-    paired = np.zeros(vals.size, dtype=bool)
-    coincident = 0
-    for gap, i, j in pairs:
-        if gap > band:
-            break
-        if not (paired[i] or paired[j]):
-            paired[i] = paired[j] = True
-            coincident += 1
-    n_complex = int(np.count_nonzero(~real_mask & ~paired)) // 2
-    ordered = tuple(complex(v) for v in sorted(vals, key=lambda v: (v.real, v.imag)))
-    return Spectrum(ordered, n_complex, coincident)
+    return Spectrum(tuple(map(complex, np.sort(vals[0]))), int(n_complex[0]), int(coincident[0]))

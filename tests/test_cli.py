@@ -1,7 +1,11 @@
+import io
 import json
+from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensorbit import SymTensor222, Tensor222, TensorPxPx2
 from tensorbit.cli import main
@@ -141,6 +145,26 @@ def test_cli_deflate_d1_reaches_zero(capsys):
     payload = json.loads(out)
     assert payload["steps"][0]["orbit_after"] == "D0"
     assert len(payload["steps"]) == 1  # chain stops at the zero residual
+
+
+def _deflate_steps(flat, steps=3) -> int:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        main(["deflate", "--data=" + ",".join(map(repr, flat)), "--steps", str(steps)])
+    return len(json.loads(out.getvalue())["steps"])
+
+
+@settings(max_examples=30, deadline=None)
+@given(k=st.integers(-200, 200))
+def test_cli_deflate_step_count_does_not_change_with_scale(k):
+    # the chain stops at a residual below 1e-12 of the input's norm^2,
+    # whatever the input's scale
+    x = np.random.default_rng(3).standard_normal(8)
+    assert _deflate_steps(np.ldexp(x, k).tolist()) == _deflate_steps(x.tolist()) == 3
+
+
+def test_cli_deflate_zero_tensor_stops_after_one_step():
+    assert _deflate_steps([0.0] * 8) == 1
 
 
 def test_cli_deflate_sym_cube_reaches_zero(capsys):

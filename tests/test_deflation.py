@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from tensorbit import rank1
+from tensorbit import deflation, rank1
 from tensorbit import (DomainError, Tensor222, canonical_form,
                        check_degenerate_props, classify, deflate_once, experiment_d3_closure,
                        experiment_generic, experiment_pxpx2, experiment_symmetric,
@@ -10,9 +10,10 @@ from tensorbit import (DomainError, Tensor222, canonical_form,
                        slab_pencil)
 from tensorbit.deflation import (_labels, _pencil_gap, _pencil_gaps, _sample_d3, _trial_rng,
                                  _trial_rngs, write_trial_csv)
-from tensorbit.orbits import ORBITS, _rank_tol
+from tensorbit.orbits import ORBITS, _quotient, _rank_tol
 from tensorbit.tensors import _slab_major
-from tensorbit.rank1 import best_rank1_222
+from tensorbit.rank1 import best_rank1_222, best_rank1_pxpx2
+from tensorbit.smallalg import spectrum_small
 from conftest import BOUNDARY_TO_D2
 
 
@@ -223,6 +224,56 @@ def test_experiment_pxpx2_p3():
     assert extras["converged"] >= 110
     assert extras["coincident_pair_fraction"] >= 0.9
     assert extras["consistent_fraction"] >= 0.9
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_experiment_pxpx2_rows_match_each_trial_alone(p):
+    stats = experiment_pxpx2(p, 12, seed=4)
+    for trial, row in enumerate(stats.rows):
+        X = _trial_rng(4, trial).standard_normal((p, p, 2))
+        res = best_rank1_pxpx2(X)
+        Z = X - res.term.tensor()
+        before = spectrum_small(_quotient(X[..., 1], X[..., 0]), deflation.PAIRING_BAND)
+        after = spectrum_small(_quotient(Z[..., 1], Z[..., 0]), deflation.PAIRING_BAND)
+        assert row["psi"] == res.psi and row["converged"] == res.converged
+        assert (row["complex_before"], row["complex_after"], row["coincident_pairs"]) == (
+            before.n_complex_pairs, after.n_complex_pairs, after.n_coincident_real_pairs)
+
+
+def test_experiment_pxpx2_fails_only_the_trial_with_a_singular_slab(monkeypatch):
+    whole = experiment_pxpx2(3, 6, seed=1)
+
+    def singular_third(num, den):
+        den = den.copy()
+        den[2] = 0.0
+        return _quotient(num, den)
+
+    monkeypatch.setattr(deflation, "_quotient", singular_third)
+    stats = experiment_pxpx2(3, 6, seed=1)
+    assert stats.failures == 1
+    assert [r.split(":")[0] for r in stats.failure_reasons] == ["trial 2"]
+    assert stats.rows[2]["orbit_after"] == "error"
+    assert [r for n, r in enumerate(stats.rows) if n != 2] == \
+        [r for n, r in enumerate(whole.rows) if n != 2]
+
+
+def test_experiment_pxpx2_solves_and_counts_as_stacks(monkeypatch):
+    # one stacked solve and one eigenvalue call per spectrum stack (input
+    # and residual) for the whole experiment, not one per trial
+    calls = {"stack": 0, "eigvals": 0}
+    stack, eigvals = rank1._best_rank1_stack, np.linalg.eigvals
+
+    def counted(name, fn):
+        def run(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return run
+
+    monkeypatch.setattr(rank1, "_best_rank1_stack", counted("stack", stack))
+    monkeypatch.setattr(np.linalg, "eigvals", counted("eigvals", eigvals))
+    stats = experiment_pxpx2(3, 40)
+    assert len(stats.rows) == 40
+    assert calls == {"stack": 1, "eigvals": 2}
 
 
 def test_experiment_gap_statistics():

@@ -1,4 +1,6 @@
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +13,11 @@ from tensorbit import (Rank1Term, Tensor222, TensorPxPx2, best_rank1_222, best_r
                        stationary_points_222)
 from tensorbit import rank1
 from tensorbit.rank1 import NOT_CONVERGED, _best_rank1_stack
-from conftest import (BOUNDARY_TO_D2, TABLE_A1, TABLE_A2, WORKED_G2, WORKED_G3,
+from conftest import (BOUNDARY_TO_D2, KHL, TABLE_A1, TABLE_A2, WORKED_G2, WORKED_G3,
                       random_tensor)
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import reference  # noqa: E402  (the benchmark's independent SVD bisection solver)
 
 
 # ---------------------------------------------------------------------------
@@ -335,12 +340,18 @@ def test_canonical_g2_ties():
     assert res.multiplicity == 2  # either unit entry may be removed
 
 
-def test_best_rank1_small_scale_fallback_is_global():
-    # at 2^-66 every stationary point falls under the absolute zero-factor
-    # threshold, so the result comes from the fallback, which must be global
+def test_best_rank1_small_scale_fallback_is_global(monkeypatch):
+    # the fallback at 2^-66, taken when the enumeration yields no usable
+    # point (forced here, since the zero-factor band is relative to ||X||),
+    # must be global
     x = np.random.default_rng(3).standard_normal(8)
-    res = best_rank1_222(Tensor222.from_flat(np.ldexp(x, -66)))
     ref = best_rank1_222(Tensor222.from_flat(x))
+
+    def degenerate(X):
+        raise ValueError("the stationarity polynomial vanishes to round-off")
+
+    monkeypatch.setattr(rank1, "stationary_points_222", degenerate)
+    res = best_rank1_222(Tensor222.from_flat(np.ldexp(x, -66)))
     assert res.method == "theta"
     assert abs(math.ldexp(res.psi, 132) - ref.psi) <= 1e-12 * ref.psi
 
@@ -415,6 +426,32 @@ def test_theta_stack_solves_each_tensor_as_alone(p, khl):
         np.testing.assert_array_equal(term, alone.term.tensor())
 
 
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_theta_eigh_matches_the_svd_on_the_grid(p):
+    # lambda from eigh of the Gram pencil, at the grid angles and in the
+    # refinement's evaluator, is sigma_max^2 of the slab combination
+    h = 2.0 * math.pi / (rank1.THETA_GRID_PER_P * p)
+    phi = np.arange(rank1.THETA_GRID_PER_P * p) * h
+    for seed in range(20):
+        arr = np.random.default_rng(seed).standard_normal((p, p, 2))
+        S = rank1._gram_pencil(arr)
+        svd = np.linalg.svd(rank1._slab_combination(arr, phi), compute_uv=False)[:, 0] ** 2
+        grid = np.linalg.eigvalsh(rank1._pencil(S, phi))[:, -1]
+        lam, _, _, x, y = rank1._theta_eval(arr, S, phi)
+        np.testing.assert_allclose(grid, svd, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(lam, svd, rtol=1e-14, atol=0.0)
+        # x = M y is the top left singular vector times sigma_max
+        np.testing.assert_allclose((x ** 2).sum(axis=1), svd, rtol=1e-13, atol=0.0)
+
+
+def test_theta_stack_matches_the_reference_solver():
+    for seed in range(5):
+        X = np.random.default_rng(seed).standard_normal((40, 2, 2, 2))
+        psis = _best_rank1_stack(X)[0]
+        ref_psi, _ = reference.best_rank1(X)
+        assert np.all(np.abs(psis - ref_psi) <= 1e-12 * (X ** 2).sum(axis=(1, 2, 3)))
+
+
 def test_theta_stack_in_chunks_matches_one_call(monkeypatch):
     X = np.random.default_rng(7).standard_normal((8, 3, 3, 2))
     whole = _best_rank1_stack(X)
@@ -466,6 +503,24 @@ def test_infinite_best_khl(khl):
     assert abs(res.psi - 3.0) < 1e-10
     assert res.method == "theta"
     assert any("degenerate" in w or "fallback" in w for w in res.warnings)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(-200, 200))
+def test_scale_does_not_change_the_decisions(k):
+    # every band is relative to the input's scale, so 2^k X gets the same
+    # verdicts as X, and psi scales exactly
+    khl = np.asarray(KHL)
+    assert detect_infinite_best(Tensor222.from_flat(np.ldexp(khl, k)))
+    for seed in (3, 11):
+        x = np.random.default_rng(seed).standard_normal(8)
+        assert not detect_infinite_best(Tensor222.from_flat(np.ldexp(x, k)))
+        ref = best_rank1_222(Tensor222.from_flat(x))
+        res = best_rank1_222(Tensor222.from_flat(np.ldexp(x, k)))
+        assert (res.method, res.multiplicity, res.warnings) == \
+            (ref.method, ref.multiplicity, ref.warnings) == ("enumerate", 1, ())
+        assert [p.degenerate for p in res.all_points] == [p.degenerate for p in ref.all_points]
+        assert res.psi == math.ldexp(ref.psi, 2 * k)
 
 
 def test_infinite_best_negative_cases():

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from tensorbit import Polynomial, common_root, eig2, roots, spectrum_small
+from tensorbit.orbits import _quotient
+from tensorbit.smallalg import IMAG_TOL, _norm2, spectra_small
 from tensorbit.smallalg import common_roots, is_real_root
 
 
@@ -156,6 +158,71 @@ def test_eig2_similarity_invariance(seed):
         assert sim.kind == base.kind
         np.testing.assert_allclose(sorted(np.atleast_1d(sim.values)),
                                    sorted(np.atleast_1d(base.values)), atol=1e-8)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_norm2_matches_the_svd(seed):
+    rng = np.random.default_rng(seed)
+    # random, near-double (nearly a multiple of I, or nearly nilpotent after
+    # the shift eig2 makes), nearly orthogonal, rank-1 and zero matrices
+    Q = np.linalg.qr(rng.standard_normal((2, 2)))[0]
+    cases = [rng.standard_normal((2, 2)), np.eye(2) + 1e-9 * rng.standard_normal((2, 2)),
+             [[0.0, 1.0], [-1e-14, 0.0]], 3.0 * Q + 1e-12 * rng.standard_normal((2, 2)),
+             np.outer(*rng.standard_normal((2, 2))), np.zeros((2, 2))]
+    for A in cases:
+        A = np.asarray(A, dtype=float) * 2.0 ** rng.integers(-300, 300)
+        assert abs(_norm2(A) - np.linalg.norm(A, 2)) <= 1e-14 * np.linalg.norm(A, 2)
+
+
+def _spectrum_by_loop(M, coincidence_tol):
+    """The pair counts of a p x p matrix by the explicit closest-first loop."""
+    vals = np.linalg.eigvals(M)
+    real = np.abs(vals.imag) <= IMAG_TOL * (1.0 + np.abs(vals.real))
+    band = coincidence_tol * (1.0 + np.max(np.abs(vals)))
+    pairs = sorted((abs(vals[i] - vals[j]), i, j)
+                   for i in range(vals.size) for j in range(i + 1, vals.size)
+                   if (real[i] and real[j]) or vals[i] == np.conj(vals[j]))
+    paired = np.zeros(vals.size, dtype=bool)
+    coincident = 0
+    for gap, i, j in pairs:
+        if gap <= band and not (paired[i] or paired[j]):
+            paired[i] = paired[j] = True
+            coincident += 1
+    return int(np.count_nonzero(~real & ~paired)) // 2, coincident
+
+
+@pytest.mark.parametrize("p", range(2, 7))
+def test_spectra_small_counts_as_the_loop(p):
+    rng = np.random.default_rng(p)
+    M = rng.standard_normal((200, p, p))
+    # near-double eigenvalues, which round-off splits along or off the axis
+    M[:50] = (np.eye(p) + 1e-7 * rng.standard_normal((50, p, p))) * rng.standard_normal((50, 1, 1))
+    M[50:60, 1, 0] = -1e-10
+    M[50:60, 0, 1], M[50:60, 0, 0], M[50:60, 1, 1] = 1.0, 0.5, 0.5
+    for tol in (1e-6, 1e-4):
+        vals, n_complex, coincident, finite = spectra_small(M, tol)
+        assert finite.all()
+        assert list(zip(n_complex.tolist(), coincident.tolist())) == \
+            [_spectrum_by_loop(A, tol) for A in M]
+        for A, v in zip(M[::20], vals[::20]):
+            assert spectrum_small(A, tol).eigenvalues == tuple(complex(z) for z in np.sort(v))
+
+
+def test_spectra_small_fails_only_a_singular_slab_row():
+    rng = np.random.default_rng(5)
+    num, den = rng.standard_normal((2, 6, 3, 3))
+    den[2] = np.outer(den[2, 0], [1.0, 2.0, 3.0])    # exactly singular
+    Q = _quotient(num, den)
+    assert np.isnan(Q[2]).all() and np.isfinite(np.delete(Q, 2, axis=0)).all()
+    vals, n_complex, coincident, finite = spectra_small(Q)
+    assert finite.tolist() == [True, True, False, True, True, True]
+    assert np.isnan(vals[2]).all() and n_complex[2] == coincident[2] == 0
+    for n in (0, 1, 3, 4, 5):
+        spec = spectrum_small(Q[n])
+        assert (n_complex[n], coincident[n]) == (spec.n_complex_pairs,
+                                                 spec.n_coincident_real_pairs)
+    with pytest.raises(ValueError):
+        spectrum_small(Q[2])
 
 
 def test_spectrum_identity():
