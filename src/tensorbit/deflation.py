@@ -34,7 +34,7 @@ from .decomp import DomainError
 from .orbits import (OrbitLabel, SymTensor222, _entry_scale, _hyperdets, _invertible, _is_zero,
                      _orbit, _quotient, _rank_tol, canonical_form, classify, hyperdet,
                      slab_pencil)
-from .smallalg import _eig2_terms, spectra_small
+from .smallalg import DEFAULT_COINCIDENCE_TOL, _eig2_terms, spectra_small
 from .tensors import MultilinearRank, Tensor222, TensorPxPx2, _ranks, _slab_major, \
     frobenius_norm_sq, multilinear_rank, multilinear_transform
 
@@ -57,6 +57,8 @@ RESIDUAL_BAND = 1e-6
 # band for pairing pxpx2 pencil eigenvalues, wider than the library's 1e-6:
 # an error e in the rank-1 term splits a defective double eigenvalue by ~sqrt(e)
 PAIRING_BAND = 1e-4
+# largest condition number of a transform of the canonical D3 form in the d3 kind
+D3_COND_CAP = 1e3
 
 
 @dataclass(frozen=True)
@@ -383,16 +385,15 @@ def experiment_symmetric(trials: int, seed: int = 0) -> ExperimentStats:
     return _aggregate("symmetric", trials, seed, rows, reasons, _mlrank_extras(rows))
 
 
-def _random_invertible(rng: np.random.Generator, cond_cap: float = 1e3) -> np.ndarray:
-    while True:
-        M = rng.standard_normal((2, 2))
-        if np.linalg.cond(M) <= cond_cap:
-            return M
-
-
 def _sample_d3(rng: np.random.Generator) -> Tensor222:
-    S, T, U = (_random_invertible(rng) for _ in range(3))
-    return multilinear_transform(canonical_form("D3"), S, T, U)
+    """(S, T, U) . D3 of the canonical form: the trial's first three 2x2
+    draws with condition number at most D3_COND_CAP."""
+    mats = []
+    while len(mats) < 3:
+        M = rng.standard_normal((2, 2))
+        if np.linalg.cond(M) <= D3_COND_CAP:
+            mats.append(M)
+    return multilinear_transform(canonical_form("D3"), *mats)
 
 
 def experiment_d3_closure(trials: int, seed: int = 0) -> ExperimentStats:
@@ -400,8 +401,13 @@ def experiment_d3_closure(trials: int, seed: int = 0) -> ExperimentStats:
     form) by their theta-grid terms, as one stack, and tally the residual
     orbits; supports, not asserts, closure.  Unconverged trials are named
     in the failure reasons, and ``converged`` counts the others."""
-    def solve(arrays):
-        X = np.array(arrays)
+    def solve(blocks):
+        # `_sample_d3` of every trial, from its first three draws: a trial
+        # with a draw above the cap draws on from its own stream
+        blocks = np.array(blocks)
+        X = np.einsum("nip,njq,nkr,pqr->nijk", *blocks.swapaxes(0, 1), canonical_form("D3").array)
+        for trial in np.flatnonzero(~(np.linalg.cond(blocks) <= D3_COND_CAP).all(axis=1)):
+            X[trial] = _sample_d3(_trial_rng(seed, trial)).array
         psi, x, y, z, converged, _ = rank1._best_rank1_stack(X)
         rows = _report_rows(X, X - np.einsum("ni,nj,nk->nijk", x, y, z), psi, tol=1e-9,
                             coincidence_tol=1e-6)
@@ -410,7 +416,7 @@ def experiment_d3_closure(trials: int, seed: int = 0) -> ExperimentStats:
             row.update(orbit_before="D3", converged=ok)
         return rows, _unconverged(converged)
 
-    rows, reasons = _run(trials, seed, lambda rng: _sample_d3(rng).array, solve)
+    rows, reasons = _run(trials, seed, lambda rng: rng.standard_normal((3, 2, 2)), solve)
     return _aggregate("d3", trials, seed, rows, reasons,
                       (("converged", sum(r["converged"] for r in rows)),))
 
@@ -483,70 +489,43 @@ def write_trial_csv(stats: ExperimentStats, path) -> None:
 # deterministic checks for the degenerate-orbit propositions
 # ---------------------------------------------------------------------------
 
-def _diagonal_slab_entries(t: Tensor222, tol: float):
-    a_, b_, c_, d_, e_, f_, g_, h_ = t.entries
-    scale = max(abs(v) for v in t.entries)
-    if scale == 0.0:
-        return None
-    if max(abs(b_), abs(c_), abs(f_), abs(g_)) > tol * scale:
-        return None
-    return a_, d_, e_, h_
-
-
 def check_degenerate_props(X, tol: float = 1e-9) -> DeflationReport:
     """Verify the deterministic deflation statements for degenerate inputs.
 
     D1 deflates to D0; the D2 family deflates to D1; diagonal-slab rank-2
     tensors deflate to D1, with the tie multiplicity reported when both
     diagonal pairs carry equal weight (and the extra closed-form family
-    counted when ah = de).
+    counted when ah = de).  Every band is relative to the input's scale,
+    so 2^k X gets the verdicts of X.
     """
     t = X if isinstance(X, Tensor222) else Tensor222(X)
     label = classify(t, tol)
-    diag = _diagonal_slab_entries(t, tol)
-    if label.orbit == "D1" or (diag is None and label.orbit in ("D2", "D2p", "D2pp")):
-        residual, report = deflate_once(t, tol)
-        expected = "D0" if label.orbit == "D1" else "D1"
-        if report.orbit_after.orbit != expected:
-            raise RuntimeError(
-                f"{label.orbit} input deflated to {report.orbit_after.orbit}, "
-                f"expected {expected}")
-        return report
-    if diag is None:
+    a_, b_, c_, d_, e_, f_, g_, h_ = t.entries
+    scale = max(map(abs, t.entries))
+    diagonal = scale > 0.0 and max(abs(b_), abs(c_), abs(f_), abs(g_)) <= tol * scale
+    expected = "D0" if label.orbit == "D1" else "D1"
+    if label.orbit == "D1" or (not diagonal and label.orbit in ("D2", "D2p", "D2pp")):
+        report = deflate_once(t, tol)[1]
+    elif not diagonal:
         raise DomainError(
             f"check_degenerate_props applies to D1, the D2 family, or "
             f"diagonal-slab rank-2 input; got orbit {label.orbit}")
-    a_, d_, e_, h_ = diag
-    lead = a_ * a_ + e_ * e_
-    tail = d_ * d_ + h_ * h_
-    scale_sq = max(lead, tail)
-    candidates = [
-        Tensor222.from_entries(0, 0, 0, d_, 0, 0, 0, h_),   # keep the (d, h) pair
-        Tensor222.from_entries(a_, 0, 0, 0, e_, 0, 0, 0),   # keep the (a, e) pair
-    ]
-    psis = [frobenius_norm_sq(Tensor222(t.array - c.array)) for c in candidates]
-    family = abs(lead - tail) <= tol * max(1.0, scale_sq) and \
-        abs(a_ * h_ - d_ * e_) <= tol * max(1.0, np.sqrt(scale_sq)) ** 2
-    if family:
-        y1, y2 = 1.0, 1.0
-        nf = y1 * y1 + y2 * y2
-        fam = Tensor222.from_entries(y1 * y1 * a_, y1 * y2 * a_, y1 * y2 * d_, y2 * y2 * d_,
-                                     y1 * y1 * e_, y1 * y2 * e_, y1 * y2 * h_, y2 * y2 * h_)
-        fam = Tensor222(fam.array / nf)
-        candidates.append(fam)
-        psis.append(frobenius_norm_sq(Tensor222(t.array - fam.array)))
-    best_idx = int(np.argmin(psis))
-    best_psi = psis[best_idx]
-    ties = sum(1 for p in psis if p <= best_psi + 1e-9 * (1.0 + best_psi))
-    residual = Tensor222(t.array - candidates[best_idx].array)
-    scale = float(np.max(np.abs(t.array)))
-    after = classify(residual, max(tol, 1e-9), zero_scale=scale)
-    if after.orbit != "D1":
-        raise RuntimeError(f"diagonal-slab input deflated to {after.orbit}, expected D1")
-    return DeflationReport(
-        orbit_before=label, orbit_after=after,
-        delta_before=hyperdet(t), delta_after=hyperdet(residual),
-        pencil_before=slab_pencil(t),
-        pencil_after=slab_pencil(residual),
-        residual_mlrank=multilinear_rank(residual.array, tol),
-        psi=float(best_psi), ties=int(ties))
+    else:
+        # keep the (d, h) pair or the (a, e) pair; with a^2 + e^2 = d^2 + h^2
+        # and ah = de also the closed-form family member at y = (1, 1) / sqrt(2)
+        candidates = [Tensor222.from_entries(0, 0, 0, d_, 0, 0, 0, h_),
+                      Tensor222.from_entries(a_, 0, 0, 0, e_, 0, 0, 0)]
+        lead, tail = a_ * a_ + e_ * e_, d_ * d_ + h_ * h_
+        scale_sq = max(lead, tail)
+        if abs(lead - tail) <= tol * scale_sq and abs(a_ * h_ - d_ * e_) <= tol * scale_sq:
+            family = Tensor222.from_entries(a_, a_, d_, d_, e_, e_, h_, h_)
+            candidates.append(Tensor222(family.array / 2.0))
+        psis = [frobenius_norm_sq(Tensor222(t.array - c.array)) for c in candidates]
+        best = int(np.argmin(psis))
+        ties = sum(p <= psis[best] + rank1.TIE_REL_TOL * frobenius_norm_sq(t) for p in psis)
+        report = _report(t, Tensor222(t.array - candidates[best].array), psis[best], ties, (),
+                         tol, DEFAULT_COINCIDENCE_TOL)
+    if report.orbit_after.orbit != expected:
+        raise RuntimeError(f"{label.orbit} input deflated to {report.orbit_after.orbit}, "
+                           f"expected {expected}")
+    return report

@@ -7,11 +7,11 @@ stationary point of the least-squares criterion is an eigenvector of that
 2x2 matrix at a critical point of its eigenvalue m +- sqrt(Q), so the
 points are the real roots of one degree-4 trigonometric polynomial in phi,
 F = m'^2 Q - (Q'/2)^2, with 8 roots (generically 6 + 2, Friedland &
-Ottaviani).  `stationary_points_222` finds them on the circle, in one pass
-without normalization charts; each point carries the criterion value, the
-hyperdeterminant of the residual, an exact local-minimum flag and a
-zero-factor (degenerate) flag.  The chart resultants in y2 = y_2/y_1 and
-z2 = z_2/z_1 (`stationary_poly` and its companions) remain as identities.
+Ottaviani).  `stationary_points_222` finds them without charts: 16 samples
+of F give the coefficients of a degree-8 polynomial by one constant map, and
+one companion eigenvalue call its roots.  Each point carries psi, the
+residual's hyperdeterminant, and exact local-minimum and degenerate flags.
+The chart resultants (`stationary_poly` and its companions) stay identities.
 
 For a symmetric 2x2x2 tensor the stationary directions are the real roots
 of one binary cubic, which `stationary_points_sym` solves in a single
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import smallalg
-from .orbits import SymTensor222, _hyperdets, hyperdet_sym
+from .orbits import SymTensor222, _delta, _ldexp, hyperdet_sym
 from .tensors import (Rank1Term, Tensor222, TensorPxPx2, _as_array, frobenius_norm_sq,
                       scaled_entries, unit_scaled)
 
@@ -68,6 +68,7 @@ __all__ = [
 DEGENERATE_X_TOL = 1e-8
 TIE_REL_TOL = 1e-9
 CIRCLE_STEPS = 4        # Newton or Gauss-Newton steps per root of the circle solve
+STEP_TOL = 1e-9         # next circle step at which a lane is accepted; also its merge band
 CROSSING_TOL = 1e-9     # sqrt(Q) / scale at or below which S(phi) is a multiple of I
 F_ROUNDOFF = 16.0 * np.finfo(float).eps   # |F| / (m'^2 Q + (Q'/2)^2) of round-off
 THETA_GRID_PER_P = 16    # grid points in phi = 2t per unit of p
@@ -291,25 +292,45 @@ class EnumerationResult:
         return self.points[idx]
 
 
-def _circle_values(T, phi):
-    """Values and first and second phi-derivatives, each of shape (len(T), n),
-    of the trigonometric polynomials a + b cos(phi) + c sin(phi) given as the
-    rows (a, b, c) of T, from (b - i c) e^{i phi} = b cos + c sin - i (c cos - b sin)."""
-    wave = (T[:, 1:2] - 1j * T[:, 2:]) * np.exp(1j * phi)
-    return T[:, :1] + wave.real, -wave.imag, -wave.real
+_GRID = np.arange(16) * (np.pi / 8.0)
+# (a, b, c) @ _GRID_BASIS: a + b cos(phi) + c sin(phi) on the grid, then its phi-derivative
+_GRID_BASIS = np.array([np.r_[np.ones(16), np.zeros(16)], np.r_[np.cos(_GRID), -np.sin(_GRID)],
+                        np.r_[np.sin(_GRID), np.cos(_GRID)]])
 
 
-def _circle_roots(T, scale):
-    """Real parts, as angles phi, of the 8 roots of
-    F = m'^2 Q - (Q'/2)^2, in which m, D, E are the rows of T and Q = D^2 + E^2.
+def _sample_maps():
+    """(16, 9, 16): for the largest sample F(j pi / 8) at j, the map from the
+    16 samples to the coefficients of `_circle_roots`' polynomial, whose s^8
+    coefficient is sample j: the real DFT, exact for the degree-4 F, then
+    (1 + s^2)^4 e^{i n theta} = (1 + i s)^(4 + n) (1 - i s)^(4 - n), expanded
+    in exact complex integers; theta = k pi / 8 is the grid angle j + 8 + k."""
+    powers = np.array([[sum(math.comb(4 + n, a) * math.comb(4 - n, k - a) * 1j ** (2 * a - k)
+                            for a in range(k + 1)) for k in range(9)] for n in range(5)])
+    weight, angle = np.array([[1.0], [2.0], [2.0], [2.0], [2.0]]) / 16.0, np.outer(range(5), _GRID)
+    to_poly = powers.real.T @ (weight * np.cos(angle)) + powers.imag.T @ (weight * np.sin(angle))
+    to_poly[8] = np.eye(16)[8]
+    return to_poly[:, (np.arange(16) - np.arange(16)[:, None] - 8) % 16].swapaxes(0, 1)
+
+
+_SAMPLE_MAPS = _sample_maps()
+# m = tr S / 2, D = (S11 - S22) / 2 and E = S12 of each S of the Gram pencil
+_TO_MDE = np.array([[0.5, 0.0, 0.0, 0.5], [0.5, 0.0, 0.0, -0.5], [0.0, 1.0, 0.0, 0.0]])
+# each root of F seeds three lanes: the top and the bottom branch, and a crossing
+_LANE_SIGN = np.repeat([1.0, -1.0, 0.0], 8)
+_LOWER = np.tri(32, k=-1, dtype=bool)
+
+
+def _circle_roots(T):
+    """Real parts, as angles phi, of the 8 roots of F = m'^2 Q - (Q'/2)^2, in
+    which m, D, E are the rows (a, b, c) of T, each a + b cos(phi) + c sin(phi).
 
     F is a degree-4 trigonometric polynomial.  With phi = phi0 + theta and
     s = tan(theta/2), (1 + s^2)^4 F is a real degree-8 polynomial in s whose
     s^8 coefficient is F(phi0 + pi); phi0 puts the largest of 16 grid values
-    of F there, so the degree never drops.
+    of F there, so the degree never drops.  Those values give the
+    coefficients (`_sample_maps`), and the companion matrix the roots.
     """
-    grid = np.arange(16) * (np.pi / 8.0)
-    (_, D, E), (m1, D1, E1), _ = _circle_values(T, grid)
+    (_, m1), (D, D1), (E, E1) = (T @ _GRID_BASIS).reshape(3, 2, 16)
     h = D * D1 + E * E1
     mq = m1 * m1 * (D * D + E * E)
     F = mq - h * h
@@ -318,33 +339,29 @@ def _circle_roots(T, scale):
     if abs(F[j]) <= F_ROUNDOFF * float((mq + h * h).max()):
         raise ValueError("the stationarity polynomial vanishes to round-off; "
                          "use best_rank1_222")
-    phi0 = grid[j] - np.pi
-    c0, s0 = math.cos(phi0), math.sin(phi0)
-    # rows m, D, E, m', D', E', shifted to theta, then times (1 + s^2)
-    T = np.concatenate([T, np.stack([np.zeros(3), T[:, 2], -T[:, 1]], axis=1)])
-    b = T[:, 1] * c0 + T[:, 2] * s0
-    c = T[:, 2] * c0 - T[:, 1] * s0
-    _, D, E, m1, D1, E1 = np.stack([T[:, 0] + b, 2.0 * c, T[:, 0] - b], axis=1)
-    h = np.convolve(D, D1) + np.convolve(E, E1)
-    poly = np.convolve(np.convolve(m1, m1), np.convolve(D, D) + np.convolve(E, E))
-    poly -= np.convolve(h, h)
-    return phi0 + 2.0 * np.arctan(np.roots(poly[::-1]).real)
+    poly = _SAMPLE_MAPS[j] @ F
+    companion = np.eye(8, k=-1)
+    companion[0] = -poly[7::-1] / poly[8]
+    return (_GRID[j] - np.pi) + 2.0 * np.arctan(np.linalg.eigvals(companion).real)
 
 
 def _lambda_derivatives(T, phi, sign):
-    """sqrt(Q), the angle of the top eigenvector and the first four
+    """sqrt(Q), the angle of the branch's eigenvector and the first four
     derivatives of lambda = m + sign sqrt(Q) at each phi: differentiate
     r r' = h = D D' + E E', with r = sqrt(Q), three times, and use that
     m, D and E have third and fourth derivatives minus their first and second.
     """
-    (_, D, E), (m1, D1, E1), (m2, D2, E2) = _circle_values(T, phi)
+    wave = (1j * T[:, 1:2] + T[:, 2:]) * np.exp(1j * phi)
+    (m1, D1, E1), (m2, D2, E2) = wave.real, -wave.imag
+    D, E = T[1, 0] - D2, T[2, 0] - E2
     r, h, g = np.hypot(D, E), D * D1 + E * E1, D1 * D1 + E1 * E1
     h1 = g + D * D2 + E * E2
     r1 = h / r
     r2 = (h1 - r1 * r1) / r
     r3 = (3.0 * (D1 * D2 + E1 * E2) - h - 3.0 * r1 * r2) / r
     r4 = (3.0 * (D2 * D2 + E2 * E2 - g) - h1 - 3.0 * r2 * r2 - 4.0 * r1 * r3) / r
-    return r, np.arctan2(E, D) / 2.0, (m1 + sign * r1, m2 + sign * r2, sign * r3 - m1, sign * r4 - m2)
+    return r, np.arctan2(sign * E, sign * D) / 2.0, (m1 + sign * r1, m2 + sign * r2,
+                                                     sign * r3 - m1, sign * r4 - m2)
 
 
 def _circle_points(T, scale):
@@ -358,59 +375,67 @@ def _circle_points(T, scale):
     (D', E') = nu (cos beta, sin beta); when S'(phi) = 0 every y is, and no
     point is isolated.
     """
-    roots = _circle_roots(T, scale)
-    phi = np.tile(roots, 3)
-    sign = np.repeat([1.0, -1.0, 0.0], roots.size)
+    phi = np.concatenate([_circle_roots(T)] * 3)
+    sign, cross = _LANE_SIGN, _LANE_SIGN == 0.0
+    aD, aE = float(T[1, 0]), float(T[2, 0])
+    # (c + i b) e^{i phi}: the phi-derivative of a + b cos(phi) + c sin(phi),
+    # and i times the value minus a, which is minus the second derivative
+    coef = 1j * T[:, 1:2] + T[:, 2:]
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(CIRCLE_STEPS + 1):
-            (_, D, E), (m1, D1, E1), (m2, D2, E2) = _circle_values(T, phi)
+            wave = coef * np.exp(1j * phi)
+            (m1, D1, E1), (um, uD, uE) = wave.real, wave.imag
+            D, E = aD + uD, aE + uE
             r = np.hypot(D, E)        # sqrt(Q)
             h = D * D1 + E * E1       # Q' / 2
             g = D1 * D1 + E1 * E1
-            slope = m1 + sign * h / r
-            curv = m2 + sign * (g + D * D2 + E * E2 - h * h / (r * r)) / r
-            step = np.where(sign == 0.0, h / g, slope / curv)
+            q = h / r
+            slope = m1 + sign * q
+            curv = sign * (g - D * uD - E * uE - q * q) / r - um
+            step = np.where(cross, h / g, slope / curv)
             if k < CIRCLE_STEPS:
-                phi = phi - np.clip(step, -0.5, 0.5)
+                phi = phi - np.minimum(np.maximum(step, -0.5), 0.5)
         nu = np.sqrt(g)
         # converged: lambda' is zero to its round-off (~ scale^2 / sqrt(Q)) and the
-        # next step is below 1e-9, which a multiple root, approached linearly, is not
-        lanes = (sign != 0.0) & (r > CROSSING_TOL * scale)
-        branch = lanes & (np.abs(slope) <= 1e-13 * scale * (1.0 + scale / r)) & (np.abs(step) <= 1e-9)
+        # next step is within STEP_TOL, which a multiple root, approached linearly, is not
+        lanes = ~cross & (r > CROSSING_TOL * scale)
+        band, flat = scale * (1.0 + scale / r), np.abs(slope)
+        branch = lanes & (flat <= 1e-13 * band) & (np.abs(step) <= STEP_TOL)
         pd = branch & (sign > 0.0) & (curv < 0.0)
-        on = ((sign == 0.0) & (r <= CROSSING_TOL * scale)
-              & (np.abs(m1) < nu) & (nu > CROSSING_TOL * scale))
-        # the top eigenvector of [[D, E], [E, -D]] is at angle atan2(E, D) / 2
-        offset = np.where(sign > 0.0, 0.0, np.pi / 2.0)
-        alpha = np.arctan2(E, D) / 2.0 + offset
-        beta, gamma = np.arctan2(E1[on], D1[on]), np.arccos(-m1[on] / nu[on])
+        on = cross & (r <= CROSSING_TOL * scale) & (np.abs(m1) < nu) & (nu > CROSSING_TOL * scale)
+        # the eigenvector of [[D, E], [E, -D]] for its eigenvalue sign sqrt(Q)
+        alpha = np.arctan2(sign * E, sign * D) / 2.0
         # at a double or triple root of lambda' (say the flat optimum of the
         # worked G2 example) Newton on lambda' stalls about eps^(1/3) away, so
         # such lanes step on lambda'' and then lambda''', whose root there is
         # simple; lambda'' = 0 there, so these points are no strict minima
         idx = np.flatnonzero(lanes & ~branch & (np.abs(curv) <= 1e-6 * scale)
-                             & (np.abs(slope) <= 1e-10 * scale * (1.0 + scale / r)))
+                             & (flat <= 1e-10 * band))
         for order in (1, 2):
             if not idx.size:
                 break
             trial = phi[idx]
             for k in range(CIRCLE_STEPS + 1):
-                r, top, lam = _lambda_derivatives(T, trial, sign[idx])
+                r, angle, lam = _lambda_derivatives(T, trial, sign[idx])
                 step = lam[order] / lam[order + 1]
                 if k < CIRCLE_STEPS:
-                    trial = trial - np.clip(step, -0.5, 0.5)
-            ok = (np.abs(step) <= 1e-9) & (np.abs(lam[0]) <= 1e-13 * scale * (1.0 + scale / r))
-            phi[idx[ok]], alpha[idx[ok]], branch[idx[ok]] = trial[ok], top[ok] + offset[idx[ok]], True
+                    trial = trial - np.minimum(np.maximum(step, -0.5), 0.5)
+            ok = (np.abs(step) <= STEP_TOL) & (np.abs(lam[0]) <= 1e-13 * scale * (1.0 + scale / r))
+            phi[idx[ok]], alpha[idx[ok]], branch[idx[ok]] = trial[ok], angle[ok], True
             idx = idx[~ok]
-    phi = np.concatenate([phi[branch], phi[on], phi[on]])
-    alpha = np.concatenate([alpha[branch], (beta + gamma) / 2.0, (beta - gamma) / 2.0])
-    pd = np.concatenate([pd[branch], np.zeros(2 * on.sum(), bool)])
-    # the same point: equal z and y up to sign; a strict minimum only if
-    # every copy says so
-    same = ((np.abs(np.sin((phi[:, None] - phi) / 2.0)) <= 1e-9)
-            & (np.abs(np.sin(alpha[:, None] - alpha)) <= 1e-9))
-    keep = ~np.tril(same, -1).any(axis=1)
-    pd &= ~(same & ~pd).any(axis=1)
+    # a lane is accepted within STEP_TOL of its root: two lanes are one point when
+    # their phi agree within that band and they take the same eigenvector of
+    # S(phi), that of the same branch or at a crossing the same sign of gamma
+    points = phi[branch], alpha[branch], pd[branch], sign[branch]
+    if on.any():
+        beta, gamma, n = np.arctan2(E1[on], D1[on]), np.arccos(-m1[on] / nu[on]), int(on.sum())
+        points = [np.concatenate(pair) for pair in zip(points, (
+            np.tile(phi[on], 2), np.r_[beta + gamma, beta - gamma] / 2.0, np.zeros(2 * n, bool),
+            np.repeat([2.0, 3.0], n)))]
+    phi, alpha, pd, vector = points
+    same = (np.abs(np.sin((phi[:, None] - phi) / 2.0)) <= STEP_TOL) & (vector[:, None] == vector)
+    keep = ~(same & _LOWER[:phi.size, :phi.size]).any(axis=1)
+    pd &= ~(same & ~pd).any(axis=1)       # a strict minimum only if every copy says so
     return phi[keep], alpha[keep], pd[keep]
 
 
@@ -420,47 +445,43 @@ def stationary_points_222(X) -> EnumerationResult:
     Each is an eigenvector y of S(phi) = M^T M (`_gram_pencil`), for
     z = (cos t, sin t) and phi = 2t, at a critical point of its eigenvalue
     lambda = m +- sqrt(Q): a real root of F = m'^2 Q - (Q'/2)^2, a degree-4
-    trigonometric polynomial with 8 roots (`_circle_roots`).  Every root
-    seeds Newton steps on lambda' of both branches, and the distinct
-    converged angles give the points (`_circle_points`, which also handles
-    a root where S(phi) is a multiple of I, and a double or triple root of
-    lambda' such as the flat optimum of the worked G2 example).
+    trigonometric polynomial with 8 roots (`_circle_roots`: 16 samples of F,
+    one constant map to polynomial coefficients, one companion eigenvalue
+    call).  Every root seeds Newton steps on lambda' of both branches, and
+    the distinct converged angles give the points (`_circle_points`, which
+    also handles a root where S(phi) is a multiple of I, and a double or
+    triple root of lambda' such as the flat optimum of the worked G2 example).
 
     ``hessian_pd`` is exact: a point is a strict local minimum iff it is on
     the top branch with lambda'' < 0, since the curvature in y is
     -2 (lambda_1 - lambda_2) and the reduced curvature in phi is lambda''.
     ``degenerate`` marks |x| <= DEGENERATE_X_TOL ||X|| for unit y, z.
     ``n_complex`` is 8 minus the number of points listed.  The solve runs on
-    X / 2^e (exact).  Raises ValueError when F vanishes to round-off
+    X / 2^e (exact), and x, psi and the residual's Delta are scaled back by
+    2^e, 4^e and 16^e.  Raises ValueError when F vanishes to round-off
     (F_ROUNDOFF of m'^2 Q + (Q'/2)^2), where its roots carry no
     information: on orthogonal-pencil, rank-1 and zero input, whose
     stationary set is not finite, and on input within about 1e-7 relative
     of rank 1.  `best_rank1_222` then takes the theta-grid solver's term.
     """
-    t = _as_tensor(X)
-    arr, exponent = unit_scaled(t)
-    S = _gram_pencil(arr)
-    # m = tr S / 2, D = (S11 - S22) / 2 and E = S12, as (a, b, c) rows
-    T = np.stack([(S[:, 0, 0] + S[:, 1, 1]) / 2.0, (S[:, 0, 0] - S[:, 1, 1]) / 2.0,
-                  S[:, 0, 1]])
-    scale = float(np.abs(T).max())
-    phi, alpha, pd = _circle_points(T, scale)
-    Y = np.stack([np.cos(alpha), np.sin(alpha)], axis=1)
-    Z = np.stack([np.cos(phi / 2.0), np.sin(phi / 2.0)], axis=1)
+    arr, exponent = unit_scaled(_as_tensor(X))
+    T = _TO_MDE @ _gram_pencil(arr).reshape(3, 4).T
+    phi, alpha, pd = _circle_points(T, float(np.abs(T).max()))
+    Y = np.exp(1j * alpha).view(float).reshape(-1, 2)
+    Z = np.exp(0.5j * phi).view(float).reshape(-1, 2)
     x = np.einsum("ijk,nj,nk->ni", arr, Y, Z)
     resid = arr - np.einsum("ni,nj,nk->nijk", x, Y, Z)
-    values = np.ldexp((resid ** 2).sum(axis=(1, 2, 3)), 2 * exponent)
-    x = np.ldexp(x, exponent)
-    delta, resid_exponent = _hyperdets(resid)[:2]
-    with np.errstate(over="ignore"):
-        delta = np.ldexp(delta, 4 * (resid_exponent + exponent)).tolist()
-    degenerate = np.linalg.norm(x, axis=1) <= DEGENERATE_X_TOL * np.linalg.norm(t.array)
+    values = (resid * resid).sum(axis=(1, 2, 3)).tolist()
+    delta = _delta(*resid.transpose(3, 1, 2, 0).reshape(8, -1)).tolist()
+    limit = DEGENERATE_X_TOL * math.sqrt(float((arr * arr).sum()))
+    degenerate = (np.hypot(x[:, 0], x[:, 1]) <= limit).tolist()
     # cos never returns 0, so the chart coordinates are finite
-    y2, z2 = Y[:, 1] / Y[:, 0], Z[:, 1] / Z[:, 0]
-    x *= (Y[:, 0] * Z[:, 0])[:, None]
-    points = sorted((StationaryPoint(float(y2[n]), float(z2[n]), x[n], float(values[n]),
-                                     delta[n], bool(pd[n]), bool(degenerate[n]))
-                     for n in range(phi.size)), key=lambda s: (s.psi, s.y2, s.z2))
+    y2, z2 = (Y[:, 1] / Y[:, 0]).tolist(), (Z[:, 1] / Z[:, 0]).tolist()
+    x = np.ldexp(x * (Y[:, :1] * Z[:, :1]), exponent)
+    rows = zip(y2, z2, x, values, delta, pd.tolist(), degenerate)
+    points = sorted((StationaryPoint(a, b, xn, _ldexp(v, 2 * exponent), _ldexp(d, 4 * exponent),
+                                     p, g) for a, b, xn, v, d, p, g in rows),
+                    key=lambda s: (s.psi, s.y2, s.z2))
     return EnumerationResult(tuple(points), max(0, 8 - len(points)))
 
 

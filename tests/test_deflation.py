@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensorbit import deflation, rank1
-from tensorbit import (DomainError, Tensor222, canonical_form,
+from tensorbit import (DomainError, SymTensor222, Tensor222, canonical_form,
                        check_degenerate_props, classify, deflate_once, experiment_d3_closure,
                        experiment_generic, experiment_pxpx2, experiment_symmetric,
                        frobenius_norm_sq, hyperdet, multilinear_rank, multilinear_transform,
@@ -87,6 +91,40 @@ def test_deflate_once_subtracts_the_global_term_on_d3_inputs(seed, trial):
     assert abs(enumerated.psi - report.psi) <= 1e-12 * frobenius_norm_sq(t)
 
 
+def _decisions(report):
+    return (report.orbit_before.orbit, report.orbit_after.orbit, report.ties,
+            tuple(report.residual_mlrank), report.pencil_before.kind, report.pencil_after.kind,
+            report.warnings)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(-500, 500))
+def test_deflate_once_decisions_do_not_change_with_scale(k):
+    # every band is relative to the input's scale: 2^k X gets the labels,
+    # ties, residual rank and pencil kinds of X, psi scales by 4^k, and
+    # Delta by 16^k wherever that is finite.  The symmetric residual
+    # subtracts y (x) y (x) y with y ~ 2^(k/3), which is not an exact
+    # scaling, so its Delta, zero to round-off, is only checked for size.
+    for seed in (3, 11):
+        rng = np.random.default_rng(seed)
+        x, s = rng.standard_normal(8), rng.standard_normal(4)
+        for X, scaled in ((Tensor222.from_flat(x), Tensor222.from_flat(np.ldexp(x, k))),
+                          (SymTensor222(*s), SymTensor222(*np.ldexp(s, k)))):
+            _, ref = deflate_once(X)
+            _, report = deflate_once(scaled)
+            assert _decisions(report) == _decisions(ref)
+            assert report.psi == math.ldexp(ref.psi, 2 * k)
+            full = isinstance(X, Tensor222)
+            for got, want in ((report.delta_before, ref.delta_before),
+                              (report.delta_after, ref.delta_after if full else None)):
+                if not math.isfinite(got):
+                    continue
+                if want is None:
+                    assert abs(math.ldexp(got, -4 * k)) <= 1e-12 * max(abs(s)) ** 4
+                else:
+                    assert got == math.ldexp(want, 4 * k)
+
+
 # ---------------------------------------------------------------------------
 # experiments
 # ---------------------------------------------------------------------------
@@ -113,7 +151,7 @@ def test_experiment_generic_rows_match_deflate_once():
         assert abs(row["psi"] - report.psi) <= 1e-12 * frobenius_norm_sq(t)
 
 
-def test_trial_rngs_draw_what_trial_rng_draws():
+def test_trial_rngs_draw_what_trial_rng_draws(monkeypatch):
     for shape in (8, (2, 2, 2), (3, 3, 2)):
         for trial, rng in enumerate(_trial_rngs(5, 200)):
             np.testing.assert_array_equal(rng.standard_normal(shape),
@@ -122,6 +160,15 @@ def test_trial_rngs_draw_what_trial_rng_draws():
     for trial, rng in enumerate(_trial_rngs(2, 50)):
         np.testing.assert_array_equal(_sample_d3(rng).array,
                                       _sample_d3(_trial_rng(2, trial)).array)
+    # the d3 kind's stacked inputs, from each trial's first three draws, are
+    # the sampler's, also for the trials with a draw above the cap
+    blocks = np.array([rng.standard_normal((3, 2, 2)) for rng in _trial_rngs(0, 300)])
+    assert not (np.linalg.cond(blocks) <= deflation.D3_COND_CAP).all()
+    solved, stack = [], rank1._best_rank1_stack
+    monkeypatch.setattr(rank1, "_best_rank1_stack", lambda X: solved.append(X) or stack(X))
+    experiment_d3_closure(300, seed=0)
+    np.testing.assert_array_equal(solved[0], [_sample_d3(_trial_rng(0, t)).array
+                                              for t in range(300)])
 
 
 def _orbit_representatives():
@@ -343,6 +390,20 @@ def test_check_diagonal_slab_tied_family():
     report = check_degenerate_props(t)
     assert report.orbit_after.orbit == "D1"
     assert report.ties == 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(-500, 500))
+def test_check_degenerate_props_does_not_change_with_scale(k):
+    # the family, tie and rank bands are relative to the input's scale
+    for entries, ties in (((1, 0, 0, 2, 0.5, 0, 0, 0.3), 1), ((1, 0, 0, 1, 2, 0, 0, 2), 3),
+                          ((3.0, 0, 0, 1.5, 0, 0, 0, 0), 1), ((2.5, 0, 0, 0, 0, 0, 0, 0), 1)):
+        ref = check_degenerate_props(Tensor222.from_flat(entries))
+        report = check_degenerate_props(Tensor222.from_flat(np.ldexp(entries, k)))
+        assert report.ties == ref.ties == ties
+        assert (report.orbit_before.orbit, report.orbit_after.orbit, report.residual_mlrank) == \
+            (ref.orbit_before.orbit, ref.orbit_after.orbit, ref.residual_mlrank)
+        assert report.psi == math.ldexp(ref.psi, 2 * k)
 
 
 def test_check_inapplicable_input(ex_a1):

@@ -13,6 +13,7 @@ from tensorbit import (Rank1Term, Tensor222, TensorPxPx2, best_rank1_222, best_r
                        stationary_points_222)
 from tensorbit import rank1
 from tensorbit.rank1 import NOT_CONVERGED, _best_rank1_stack
+from tensorbit.tensors import unit_scaled
 from conftest import (BOUNDARY_TO_D2, KHL, TABLE_A1, TABLE_A2, WORKED_G2, WORKED_G3,
                       random_tensor)
 
@@ -304,6 +305,98 @@ def test_enumeration_lists_each_point_once():
                                rtol=0, atol=1e-12 * sigma[0] ** 2)
 
 
+def _near_rank1(seed, eps):
+    rng = np.random.default_rng(seed)
+    base = Rank1Term(*rng.standard_normal((3, 2))).tensor()
+    return Tensor222(base + eps * np.linalg.norm(base) * rng.standard_normal((2, 2, 2)))
+
+
+def test_enumeration_lists_each_point_once_near_rank1():
+    # near rank 1 the roots of F crowd together and lanes reach the same
+    # point a step apart; the merge band is the acceptance band, so no
+    # table lists more than the 8 roots of F
+    for seed in range(400):
+        for eps in (1e-6, 1e-5, 1e-4, 1e-3):
+            assert len(stationary_points_222(_near_rank1(seed, eps))) <= 8
+    # a Gaussian table lists one point per real root of F: an even count,
+    # of distinct unit pairs y (x) z up to sign
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        enum = stationary_points_222(Tensor222(rng.standard_normal((2, 2, 2))))
+        assert len(enum) in (4, 6, 8) and enum.n_complex == 8 - len(enum)
+        yz = np.array([np.outer([1.0, p.y2], [1.0, p.z2]).ravel() for p in enum])
+        yz /= np.linalg.norm(yz, axis=1, keepdims=True)
+        apart = np.minimum(np.linalg.norm(yz[:, None] - yz, axis=-1),
+                           np.linalg.norm(yz[:, None] + yz, axis=-1))
+        assert (apart + np.eye(len(enum))).min() > 1e-6
+
+
+def _circle_rows(t):
+    """The rows (a, b, c) of m, D and E, each a + b cos(phi) + c sin(phi), of
+    the enumeration of t."""
+    arr, _ = unit_scaled(t)
+    S = rank1._gram_pencil(arr)
+    return np.stack([(S[:, 0, 0] + S[:, 1, 1]) / 2.0, (S[:, 0, 0] - S[:, 1, 1]) / 2.0, S[:, 0, 1]])
+
+
+def _product_form(T, phi0):
+    """The ascending coefficients in s of (1 + s^2)^4 F(phi0 + theta), with
+    s = tan(theta/2), as polynomial products of the shifted rows m', D, E,
+    D', E' times (1 + s^2); and the largest coefficient of the same products
+    of their magnitudes, the scale of their round-off."""
+    c0, s0 = math.cos(phi0), math.sin(phi0)
+    T = np.concatenate([T, np.stack([np.zeros(3), T[:, 2], -T[:, 1]], axis=1)])
+    b = T[:, 1] * c0 + T[:, 2] * s0
+    c = T[:, 2] * c0 - T[:, 1] * s0
+    rows = np.stack([T[:, 0] + b, 2.0 * c, T[:, 0] - b], axis=1)
+
+    def terms(rows):
+        _, D, E, m1, D1, E1 = rows
+        h = np.convolve(D, D1) + np.convolve(E, E1)
+        return (np.convolve(np.convolve(m1, m1), np.convolve(D, D) + np.convolve(E, E)),
+                np.convolve(h, h))
+
+    mq, hh = terms(rows)
+    return mq - hh, float(sum(terms(np.abs(rows))).max())
+
+
+def test_sample_map_matches_the_product_form():
+    # the coefficients from the 16 grid samples of F are those of the
+    # polynomial products, to round-off
+    rng = np.random.default_rng(5)
+    inputs = [Tensor222(rng.standard_normal((2, 2, 2))) for _ in range(200)]
+    inputs += [_near_rank1(seed, eps) for seed in range(40) for eps in (1e-6, 1e-3)]
+    inputs += [Tensor222(np.ldexp(rng.standard_normal((2, 2, 2)), k))
+               for k in (-500, 500) for _ in range(20)]
+    grid = np.arange(16) * (np.pi / 8.0)
+    for t in inputs:
+        T = _circle_rows(t)
+        (_, D, E), (m1, D1, E1) = (T[:, :1] + T[:, 1:2] * np.cos(grid) + T[:, 2:] * np.sin(grid),
+                                   T[:, 2:] * np.cos(grid) - T[:, 1:2] * np.sin(grid))
+        F = m1 * m1 * (D * D + E * E) - (D * D1 + E * E1) ** 2
+        j = int(np.argmax(np.abs(F)))
+        reference, scale = _product_form(T, grid[j] - np.pi)
+        assert np.abs(rank1._SAMPLE_MAPS[j] @ F - reference).max() <= 1e-14 * scale
+
+
+def test_enumeration_makes_one_eigenvalue_call(monkeypatch):
+    # the polynomial comes from a constant map of samples of F, not from
+    # products, and its roots from one companion eigenvalue call
+    calls = {"eigvals": 0, "roots": 0, "convolve": 0}
+
+    def counted(name, fn):
+        def run(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return run
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted("eigvals", np.linalg.eigvals))
+    monkeypatch.setattr(np, "roots", counted("roots", np.roots))
+    monkeypatch.setattr(np, "convolve", counted("convolve", np.convolve))
+    assert len(stationary_points_222(random_tensor(4))) >= 4
+    assert calls == {"eigvals": 1, "roots": 0, "convolve": 0}
+
+
 @pytest.mark.parametrize("mode", [1, 2])
 def test_best_rank1_optimum_outside_the_first_chart(mode):
     # rotating mode 2 (or 3) so the optimal y (or z) is e_2 puts the optimum
@@ -506,7 +599,7 @@ def test_infinite_best_khl(khl):
 
 
 @settings(max_examples=60, deadline=None)
-@given(k=st.integers(-200, 200))
+@given(k=st.integers(-500, 500))
 def test_scale_does_not_change_the_decisions(k):
     # every band is relative to the input's scale, so 2^k X gets the same
     # verdicts as X, and psi scales exactly
