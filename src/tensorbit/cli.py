@@ -21,7 +21,7 @@ from . import deflation, rank1
 from .decomp import DomainError, sylvester_rank, sym_rank3_decompose
 from .document import TensorDocument, parse_document
 from .orbits import SymTensor222, _rank_tol, classify, hyperdet, slab_pencil
-from .smallalg import EigenPair2, NumericalFailure
+from .smallalg import DEFAULT_COINCIDENCE_TOL, EigenPair2, NumericalFailure
 from .tensors import Tensor222, frobenius_norm_sq, multilinear_rank
 
 EXIT_OK = 0
@@ -290,7 +290,7 @@ def _add_input_args(p, tol=False, coincidence_tol=False):
     if tol:
         p.add_argument("--tol", type=float, default=1e-9)
     if coincidence_tol:
-        p.add_argument("--coincidence-tol", type=float, default=1e-6,
+        p.add_argument("--coincidence-tol", type=float, default=DEFAULT_COINCIDENCE_TOL,
                        dest="coincidence_tol",
                        help="band for calling two eigenvalues identical")
 

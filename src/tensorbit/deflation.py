@@ -6,20 +6,24 @@ residual on the rank-2/rank-3 boundary orbit D3, i.e. the residual slab
 pencil acquires a defective double eigenvalue and the hyperdeterminant of
 the residual vanishes.
 
+One stacked computation, `_reports`, gives every report: the labels and
+margins, Delta values, residual multilinear ranks and slab pencils of the
+inputs and residuals of N steps, from one exact scaling, one rank call and
+one slab choice.  `DeflationReport` is its N = 1 case, and experiment rows
+are built from its lists.
+
 Each experiment is a sampler and a solver run by one harness.  Trial t
 draws its input from its own counter-based RNG stream (Philox keyed on the
 run seed and t), so results are bit-identical for a fixed (seed, trials).
 The solver then takes every trial's input at once.  The D3-closure and
-pxpx2 kinds solve the whole stack in one call of the theta-grid kernel,
-and a trial whose refinement did not converge is named in the failure
-reasons; the generic kind takes each trial's term from one
-stationary-point enumeration.  Both full 2x2x2 kinds compute their orbit
-reports as a stack, and the pxpx2 kind counts the slab-pencil spectra of
-its inputs and of its residuals as two stacks, one eigenvalue call each.
-A trial that cannot be reported (it raises, or its slab quotient is
-singular or not finite) becomes an error row with a failure reason and
-does not stop the run.  Per-trial rows can be dumped as CSV; summaries are
-plain dicts ready for JSON.
+pxpx2 kinds solve the whole stack in one theta-grid kernel call, and name
+unconverged trials in the failure reasons; the generic and symmetric
+kinds solve trial by trial (one enumeration, or `best_rank1_sym`).  The
+2x2x2 kinds report all their steps as one stack, and the pxpx2 kind counts
+its input and residual spectra with one eigenvalue call each.  A trial
+that raises or has a singular or non-finite slab quotient becomes an error
+row with a failure reason.  Rows can be dumped as CSV; summaries are plain
+dicts ready for JSON.
 """
 
 from __future__ import annotations
@@ -31,12 +35,11 @@ import numpy as np
 
 from . import rank1
 from .decomp import DomainError
-from .orbits import (OrbitLabel, SymTensor222, _entry_scale, _hyperdets, _invertible, _is_zero,
-                     _orbit, _quotient, _rank_tol, canonical_form, classify, hyperdet,
-                     slab_pencil)
-from .smallalg import DEFAULT_COINCIDENCE_TOL, _eig2_terms, spectra_small
-from .tensors import MultilinearRank, Tensor222, TensorPxPx2, _ranks, _slab_major, \
-    frobenius_norm_sq, multilinear_rank, multilinear_transform
+from .orbits import (OrbitLabel, SymTensor222, _hyperdets, _is_zero, _orbit, _quotient, _rank_tol,
+                     _slab_pencils, canonical_form, classify)
+from .smallalg import DEFAULT_COINCIDENCE_TOL, EigenPair2, spectra_small
+from .tensors import (MultilinearRank, Tensor222, TensorPxPx2, _as_array, _ranks, _slab_major,
+                      frobenius_norm_sq, multilinear_transform)
 
 __all__ = [
     "DeflationReport",
@@ -69,8 +72,8 @@ class DeflationReport:
     orbit_after: OrbitLabel
     delta_before: float
     delta_after: float
-    pencil_before: object
-    pencil_after: object
+    pencil_before: EigenPair2 | None
+    pencil_after: EigenPair2 | None
     residual_mlrank: MultilinearRank
     psi: float
     ties: int
@@ -111,74 +114,60 @@ class ExperimentStats:
 
 
 def _pencil_gap(pencil):
+    """The eigenvalue gap of a slab pencil over 1 + its largest |value|;
+    None without a pencil."""
     if pencil is None:
         return None
-    lam = max(abs(v) for v in np.atleast_1d(np.asarray(pencil.values, float)).ravel())
-    return float(pencil.gap / (1.0 + lam))
+    return float(pencil.gap / (1.0 + max(map(abs, pencil.values))))
 
 
-def _report(X, residual, psi: float, ties: int, warnings, tol: float,
-            coincidence_tol: float) -> DeflationReport:
-    """Orbits, hyperdeterminants and slab pencils of the input X and the
-    residual of one deflation step, plus the residual's multilinear rank.
-
-    The residual is classified with the Delta band max(tol, RESIDUAL_BAND),
-    and its multilinear rank is the one that label uses.  X and the
-    residual are both Tensor222 or both SymTensor222.  `_report_rows` gives
-    the same fields for stacks.
+def _reports(X, R, tol: float = 1e-9, coincidence_tol: float = DEFAULT_COINCIDENCE_TOL):
+    """(labels, margins, deltas, ranks, pencils) of N deflation steps, the
+    inputs X (N, 2, 2, 2) deflated to the residuals R: lists over the 2N
+    tensors of [X; R], inputs first.  X[n] is labelled as by `classify(X[n],
+    tol)`, R[n] as by `classify(R[n], max(tol, RESIDUAL_BAND), zero_scale=
+    max|X[n]|)`, with the rank that label uses, `hyperdet` and `slab_pencil`.
     """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    n = len(X)
+    A = np.concatenate([X, R])
     band = max(tol, RESIDUAL_BAND)
-    return DeflationReport(
-        orbit_before=classify(X, tol),
-        orbit_after=classify(residual, band, zero_scale=_entry_scale(X)),
-        delta_before=hyperdet(X), delta_after=hyperdet(residual),
-        pencil_before=slab_pencil(X, coincidence_tol),
-        pencil_after=slab_pencil(residual, coincidence_tol),
-        residual_mlrank=multilinear_rank(residual, _rank_tol(band)),
-        psi=float(psi), ties=ties, warnings=tuple(warnings))
-
-
-def _labels(A, tol: float, zero_scale=None):
-    """`classify(A[n], tol, zero_scale[n]).orbit`, `hyperdet(A[n])` and the
-    rank triples of the stack A (N, 2, 2, 2), from the same exact scaling."""
     delta, exponent, unit, scale = _hyperdets(A)
-    ranks = np.stack(_ranks(unit, _rank_tol(tol)), axis=1).tolist()
-    quartic = np.ldexp(scale, -exponent) ** 4
-    zero_scale = [None] * len(A) if zero_scale is None else zero_scale.tolist()
-    labels = ["D0" if _is_zero(s, z, tol) else _orbit(tuple(r), d, q, tol)
-              for s, z, r, d, q in zip(scale.tolist(), zero_scale, ranks, delta.tolist(),
-                                       quartic.tolist())]
+    ranks = np.stack(_ranks(unit, np.repeat([_rank_tol(tol), _rank_tol(band)], n)[:, None]),
+                     axis=1).tolist()
+    tols, zero_scales = [tol] * n + [band] * n, [None] * n + scale[:n].tolist()
+    labels, margins = [], []
+    for s, z, t, r, d, u in zip(scale.tolist(), zero_scales, tols, ranks, delta.tolist(),
+                                np.ldexp(scale, -exponent).tolist()):
+        quartic = u ** 4
+        zero = _is_zero(s, z, t)
+        labels.append("D0" if zero else _orbit(tuple(r), d, quartic, t))
+        margins.append(0.0 if zero else abs(d) / quartic)
     with np.errstate(over="ignore"):
-        return labels, np.ldexp(delta, 4 * exponent).tolist(), ranks
+        deltas = np.ldexp(delta, 4 * exponent).tolist()
+    return labels, margins, deltas, ranks, _slab_pencils(A, coincidence_tol)
 
 
-def _pencil_gaps(A, coincidence_tol: float) -> list:
-    """`_pencil_gap(slab_pencil(A[n], coincidence_tol))` of the stack A
-    (N, 2, 2, 2): the slab choice of `slab_pencil`, and the closed form of
-    `eig2` on the quotients."""
-    X1, X2 = A[..., 0], A[..., 1]
-    first = _invertible(X1)
-    has = first | _invertible(X2)
-    swap = first[:, None, None]
-    Q = _quotient(np.where(swap, X2, X1)[has], np.where(swap, X1, X2)[has])
-    half, disc, gap, double = _eig2_terms(Q, coincidence_tol)
-    # the largest |value| of eig2: |half| for a double eigenvalue, |half| +
-    # gap / 2 for distinct real ones, and max(|half|, gap / 2) for a pair
-    # half +- i gap / 2
-    size = np.where(double, np.abs(half), np.where(disc > 0, np.abs(half) + gap / 2.0,
-                                                    np.maximum(np.abs(half), gap / 2.0)))
-    gaps = iter((gap / (1.0 + size)).tolist())
-    return [next(gaps) if h else None for h in has.tolist()]
+def _deflation_report(X, R, psi: float, ties: int, warnings, tol: float,
+                      coincidence_tol: float = DEFAULT_COINCIDENCE_TOL) -> DeflationReport:
+    """The report of the input X deflated to the residual R, both (2, 2, 2)
+    arrays, with criterion psi: the N = 1 case of `_reports`."""
+    labels, margins, deltas, ranks, pencils = _reports(X[None], R[None], tol, coincidence_tol)
+    # the fields in order: orbits, deltas and pencils before and after, then the residual's rank
+    return DeflationReport(OrbitLabel(labels[0], margins[0]), OrbitLabel(labels[1], margins[1]),
+                           *deltas, *pencils, MultilinearRank(*ranks[1]), float(psi), ties,
+                           tuple(warnings))
 
 
-def _report_rows(X, R, psi, tol: float, coincidence_tol: float) -> list:
-    """The rows that `_report_row` makes of `_report`, for stacks (N, 2, 2, 2):
-    the input X[n] deflated to the residual R[n] with criterion psi[n]."""
-    if not len(X):
+def _report_rows(X, R, psi) -> list:
+    """The experiment rows of N deflation steps, the input X[n] (N, 2, 2, 2)
+    deflated to the residual R[n] with criterion psi[n], from `_reports` at
+    its default bands."""
+    n = len(X)
+    if not n:
         return []
-    scale = np.abs(X).max(axis=(1, 2, 3))
-    before, delta_before, _ = _labels(X, tol)
-    after, delta_after, ranks = _labels(R, max(tol, RESIDUAL_BAND), zero_scale=scale)
+    labels, _, deltas, ranks, pencils = _reports(X, R)
     return [{
         "orbit_before": b,
         "orbit_after": a,
@@ -186,14 +175,14 @@ def _report_rows(X, R, psi, tol: float, coincidence_tol: float) -> list:
         "delta_after": da,
         "delta_after_scaled": abs(da) / s ** 4,
         "psi": p,
-        "eigen_gap": g,
+        "eigen_gap": _pencil_gap(g),
         "mlrank": "x".join(map(str, r)),
-    } for b, a, db, da, s, p, g, r in zip(before, after, delta_before, delta_after,
-                                          scale.tolist(), psi.tolist(),
-                                          _pencil_gaps(R, coincidence_tol), ranks)]
+    } for b, a, db, da, s, p, g, r in zip(labels[:n], labels[n:], deltas[:n], deltas[n:],
+                                          np.abs(X).max(axis=(1, 2, 3)).tolist(), psi.tolist(),
+                                          pencils[n:], ranks[n:])]
 
 
-def deflate_once(X, tol: float = 1e-9, coincidence_tol: float = 1e-6):
+def deflate_once(X, tol: float = 1e-9, coincidence_tol: float = DEFAULT_COINCIDENCE_TOL):
     """Subtract a best rank-1 approximation and report the orbit transition.
 
     Symmetric input follows the symmetric route (term y (x) y (x) y and
@@ -212,8 +201,8 @@ def deflate_once(X, tol: float = 1e-9, coincidence_tol: float = 1e-6):
         X = X if isinstance(X, Tensor222) else Tensor222(X)
         result = rank1.best_rank1_222(X)
         residual = Tensor222(X.array - result.term.tensor())
-    return residual, _report(X, residual, result.psi, result.multiplicity, result.warnings,
-                             tol, coincidence_tol)
+    return residual, _deflation_report(_as_array(X), _as_array(residual), result.psi,
+                                       result.multiplicity, result.warnings, tol, coincidence_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -248,12 +237,8 @@ def _bucket_label(i: int) -> str:
 
 
 def _histogram(gaps) -> tuple:
-    counts = [0] * (len(GAP_BUCKETS) + 1)
-    for g in gaps:
-        if g is None or not np.isfinite(g):
-            continue
-        counts[int(np.searchsorted(GAP_BUCKETS, g))] += 1
-    return tuple((_bucket_label(i), c) for i, c in enumerate(counts) if c)
+    counts = np.bincount(np.searchsorted(GAP_BUCKETS, gaps), minlength=len(GAP_BUCKETS) + 1)
+    return tuple((_bucket_label(i), c) for i, c in enumerate(counts.tolist()) if c)
 
 
 _ORBIT_ORDER = ("D0", "D1", "D2", "D2p", "D2pp", "G2", "D3", "G3", "error")
@@ -300,41 +285,8 @@ def _run(trials: int, seed: int, sample, solve):
     return [{"trial": trial, **row} for trial, row in enumerate(rows)], reasons
 
 
-def _each(solve):
-    """The list solver that turns each input into its row with ``solve``.
-    An exception fails that trial only: it gets an error row and a reason."""
-    def run(inputs):
-        rows, reasons = [], []
-        for trial, X in enumerate(inputs):
-            try:
-                rows.append(solve(X))
-            except Exception as exc:
-                reasons.append(f"trial {trial}: {exc}")
-                rows.append(_error_row())
-        return rows, reasons
-    return run
-
-
 def _unconverged(converged) -> list:
     return [f"trial {t}: {rank1.NOT_CONVERGED}" for t in np.flatnonzero(~converged)]
-
-
-def _report_row(X, report: DeflationReport) -> dict:
-    """The experiment row of one deflation report of input X."""
-    return {
-        "orbit_before": report.orbit_before.orbit,
-        "orbit_after": report.orbit_after.orbit,
-        "delta_before": report.delta_before,
-        "delta_after": report.delta_after,
-        "delta_after_scaled": abs(report.delta_after) / _entry_scale(X) ** 4,
-        "psi": report.psi,
-        "eigen_gap": _pencil_gap(report.pencil_after),
-        "mlrank": "x".join(str(r) for r in report.residual_mlrank.as_tuple()),
-    }
-
-
-def _deflation_row(X) -> dict:
-    return _report_row(X, deflate_once(X)[1])
 
 
 def _mlrank_extras(rows) -> tuple:
@@ -342,14 +294,37 @@ def _mlrank_extras(rows) -> tuple:
     return (("fraction_mlrank_222", sum(r["mlrank"] == "2x2x2" for r in ok) / max(1, len(ok))),)
 
 
-def _enumerated_term(A):
-    """psi and the term (2, 2, 2) of the best usable stationary point of the
-    2x2x2 array A, from one `rank1.stationary_points_222` enumeration."""
+def _report_each(inputs, step) -> tuple:
+    """(rows, reasons) of the inputs deflated one at a time by ``step``,
+    which gives psi and the (2, 2, 2) arrays of the input and its residual.
+    A trial whose step raises becomes an error row with a reason; the other
+    steps are reported as one stack."""
+    psi, X = np.zeros(len(inputs)), np.zeros((len(inputs), 2, 2, 2))
+    R, ok, reasons = np.zeros_like(X), np.ones(len(inputs), dtype=bool), []
+    for trial, item in enumerate(inputs):
+        try:
+            psi[trial], X[trial], R[trial] = step(item)
+        except Exception as exc:
+            ok[trial] = False
+            reasons.append(f"trial {trial}: {exc}")
+    rows = iter(_report_rows(X[ok], R[ok], psi[ok]))
+    return [next(rows) if good else _error_row() for good in ok.tolist()], reasons
+
+
+def _enumerated_step(A):
+    """The deflation of the 2x2x2 array A by the best usable point of one
+    `rank1.stationary_points_222` enumeration: (psi, A, residual)."""
     usable = [p for p in rank1.stationary_points_222(A) if not p.degenerate]
     if not usable:
         raise RuntimeError("no usable stationary point")
     best = min(usable, key=lambda p: p.psi)
-    return best.psi, best.term().tensor()
+    return best.psi, A, A - best.term().tensor()
+
+
+def _symmetric_step(S: SymTensor222):
+    """psi and the expansions of S and its residual, as `deflate_once` deflates S."""
+    result = rank1.best_rank1_sym(S)
+    return result.psi, S.tensor().array, S.rank1_update(result.term.y, -1.0).tensor().array
 
 
 def experiment_generic(trials: int, seed: int = 0) -> ExperimentStats:
@@ -360,28 +335,17 @@ def experiment_generic(trials: int, seed: int = 0) -> ExperimentStats:
     adds; a trial with no usable point is an error row.  The residuals are
     then reported as one stack.
     """
-    def solve(flat):
-        X = _slab_major(np.array(flat))
-        psi, terms = np.zeros(len(X)), np.zeros_like(X)
-        ok, reasons = np.ones(len(X), dtype=bool), []
-        for trial, A in enumerate(X):
-            try:
-                psi[trial], terms[trial] = _enumerated_term(A)
-            except Exception as exc:
-                ok[trial] = False
-                reasons.append(f"trial {trial}: {exc}")
-        rows = iter(_report_rows(X[ok], X[ok] - terms[ok], psi[ok], tol=1e-9,
-                                 coincidence_tol=1e-6))
-        return [next(rows) if good else _error_row() for good in ok.tolist()], reasons
-
-    rows, reasons = _run(trials, seed, lambda rng: rng.standard_normal(8), solve)
+    rows, reasons = _run(trials, seed, lambda rng: rng.standard_normal(8),
+                         lambda flat: _report_each(_slab_major(np.array(flat)), _enumerated_step))
     return _aggregate("generic", trials, seed, rows, reasons, _mlrank_extras(rows))
 
 
 def experiment_symmetric(trials: int, seed: int = 0) -> ExperimentStats:
-    """Symmetric analogue: (a, b, c, d) i.i.d. normal, symmetric deflation."""
+    """Symmetric analogue: (a, b, c, d) i.i.d. normal, deflated by the
+    `best_rank1_sym` term as in `deflate_once`; a trial whose solve raises
+    is an error row.  The residuals are then reported as one stack."""
     rows, reasons = _run(trials, seed, lambda rng: SymTensor222(*rng.standard_normal(4)),
-                         _each(_deflation_row))
+                         lambda inputs: _report_each(inputs, _symmetric_step))
     return _aggregate("symmetric", trials, seed, rows, reasons, _mlrank_extras(rows))
 
 
@@ -409,8 +373,7 @@ def experiment_d3_closure(trials: int, seed: int = 0) -> ExperimentStats:
         for trial in np.flatnonzero(~(np.linalg.cond(blocks) <= D3_COND_CAP).all(axis=1)):
             X[trial] = _sample_d3(_trial_rng(seed, trial)).array
         psi, x, y, z, converged, _ = rank1._best_rank1_stack(X)
-        rows = _report_rows(X, X - np.einsum("ni,nj,nk->nijk", x, y, z), psi, tol=1e-9,
-                            coincidence_tol=1e-6)
+        rows = _report_rows(X, X - np.einsum("ni,nj,nk->nijk", x, y, z), psi)
         for row, ok in zip(rows, converged.tolist()):
             # the input is D3 by construction, whatever its classification reads
             row.update(orbit_before="D3", converged=ok)
@@ -523,8 +486,8 @@ def check_degenerate_props(X, tol: float = 1e-9) -> DeflationReport:
         psis = [frobenius_norm_sq(Tensor222(t.array - c.array)) for c in candidates]
         best = int(np.argmin(psis))
         ties = sum(p <= psis[best] + rank1.TIE_REL_TOL * frobenius_norm_sq(t) for p in psis)
-        report = _report(t, Tensor222(t.array - candidates[best].array), psis[best], ties, (),
-                         tol, DEFAULT_COINCIDENCE_TOL)
+        report = _deflation_report(t.array, t.array - candidates[best].array, psis[best], ties,
+                                   (), tol)
     if report.orbit_after.orbit != expected:
         raise RuntimeError(f"{label.orbit} input deflated to {report.orbit_after.orbit}, "
                            f"expected {expected}")

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .smallalg import DEFAULT_COINCIDENCE_TOL, EigenPair2, eig2
+from .smallalg import (DEFAULT_COINCIDENCE_TOL, EigenPair2, _diagonalizable, _eig2_terms,
+                       _eigen_pair, eig2)
 from .tensors import DEFAULT_RANK_TOL, Tensor222, multilinear_rank, scaled_entries, unit_scaled
 
 __all__ = [
@@ -230,6 +231,25 @@ def slab_pencil(X, coincidence_tol: float = DEFAULT_COINCIDENCE_TOL) -> EigenPai
         except ValueError:
             continue
     return None
+
+
+def _slab_pencils(A, coincidence_tol: float) -> list:
+    """`slab_pencil(A[n], coincidence_tol)` of each tensor of the stack A
+    (N, 2, 2, 2): X2 X1^-1, or X1 X2^-1 where X1 is not inverted or that
+    quotient is not finite, each order with one solve over its tensors."""
+    M, rest = np.full(A.shape[:-1], np.nan), np.arange(len(A))
+    for num, den in ((A[..., 1], A[..., 0]), (A[..., 0], A[..., 1])):
+        take = rest[_invertible(den[rest])]
+        M[take] = _quotient(num[take], den[take])
+        rest = rest[~np.isfinite(M[rest]).all(axis=(1, 2))]
+        if not len(rest):
+            break
+    has = np.isfinite(M).all(axis=(1, 2))
+    M = M[has]
+    half, disc, gap, double = _eig2_terms(M, coincidence_tol)
+    pairs = iter(map(_eigen_pair, half.tolist(), disc.tolist(), gap.tolist(), double.tolist(),
+                     _diagonalizable(M, half, coincidence_tol).tolist()))
+    return [next(pairs) if h else None for h in has.tolist()]
 
 
 def _entry_scale(X) -> float:

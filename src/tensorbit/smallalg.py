@@ -238,13 +238,32 @@ def _eig2_terms(M, coincidence_tol: float):
     return tr / 2.0, disc, gap, gap <= coincidence_tol * (1.0 + lam_scale)
 
 
-def _norm2(A) -> float:
-    """Spectral norm of a 2x2 matrix in closed form: sigma_max^2 =
-    (f + sqrt(f^2 - 4 det^2)) / 2 with f = ||A||_F^2, which is
+def _norm2(A):
+    """Spectral norm of each 2x2 matrix of A (..., 2, 2) in closed form:
+    sigma_max^2 = (f + sqrt(f^2 - 4 det^2)) / 2 with f = ||A||_F^2, which is
     ((|z1| + |z2|) / 2)^2 for z1 = (a + d) + i (c - b) and z2 = (a - d) + i (b + c),
     written that way to avoid the cancellation in f^2 - 4 det^2."""
-    (a, b), (c, d) = A
-    return float(np.hypot(a + d, c - b) + np.hypot(a - d, b + c)) / 2.0
+    a, b, c, d = A[..., 0, 0], A[..., 0, 1], A[..., 1, 0], A[..., 1, 1]
+    return (np.hypot(a + d, c - b) + np.hypot(a - d, b + c)) / 2.0
+
+
+def _diagonalizable(M, half, coincidence_tol: float):
+    """Whether each 2x2 matrix of M (..., 2, 2) is within the coincidence band
+    of half I, its half trace: a double eigenvalue with two eigenvectors."""
+    band = coincidence_tol * (1.0 + np.abs(M).max(axis=(-2, -1)))
+    return _norm2(M - half[..., None, None] * np.eye(2)) <= band
+
+
+def _eigen_pair(half, disc, gap, double, diagonalizable) -> EigenPair2:
+    """The kind decision of `eig2`, on the `_eig2_terms` of one matrix and,
+    for a double eigenvalue, its `_diagonalizable` verdict."""
+    if double:
+        if diagonalizable:
+            return EigenPair2("DoubleRealDiagonalizable", (half, half), 2, gap)
+        return EigenPair2("DoubleRealDefective", (half, half), 1, gap)
+    if disc > 0:
+        return EigenPair2("DistinctReal", (half + gap / 2.0, half - gap / 2.0), 2, gap)
+    return EigenPair2("ComplexPair", (half, gap / 2.0), 2, gap)
 
 
 def eig2(M, coincidence_tol: float = DEFAULT_COINCIDENCE_TOL) -> EigenPair2:
@@ -257,13 +276,8 @@ def eig2(M, coincidence_tol: float = DEFAULT_COINCIDENCE_TOL) -> EigenPair2:
     if M.shape != (2, 2) or not np.isfinite(M).all():
         raise ValueError("expected a finite 2x2 matrix")
     half, disc, gap, double = _eig2_terms(M, coincidence_tol)
-    if double:
-        if _norm2(M - half * np.eye(2)) <= coincidence_tol * (1.0 + np.abs(M).max()):
-            return EigenPair2("DoubleRealDiagonalizable", (half, half), 2, gap)
-        return EigenPair2("DoubleRealDefective", (half, half), 1, gap)
-    if disc > 0:
-        return EigenPair2("DistinctReal", (half + gap / 2.0, half - gap / 2.0), 2, gap)
-    return EigenPair2("ComplexPair", (half, gap / 2.0), 2, gap)
+    return _eigen_pair(half, disc, gap, double,
+                       double and _diagonalizable(M, half, coincidence_tol))
 
 
 @dataclass(frozen=True)

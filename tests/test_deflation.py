@@ -12,12 +12,13 @@ from tensorbit import (DomainError, SymTensor222, Tensor222, canonical_form,
                        experiment_generic, experiment_pxpx2, experiment_symmetric,
                        frobenius_norm_sq, hyperdet, multilinear_rank, multilinear_transform,
                        slab_pencil)
-from tensorbit.deflation import (_labels, _pencil_gap, _pencil_gaps, _sample_d3, _trial_rng,
+from tensorbit.deflation import (_deflation_report, _pencil_gap, _reports, _sample_d3, _trial_rng,
                                  _trial_rngs, write_trial_csv)
 from tensorbit.orbits import ORBITS, _quotient, _rank_tol
 from tensorbit.tensors import _slab_major
 from tensorbit.rank1 import best_rank1_222, best_rank1_pxpx2
 from tensorbit.smallalg import spectrum_small
+from tensorbit.cli import main
 from conftest import BOUNDARY_TO_D2
 
 
@@ -138,12 +139,16 @@ def test_experiment_generic_statistics():
     assert extras["fraction_mlrank_222"] >= 0.99
 
 
-def test_experiment_generic_rows_match_deflate_once():
-    # the stacked report against the scalar one of deflate_once, whose
-    # term also comes from the enumeration
-    stats = experiment_generic(200, seed=4)
+@pytest.mark.parametrize("experiment, sample", [
+    (experiment_generic, lambda rng: Tensor222.from_flat(rng.standard_normal(8))),
+    (experiment_symmetric, lambda rng: SymTensor222(*rng.standard_normal(4)))],
+    ids=["generic", "symmetric"])
+def test_experiment_rows_match_deflate_once(experiment, sample):
+    # the stacked rows against the N = 1 reports of deflate_once, whose
+    # term also comes from the enumeration (generic) or best_rank1_sym
+    stats = experiment(200, seed=4)
     for trial, row in enumerate(stats.rows):
-        t = Tensor222.from_flat(_trial_rng(4, trial).standard_normal(8))
+        t = sample(_trial_rng(4, trial))
         _, report = deflate_once(t)
         assert row["orbit_before"] == report.orbit_before.orbit
         assert row["orbit_after"] == report.orbit_after.orbit
@@ -182,20 +187,69 @@ def _orbit_representatives():
     return np.stack(tensors)
 
 
+def _same_pencil(got, want):
+    # slab_pencil gives None for a singular pencil, and an EigenPair2 else
+    if want is None:
+        return got is None
+    return (got.kind, got.values, got.eigenvector_count, got.gap) == \
+        (want.kind, want.values, want.eigenvector_count, want.gap)
+
+
 @pytest.mark.parametrize("tol, zero_scale", [(1e-9, None), (1e-6, 1e7)])
 def test_stacked_report_matches_the_scalar_functions(tol, zero_scale):
+    # the representatives A are the residuals; the inputs X are A itself or
+    # constant tensors whose max|entry| is the zero scale of the residuals
     A = _orbit_representatives()
-    scales = None if zero_scale is None else np.full(len(A), zero_scale)
-    labels, deltas, ranks = _labels(A, tol, scales)
-    gaps = _pencil_gaps(A, 1e-6)
-    for n, arr in enumerate(A):
+    X = A if zero_scale is None else np.full_like(A, zero_scale)
+    band = max(tol, deflation.RESIDUAL_BAND)
+    labels, margins, deltas, ranks, pencils = _reports(X, A, tol, 1e-6)
+    n = len(A)
+    for i, (x, arr) in enumerate(zip(X, A)):
         t = Tensor222(arr)
-        assert labels[n] == classify(t, tol, zero_scale).orbit
-        assert deltas[n] == hyperdet(t)
-        assert tuple(ranks[n]) == multilinear_rank(t, _rank_tol(tol)).as_tuple()
-        assert gaps[n] == _pencil_gap(slab_pencil(t, 1e-6))
+        before = classify(Tensor222(x), tol)
+        after = classify(t, band, zero_scale=np.abs(x).max())
+        report = _deflation_report(x, arr, 0.0, 1, (), tol, 1e-6)
+        assert (labels[i], margins[i]) == (before.orbit, before.boundary_margin)
+        assert (labels[n + i], margins[n + i]) == (after.orbit, after.boundary_margin)
+        assert (deltas[i], deltas[n + i]) == (hyperdet(Tensor222(x)), hyperdet(t))
+        assert tuple(ranks[i]) == multilinear_rank(Tensor222(x), _rank_tol(tol)).as_tuple()
+        assert tuple(ranks[n + i]) == multilinear_rank(t, _rank_tol(band)).as_tuple()
+        assert _same_pencil(pencils[i], slab_pencil(Tensor222(x), 1e-6))
+        assert _same_pencil(pencils[n + i], slab_pencil(t, 1e-6))
+        # the N = 1 report is the stack's own case
+        assert (report.orbit_before.orbit, report.orbit_before.boundary_margin) == \
+            (before.orbit, before.boundary_margin)
+        assert (report.orbit_after.orbit, report.orbit_after.boundary_margin) == \
+            (after.orbit, after.boundary_margin)
+        assert (report.delta_before, report.delta_after) == (deltas[i], deltas[n + i])
+        assert report.residual_mlrank.as_tuple() == tuple(ranks[n + i])
+        assert _same_pencil(report.pencil_before, slab_pencil(Tensor222(x), 1e-6))
+        assert _same_pencil(report.pencil_after, slab_pencil(t, 1e-6))
+    assert None in pencils[n:] and len(set(p.kind for p in pencils if p is not None)) == 4
     if zero_scale is not None:
-        assert "D0" in labels[1:]
+        assert "D0" in labels[n + 1:]
+
+
+def test_stacked_pencils_take_slab_pencils_order():
+    # X2 X1^-1 overflows for the first tensor, and X1 is singular for the
+    # second: slab_pencil takes X1 X2^-1 for both, and None without a slab
+    slabs = [(1e-300 * np.eye(2), 1e300 * np.array([[1.0, 2.0], [3.0, 4.0]])),
+             (np.zeros((2, 2)), np.array([[1.0, 2.0], [3.0, 4.0]])),
+             (np.zeros((2, 2)), np.zeros((2, 2))),
+             (np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]]))]
+    tensors = [Tensor222.from_slabs(*pair) for pair in slabs]
+    *_, pencils = _reports(np.stack([t.array for t in tensors]), np.zeros((4, 2, 2, 2)))
+    for t, pencil in zip(tensors, pencils):
+        assert _same_pencil(pencil, slab_pencil(t))
+    assert pencils[2] is None and pencils[3].kind == "DoubleRealDefective"
+
+
+def test_reports_validate_tol(capsys):
+    # the stacked report checks tol as classify does, on every report path
+    with pytest.raises(ValueError, match="tol must be positive"):
+        deflate_once(Tensor222.from_flat([1, 2, 3, 4, 5, 6, 7, 9]), tol=0)
+    assert main(["deflate", "--data=1,2,3,4,5,6,7,9", "--tol", "0"]) == 2
+    assert "tol must be positive" in capsys.readouterr().err
 
 
 def test_experiment_generic_reproducible():
@@ -222,6 +276,21 @@ def test_experiment_generic_keeps_trials_whose_enumeration_raises(monkeypatch):
                         lambda X: rank1.EnumerationResult((), 8))
     stats = experiment_generic(2, seed=0)
     assert stats.failures == 2 and stats.counts == (("error", 2),)
+    # the symmetric kind fails the trial whose best_rank1_sym raises, alone
+    whole = experiment_symmetric(4, seed=0)
+    solve_sym = rank1.best_rank1_sym
+
+    def sym_fails_on_trial_2(S):
+        if S == SymTensor222(*_trial_rng(0, 2).standard_normal(4)):
+            raise ValueError("no symmetric term")
+        return solve_sym(S)
+
+    monkeypatch.setattr(rank1, "best_rank1_sym", sym_fails_on_trial_2)
+    stats = experiment_symmetric(4, seed=0)
+    assert stats.failure_reasons == ("trial 2: no symmetric term",)
+    assert stats.rows[2] == dict(deflation._error_row(), trial=2)
+    assert [r for n, r in enumerate(stats.rows) if n != 2] == \
+        [r for n, r in enumerate(whole.rows) if n != 2]
 
 
 def test_experiment_counts_sum_to_trials():
