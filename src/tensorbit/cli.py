@@ -61,16 +61,12 @@ def _emit(payload: dict):
     sys.stdout.write(_to_json(payload) + "\n")
 
 
-def _pencil_dict(pencil):
+def _pencil_dict(pencil: EigenPair2 | None):
     if pencil is None:
         return None
-    if isinstance(pencil, EigenPair2):
-        return {"kind": pencil.kind,
-                "values": [float(v) for v in pencil.values],
-                "eigenvector_count": pencil.eigenvector_count}
-    return {"eigenvalues": [[v.real, v.imag] for v in pencil.eigenvalues],
-            "n_complex_pairs": pencil.n_complex_pairs,
-            "n_coincident_real_pairs": pencil.n_coincident_real_pairs}
+    return {"kind": pencil.kind,
+            "values": [float(v) for v in pencil.values],
+            "eigenvector_count": pencil.eigenvector_count}
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +150,8 @@ def cmd_rank1(args) -> int:
     doc = _load_document(args)
     tensor = doc.to_tensor()
     if isinstance(tensor, SymTensor222):
+        if args.method == "hopm":
+            raise ValueError("rank1 --method hopm handles full222 and pxpx2 documents")
         result = rank1.best_rank1_sym(tensor)
         rows = _sym_point_rows(result.all_points)
         table_cols = ("z", "y2", "psi", "delta_residual")

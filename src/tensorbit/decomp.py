@@ -39,6 +39,10 @@ __all__ = [
 ]
 
 
+# the relative band of the Delta and residual checks of the canonical-form transforms
+TRANSFORM_TOL = 1e-6
+
+
 class DomainError(ValueError):
     """Input is outside the operation's declared domain."""
 
@@ -230,7 +234,7 @@ def _form_residual(S, orbit: str, target: SymTensor222) -> float:
     return float(np.max(np.abs(np.array(got.as_tuple()) - np.array(target.as_tuple()))))
 
 
-def transform_from_canonical_D3(a: float, d: float, tol: float = 1e-6) -> CanonicalTransform:
+def transform_from_canonical_D3(a: float, d: float) -> CanonicalTransform:
     """Invertible S with (S, S, S) . Y_D3 = (a, 1, 1, d), for Delta ~ 0.
 
     General solution: s1/s3 = 1 +- sqrt(1 - a), s2 = a / (3 s1^2),
@@ -240,7 +244,7 @@ def transform_from_canonical_D3(a: float, d: float, tol: float = 1e-6) -> Canoni
     target = _form_tensor(a, d)
     scale = max(1.0, abs(a), abs(d))
     delta = hyperdet_sym(target)
-    if abs(delta) > max(tol, 1e-6) * scale ** 4:
+    if abs(delta) > TRANSFORM_TOL * scale ** 4:
         raise DomainError(f"normal form ({a}, {d}) is not on the Delta = 0 boundary")
     if abs(a - 1.0) <= 1e-9 and abs(d - 1.0) <= 1e-9:
         raise DomainError("(a, d) = (1, 1) is the rank-1 corner, not orbit D3")
@@ -263,18 +267,15 @@ def transform_from_canonical_D3(a: float, d: float, tol: float = 1e-6) -> Canoni
             candidates.append(np.array([[s1, s2], [s3, s4]]))
     best = min(candidates, key=lambda S: _form_residual(S, "D3", target))
     residual = _form_residual(best, "D3", target)
-    if residual > max(tol, 1e-6) * scale:
+    if residual > TRANSFORM_TOL * scale:
         raise NumericalFailure(f"D3 transform residual {residual:.3e} too large")
     return CanonicalTransform(best, "D3", residual)
 
 
 def _g3_candidates_general(a: float, d: float):
-    cubic = Polynomial([-a, 3.0, -3.0, d])
     out = []
-    for r in roots(cubic):
-        if not is_real_root(r):
-            continue
-        alpha = float(r.real)
+    rts = roots(Polynomial([-a, 3.0, -3.0, d]))
+    for alpha in rts.real[is_real_root(rts)].tolist():
         den = 12.0 * (alpha * alpha - 2.0 * alpha + a)
         if abs(den) < 1e-12:
             continue
@@ -301,7 +302,7 @@ def _g3_candidates_general(a: float, d: float):
     return out
 
 
-def transform_from_canonical_G3(a: float, d: float, tol: float = 1e-6) -> CanonicalTransform:
+def transform_from_canonical_G3(a: float, d: float) -> CanonicalTransform:
     """Invertible S with (S, S, S) . Y_G3 = (a, 1, 1, d), for Delta < 0.
 
     s1/s3 solves the cubic d t^3 - 3 t^2 + 3 t - a = 0 (three distinct
@@ -330,13 +331,13 @@ def transform_from_canonical_G3(a: float, d: float, tol: float = 1e-6) -> Canoni
     scored = sorted((_form_residual(S, "G3", target), i, S)
                     for i, S in enumerate(candidates))
     residual, _, best = scored[0]
-    if residual > max(tol, 1e-6) * scale:
+    if residual > TRANSFORM_TOL * scale:
         all_res = ", ".join(f"{r:.3e}" for r, _, _ in scored)
         raise NumericalFailure(f"G3 transform residuals too large: {all_res}")
     return CanonicalTransform(best, "G3", residual)
 
 
-def canonical_transform(Xs: SymTensor222, tol: float = 1e-6) -> CanonicalTransform:
+def canonical_transform(Xs: SymTensor222) -> CanonicalTransform:
     """Full transform from the canonical orbit representative to ``Xs``.
 
     Normalizes with the diagonal rescale, solves the normal-form system,
@@ -350,9 +351,9 @@ def canonical_transform(Xs: SymTensor222, tol: float = 1e-6) -> CanonicalTransfo
     if not form.normalizable:
         raise DomainError(f"normal form unavailable: {form.branch}")
     if label.orbit == "D3":
-        inner = transform_from_canonical_D3(form.a, form.d, tol)
+        inner = transform_from_canonical_D3(form.a, form.d)
     else:
-        inner = transform_from_canonical_G3(form.a, form.d, tol)
+        inner = transform_from_canonical_G3(form.a, form.d)
     total = np.linalg.inv(form.transform) @ inner.S
     got = _apply_sym(total, label.orbit)
     residual = float(np.max(np.abs(np.array(got.as_tuple()) - np.array(Xs.as_tuple()))))

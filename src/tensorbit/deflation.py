@@ -7,10 +7,11 @@ pencil acquires a defective double eigenvalue and the hyperdeterminant of
 the residual vanishes.
 
 One stacked computation, `_reports`, gives every report: the labels and
-margins, Delta values, residual multilinear ranks and slab pencils of the
-inputs and residuals of N steps, from one exact scaling, one rank call and
-one slab choice.  `DeflationReport` is its N = 1 case, and experiment rows
-are built from its lists.
+margins, Delta values and multilinear ranks of the inputs and residuals of
+N steps, from one exact scaling and one rank call.  `DeflationReport` is
+its N = 1 case, with both slab pencils from `slab_pencil`, and experiment
+rows are built from its lists, with the residuals' slab pencils from one
+stacked slab choice.
 
 Each experiment is a sampler and a solver run by one harness.  Trial t
 draws its input from its own counter-based RNG stream (Philox keyed on the
@@ -36,7 +37,7 @@ import numpy as np
 from . import rank1
 from .decomp import DomainError
 from .orbits import (OrbitLabel, SymTensor222, _hyperdets, _is_zero, _orbit, _quotient, _rank_tol,
-                     _slab_pencils, canonical_form, classify)
+                     _slab_pencils, canonical_form, classify, slab_pencil)
 from .smallalg import DEFAULT_COINCIDENCE_TOL, EigenPair2, spectra_small
 from .tensors import (MultilinearRank, Tensor222, TensorPxPx2, _as_array, _ranks, _slab_major,
                       frobenius_norm_sq, multilinear_transform)
@@ -62,6 +63,8 @@ RESIDUAL_BAND = 1e-6
 PAIRING_BAND = 1e-4
 # largest condition number of a transform of the canonical D3 form in the d3 kind
 D3_COND_CAP = 1e3
+# the relative band of every decision of check_degenerate_props, its labels included
+PROPS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -121,12 +124,12 @@ def _pencil_gap(pencil):
     return float(pencil.gap / (1.0 + max(map(abs, pencil.values))))
 
 
-def _reports(X, R, tol: float = 1e-9, coincidence_tol: float = DEFAULT_COINCIDENCE_TOL):
-    """(labels, margins, deltas, ranks, pencils) of N deflation steps, the
-    inputs X (N, 2, 2, 2) deflated to the residuals R: lists over the 2N
-    tensors of [X; R], inputs first.  X[n] is labelled as by `classify(X[n],
-    tol)`, R[n] as by `classify(R[n], max(tol, RESIDUAL_BAND), zero_scale=
-    max|X[n]|)`, with the rank that label uses, `hyperdet` and `slab_pencil`.
+def _reports(X, R, tol: float = 1e-9):
+    """(labels, margins, deltas, ranks) of N deflation steps, the inputs X
+    (N, 2, 2, 2) deflated to the residuals R: lists over the 2N tensors of
+    [X; R], inputs first.  X[n] is labelled as by `classify(X[n], tol)`,
+    R[n] as by `classify(R[n], max(tol, RESIDUAL_BAND), zero_scale=
+    max|X[n]|)`, with the rank that label uses and `hyperdet`.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -146,28 +149,29 @@ def _reports(X, R, tol: float = 1e-9, coincidence_tol: float = DEFAULT_COINCIDEN
         margins.append(0.0 if zero else abs(d) / quartic)
     with np.errstate(over="ignore"):
         deltas = np.ldexp(delta, 4 * exponent).tolist()
-    return labels, margins, deltas, ranks, _slab_pencils(A, coincidence_tol)
+    return labels, margins, deltas, ranks
 
 
 def _deflation_report(X, R, psi: float, ties: int, warnings, tol: float,
                       coincidence_tol: float = DEFAULT_COINCIDENCE_TOL) -> DeflationReport:
     """The report of the input X deflated to the residual R, both (2, 2, 2)
-    arrays, with criterion psi: the N = 1 case of `_reports`."""
-    labels, margins, deltas, ranks, pencils = _reports(X[None], R[None], tol, coincidence_tol)
+    arrays, with criterion psi: the N = 1 case of `_reports`, and the
+    `slab_pencil` of each."""
+    labels, margins, deltas, ranks = _reports(X[None], R[None], tol)
     # the fields in order: orbits, deltas and pencils before and after, then the residual's rank
     return DeflationReport(OrbitLabel(labels[0], margins[0]), OrbitLabel(labels[1], margins[1]),
-                           *deltas, *pencils, MultilinearRank(*ranks[1]), float(psi), ties,
-                           tuple(warnings))
+                           *deltas, slab_pencil(X, coincidence_tol), slab_pencil(R, coincidence_tol),
+                           MultilinearRank(*ranks[1]), float(psi), ties, tuple(warnings))
 
 
 def _report_rows(X, R, psi) -> list:
     """The experiment rows of N deflation steps, the input X[n] (N, 2, 2, 2)
     deflated to the residual R[n] with criterion psi[n], from `_reports` at
-    its default bands."""
+    its default bands and the residuals' stacked `slab_pencil`s."""
     n = len(X)
     if not n:
         return []
-    labels, _, deltas, ranks, pencils = _reports(X, R)
+    labels, _, deltas, ranks = _reports(X, R)
     return [{
         "orbit_before": b,
         "orbit_after": a,
@@ -179,7 +183,7 @@ def _report_rows(X, R, psi) -> list:
         "mlrank": "x".join(map(str, r)),
     } for b, a, db, da, s, p, g, r in zip(labels[:n], labels[n:], deltas[:n], deltas[n:],
                                           np.abs(X).max(axis=(1, 2, 3)).tolist(), psi.tolist(),
-                                          pencils[n:], ranks[n:])]
+                                          _slab_pencils(R, DEFAULT_COINCIDENCE_TOL), ranks[n:])]
 
 
 def deflate_once(X, tol: float = 1e-9, coincidence_tol: float = DEFAULT_COINCIDENCE_TOL):
@@ -452,23 +456,23 @@ def write_trial_csv(stats: ExperimentStats, path) -> None:
 # deterministic checks for the degenerate-orbit propositions
 # ---------------------------------------------------------------------------
 
-def check_degenerate_props(X, tol: float = 1e-9) -> DeflationReport:
+def check_degenerate_props(X) -> DeflationReport:
     """Verify the deterministic deflation statements for degenerate inputs.
 
     D1 deflates to D0; the D2 family deflates to D1; diagonal-slab rank-2
     tensors deflate to D1, with the tie multiplicity reported when both
     diagonal pairs carry equal weight (and the extra closed-form family
-    counted when ah = de).  Every band is relative to the input's scale,
-    so 2^k X gets the verdicts of X.
+    counted when ah = de).  Every band is PROPS_TOL relative to the input's
+    scale, so 2^k X gets the verdicts of X.
     """
     t = X if isinstance(X, Tensor222) else Tensor222(X)
-    label = classify(t, tol)
+    label = classify(t, PROPS_TOL)
     a_, b_, c_, d_, e_, f_, g_, h_ = t.entries
     scale = max(map(abs, t.entries))
-    diagonal = scale > 0.0 and max(abs(b_), abs(c_), abs(f_), abs(g_)) <= tol * scale
+    diagonal = scale > 0.0 and max(abs(b_), abs(c_), abs(f_), abs(g_)) <= PROPS_TOL * scale
     expected = "D0" if label.orbit == "D1" else "D1"
     if label.orbit == "D1" or (not diagonal and label.orbit in ("D2", "D2p", "D2pp")):
-        report = deflate_once(t, tol)[1]
+        report = deflate_once(t, PROPS_TOL)[1]
     elif not diagonal:
         raise DomainError(
             f"check_degenerate_props applies to D1, the D2 family, or "
@@ -479,15 +483,15 @@ def check_degenerate_props(X, tol: float = 1e-9) -> DeflationReport:
         candidates = [Tensor222.from_entries(0, 0, 0, d_, 0, 0, 0, h_),
                       Tensor222.from_entries(a_, 0, 0, 0, e_, 0, 0, 0)]
         lead, tail = a_ * a_ + e_ * e_, d_ * d_ + h_ * h_
-        scale_sq = max(lead, tail)
-        if abs(lead - tail) <= tol * scale_sq and abs(a_ * h_ - d_ * e_) <= tol * scale_sq:
+        band = PROPS_TOL * max(lead, tail)
+        if abs(lead - tail) <= band and abs(a_ * h_ - d_ * e_) <= band:
             family = Tensor222.from_entries(a_, a_, d_, d_, e_, e_, h_, h_)
             candidates.append(Tensor222(family.array / 2.0))
         psis = [frobenius_norm_sq(Tensor222(t.array - c.array)) for c in candidates]
         best = int(np.argmin(psis))
-        ties = sum(p <= psis[best] + rank1.TIE_REL_TOL * frobenius_norm_sq(t) for p in psis)
-        report = _deflation_report(t.array, t.array - candidates[best].array, psis[best], ties,
-                                   (), tol)
+        report = _deflation_report(t.array, t.array - candidates[best].array, psis[best],
+                                   rank1._ties(psis, psis[best], frobenius_norm_sq(t)), (),
+                                   PROPS_TOL)
     if report.orbit_after.orbit != expected:
         raise RuntimeError(f"{label.orbit} input deflated to {report.orbit_after.orbit}, "
                            f"expected {expected}")

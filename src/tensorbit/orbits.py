@@ -17,7 +17,7 @@ import numpy as np
 
 from .smallalg import (DEFAULT_COINCIDENCE_TOL, EigenPair2, _diagonalizable, _eig2_terms,
                        _eigen_pair, eig2)
-from .tensors import DEFAULT_RANK_TOL, Tensor222, multilinear_rank, scaled_entries, unit_scaled
+from .tensors import DEFAULT_RANK_TOL, Tensor222, _prescale, multilinear_rank, unit_scaled
 
 __all__ = [
     "ORBITS",
@@ -154,30 +154,28 @@ def _hyperdets(A):
     """`hyperdet` of each tensor of the stack A (..., 2, 2, 2), with the
     same exact scaling: (Delta of A / 2^e, e, A / 2^e, max|entry|), with
     max|entry| / 2^e in [1/2, 1).  Delta is Delta of A / 2^e times 2^(4e)."""
-    scale = np.abs(A).max(axis=(-3, -2, -1))
-    exponent = np.frexp(scale)[1]
-    unit = np.ldexp(A, -exponent[..., None, None, None])
+    unit, exponent = _prescale(A, A.ndim - 3)
     delta = _delta(*(unit[..., i, j, k] for k in (0, 1) for i in (0, 1) for j in (0, 1)))
-    return delta, exponent, unit, scale
+    return delta, exponent, unit, np.abs(A).max(axis=(-3, -2, -1))
 
 
 def hyperdet(X) -> float:
     """Hyperdeterminant: discriminant of det(l1 X1 + l2 X2) in (l1, l2).
 
     Positive for orbit G2, negative for G3, zero on the boundary (D3 and
-    the degenerate orbits).  Computed on X / 2^e (`scaled_entries`) and
+    the degenerate orbits).  Computed on X / 2^e (`tensors._prescale`) and
     multiplied by 2^(4e), so the value overflows or underflows only where
     Delta itself does.
     """
-    entries, exponent = scaled_entries(_slab_entries(X))
-    return _ldexp(_delta(*entries), 4 * exponent)
+    unit, exponent = _prescale(_slab_entries(X))
+    return _ldexp(_delta(*unit.tolist()), 4 * exponent)
 
 
 def hyperdet_sym(Xs: SymTensor222) -> float:
     """Closed form (bc - ad)^2 - 4 (bd - c^2)(ac - b^2) for symmetric input,
     with the scaling of `hyperdet`."""
-    entries, exponent = scaled_entries(Xs.as_tuple() if isinstance(Xs, SymTensor222) else Xs)
-    return _ldexp(_delta_sym(*entries), 4 * exponent)
+    unit, exponent = _prescale(Xs.as_tuple() if isinstance(Xs, SymTensor222) else Xs)
+    return _ldexp(_delta_sym(*unit.tolist()), 4 * exponent)
 
 
 def pencil_eigs(X, slab_order: str = "21",
@@ -252,13 +250,6 @@ def _slab_pencils(A, coincidence_tol: float) -> list:
     return [next(pairs) if h else None for h in has.tolist()]
 
 
-def _entry_scale(X) -> float:
-    if isinstance(X, SymTensor222):
-        return float(np.max(np.abs(X.as_tuple())))
-    X1, X2 = _slabs(X)
-    return float(max(np.max(np.abs(X1)), np.max(np.abs(X2))))
-
-
 def _rank_tol(tol: float) -> float:
     """The relative cutoff of the rank and zero decisions that go with the
     Delta band ``tol``.  A residual meets Delta = 0 only to solver accuracy,
@@ -308,11 +299,11 @@ def classify(X, tol: float = 1e-9, zero_scale: float | None = None) -> OrbitLabe
         raise ValueError("tol must be positive")
     if isinstance(X, SymTensor222):
         X = X.tensor()
-    scale = _entry_scale(X)
-    if _is_zero(scale, zero_scale, tol):
-        return OrbitLabel("D0", 0.0)
     X, exponent = unit_scaled(X)
-    quartic = math.ldexp(scale, -exponent) ** 4
+    unit_max = float(np.abs(X).max())
+    if _is_zero(math.ldexp(unit_max, exponent), zero_scale, tol):
+        return OrbitLabel("D0", 0.0)
+    quartic = unit_max ** 4
     delta = _delta(*_slab_entries(X))
     mlr = multilinear_rank(X, _rank_tol(tol)).as_tuple()
     return OrbitLabel(_orbit(mlr, delta, quartic, tol), abs(delta) / quartic)

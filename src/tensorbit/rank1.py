@@ -37,8 +37,8 @@ import numpy as np
 
 from . import smallalg
 from .orbits import SymTensor222, _delta, _ldexp, hyperdet_sym
-from .tensors import (Rank1Term, Tensor222, TensorPxPx2, _as_array, frobenius_norm_sq,
-                      scaled_entries, unit_scaled)
+from .tensors import (Rank1Term, Tensor222, TensorPxPx2, _as_array, _prescale, frobenius_norm_sq,
+                      unit_scaled)
 
 __all__ = [
     "StationaryPoint",
@@ -489,6 +489,13 @@ def stationary_points_222(X) -> EnumerationResult:
 # global best
 # ---------------------------------------------------------------------------
 
+def _ties(psis, best: float, norm_sq: float) -> int:
+    """How many of the criterion values psis are within TIE_REL_TOL * norm_sq
+    of the best one, with norm_sq = ||X||^2."""
+    bound = best + TIE_REL_TOL * norm_sq
+    return sum(p <= bound for p in psis)
+
+
 @dataclass(frozen=True)
 class BestRank1Result:
     """Best rank-1 term with the stationary-point table it was chosen from."""
@@ -537,8 +544,8 @@ def best_rank1_222(X, cross_check: bool = True) -> BestRank1Result:
         if grid is not None:
             best, method, converged = (grid.psi, grid.term), "theta", grid.converged
             warnings.extend(grid.warnings)
-    ties = [p for p in usable if p.psi <= best[0] + TIE_REL_TOL * norm_sq]
-    return BestRank1Result(best[1], float(best[0]), enum.points, max(1, len(ties)),
+    return BestRank1Result(best[1], float(best[0]), enum.points,
+                           max(1, _ties([p.psi for p in usable], best[0], norm_sq)),
                            n_complex=enum.n_complex, converged=converged, method=method,
                            warnings=tuple(warnings))
 
@@ -605,8 +612,7 @@ def _theta_stack(X):
     a tensor leaves the refinement with its row.
     """
     n, p = len(X), X.shape[1]
-    exponent = np.frexp(np.abs(X.reshape(n, -1)).max(axis=1))[1]
-    unit = np.ldexp(X, -exponent[:, None, None, None])
+    unit, exponent = _prescale(X, 1)
     arr = unit[:, None]
     S = _gram_pencil(arr)
     lip = np.sqrt((S[:, 0, 1:] ** 2).reshape(n, -1).sum(axis=1))
@@ -762,15 +768,15 @@ def stationary_points_sym(Xs: SymTensor222) -> EnumerationResult:
     that puts the chart's point at infinity at the angle k pi / 6 where |H|
     is largest.  A nonzero binary cubic vanishes at three directions at
     most, so the chart cubic keeps degree 3 and no root is lost, including
-    y2 = 0 when b = 0.  Roots within `smallalg.IMAG_TOL` of the real axis
-    are real and those that close to each other are one direction, which
+    y2 = 0 when b = 0.  Roots that `smallalg.is_real_root` calls real are
+    real and those within its band of each other are one direction, which
     is listed once; ``n_complex`` counts the non-real roots, so a double
     real root is one point and no complex one.  ``z`` is
     y1/y2 (+-inf at y2 = 0).  The solve runs on Xs / 2^e (exact), so psi
     scales exactly.  Raises ValueError for the zero tensor, on which H
     vanishes identically.
     """
-    entries, exponent = scaled_entries(Xs.as_tuple())
+    entries, exponent = _prescale(Xs.as_tuple())
     angles = np.arange(6) * (np.pi / 6.0)
     U = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     G = _sym_contraction(entries, U)
@@ -785,7 +791,7 @@ def stationary_points_sym(Xs: SymTensor222) -> EnumerationResult:
     z = np.roots(sym_stationarity_cubic(rotated)[::-1])
     # round-off moves a double root off the real axis or splits it along it
     # by about the same amount, so one band decides realness and distinctness
-    real = np.abs(z.imag) <= smallalg.IMAG_TOL * (1.0 + np.abs(z.real))
+    real = smallalg.is_real_root(z)
     n_complex = int(z.size - np.count_nonzero(real))
     z = np.sort(z.real[real])
     z = z[np.append(True, np.diff(z) > smallalg.IMAG_TOL * (1.0 + np.abs(z[1:])))]
@@ -827,9 +833,9 @@ def best_rank1_sym(Xs: SymTensor222) -> BestRank1Result:
         return BestRank1Result(Rank1Term(zero, zero, zero), 0.0, (), 1,
                                warnings=("symmetric enumeration degenerate",))
     best = enum.points[0]
-    bound = best.psi + TIE_REL_TOL * frobenius_norm_sq(Xs)
     return BestRank1Result(best.term(), best.psi, enum.points,
-                           sum(p.psi <= bound for p in enum.points), n_complex=enum.n_complex)
+                           _ties([p.psi for p in enum.points], best.psi, frobenius_norm_sq(Xs)),
+                           n_complex=enum.n_complex)
 
 
 # ---------------------------------------------------------------------------
@@ -921,10 +927,11 @@ def hopm(X, max_iter: int = 500, tol: float = 1e-14, seed: int = 0) -> BestRank1
 # infinitely-many-best detection
 # ---------------------------------------------------------------------------
 
-def _orthogonal_pencil(M1, M2, tol):
+def _orthogonal_pencil(M1, M2):
     """True when (a M1 + b M2)^T (a M1 + b M2) is proportional to I for all
-    (a, b), with strictly positive scale on the basis matrices."""
-    band = tol * max(np.abs(M1).max(), np.abs(M2).max()) ** 2
+    (a, b), with strictly positive scale on the basis matrices, within
+    1e-10 of the largest squared entry."""
+    band = 1e-10 * max(np.abs(M1).max(), np.abs(M2).max()) ** 2
 
     def prop_to_identity(G, require_positive):
         return (max(abs(G[0, 1]), abs(G[1, 0]), abs(G[0, 0] - G[1, 1])) <= band
@@ -935,12 +942,12 @@ def _orthogonal_pencil(M1, M2, tol):
             and prop_to_identity(M1.T @ M2 + M2.T @ M1, False))
 
 
-def detect_infinite_best(X, tol: float = 1e-10) -> bool:
+def detect_infinite_best(X) -> bool:
     """Sufficient condition for infinitely many best rank-1 approximations:
     every mode-3 contraction and every mode-2 contraction is orthogonal up
     to scale (checked on basis contractions plus the cross term)."""
     t = _as_tensor(X)
     arr = t.array
-    mode3 = _orthogonal_pencil(arr[:, :, 0], arr[:, :, 1], tol)
-    mode2 = _orthogonal_pencil(arr[:, 0, :], arr[:, 1, :], tol)
+    mode3 = _orthogonal_pencil(arr[:, :, 0], arr[:, :, 1])
+    mode2 = _orthogonal_pencil(arr[:, 0, :], arr[:, 1, :])
     return bool(mode3 and mode2)

@@ -18,7 +18,6 @@ __all__ = [
     "NumericalFailure",
     "roots",
     "common_root",
-    "common_roots",
     "EigenPair2",
     "Spectrum",
     "eig2",
@@ -85,9 +84,11 @@ class Polynomial:
         return Polynomial(c[1:] * np.arange(1, c.size))
 
 
-def is_real_root(r: complex, tol_imag: float | None = None) -> bool:
-    t = IMAG_TOL if tol_imag is None else tol_imag
-    return abs(r.imag) <= t * (1.0 + abs(r.real))
+def is_real_root(r):
+    """Whether each root r lies within IMAG_TOL * (1 + |Re r|) of the real
+    axis: the one realness band of the package."""
+    r = np.asarray(r)
+    return np.abs(r.imag) <= IMAG_TOL * (1.0 + np.abs(r.real))
 
 
 def roots(f: Polynomial, tol: float = 1e-8) -> np.ndarray:
@@ -131,53 +132,17 @@ def roots(f: Polynomial, tol: float = 1e-8) -> np.ndarray:
     return polished
 
 
-def _real_roots(f: Polynomial, tol: float = 1e-8) -> np.ndarray:
-    rs = roots(f, tol)
-    return np.array(sorted(r.real for r in rs if is_real_root(r)))
-
-
-def common_roots(f, g, tol: float = 1e-8) -> tuple:
-    """Real common roots of f = a u^2 + b u + c and g = d u^2 + e u + n
-    that are known to share one; f and g are the float triples (a, b, c)
-    and (d, e, n).
-
-    The shared root is (bn - ec)/(cd - an) = (cd - an)/(ae - bd).  When
-    both denominators vanish, f and g are proportional or one of them is
-    zero, so they can share both roots: every real root of the one that
-    the other also has (within ``tol``) is returned, in ascending order.
-    """
-    a, b, c = f
-    d, e, n = g
-    scale = max(abs(a), abs(b), abs(c), abs(d), abs(e), abs(n))
-    if scale == 0.0:
-        return ()
-    den1 = c * d - a * n
-    den2 = a * e - b * d
-    if abs(den1) > 1e-10 * scale ** 2:
-        return ((b * n - e * c) / den1,)
-    if abs(den2) > 1e-10 * scale ** 2:
-        return (den1 / den2,)
-    pf, pg = Polynomial([c, b, a]), Polynomial([n, e, d])
-    if pf.degree == 0 or pg.degree == 0:
-        return ()   # a nonzero constant has no root
-    if pf.degree < 0 or pg.degree < 0:
-        return tuple(_real_roots(pg if pf.degree < 0 else pf, tol))
-    rg = _real_roots(pg, tol)
-    shared = []
-    for u in _real_roots(pf, tol):
-        for v in rg:
-            if abs(u - v) <= 10.0 * tol * (1.0 + abs(0.5 * (u + v))):
-                shared.append(0.5 * (u + v))
-                break
-    return tuple(shared)
-
-
 def common_root(f: Polynomial, g: Polynomial, tol: float = 1e-8):
-    """Common root of two quadratics, or None.
+    """Real common root of two quadratics f = a u^2 + b u + c and
+    g = d u^2 + e u + n, or None.
 
-    Tests the resultant relation (ae - bd)(bn - ec) = (cd - an)^2 for
-    f = a u^2 + b u + c, g = d u^2 + e u + n, and returns the first of
-    their `common_roots`.
+    Tests the resultant relation (ae - bd)(bn - ec) = (cd - an)^2; the
+    shared root is then (bn - ec)/(cd - an) = (cd - an)/(ae - bd).  When
+    both denominators vanish, f and g are proportional, both linear, or one
+    of them is zero, and the root comes from their real roots (`roots`,
+    checked against ``tol``): the smallest root of f within 10 ``tol`` of a
+    root of g, as the mean of the two, or the smallest root of the nonzero
+    one when the other is zero.
     """
     if not isinstance(f, Polynomial):
         f = Polynomial(f)
@@ -193,15 +158,24 @@ def common_root(f: Polynomial, g: Polynomial, tol: float = 1e-8):
     ca[: f.coefficients.size] = f.coefficients[:3]
     cb = np.zeros(3)
     cb[: g.coefficients.size] = g.coefficients[:3]
-    c_, b_, a_ = ca
-    n_, e_, d_ = cb
+    c, b, a = ca
+    n, e, d = cb
     scale = max(np.max(np.abs(ca)), np.max(np.abs(cb)))
-    lhs = (a_ * e_ - b_ * d_) * (b_ * n_ - e_ * c_)
-    rhs = (c_ * d_ - a_ * n_) ** 2
-    if abs(lhs - rhs) > tol * scale ** 4 * 4.0:
+    den1, den2 = c * d - a * n, a * e - b * d
+    if abs(den2 * (b * n - e * c) - den1 ** 2) > tol * scale ** 4 * 4.0:
         return None
-    shared = common_roots((a_, b_, c_), (d_, e_, n_), tol)
-    return float(shared[0]) if shared else None
+    if abs(den1) > 1e-10 * scale ** 2:
+        return float((b * n - e * c) / den1)
+    if abs(den2) > 1e-10 * scale ** 2:
+        return float(den1 / den2)
+    rts = [roots(Polynomial(q), tol) for q in (ca, cb) if q.any()]
+    real = [np.sort(r.real[is_real_root(r)]) for r in rts]
+    if len(real) == 1:
+        return float(real[0][0]) if real[0].size else None
+    u, v = real[0][:, None], real[1]
+    mean = 0.5 * (u + v)
+    i, j = np.nonzero(np.abs(u - v) <= 10.0 * tol * (1.0 + np.abs(mean)))
+    return float(mean[i[0], j[0]]) if i.size else None
 
 
 @dataclass(frozen=True)
@@ -219,10 +193,6 @@ class EigenPair2:
     values: tuple
     eigenvector_count: int
     gap: float = 0.0
-
-    @property
-    def is_defective_double(self) -> bool:
-        return self.kind == "DoubleRealDefective"
 
 
 def _eig2_terms(M, coincidence_tol: float):
@@ -307,7 +277,7 @@ def spectra_small(M, coincidence_tol: float = DEFAULT_COINCIDENCE_TOL):
         vals = np.where(finite, np.linalg.eigvals(np.where(finite[..., None], M, 0.0)), np.nan)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise NumericalFailure(f"eigenvalue iteration failed: {exc}", iterations=30 * p) from exc
-    real = np.abs(vals.imag) <= IMAG_TOL * (1.0 + np.abs(vals.real))
+    real = is_real_root(vals)
     band = coincidence_tol * (1.0 + np.abs(vals).max(axis=1, initial=0.0))
     # round-off splits a double real eigenvalue into two close reals or
     # into a close conjugate pair; either way it is one coincident pair.

@@ -25,7 +25,6 @@ __all__ = [
     "contract_mode",
     "multilinear_transform",
     "frobenius_norm_sq",
-    "scaled_entries",
     "unit_scaled",
     "multilinear_rank",
 ]
@@ -86,9 +85,6 @@ class Tensor222:
         x = self.array
         return (x[0, 0, 0], x[0, 1, 0], x[1, 0, 0], x[1, 1, 0],
                 x[0, 0, 1], x[0, 1, 1], x[1, 0, 1], x[1, 1, 1])
-
-    def flat(self) -> np.ndarray:
-        return np.array(self.entries)
 
     def __sub__(self, other) -> "Tensor222":
         other_arr = other.array if isinstance(other, Tensor222) else np.asarray(other)
@@ -233,21 +229,26 @@ def frobenius_norm_sq(X) -> float:
     return float((arr ** 2).sum())
 
 
-def scaled_entries(values):
-    """(the values / 2^e as a list of floats, e) with max|value| / 2^e in
-    [1/2, 1), or e = 0 when every value is zero.  Dividing by a power of
-    two is exact, so a computation on the scaled values and a final
-    multiplication by the right power of 2^e is scale-covariant."""
-    values = [float(v) for v in values]
-    exponent = math.frexp(max(map(abs, values)))[1]
-    return [math.ldexp(v, -exponent) for v in values], exponent
+def _prescale(A, lead: int = 0):
+    """(A / 2^e, e) with max|entry| / 2^e in [1/2, 1), or e = 0 where every
+    entry is zero: of the tensor A, with e an int, or with ``lead`` leading
+    axes of each tensor of the stack A, with e an array.  Dividing by a
+    power of two is exact, so a computation on A / 2^e and a final
+    multiplication by the right power of 2^e is scale-covariant.  A / 2^e
+    is in C order, so what is computed from it does not depend on the
+    memory layout of A."""
+    A = np.asarray(A, dtype=float)
+    if not lead:
+        # on one small tensor Python's max and frexp take a fraction of numpy's time
+        exponent = math.frexp(max(map(abs, A.ravel().tolist())))[1]
+        return np.ldexp(A, -exponent, order="C"), exponent
+    exponent = np.frexp(np.abs(A).max(axis=tuple(range(lead, A.ndim))))[1]
+    return np.ldexp(A, -exponent[(...,) + (None,) * (A.ndim - lead)], order="C"), exponent
 
 
 def unit_scaled(X):
-    """(X / 2^e, e) as in `scaled_entries`, in the shape of X."""
-    arr = _as_array(X)
-    entries, exponent = scaled_entries(arr.ravel().tolist())
-    return np.array(entries).reshape(arr.shape), exponent
+    """`_prescale` of the tensor X: (X / 2^e, e)."""
+    return _prescale(_as_array(X))
 
 
 def _ranks(arr, tol: float) -> tuple:

@@ -131,6 +131,13 @@ def test_cli_rank1_hopm(capsys):
     assert abs(payload["psi"] - 2.6863) < 5e-5 * 2.6863
 
 
+def test_cli_rank1_hopm_rejects_symmetric_documents(capsys):
+    # --method hopm serves full222 and pxpx2; a sym222 document is an input error
+    code, out, err = _run(capsys, "rank1", "--data=1,2,3,4", "--method", "hopm", "--json")
+    assert code == 2 and out == ""
+    assert "full222" in err and "pxpx2" in err
+
+
 def test_cli_deflate_symmetric(capsys):
     code, out, _ = _run(capsys, "deflate", "--data=0,1,1,0", "--steps", "1")
     payload = json.loads(out)

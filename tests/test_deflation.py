@@ -14,10 +14,10 @@ from tensorbit import (DomainError, SymTensor222, Tensor222, canonical_form,
                        slab_pencil)
 from tensorbit.deflation import (_deflation_report, _pencil_gap, _reports, _sample_d3, _trial_rng,
                                  _trial_rngs, write_trial_csv)
-from tensorbit.orbits import ORBITS, _quotient, _rank_tol
+from tensorbit.orbits import ORBITS, _quotient, _rank_tol, _slab_pencils
 from tensorbit.tensors import _slab_major
 from tensorbit.rank1 import best_rank1_222, best_rank1_pxpx2
-from tensorbit.smallalg import spectrum_small
+from tensorbit.smallalg import DEFAULT_COINCIDENCE_TOL, spectrum_small
 from tensorbit.cli import main
 from conftest import BOUNDARY_TO_D2
 
@@ -202,7 +202,8 @@ def test_stacked_report_matches_the_scalar_functions(tol, zero_scale):
     A = _orbit_representatives()
     X = A if zero_scale is None else np.full_like(A, zero_scale)
     band = max(tol, deflation.RESIDUAL_BAND)
-    labels, margins, deltas, ranks, pencils = _reports(X, A, tol, 1e-6)
+    labels, margins, deltas, ranks = _reports(X, A, tol)
+    pencils = _slab_pencils(A, 1e-6)
     n = len(A)
     for i, (x, arr) in enumerate(zip(X, A)):
         t = Tensor222(arr)
@@ -214,8 +215,7 @@ def test_stacked_report_matches_the_scalar_functions(tol, zero_scale):
         assert (deltas[i], deltas[n + i]) == (hyperdet(Tensor222(x)), hyperdet(t))
         assert tuple(ranks[i]) == multilinear_rank(Tensor222(x), _rank_tol(tol)).as_tuple()
         assert tuple(ranks[n + i]) == multilinear_rank(t, _rank_tol(band)).as_tuple()
-        assert _same_pencil(pencils[i], slab_pencil(Tensor222(x), 1e-6))
-        assert _same_pencil(pencils[n + i], slab_pencil(t, 1e-6))
+        assert _same_pencil(pencils[i], slab_pencil(t, 1e-6))
         # the N = 1 report is the stack's own case
         assert (report.orbit_before.orbit, report.orbit_before.boundary_margin) == \
             (before.orbit, before.boundary_margin)
@@ -225,7 +225,8 @@ def test_stacked_report_matches_the_scalar_functions(tol, zero_scale):
         assert report.residual_mlrank.as_tuple() == tuple(ranks[n + i])
         assert _same_pencil(report.pencil_before, slab_pencil(Tensor222(x), 1e-6))
         assert _same_pencil(report.pencil_after, slab_pencil(t, 1e-6))
-    assert None in pencils[n:] and len(set(p.kind for p in pencils if p is not None)) == 4
+    assert len(pencils) == n
+    assert None in pencils and len(set(p.kind for p in pencils if p is not None)) == 4
     if zero_scale is not None:
         assert "D0" in labels[n + 1:]
 
@@ -238,7 +239,7 @@ def test_stacked_pencils_take_slab_pencils_order():
              (np.zeros((2, 2)), np.zeros((2, 2))),
              (np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]]))]
     tensors = [Tensor222.from_slabs(*pair) for pair in slabs]
-    *_, pencils = _reports(np.stack([t.array for t in tensors]), np.zeros((4, 2, 2, 2)))
+    pencils = _slab_pencils(np.stack([t.array for t in tensors]), DEFAULT_COINCIDENCE_TOL)
     for t, pencil in zip(tensors, pencils):
         assert _same_pencil(pencil, slab_pencil(t))
     assert pencils[2] is None and pencils[3].kind == "DoubleRealDefective"

@@ -4,7 +4,7 @@ import pytest
 from tensorbit import Polynomial, common_root, eig2, roots, spectrum_small
 from tensorbit.orbits import _quotient
 from tensorbit.smallalg import IMAG_TOL, _norm2, spectra_small
-from tensorbit.smallalg import common_roots, is_real_root
+from tensorbit.smallalg import is_real_root
 
 
 def test_roots_simple_quadratic():
@@ -57,18 +57,24 @@ def test_common_root_shared_factor():
     f = Polynomial([2.0, -3.0, 1.0])    # (u-1)(u-2)
     g = Polynomial([5.0, -6.0, 1.0])    # (u-1)(u-5)
     assert abs(common_root(f, g) - 1.0) < 1e-10
+    # two linear polynomials meet the resultant relation; their roots decide
+    assert abs(common_root(Polynomial([-1.0, 1.0]), Polynomial([-2.0, 2.0])) - 1.0) < 1e-10
 
 
 def test_common_root_none():
     f = Polynomial([2.0, -3.0, 1.0])     # (u-1)(u-2)
     g = Polynomial([15.0, -8.0, 1.0])    # (u-3)(u-5)
     assert common_root(f, g) is None
+    assert common_root(Polynomial([-1.0, 1.0]), Polynomial([-2.0, 1.0])) is None
 
 
-@pytest.mark.parametrize("g", [(2.0, -6.0, 4.0), (0.0, 0.0, 0.0)])
+@pytest.mark.parametrize("g", [(4.0, -6.0, 2.0), (0.0, 0.0, 0.0)])
 def test_common_roots_of_proportional_or_zero_quadratic(g):
-    # (u-1)(u-2) shares both roots with a multiple of itself and with zero
-    np.testing.assert_allclose(common_roots((1.0, -3.0, 2.0), g), [1.0, 2.0])
+    # (u-1)(u-2) shares both roots with a multiple of itself and with zero;
+    # the smaller one is returned, in either argument order
+    f = Polynomial([2.0, -3.0, 1.0])
+    assert common_root(f, Polynomial(g)) == pytest.approx(1.0, abs=1e-12)
+    assert common_root(Polynomial(g), f) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_common_root_both_zero_rejected():
