@@ -22,7 +22,7 @@ import numpy as np
 
 from .orbits import SymTensor222, canonical_form, classify_sym, hyperdet_sym
 from .smallalg import NumericalFailure, Polynomial, is_real_root, roots
-from .tensors import multilinear_transform
+from .tensors import _prescale, multilinear_transform
 
 __all__ = [
     "DomainError",
@@ -93,9 +93,13 @@ def _recon_error(Xs: SymTensor222, vectors) -> float:
     return float(np.max(np.abs(out)))
 
 
-def _kernel_vector(Xs: SymTensor222) -> np.ndarray:
-    a, b, c, d = Xs.as_tuple()
-    return np.array([a * c - b * b, b * c - a * d, b * d - c * c])
+def _unit_kernel(Xs: SymTensor222):
+    """(g, scale): the kernel vector g = (ac - b^2, bc - ad, bd - c^2) of
+    Xs / 2^e, whose roots are those of Xs, and max|entry| / 2^e, in [1/2, 1)
+    or 0 for the zero tensor (`_prescale`, which is exact)."""
+    unit, _ = _prescale(Xs.as_tuple())
+    a, b, c, d = unit.tolist()
+    return np.array([a * c - b * b, b * c - a * d, b * d - c * c]), float(np.abs(unit).max())
 
 
 def sylvester_rank(Xs: SymTensor222, tol: float = 1e-9):
@@ -103,13 +107,14 @@ def sylvester_rank(Xs: SymTensor222, tol: float = 1e-9):
 
     Rank 1 corresponds to a vanishing kernel vector (perfect-cube
     coefficients); rank 2 to the kernel quadratic having two distinct real
-    roots (positive discriminant); everything else is rank 3.
+    roots (positive discriminant); everything else is rank 3.  The tests
+    run on Xs / 2^e with max|entry| / 2^e in [1/2, 1), which is exact, so
+    they take the same decisions over the whole double range.
     """
     a, b, c, d = Xs.as_tuple()
-    scale = max(abs(v) for v in (a, b, c, d))
+    g, scale = _unit_kernel(Xs)
     if scale == 0.0:
         return 0, SymDecomposition(0, (), 0.0)
-    g = _kernel_vector(Xs)
     if np.max(np.abs(g)) <= tol * scale ** 2:
         if abs(a) >= abs(d):
             v1 = np.cbrt(a)
@@ -149,7 +154,7 @@ def sym_rank2_decompose(Xs: SymTensor222, tol: float = 1e-9) -> SymDecomposition
     label = classify_sym(Xs, max(tol, 1e-12))
     if label.orbit != "G2":
         raise DomainError(f"rank-2 decomposition needs orbit G2, got {label.orbit}")
-    return _rank2_from_kernel(Xs, _kernel_vector(Xs))
+    return _rank2_from_kernel(Xs, _unit_kernel(Xs)[0])
 
 
 def sym_rank3_decompose(Xs: SymTensor222, tol: float = 1e-9) -> SymDecomposition:
@@ -186,10 +191,10 @@ def sym_rank3_decompose(Xs: SymTensor222, tol: float = 1e-9) -> SymDecomposition
     heads = []
     if c_ok:
         for m in (1.0, 2.0, 4.0, 8.0):
-            heads.append(np.array([np.cbrt(a - np.sign(c) * m * (1.0 + abs(a))), 0.0]))
+            heads.append(np.array([np.cbrt(a - np.sign(c) * m * (scale + abs(a))), 0.0]))
     if b_ok:
         for m in (1.0, 2.0, 4.0, 8.0):
-            heads.append(np.array([0.0, np.cbrt(d - np.sign(b) * m * (1.0 + abs(d)))]))
+            heads.append(np.array([0.0, np.cbrt(d - np.sign(b) * m * (scale + abs(d)))]))
     for head in heads:
         remainder = Xs.rank1_update(head, -1.0)
         if classify_sym(remainder, max(tol, 1e-12)).orbit != "G2":
@@ -244,7 +249,8 @@ def transform_from_canonical_D3(a: float, d: float) -> CanonicalTransform:
     target = _form_tensor(a, d)
     scale = max(1.0, abs(a), abs(d))
     delta = hyperdet_sym(target)
-    if abs(delta) > TRANSFORM_TOL * scale ** 4:
+    # |Delta| / scale^4, one factor at a time: scale^4 overflows above about 1e77
+    if abs(delta) / scale / scale / scale / scale > TRANSFORM_TOL:
         raise DomainError(f"normal form ({a}, {d}) is not on the Delta = 0 boundary")
     if abs(a - 1.0) <= 1e-9 and abs(d - 1.0) <= 1e-9:
         raise DomainError("(a, d) = (1, 1) is the rank-1 corner, not orbit D3")

@@ -317,12 +317,14 @@ def _report_each(inputs, step) -> tuple:
 
 def _enumerated_step(A):
     """The deflation of the 2x2x2 array A by the best usable point of one
-    `rank1.stationary_points_222` enumeration: (psi, A, residual)."""
-    usable = [p for p in rank1.stationary_points_222(A) if not p.degenerate]
-    if not usable:
+    `rank1.stationary_points_222` enumeration, whose points are sorted by
+    psi: (psi, A, residual)."""
+    best = next((p for p in rank1.stationary_points_222(A) if not p.degenerate), None)
+    if best is None:
         raise RuntimeError("no usable stationary point")
-    best = min(usable, key=lambda p: p.psi)
-    return best.psi, A, A - best.term().tensor()
+    # x (x) y (x) z with y = (1, y2) and z = (1, z2), as `StationaryPoint.term`
+    return best.psi, A, A - np.multiply.outer(np.multiply.outer(best.x, (1.0, best.y2)),
+                                              (1.0, best.z2))
 
 
 def _symmetric_step(S: SymTensor222):

@@ -203,8 +203,14 @@ def pencil_eigs(X, slab_order: str = "21",
 
 def _invertible(den):
     """Whether each slab (..., 2, 2) is inverted in a pencil quotient: its
-    condition number is at most PENCIL_COND_CAP."""
-    return np.linalg.cond(den) <= PENCIL_COND_CAP
+    condition number is at most PENCIL_COND_CAP.  The singular values of
+    [[a, b], [c, d]] are (p +- q) / 2 with p = |(a + d, c - b)| and
+    q = |(a - d, b + c)|, which `hypot` takes without squaring an entry."""
+    a, b, c, d = den[..., 0, 0], den[..., 0, 1], den[..., 1, 0], den[..., 1, 1]
+    p, q = np.hypot(a + d, c - b), np.hypot(a - d, b + c)
+    # a singular slab divides by zero, and the zero slab gives NaN: neither is inverted
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (p + q) / np.abs(p - q) <= PENCIL_COND_CAP
 
 
 def _quotient(num, den):

@@ -9,7 +9,9 @@ points are the real roots of one degree-4 trigonometric polynomial in phi,
 F = m'^2 Q - (Q'/2)^2, with 8 roots (generically 6 + 2, Friedland &
 Ottaviani).  `stationary_points_222` finds them without charts: 16 samples
 of F give the coefficients of a degree-8 polynomial by one constant map, and
-one companion eigenvalue call its roots.  Each point carries psi, the
+one companion eigenvalue call its roots.  Newton steps polish each root
+until every root is accounted for (clearly non-real, or converged on a
+branch), CIRCLE_STEPS steps at most.  Each point carries psi, the
 residual's hyperdeterminant, and exact local-minimum and degenerate flags.
 The chart resultants (`stationary_poly` and its companions) stay identities.
 
@@ -67,7 +69,7 @@ __all__ = [
 
 DEGENERATE_X_TOL = 1e-8
 TIE_REL_TOL = 1e-9
-CIRCLE_STEPS = 4        # Newton or Gauss-Newton steps per root of the circle solve
+CIRCLE_STEPS = 4        # most Newton or Gauss-Newton steps per root of the circle solve
 STEP_TOL = 1e-9         # next circle step at which a lane is accepted; also its merge band
 CROSSING_TOL = 1e-9     # sqrt(Q) / scale at or below which S(phi) is a multiple of I
 F_ROUNDOFF = 16.0 * np.finfo(float).eps   # |F| / (m'^2 Q + (Q'/2)^2) of round-off
@@ -313,16 +315,37 @@ def _sample_maps():
 
 
 _SAMPLE_MAPS = _sample_maps()
-# m = tr S / 2, D = (S11 - S22) / 2 and E = S12 of each S of the Gram pencil
-_TO_MDE = np.array([[0.5, 0.0, 0.0, 0.5], [0.5, 0.0, 0.0, -0.5], [0.0, 1.0, 0.0, 0.0]])
+# (9, 8, 8): the rows T = (m, D, E) of `_circle_roots` as v @ form @ v in the C-order
+# entries v of one 2x2x2 tensor.  The Gram pencil is S0 = (G11 + G22) / 2,
+# S1 = (G11 - G22) / 2 and S2 = (G12 + G21) / 2 with G_kl = X_k^T X_l (`_gram_pencil`),
+# and of each S, m = tr S / 2, D = (S11 - S22) / 2 and E = S12
+_MDE_FORM = np.einsum("rqs,akt,pu->rapqkust",
+                      [[[0.5, 0.0], [0.0, 0.5]], [[0.5, 0.0], [0.0, -0.5]], [[0.0, 1.0], [0.0, 0.0]]],
+                      [[[0.5, 0.0], [0.0, 0.5]], [[0.5, 0.0], [0.0, -0.5]], [[0.0, 0.5], [0.5, 0.0]]],
+                      np.eye(2)).reshape(9, 8, 8)
 # each root of F seeds three lanes: the top and the bottom branch, and a crossing
 _LANE_SIGN = np.repeat([1.0, -1.0, 0.0], 8)
 _LOWER = np.tri(32, k=-1, dtype=bool)
+# |Im s| / (1 + |Re s|) of a root s of `_circle_roots`' polynomial above which it is
+# clearly not real: round-off splits a double root by about 1e-8, a triple one by 6e-6
+NONREAL_BAND = 1e-3
+# distance in phi within which a converged lane is at the root of F that seeded it; a
+# simple root is accurate far within it, and a lane that moved further may have
+# reached a neighbouring root
+SEED_BAND = 1e-6
+
+
+def _mde_rows(arr):
+    """The rows (a, b, c) of m, D and E, each a + b cos(phi) + c sin(phi), of
+    the Gram pencil of the 2x2x2 array arr: a (3, 3) array."""
+    v = arr.ravel()
+    return (_MDE_FORM @ v @ v).reshape(3, 3)
 
 
 def _circle_roots(T):
     """Real parts, as angles phi, of the 8 roots of F = m'^2 Q - (Q'/2)^2, in
-    which m, D, E are the rows (a, b, c) of T, each a + b cos(phi) + c sin(phi).
+    which m, D, E are the rows (a, b, c) of T, each a + b cos(phi) + c sin(phi),
+    and whether each root is clearly non-real (NONREAL_BAND).
 
     F is a degree-4 trigonometric polynomial.  With phi = phi0 + theta and
     s = tan(theta/2), (1 + s^2)^4 F is a real degree-8 polynomial in s whose
@@ -342,7 +365,9 @@ def _circle_roots(T):
     poly = _SAMPLE_MAPS[j] @ F
     companion = np.eye(8, k=-1)
     companion[0] = -poly[7::-1] / poly[8]
-    return (_GRID[j] - np.pi) + 2.0 * np.arctan(np.linalg.eigvals(companion).real)
+    s = np.linalg.eigvals(companion)
+    return ((_GRID[j] - np.pi) + 2.0 * np.arctan(s.real),
+            np.abs(s.imag) > NONREAL_BAND * (1.0 + np.abs(s.real)))
 
 
 def _lambda_derivatives(T, phi, sign):
@@ -364,6 +389,14 @@ def _lambda_derivatives(T, phi, sign):
                                                      sign * r3 - m1, sign * r4 - m2)
 
 
+def _accounted(nonreal, branch, phi, start):
+    """Whether every root of F is accounted for: clearly non-real, or the
+    top or the bottom lane it seeded (lanes i and 8 + i of root i, started
+    at start[i]) is accepted (``branch``) and within SEED_BAND of it."""
+    at = branch[:16] & (np.abs(phi[:16] - start[:16]) <= SEED_BAND)
+    return bool((nonreal | at[:8] | at[8:]).all())
+
+
 def _circle_points(T, scale):
     """(phi, alpha, hessian_pd) of the distinct stationary points, with
     y = (cos alpha, sin alpha) and z = (cos phi/2, sin phi/2).
@@ -374,8 +407,17 @@ def _circle_points(T, scale):
     stationary iff y^T S'(phi) y = m' + nu cos(2 alpha - beta) = 0, with
     (D', E') = nu (cos beta, sin beta); when S'(phi) = 0 every y is, and no
     point is isolated.
+
+    The lanes stop at the first evaluation after a step at which every
+    root of F is accounted for: clearly non-real (NONREAL_BAND), or a
+    branch lane seeded at it converged within SEED_BAND of it, with no lane
+    stalled at a multiple root of lambda'.  On Gaussian input that is after
+    one step.  CIRCLE_STEPS is the cap, which near-rank-1 input, multiple
+    roots and crossings (where F has a double root that no branch lane
+    matches) run to.
     """
-    phi = np.concatenate([_circle_roots(T)] * 3)
+    seed, nonreal = _circle_roots(T)
+    start = phi = np.concatenate([seed] * 3)
     sign, cross = _LANE_SIGN, _LANE_SIGN == 0.0
     aD, aE = float(T[1, 0]), float(T[2, 0])
     # (c + i b) e^{i phi}: the phi-derivative of a + b cos(phi) + c sin(phi),
@@ -393,36 +435,42 @@ def _circle_points(T, scale):
             slope = m1 + sign * q
             curv = sign * (g - D * uD - E * uE - q * q) / r - um
             step = np.where(cross, h / g, slope / curv)
-            if k < CIRCLE_STEPS:
-                phi = phi - np.minimum(np.maximum(step, -0.5), 0.5)
+            if k:
+                # converged: lambda' is zero to its round-off (~ scale^2 / sqrt(Q)) and the
+                # next step is within STEP_TOL, which a multiple root, approached linearly,
+                # is not
+                lanes = ~cross & (r > CROSSING_TOL * scale)
+                band, flat = scale * (1.0 + scale / r), np.abs(slope)
+                branch = lanes & (flat <= 1e-13 * band) & (np.abs(step) <= STEP_TOL)
+                # at a double or triple root of lambda' (say the flat optimum of the
+                # worked G2 example) Newton on lambda' stalls about eps^(1/3) away
+                stalled = np.flatnonzero(lanes & ~branch & (np.abs(curv) <= 1e-6 * scale)
+                                         & (flat <= 1e-10 * band))
+                # the polish stops once every root of F is accounted for and no
+                # lane stalls, since the steps below go on from here
+                if k == CIRCLE_STEPS or (not stalled.size
+                                         and _accounted(nonreal, branch, phi, start)):
+                    break
+            phi = phi - np.minimum(np.maximum(step, -0.5), 0.5)
         nu = np.sqrt(g)
-        # converged: lambda' is zero to its round-off (~ scale^2 / sqrt(Q)) and the
-        # next step is within STEP_TOL, which a multiple root, approached linearly, is not
-        lanes = ~cross & (r > CROSSING_TOL * scale)
-        band, flat = scale * (1.0 + scale / r), np.abs(slope)
-        branch = lanes & (flat <= 1e-13 * band) & (np.abs(step) <= STEP_TOL)
         pd = branch & (sign > 0.0) & (curv < 0.0)
         on = cross & (r <= CROSSING_TOL * scale) & (np.abs(m1) < nu) & (nu > CROSSING_TOL * scale)
         # the eigenvector of [[D, E], [E, -D]] for its eigenvalue sign sqrt(Q)
         alpha = np.arctan2(sign * E, sign * D) / 2.0
-        # at a double or triple root of lambda' (say the flat optimum of the
-        # worked G2 example) Newton on lambda' stalls about eps^(1/3) away, so
-        # such lanes step on lambda'' and then lambda''', whose root there is
+        # stalled lanes step on lambda'' and then lambda''', whose root there is
         # simple; lambda'' = 0 there, so these points are no strict minima
-        idx = np.flatnonzero(lanes & ~branch & (np.abs(curv) <= 1e-6 * scale)
-                             & (flat <= 1e-10 * band))
         for order in (1, 2):
-            if not idx.size:
+            if not stalled.size:
                 break
-            trial = phi[idx]
+            trial = phi[stalled]
             for k in range(CIRCLE_STEPS + 1):
-                r, angle, lam = _lambda_derivatives(T, trial, sign[idx])
+                r, angle, lam = _lambda_derivatives(T, trial, sign[stalled])
                 step = lam[order] / lam[order + 1]
                 if k < CIRCLE_STEPS:
                     trial = trial - np.minimum(np.maximum(step, -0.5), 0.5)
             ok = (np.abs(step) <= STEP_TOL) & (np.abs(lam[0]) <= 1e-13 * scale * (1.0 + scale / r))
-            phi[idx[ok]], alpha[idx[ok]], branch[idx[ok]] = trial[ok], angle[ok], True
-            idx = idx[~ok]
+            phi[stalled[ok]], alpha[stalled[ok]], branch[stalled[ok]] = trial[ok], angle[ok], True
+            stalled = stalled[~ok]
     # a lane is accepted within STEP_TOL of its root: two lanes are one point when
     # their phi agree within that band and they take the same eigenvector of
     # S(phi), that of the same branch or at a crossing the same sign of gamma
@@ -447,10 +495,14 @@ def stationary_points_222(X) -> EnumerationResult:
     lambda = m +- sqrt(Q): a real root of F = m'^2 Q - (Q'/2)^2, a degree-4
     trigonometric polynomial with 8 roots (`_circle_roots`: 16 samples of F,
     one constant map to polynomial coefficients, one companion eigenvalue
-    call).  Every root seeds Newton steps on lambda' of both branches, and
-    the distinct converged angles give the points (`_circle_points`, which
-    also handles a root where S(phi) is a multiple of I, and a double or
-    triple root of lambda' such as the flat optimum of the worked G2 example).
+    call).  Every root seeds Newton steps on lambda' of both branches,
+    which stop once every root is accounted for, CIRCLE_STEPS steps at
+    most, and the distinct converged angles give the points
+    (`_circle_points`, which also handles a root where S(phi) is a multiple
+    of I, and a double or triple root of lambda' such as the flat optimum
+    of the worked G2 example).  m, D and E come from one constant quadratic
+    form in the 8 entries (`_MDE_FORM`), and x, psi and Delta from the
+    outer products y (x) z against the mode-1 unfolding.
 
     ``hessian_pd`` is exact: a point is a strict local minimum iff it is on
     the top branch with lambda'' < 0, since the curvature in y is
@@ -465,14 +517,16 @@ def stationary_points_222(X) -> EnumerationResult:
     of rank 1.  `best_rank1_222` then takes the theta-grid solver's term.
     """
     arr, exponent = unit_scaled(_as_tensor(X))
-    T = _TO_MDE @ _gram_pencil(arr).reshape(3, 4).T
+    T = _mde_rows(arr)
     phi, alpha, pd = _circle_points(T, float(np.abs(T).max()))
     Y = np.exp(1j * alpha).view(float).reshape(-1, 2)
     Z = np.exp(0.5j * phi).view(float).reshape(-1, 2)
-    x = np.einsum("ijk,nj,nk->ni", arr, Y, Z)
-    resid = arr - np.einsum("ni,nj,nk->nijk", x, Y, Z)
-    values = (resid * resid).sum(axis=(1, 2, 3)).tolist()
-    delta = _delta(*resid.transpose(3, 1, 2, 0).reshape(8, -1)).tolist()
+    # y (x) z of each point against the mode-1 unfolding, both over (j, k)
+    W, U = (Y[:, :, None] * Z[:, None]).reshape(-1, 4), arr.reshape(2, 4)
+    x = W @ U.T
+    resid = U - x[:, :, None] * W[:, None]
+    values = (resid * resid).sum(axis=(1, 2)).tolist()
+    delta = _delta(*resid.reshape(-1, 2, 2, 2).transpose(3, 1, 2, 0).reshape(8, -1)).tolist()
     limit = DEGENERATE_X_TOL * math.sqrt(float((arr * arr).sum()))
     degenerate = (np.hypot(x[:, 0], x[:, 1]) <= limit).tolist()
     # cos never returns 0, so the chart coordinates are finite

@@ -1,11 +1,19 @@
+import io
+import json
+from contextlib import redirect_stdout
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensorbit import (DomainError, SymTensor222, canonical_transform,
                        canonicalize_sym_form, classify_sym, hyperdet_sym, multilinear_transform,
                        sylvester_rank, sym_rank2_decompose, sym_rank3_decompose,
                        transform_from_canonical_D3, transform_from_canonical_G3)
+from tensorbit.cli import main
 from tensorbit.decomp import _apply_sym
+from tensorbit.smallalg import NumericalFailure
 from conftest import SYM_G3, random_sym
 
 
@@ -34,6 +42,40 @@ def test_sylvester_rank_examples():
     np.testing.assert_allclose(dec1.vectors[0], [1.0, 0.0], atol=1e-12)
 
     assert sylvester_rank(SymTensor222(0, 0, 0, 0))[0] == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), cubes=st.integers(0, 2), k=st.integers(-500, 500))
+def test_decompose_is_scale_free(seed, cubes, k):
+    # the rank decisions run on the exact prescale: `tensorbit decompose` of
+    # 2^k X exits 0 with the rank of X and a decomposition of 2^k X, for X a
+    # Gaussian draw (cubes = 0) or a sum of one or two Gaussian cubes
+    rng = np.random.default_rng(seed)
+    entries = (rng.standard_normal(4) if not cubes else
+               sum(np.array([y1 ** 3, y1 * y1 * y2, y1 * y2 * y2, y2 ** 3])
+                   for y1, y2 in rng.standard_normal((cubes, 2))))
+    rank, _ = sylvester_rank(SymTensor222(*entries))
+    scaled = np.ldexp(entries, k)
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(["decompose", "--data=" + ",".join(map(repr, scaled.tolist()))])
+    payload = json.loads(buf.getvalue())
+    assert code == 0 and payload["rank"] == rank
+    assert payload["reconstruction_error"] <= 1e-8 * np.abs(scaled).max()
+
+
+def test_sylvester_rank_on_large_input():
+    # entries above about 1e77 overflowed a Python float power in the rank-2 test
+    data = (2.3633034335370186e+79, 1.1e79, -0.7e79, 0.5e79)
+    rank, dec = sylvester_rank(SymTensor222(*data))
+    assert rank == sylvester_rank(SymTensor222(*np.ldexp(data, -263)))[0]
+    assert dec.reconstruction_error <= 1e-8 * data[0]
+
+
+def test_d3_transform_of_a_huge_normal_form_fails_typed():
+    # |Delta| / scale^4 is taken one factor at a time; scale^4 overflowed
+    with pytest.raises((DomainError, NumericalFailure)):
+        transform_from_canonical_D3(-1e80, 2e-40)
 
 
 def test_sylvester_rank_matches_pencil_classification():

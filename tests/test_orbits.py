@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from tensorbit import (SymTensor222, Tensor222, canonical_form, classify, classify_sym,
                        hyperdet, hyperdet_sym, multilinear_transform, pencil_eigs,
                        sylvester_rank)
-from tensorbit.orbits import ORBITS
+from tensorbit.orbits import ORBITS, PENCIL_COND_CAP, _invertible
 from conftest import EXAMPLE_A1, EXAMPLE_A2, SYM_G2, SYM_G3, random_sym, random_tensor
 
 
@@ -92,6 +92,25 @@ def test_classify_power_of_two_scale_invariant(seed, orbit, k):
     scaled = classify_sym(SymTensor222(*np.ldexp(sym.as_tuple(), k)))
     assert scaled == label
     assert scaled.boundary_margin == label.boundary_margin
+
+
+def test_invertible_matches_the_svd_condition_number():
+    # the closed-form 2x2 condition number takes the decisions of
+    # np.linalg.cond at the cap, on random slabs, on slabs at 1e8 (1 +- 1e-3)
+    # and on both scaled by 2^+-500
+    rng = np.random.default_rng(12)
+    random = rng.standard_normal((2000, 2, 2))
+    U, V = np.linalg.qr(rng.standard_normal((2, 2000, 2, 2)))[0]
+    cond = PENCIL_COND_CAP * (1.0 + rng.choice([-1e-3, 1e-3], 2000))
+    at_cap = U @ (np.eye(2) * np.stack([np.ones(2000), 1.0 / cond], axis=1)[:, None]) @ V
+    for slabs in (random, at_cap):
+        for k in (0, -500, 500):
+            scaled = np.ldexp(slabs, k)
+            np.testing.assert_array_equal(_invertible(scaled),
+                                          np.linalg.cond(scaled) <= PENCIL_COND_CAP)
+    assert 0.3 < _invertible(at_cap).mean() < 0.7
+    singular = np.array([[[0.0, 0.0], [0.0, 0.0]], [[1.0, 2.0], [2.0, 4.0]]])
+    assert not _invertible(singular).any()
 
 
 def test_pencil_eigs_worked_examples():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ from tensorbit import (Rank1Term, Tensor222, TensorPxPx2, best_rank1_222, best_r
                        canonical_form, detect_infinite_best, frobenius_norm_sq, hopm,
                        hyperdet, multilinear_transform, optimal_x, psi, psi_surface,
                        stationary_points_222)
-from tensorbit import rank1
+from tensorbit import deflation, rank1
 from tensorbit.rank1 import NOT_CONVERGED, _best_rank1_stack
 from tensorbit.tensors import unit_scaled
 from conftest import (BOUNDARY_TO_D2, KHL, TABLE_A1, TABLE_A2, WORKED_G2, WORKED_G3,
@@ -311,32 +312,106 @@ def _near_rank1(seed, eps):
     return Tensor222(base + eps * np.linalg.norm(base) * rng.standard_normal((2, 2, 2)))
 
 
+def _hard_inputs():
+    """Inputs whose roots of F crowd together or coincide: near rank 1, the
+    residuals of Gaussian deflations (on Delta = 0, orbit D3), and the
+    nonzero integer tensors with entries in -1..1 up to sign, as X and -X
+    have one table."""
+    near = [_near_rank1(seed, eps).array for seed in range(400) for eps in (1e-6, 1e-5, 1e-4, 1e-3)]
+    rng = np.random.default_rng(77)
+    residuals = [deflation._enumerated_step(rng.standard_normal((2, 2, 2)))[2] for _ in range(300)]
+    grid = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=8)))
+    first = grid[np.arange(len(grid)), (grid != 0.0).argmax(axis=1)]
+    integer = grid[first > 0.0].reshape(-1, 2, 2, 2)
+    return np.concatenate([near, residuals, integer])
+
+
+def _separation(enum):
+    """The smallest distance between two points of a table as unit pairs
+    y (x) z up to sign."""
+    yz = np.array([np.outer([1.0, p.y2], [1.0, p.z2]).ravel() for p in enum])
+    yz /= np.linalg.norm(yz, axis=1, keepdims=True)
+    apart = np.minimum(np.linalg.norm(yz[:, None] - yz, axis=-1),
+                       np.linalg.norm(yz[:, None] + yz, axis=-1))
+    return (apart + 2.0 * np.eye(len(enum))).min()
+
+
 def test_enumeration_lists_each_point_once_near_rank1():
-    # near rank 1 the roots of F crowd together and lanes reach the same
-    # point a step apart; the merge band is the acceptance band, so no
-    # table lists more than the 8 roots of F
-    for seed in range(400):
-        for eps in (1e-6, 1e-5, 1e-4, 1e-3):
-            assert len(stationary_points_222(_near_rank1(seed, eps))) <= 8
+    # where roots of F crowd together or coincide, lanes reach the same point
+    # a step apart; the merge band is the acceptance band, so no table lists
+    # more than the 8 roots of F, and no two points are closer than STEP_TOL
+    # as unit pairs, which would put their phi within the band with one y
+    X = _hard_inputs()
+    grid_psi = _best_rank1_stack(X)[0]
+    for A, best in zip(X, grid_psi):
+        try:
+            enum = stationary_points_222(A)
+        except ValueError:
+            continue    # F vanishes to round-off: best_rank1_222 takes the grid's term
+        assert len(enum) <= 8
+        assert len(enum) < 2 or _separation(enum) > rank1.STEP_TOL
+        usable = [p.psi for p in enum if not p.degenerate]
+        assert abs(usable[0] - best) <= 1e-12 * (A * A).sum()
     # a Gaussian table lists one point per real root of F: an even count,
     # of distinct unit pairs y (x) z up to sign
     rng = np.random.default_rng(2024)
     for _ in range(300):
         enum = stationary_points_222(Tensor222(rng.standard_normal((2, 2, 2))))
         assert len(enum) in (4, 6, 8) and enum.n_complex == 8 - len(enum)
-        yz = np.array([np.outer([1.0, p.y2], [1.0, p.z2]).ravel() for p in enum])
-        yz /= np.linalg.norm(yz, axis=1, keepdims=True)
-        apart = np.minimum(np.linalg.norm(yz[:, None] - yz, axis=-1),
-                           np.linalg.norm(yz[:, None] + yz, axis=-1))
-        assert (apart + np.eye(len(enum))).min() > 1e-6
+        assert _separation(enum) > 1e-6
+
+
+def _table(A):
+    enum = stationary_points_222(A)
+    return enum.n_complex, [(p.hessian_pd, p.degenerate) for p in enum], [p.psi for p in enum]
+
+
+def test_polish_stops_without_changing_the_table(monkeypatch):
+    # the circle polish stops once every root of F is accounted for; with no
+    # root ever accounted for, every lane takes all CIRCLE_STEPS steps, and
+    # the tables agree but for round-off in psi
+    rng = np.random.default_rng(8)
+    X = np.concatenate([rng.standard_normal((300, 2, 2, 2)), _hard_inputs()[::3]])
+    early = []
+    for A in X:
+        try:
+            early.append(_table(A))
+        except ValueError:
+            early.append(None)
+    monkeypatch.setattr(rank1, "_accounted", lambda *lanes: False)
+    for A, stop in zip(X, early):
+        if stop is None:
+            with pytest.raises(ValueError):
+                stationary_points_222(A)
+            continue
+        full = _table(A)
+        assert full[:2] == stop[:2]
+        np.testing.assert_allclose(full[2], stop[2], rtol=0, atol=1e-14 * (A * A).sum())
 
 
 def _circle_rows(t):
     """The rows (a, b, c) of m, D and E, each a + b cos(phi) + c sin(phi), of
-    the enumeration of t."""
+    the enumeration of t, from the Gram pencil."""
     arr, _ = unit_scaled(t)
     S = rank1._gram_pencil(arr)
     return np.stack([(S[:, 0, 0] + S[:, 1, 1]) / 2.0, (S[:, 0, 0] - S[:, 1, 1]) / 2.0, S[:, 0, 1]])
+
+
+def _row_inputs(seed):
+    rng = np.random.default_rng(seed)
+    inputs = [Tensor222(rng.standard_normal((2, 2, 2))) for _ in range(200)]
+    inputs += [_near_rank1(seed, eps) for seed in range(40) for eps in (1e-6, 1e-3)]
+    inputs += [Tensor222(np.ldexp(rng.standard_normal((2, 2, 2)), k))
+               for k in (-500, 500) for _ in range(20)]
+    return inputs
+
+
+def test_constant_form_matches_the_gram_pencil_rows():
+    # the rows from one constant quadratic form in the 8 entries are those
+    # of the Gram pencil to a few ulp of the largest
+    for t in _row_inputs(6):
+        T, reference = rank1._mde_rows(unit_scaled(t)[0]), _circle_rows(t)
+        assert np.abs(T - reference).max() <= 4.0 * np.finfo(float).eps * np.abs(reference).max()
 
 
 def _product_form(T, phi0):
@@ -363,14 +438,9 @@ def _product_form(T, phi0):
 def test_sample_map_matches_the_product_form():
     # the coefficients from the 16 grid samples of F are those of the
     # polynomial products, to round-off
-    rng = np.random.default_rng(5)
-    inputs = [Tensor222(rng.standard_normal((2, 2, 2))) for _ in range(200)]
-    inputs += [_near_rank1(seed, eps) for seed in range(40) for eps in (1e-6, 1e-3)]
-    inputs += [Tensor222(np.ldexp(rng.standard_normal((2, 2, 2)), k))
-               for k in (-500, 500) for _ in range(20)]
     grid = np.arange(16) * (np.pi / 8.0)
-    for t in inputs:
-        T = _circle_rows(t)
+    for t in _row_inputs(5):
+        T = rank1._mde_rows(unit_scaled(t)[0])
         (_, D, E), (m1, D1, E1) = (T[:, :1] + T[:, 1:2] * np.cos(grid) + T[:, 2:] * np.sin(grid),
                                    T[:, 2:] * np.cos(grid) - T[:, 1:2] * np.sin(grid))
         F = m1 * m1 * (D * D + E * E) - (D * D1 + E * E1) ** 2
