@@ -188,14 +188,12 @@ def sym_rank3_decompose(Xs: SymTensor222, tol: float = 1e-9) -> SymDecomposition
     if not (b_ok or c_ok):
         raise DomainError("tensors with b = c = 0 have symmetric rank at most 2")
     # subtract a cube so the remainder lands in G2, then finish with rank 2
-    heads = []
-    if c_ok:
-        for m in (1.0, 2.0, 4.0, 8.0):
-            heads.append(np.array([np.cbrt(a - np.sign(c) * m * (scale + abs(a))), 0.0]))
-    if b_ok:
-        for m in (1.0, 2.0, 4.0, 8.0):
-            heads.append(np.array([0.0, np.cbrt(d - np.sign(b) * m * (scale + abs(d)))]))
-    for head in heads:
+    # heads on both axes: near the Delta band every head on one axis can
+    # leave a remainder that reads D3 again
+    steps = (1.0, 2.0, 4.0, 8.0)
+    first = [np.array([np.cbrt(a - np.copysign(m, c) * (scale + abs(a))), 0.0]) for m in steps]
+    second = [np.array([0.0, np.cbrt(d - np.copysign(m, b) * (scale + abs(d)))]) for m in steps]
+    for head in first + second if c_ok else second + first:
         remainder = Xs.rank1_update(head, -1.0)
         if classify_sym(remainder, max(tol, 1e-12)).orbit != "G2":
             continue

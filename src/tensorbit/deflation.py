@@ -192,7 +192,7 @@ def deflate_once(X, tol: float = 1e-9, coincidence_tol: float = DEFAULT_COINCIDE
     Symmetric input follows the symmetric route (term y (x) y (x) y and
     symmetric classification); the residual keeps the input's type.  Full
     input takes the `best_rank1_222` term, which the theta-grid solver
-    cross-checks.
+    cross-checks unless the enumeration certifies it.
     Returns (residual, DeflationReport).
     """
     if isinstance(X, TensorPxPx2):
@@ -315,11 +315,15 @@ def _report_each(inputs, step) -> tuple:
     return [next(rows) if good else _error_row() for good in ok.tolist()], reasons
 
 
-def _enumerated_step(A):
+def _enumerated_step(A, tally=None):
     """The deflation of the 2x2x2 array A by the best usable point of one
     `rank1.stationary_points_222` enumeration, whose points are sorted by
-    psi: (psi, A, residual)."""
-    best = next((p for p in rank1.stationary_points_222(A) if not p.degenerate), None)
+    psi: (psi, A, residual); the table is counted in ``tally`` if given."""
+    enum = rank1.stationary_points_222(A)
+    if tally is not None and enum.record:
+        tally["certified_tables"] += enum.record.certified
+        tally["root_count_mismatches"] += len(enum) != enum.record.real_roots
+    best = next((p for p in enum if not p.degenerate), None)
     if best is None:
         raise RuntimeError("no usable stationary point")
     # x (x) y (x) z with y = (1, y2) and z = (1, z2), as `StationaryPoint.term`
@@ -337,13 +341,17 @@ def experiment_generic(trials: int, seed: int = 0) -> ExperimentStats:
     """Deflate i.i.d. standard-normal 2x2x2 tensors and classify residuals.
 
     Each trial's term is the best usable point of one stationary-point
-    enumeration, without the theta-grid cross-check that `deflate_once`
-    adds; a trial with no usable point is an error row.  The residuals are
-    then reported as one stack.
+    enumeration, with no theta-grid cross-check; a trial with no usable
+    point is an error row.  The residuals are then reported as one stack.
+    The extras count certified tables, and tables whose point count is not
+    the number of real roots of F.
     """
+    tally = {"certified_tables": 0, "root_count_mismatches": 0}
     rows, reasons = _run(trials, seed, lambda rng: rng.standard_normal(8),
-                         lambda flat: _report_each(_slab_major(np.array(flat)), _enumerated_step))
-    return _aggregate("generic", trials, seed, rows, reasons, _mlrank_extras(rows))
+                         lambda flat: _report_each(_slab_major(np.array(flat)),
+                                                   lambda A: _enumerated_step(A, tally)))
+    return _aggregate("generic", trials, seed, rows, reasons,
+                      _mlrank_extras(rows) + tuple(tally.items()))
 
 
 def experiment_symmetric(trials: int, seed: int = 0) -> ExperimentStats:

@@ -25,9 +25,9 @@ For a pxpx2 tensor (p = 2 included) the best rank-1 term is a maximization
 over the single angle t.  `best_rank1_pxpx2` solves it deterministically
 on a certified grid with a Newton refinement, evaluating lambda(phi) =
 sigma_max^2 by `eigh` of the Gram pencil S0 + cos(phi) S1 + sin(phi) S2;
-`best_rank1_222` uses it to cross-check the enumeration and as its
-fallback.  `hopm` (alternating least squares) remains as an independent
-iterative method.
+`best_rank1_222` uses it as its fallback and to cross-check a table that
+the circle solve does not certify.  `hopm` (alternating least squares)
+remains as an independent iterative method.
 """
 
 from __future__ import annotations
@@ -278,11 +278,29 @@ class StationaryPoint:
 
 
 @dataclass(frozen=True)
+class CircleRecord:
+    """How a circle enumeration ended (`_circle_points`): certified or not,
+    its Newton steps, its real and clearly non-real companion roots of F,
+    and the largest |lambda'| of an accepted lane over max|(m, D, E)|."""
+
+    certified: bool
+    steps: int
+    real_roots: int
+    nonreal_roots: int
+    max_slope: float
+
+
+@dataclass(frozen=True)
 class EnumerationResult:
     """Real stationary points plus enumeration diagnostics."""
 
     points: tuple
     n_complex: int
+    record: CircleRecord | None = None
+
+    @property
+    def certified(self) -> bool:
+        return self.record is not None and self.record.certified
 
     def __iter__(self):
         return iter(self.points)
@@ -399,7 +417,8 @@ def _accounted(nonreal, branch, phi, start):
 
 def _circle_points(T, scale):
     """(phi, alpha, hessian_pd) of the distinct stationary points, with
-    y = (cos alpha, sin alpha) and z = (cos phi/2, sin phi/2).
+    y = (cos alpha, sin alpha) and z = (cos phi/2, sin phi/2), and the
+    `CircleRecord` of the evaluation at which the lanes stopped.
 
     Every root seeds three lanes: Newton steps on lambda' of the top and of
     the bottom branch lambda = m +- sqrt(Q), and Gauss-Newton steps on
@@ -414,7 +433,7 @@ def _circle_points(T, scale):
     stalled at a multiple root of lambda'.  On Gaussian input that is after
     one step.  CIRCLE_STEPS is the cap, which near-rank-1 input, multiple
     roots and crossings (where F has a double root that no branch lane
-    matches) run to.
+    matches) run to.  A table is certified when it stops on that test.
     """
     seed, nonreal = _circle_roots(T)
     start = phi = np.concatenate([seed] * 3)
@@ -448,10 +467,13 @@ def _circle_points(T, scale):
                                          & (flat <= 1e-10 * band))
                 # the polish stops once every root of F is accounted for and no
                 # lane stalls, since the steps below go on from here
-                if k == CIRCLE_STEPS or (not stalled.size
-                                         and _accounted(nonreal, branch, phi, start)):
+                certified = not stalled.size and _accounted(nonreal, branch, phi, start)
+                if certified or k == CIRCLE_STEPS:
                     break
             phi = phi - np.minimum(np.maximum(step, -0.5), 0.5)
+        n_nonreal = int(np.count_nonzero(nonreal))
+        record = CircleRecord(certified, k, 8 - n_nonreal, n_nonreal,
+                              max(flat[branch].tolist(), default=0.0) / scale)
         nu = np.sqrt(g)
         pd = branch & (sign > 0.0) & (curv < 0.0)
         on = cross & (r <= CROSSING_TOL * scale) & (np.abs(m1) < nu) & (nu > CROSSING_TOL * scale)
@@ -484,7 +506,7 @@ def _circle_points(T, scale):
     same = (np.abs(np.sin((phi[:, None] - phi) / 2.0)) <= STEP_TOL) & (vector[:, None] == vector)
     keep = ~(same & _LOWER[:phi.size, :phi.size]).any(axis=1)
     pd &= ~(same & ~pd).any(axis=1)       # a strict minimum only if every copy says so
-    return phi[keep], alpha[keep], pd[keep]
+    return phi[keep], alpha[keep], pd[keep], record
 
 
 def stationary_points_222(X) -> EnumerationResult:
@@ -508,7 +530,8 @@ def stationary_points_222(X) -> EnumerationResult:
     the top branch with lambda'' < 0, since the curvature in y is
     -2 (lambda_1 - lambda_2) and the reduced curvature in phi is lambda''.
     ``degenerate`` marks |x| <= DEGENERATE_X_TOL ||X|| for unit y, z.
-    ``n_complex`` is 8 minus the number of points listed.  The solve runs on
+    ``n_complex`` is 8 minus the number of points listed, and ``record``
+    (`CircleRecord`) says whether the table is certified.  The solve runs on
     X / 2^e (exact), and x, psi and the residual's Delta are scaled back by
     2^e, 4^e and 16^e.  Raises ValueError when F vanishes to round-off
     (F_ROUNDOFF of m'^2 Q + (Q'/2)^2), where its roots carry no
@@ -518,7 +541,7 @@ def stationary_points_222(X) -> EnumerationResult:
     """
     arr, exponent = unit_scaled(_as_tensor(X))
     T = _mde_rows(arr)
-    phi, alpha, pd = _circle_points(T, float(np.abs(T).max()))
+    phi, alpha, pd, record = _circle_points(T, float(np.abs(T).max()))
     Y = np.exp(1j * alpha).view(float).reshape(-1, 2)
     Z = np.exp(0.5j * phi).view(float).reshape(-1, 2)
     # y (x) z of each point against the mode-1 unfolding, both over (j, k)
@@ -536,7 +559,7 @@ def stationary_points_222(X) -> EnumerationResult:
     points = sorted((StationaryPoint(a, b, xn, _ldexp(v, 2 * exponent), _ldexp(d, 4 * exponent),
                                      p, g) for a, b, xn, v, d, p, g in rows),
                     key=lambda s: (s.psi, s.y2, s.z2))
-    return EnumerationResult(tuple(points), max(0, 8 - len(points)))
+    return EnumerationResult(tuple(points), max(0, 8 - len(points)), record)
 
 
 # ---------------------------------------------------------------------------
@@ -571,10 +594,21 @@ def best_rank1_222(X, cross_check: bool = True) -> BestRank1Result:
     The smallest psi among the non-degenerate points of one
     `stationary_points_222` enumeration; ``multiplicity`` counts the
     distinct minimizers within TIE_REL_TOL.  The theta-grid solver
-    `best_rank1_pxpx2` cross-checks the result and is the fallback when no
-    usable stationary point exists.  When its value is lower by more than
-    1e-8 ||X||^2 the input is flagged as non-generic.  A result that takes
-    the solver's term, in either case, has ``method`` "theta".
+    `best_rank1_pxpx2` is the fallback when no point is usable, and with
+    ``cross_check`` it checks a table that is not certified: if its value
+    is lower by more than 1e-8 ||X||^2 the input is non-generic.  A result
+    that takes its term has ``method`` "theta".
+
+    A certified table lists the optimum, the maximum of lambda_top = m + r
+    with r = sqrt(Q).  At a crossing r has a downward kink, |S'| |phi - phi0|
+    to first order, so lambda_top has no maximum there unless S' = 0 and
+    both are smooth: the maximum is a real root of m' + r' and so of
+    F = r^2 (m' - r')(m' + r'), at which the certificate accepts a lane.
+    Its top lane starts within root accuracy (about sqrt(eps) at a double
+    root of F, as where m' = r' = 0 and both branches are critical) of a
+    simple root of lambda_top', and is accepted and listed after one step;
+    if also lambda_top'' = 0 it stalls, which voids the certificate.  As
+    lambda >= ||X||^2 / 4 there, the maximum is never a degenerate point.
     """
     t = _as_tensor(X)
     norm_sq = frobenius_norm_sq(t)
@@ -587,7 +621,7 @@ def best_rank1_222(X, cross_check: bool = True) -> BestRank1Result:
     usable = [p for p in enum.points if not p.degenerate]
     best = (usable[0].psi, usable[0].term()) if usable else None
     method, converged = "enumerate", True
-    if cross_check or best is None:
+    if (cross_check and not enum.certified) or best is None:
         grid = best_rank1_pxpx2(t)
         if best is None:
             warnings.append("no usable stationary point; theta-grid fallback")

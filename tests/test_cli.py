@@ -230,6 +230,14 @@ def test_cli_decompose(capsys):
     assert payload["reconstruction_error"] <= 1e-12 * 9.379801539813561
 
 
+def test_cli_decompose_near_the_delta_band(capsys):
+    # Delta = 8.5e-22 is inside the band, so the rank-3 path runs with c = 0:
+    # a cube head on the second axis leaves a remainder that reads D3 again,
+    # and one on the first axis finishes the decomposition
+    code, out, _ = _run(capsys, "decompose", "--data=0,5.960464477539063e-08,0,1")
+    assert code == 0 and json.loads(out)["reconstruction_error"] <= 1e-8
+
+
 def test_cli_decompose_infeasible_rank(capsys):
     code, _, err = _run(capsys, "decompose", "--data=0,1,1,0", "--rank", "2")
     assert code == 4

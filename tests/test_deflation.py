@@ -139,6 +139,14 @@ def test_experiment_generic_statistics():
     assert extras["fraction_mlrank_222"] >= 0.99
 
 
+def test_experiment_generic_counts_certified_tables():
+    # every Gaussian table is certified, and lists one point per real root of F
+    stats = experiment_generic(200, seed=16)
+    extras = dict(stats.extras)
+    assert extras["certified_tables"] == 200 and extras["root_count_mismatches"] == 0
+    assert stats.summary_dict()["certified_tables"] == 200
+
+
 @pytest.mark.parametrize("experiment, sample", [
     (experiment_generic, lambda rng: Tensor222.from_flat(rng.standard_normal(8))),
     (experiment_symmetric, lambda rng: SymTensor222(*rng.standard_normal(4)))],

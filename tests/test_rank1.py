@@ -520,6 +520,95 @@ def test_best_rank1_small_scale_fallback_is_global(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the certificate: a certified table skips the theta-grid cross-check
+# ---------------------------------------------------------------------------
+
+def _counted_grid(monkeypatch):
+    """Patch `best_rank1_222`'s theta-grid solver to count its calls."""
+    calls = []
+    solve = rank1.best_rank1_pxpx2
+
+    def counted(X):
+        calls.append(X)
+        return solve(X)
+
+    monkeypatch.setattr(rank1, "best_rank1_pxpx2", counted)
+    return calls
+
+
+def _fields(result):
+    """Every field of a BestRank1Result, arrays as lists."""
+    points = [(p.y2, p.z2, p.x.tolist(), p.psi, p.delta_residual, p.hessian_pd, p.degenerate)
+              for p in result.all_points]
+    return ([v.tolist() for v in (result.term.x, result.term.y, result.term.z)], result.psi,
+            points, result.multiplicity, result.n_complex, result.converged, result.iterations,
+            result.method, result.warnings)
+
+
+def test_certified_table_skips_the_cross_check(monkeypatch):
+    t = random_tensor(11)
+    assert stationary_points_222(t).certified
+    calls = _counted_grid(monkeypatch)
+    checked = best_rank1_222(t)
+    assert not calls
+    assert _fields(checked) == _fields(best_rank1_222(t, cross_check=False))
+
+
+def test_uncertified_table_runs_the_cross_check(monkeypatch):
+    # the residual of a deflation is on Delta = 0, where roots of F cluster
+    residual = deflation.deflate_once(random_tensor(5))[0]
+    assert not stationary_points_222(residual).certified
+    calls = _counted_grid(monkeypatch)
+    best_rank1_222(residual)
+    assert len(calls) == 1
+    # the same table, declared accounted for, is certified and not cross-checked
+    monkeypatch.setattr(rank1, "_accounted", lambda *lanes: True)
+    assert stationary_points_222(residual).certified
+    res = best_rank1_222(residual)
+    assert len(calls) == 1 and res.method == "enumerate"
+
+
+def test_certified_tables_list_the_optimum():
+    # on every certified table the best usable point is the theta-grid
+    # solver's optimum, on Gaussian input, D3 residuals, near-rank-1 input
+    # and every 4th of the nonzero tensors with entries in -1..1 before zero
+    rng = np.random.default_rng(16)
+    gaussian = rng.standard_normal((300, 2, 2, 2))
+    residuals = [deflation._enumerated_step(rng.standard_normal((2, 2, 2)))[2] for _ in range(200)]
+    near = [_near_rank1(seed, eps).array for seed in range(50) for eps in (1e-6, 1e-5, 1e-4, 1e-3)]
+    integer = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=8))[:3280:4])
+    X = np.concatenate([gaussian, residuals, near, integer.reshape(-1, 2, 2, 2)])
+    grid_psi = _best_rank1_stack(X)[0]
+    certified = 0
+    for A, best in zip(X, grid_psi):
+        try:
+            enum = stationary_points_222(A)
+        except ValueError:
+            continue
+        if enum.certified:
+            certified += 1
+            usable = [p.psi for p in enum if not p.degenerate]
+            assert usable[0] <= best + 1e-12 * (A * A).sum()
+    assert certified >= 400
+
+
+def test_near_rank1_table_is_not_certified(monkeypatch):
+    # the companion roots of F are 4 real and 4 non-real, and the table lists
+    # 7 points: the record says so, and the theta grid checks the result
+    rng = np.random.default_rng(0)
+    u, v, w = rng.standard_normal((3, 2))
+    base = Rank1Term(u, v, w).tensor()
+    X = Tensor222(base + 1e-5 * np.linalg.norm(base) * rng.standard_normal((2, 2, 2)))
+    enum = stationary_points_222(X)
+    assert (enum.record.real_roots, enum.record.nonreal_roots) == (4, 4)
+    assert not enum.certified and len(enum) != enum.record.real_roots
+    calls = _counted_grid(monkeypatch)
+    res = best_rank1_222(X)
+    assert len(calls) == 1
+    assert abs(res.psi - best_rank1_pxpx2(X).psi) <= 1e-12 * frobenius_norm_sq(X)
+
+
+# ---------------------------------------------------------------------------
 # pxpx2: the theta-grid solver
 # ---------------------------------------------------------------------------
 
