@@ -320,9 +320,10 @@ def _enumerated_step(A, tally=None):
     `rank1.stationary_points_222` enumeration, whose points are sorted by
     psi: (psi, A, residual); the table is counted in ``tally`` if given."""
     enum = rank1.stationary_points_222(A)
-    if tally is not None and enum.record:
-        tally["certified_tables"] += enum.record.certified
-        tally["root_count_mismatches"] += len(enum) != enum.record.real_roots
+    rec = enum.record
+    if tally is not None and rec:
+        tally["certified_tables"] += rec.certified
+        tally["root_count_mismatches"] += len(enum) + max(rec.cluster_roots - 1, 0) != rec.real_roots
     best = next((p for p in enum if not p.degenerate), None)
     if best is None:
         raise RuntimeError("no usable stationary point")
@@ -344,7 +345,7 @@ def experiment_generic(trials: int, seed: int = 0) -> ExperimentStats:
     enumeration, with no theta-grid cross-check; a trial with no usable
     point is an error row.  The residuals are then reported as one stack.
     The extras count certified tables, and tables whose point count is not
-    the number of real roots of F.
+    the number of real roots of F, a triple root counted as one.
     """
     tally = {"certified_tables": 0, "root_count_mismatches": 0}
     rows, reasons = _run(trials, seed, lambda rng: rng.standard_normal(8),

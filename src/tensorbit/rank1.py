@@ -7,12 +7,9 @@ stationary point of the least-squares criterion is an eigenvector of that
 2x2 matrix at a critical point of its eigenvalue m +- sqrt(Q), so the
 points are the real roots of one degree-4 trigonometric polynomial in phi,
 F = m'^2 Q - (Q'/2)^2, with 8 roots (generically 6 + 2, Friedland &
-Ottaviani).  `stationary_points_222` finds them without charts: 16 samples
-of F give the coefficients of a degree-8 polynomial by one constant map, and
-one companion eigenvalue call its roots.  Newton steps polish each root
-until every root is accounted for (clearly non-real, or converged on a
-branch), CIRCLE_STEPS steps at most.  Each point carries psi, the
-residual's hyperdeterminant, and exact local-minimum and degenerate flags.
+Ottaviani).  `stationary_points_222` finds them without charts, from one
+companion eigenvalue call, and polishes them until each is accounted for;
+each point carries psi, the residual's hyperdeterminant, and exact flags.
 The chart resultants (`stationary_poly` and its companions) stay identities.
 
 For a symmetric 2x2x2 tensor the stationary directions are the real roots
@@ -280,13 +277,14 @@ class StationaryPoint:
 @dataclass(frozen=True)
 class CircleRecord:
     """How a circle enumeration ended (`_circle_points`): certified or not,
-    its Newton steps, its real and clearly non-real companion roots of F,
-    and the largest |lambda'| of an accepted lane over max|(m, D, E)|."""
+    its Newton steps, its real, clearly non-real and triple (`_triple_root`)
+    roots of F, and the largest |lambda'| of an accepted lane over max|(m, D, E)|."""
 
     certified: bool
     steps: int
     real_roots: int
     nonreal_roots: int
+    cluster_roots: int
     max_slope: float
 
 
@@ -351,6 +349,9 @@ NONREAL_BAND = 1e-3
 # simple root is accurate far within it, and a lane that moved further may have
 # reached a neighbouring root
 SEED_BAND = 1e-6
+# |sin((phi - phi_d) / 2)| within which round-off leaves a triple root of F (`_triple_root`):
+# about eps^(1/3) = 6e-6 times the cube root of its condition; 1e-4 on 92% of D3 residuals
+CLUSTER_BAND = 1e-3
 
 
 def _mde_rows(arr):
@@ -407,6 +408,35 @@ def _lambda_derivatives(T, phi, sign):
                                                      sign * r3 - m1, sign * r4 - m2)
 
 
+def _triple_root(T, arr, seed, nonreal):
+    """(lanes, phi_d, alpha): the lanes seeded at three roots of F near phi_d,
+    where det M = a + rho cos(phi - phi0) turns to zero, and the angle of the
+    bottom eigenvector there.  On D3 (rho = |a|) lambda_bot = det(M)^2 /
+    lambda_top vanishes to order 4 there, so F = r^2 lambda_top' lambda_bot'
+    has a triple root.  None unless exactly three roots, none clearly
+    non-real, lie within CLUSTER_BAND, and w (rho_m + N + v1^2 / r0), a bound
+    on w |lambda_top''| over their span w, is below |lambda_top'(phi_d)|; N,
+    rho_m are the norms of the cos and sin coefficients of v = (D, E) and m,
+    |v'| <= v1 = |v'(phi_d)| + w N and |v| >= r0 = |v(phi_d)| - w v1."""
+    a, e, b, f, c, g, d, h = arr.ravel().tolist()
+    d1, d2, mix = a * d - b * c, e * h - f * g, a * h + d * e - b * g - c * f
+    if abs(abs(d1 + d2) - math.hypot(d1 - d2, mix)) > CLUSTER_BAND * abs(d1 + d2):
+        return None     # not near D3: the zeros of det M are far apart, or det M has none
+    phi_d = math.atan2(mix, d1 - d2) + (math.pi if d1 + d2 > 0.0 else 0.0)
+    gap = [1.0 if n else abs(math.sin(0.5 * (s - phi_d))) for s, n in zip(seed.tolist(), nonreal)]
+    if sum(g <= CLUSTER_BAND for g in gap) != 3:
+        return None
+    w = 2.0 * math.asin(max(g for g in gap if g <= CLUSTER_BAND))
+    wave = (1j * T[:, 1] + T[:, 2]) * np.exp(1j * phi_d)
+    (m1, D1, E1), (_, D, E) = wave.real.tolist(), (T[:, 0] + wave.imag).tolist()
+    rho_m, N = math.hypot(*T[0, 1:]), math.hypot(*T[1:, 1:].ravel())
+    r, v1 = math.hypot(D, E), math.hypot(D1, E1) + w * N
+    r0 = r - w * v1
+    if r0 <= 0.0 or w * (rho_m + N + v1 * v1 / r0) >= abs(m1 + (D * D1 + E * E1) / r):
+        return None
+    return np.tile(np.less_equal(gap, CLUSTER_BAND), 3), phi_d, math.atan2(-E, -D) / 2.0
+
+
 def _accounted(nonreal, branch, phi, start):
     """Whether every root of F is accounted for: clearly non-real, or the
     top or the bottom lane it seeded (lanes i and 8 + i of root i, started
@@ -415,7 +445,7 @@ def _accounted(nonreal, branch, phi, start):
     return bool((nonreal | at[:8] | at[8:]).all())
 
 
-def _circle_points(T, scale):
+def _circle_points(T, scale, arr):
     """(phi, alpha, hessian_pd) of the distinct stationary points, with
     y = (cos alpha, sin alpha) and z = (cos phi/2, sin phi/2), and the
     `CircleRecord` of the evaluation at which the lanes stopped.
@@ -428,14 +458,17 @@ def _circle_points(T, scale):
     point is isolated.
 
     The lanes stop at the first evaluation after a step at which every
-    root of F is accounted for: clearly non-real (NONREAL_BAND), or a
-    branch lane seeded at it converged within SEED_BAND of it, with no lane
-    stalled at a multiple root of lambda'.  On Gaussian input that is after
-    one step.  CIRCLE_STEPS is the cap, which near-rank-1 input, multiple
-    roots and crossings (where F has a double root that no branch lane
-    matches) run to.  A table is certified when it stops on that test.
+    root of F is accounted for: clearly non-real (NONREAL_BAND), in a triple
+    root (`_triple_root`, whose lanes and those near it give way to its one
+    point), or with a branch lane seeded at it converged within SEED_BAND
+    of it, and no lane stalled at a multiple root of lambda'.  On Gaussian
+    input and D3 residuals that is after one step; near-rank-1 input, other
+    multiple roots and crossings (where F has a double root that no branch
+    lane matches) run to CIRCLE_STEPS.  A table so stopped is certified.
     """
     seed, nonreal = _circle_roots(T)
+    triple = _triple_root(T, arr, seed, nonreal)
+    accounted = nonreal if triple is None else nonreal | triple[0][:8]
     start = phi = np.concatenate([seed] * 3)
     sign, cross = _LANE_SIGN, _LANE_SIGN == 0.0
     aD, aE = float(T[1, 0]), float(T[2, 0])
@@ -459,6 +492,8 @@ def _circle_points(T, scale):
                 # next step is within STEP_TOL, which a multiple root, approached linearly,
                 # is not
                 lanes = ~cross & (r > CROSSING_TOL * scale)
+                if triple is not None:
+                    lanes &= ~triple[0] & (np.abs(np.sin(0.5 * (phi - triple[1]))) > CLUSTER_BAND)
                 band, flat = scale * (1.0 + scale / r), np.abs(slope)
                 branch = lanes & (flat <= 1e-13 * band) & (np.abs(step) <= STEP_TOL)
                 # at a double or triple root of lambda' (say the flat optimum of the
@@ -467,12 +502,12 @@ def _circle_points(T, scale):
                                          & (flat <= 1e-10 * band))
                 # the polish stops once every root of F is accounted for and no
                 # lane stalls, since the steps below go on from here
-                certified = not stalled.size and _accounted(nonreal, branch, phi, start)
+                certified = not stalled.size and _accounted(accounted, branch, phi, start)
                 if certified or k == CIRCLE_STEPS:
                     break
             phi = phi - np.minimum(np.maximum(step, -0.5), 0.5)
         n_nonreal = int(np.count_nonzero(nonreal))
-        record = CircleRecord(certified, k, 8 - n_nonreal, n_nonreal,
+        record = CircleRecord(certified, k, 8 - n_nonreal, n_nonreal, 0 if triple is None else 3,
                               max(flat[branch].tolist(), default=0.0) / scale)
         nu = np.sqrt(g)
         pd = branch & (sign > 0.0) & (curv < 0.0)
@@ -502,6 +537,8 @@ def _circle_points(T, scale):
         points = [np.concatenate(pair) for pair in zip(points, (
             np.tile(phi[on], 2), np.r_[beta + gamma, beta - gamma] / 2.0, np.zeros(2 * n, bool),
             np.repeat([2.0, 3.0], n)))]
+    if triple is not None:
+        points = [np.append(a, b) for a, b in zip(points, (*triple[1:], False, -1.0))]
     phi, alpha, pd, vector = points
     same = (np.abs(np.sin((phi[:, None] - phi) / 2.0)) <= STEP_TOL) & (vector[:, None] == vector)
     keep = ~(same & _LOWER[:phi.size, :phi.size]).any(axis=1)
@@ -515,25 +552,19 @@ def stationary_points_222(X) -> EnumerationResult:
     Each is an eigenvector y of S(phi) = M^T M (`_gram_pencil`), for
     z = (cos t, sin t) and phi = 2t, at a critical point of its eigenvalue
     lambda = m +- sqrt(Q): a real root of F = m'^2 Q - (Q'/2)^2, a degree-4
-    trigonometric polynomial with 8 roots (`_circle_roots`: 16 samples of F,
-    one constant map to polynomial coefficients, one companion eigenvalue
-    call).  Every root seeds Newton steps on lambda' of both branches,
-    which stop once every root is accounted for, CIRCLE_STEPS steps at
-    most, and the distinct converged angles give the points
-    (`_circle_points`, which also handles a root where S(phi) is a multiple
-    of I, and a double or triple root of lambda' such as the flat optimum
-    of the worked G2 example).  m, D and E come from one constant quadratic
-    form in the 8 entries (`_MDE_FORM`), and x, psi and Delta from the
+    trigonometric polynomial with 8 roots (`_circle_roots`), polished and
+    merged into points by `_circle_points`.  x, psi and Delta come from the
     outer products y (x) z against the mode-1 unfolding.
 
     ``hessian_pd`` is exact: a point is a strict local minimum iff it is on
     the top branch with lambda'' < 0, since the curvature in y is
     -2 (lambda_1 - lambda_2) and the reduced curvature in phi is lambda''.
     ``degenerate`` marks |x| <= DEGENERATE_X_TOL ||X|| for unit y, z.
-    ``n_complex`` is 8 minus the number of points listed, and ``record``
-    (`CircleRecord`) says whether the table is certified.  The solve runs on
-    X / 2^e (exact), and x, psi and the residual's Delta are scaled back by
-    2^e, 4^e and 16^e.  Raises ValueError when F vanishes to round-off
+    ``n_complex`` counts the clearly non-real roots of F (an even number), and
+    ``record`` (`CircleRecord`) says if the table is certified.  A D3 tensor's
+    triple root of F is one point, x = 0 and ``hessian_pd`` False, at the
+    double zero of det M.  The solve runs on X / 2^e (exact), and x, psi and
+    the residual's Delta are scaled back by 2^e, 4^e and 16^e.  Raises ValueError when F vanishes to round-off
     (F_ROUNDOFF of m'^2 Q + (Q'/2)^2), where its roots carry no
     information: on orthogonal-pencil, rank-1 and zero input, whose
     stationary set is not finite, and on input within about 1e-7 relative
@@ -541,7 +572,7 @@ def stationary_points_222(X) -> EnumerationResult:
     """
     arr, exponent = unit_scaled(_as_tensor(X))
     T = _mde_rows(arr)
-    phi, alpha, pd, record = _circle_points(T, float(np.abs(T).max()))
+    phi, alpha, pd, record = _circle_points(T, float(np.abs(T).max()), arr)
     Y = np.exp(1j * alpha).view(float).reshape(-1, 2)
     Z = np.exp(0.5j * phi).view(float).reshape(-1, 2)
     # y (x) z of each point against the mode-1 unfolding, both over (j, k)
@@ -559,7 +590,7 @@ def stationary_points_222(X) -> EnumerationResult:
     points = sorted((StationaryPoint(a, b, xn, _ldexp(v, 2 * exponent), _ldexp(d, 4 * exponent),
                                      p, g) for a, b, xn, v, d, p, g in rows),
                     key=lambda s: (s.psi, s.y2, s.z2))
-    return EnumerationResult(tuple(points), max(0, 8 - len(points)), record)
+    return EnumerationResult(tuple(points), record.nonreal_roots, record)
 
 
 # ---------------------------------------------------------------------------
@@ -609,6 +640,9 @@ def best_rank1_222(X, cross_check: bool = True) -> BestRank1Result:
     simple root of lambda_top', and is accepted and listed after one step;
     if also lambda_top'' = 0 it stalls, which voids the certificate.  As
     lambda >= ||X||^2 / 4 there, the maximum is never a degenerate point.
+    A triple root of F accounted for at once (`_triple_root`) spans no zero
+    of lambda_top', so a certified table still has an accepted top lane at
+    every root where lambda_top' can vanish; its psi = ||X||^2 is no optimum.
     """
     t = _as_tensor(X)
     norm_sq = frobenius_norm_sq(t)
@@ -899,11 +933,6 @@ def stationary_points_sym(Xs: SymTensor222) -> EnumerationResult:
                                         hyperdet_sym(np.ldexp(resid[n], exponent)))
                      for n in range(z.size)), key=lambda s: (s.psi, s.z))
     return EnumerationResult(tuple(points), n_complex)
-
-
-def _sym_gradient(Xs: SymTensor222, y) -> np.ndarray:
-    y = np.asarray(y, float)
-    return -6.0 * (_sym_contraction(Xs.as_tuple(), y) - float(y @ y) ** 2 * y)
 
 
 def best_rank1_sym(Xs: SymTensor222) -> BestRank1Result:

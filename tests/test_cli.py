@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensorbit import SymTensor222, Tensor222, TensorPxPx2
+from tensorbit import SymTensor222, Tensor222, TensorPxPx2, rank1
 from tensorbit.cli import main
 from tensorbit.document import TensorDocument, infer_kind, parse_document
 from conftest import EXAMPLE_A1, SYM_G3
@@ -172,6 +172,20 @@ def test_cli_deflate_step_count_does_not_change_with_scale(k):
 
 def test_cli_deflate_zero_tensor_stops_after_one_step():
     assert _deflate_steps([0.0] * 8) == 1
+
+
+def test_cli_deflate_two_steps_skip_the_theta_grid(capsys, monkeypatch):
+    # both steps certify their tables, the second one on the D3 residual of
+    # the first, so neither runs the theta-grid cross-check
+    calls = []
+    solve = rank1.best_rank1_pxpx2
+    monkeypatch.setattr(rank1, "best_rank1_pxpx2", lambda X: calls.append(X) or solve(X))
+    x = np.random.default_rng(1).standard_normal(8)
+    code, out, _ = _run(capsys, "deflate", "--data=" + ",".join(map(repr, x.tolist())),
+                        "--steps", "2")
+    steps = json.loads(out)["steps"]
+    assert code == 0 and len(steps) == 2 and steps[0]["orbit_after"] == "D3"
+    assert not calls
 
 
 def test_cli_deflate_sym_cube_reaches_zero(capsys):

@@ -51,8 +51,13 @@ def test_both_closed_form_expressions_agree():
             assert abs(w1 - pt.y2_cubed) < 1e-8 * (1 + abs(pt.y2_cubed))
 
 
+def _sym_gradient(Xs: SymTensor222, y) -> np.ndarray:
+    """Gradient in y of ||Xs - y (x) y (x) y||^2: -6 (X y y - |y|^4 y)."""
+    y = np.asarray(y, float)
+    return -6.0 * (np.einsum("ijk,j,k->i", Xs.tensor().array, y, y) - float(y @ y) ** 2 * y)
+
+
 def test_cubic_residual_and_gradient_at_points():
-    from tensorbit.rank1 import _sym_gradient
     pv = np.polynomial.polynomial.polyval
     for seed in range(200):
         s = random_sym(seed + 300)
