@@ -162,7 +162,8 @@ def sym_rank3_decompose(Xs: SymTensor222, tol: float = 1e-9) -> SymDecomposition
 
     When both middle coefficients are nonzero the tensor is rescaled to
     (a', 1, 1, d') and decomposed as a'-1, d'-1 cubes plus the all-ones
-    direction.  When b = 0 or c = 0 a rank-1 cube is subtracted so that
+    direction, if that reconstructs X within tol * max|entry|.  Otherwise,
+    and when b = 0 or c = 0, a rank-1 cube is subtracted so that
     the remainder has a slab pencil with distinct real eigenvalues, and
     the rank-2 construction finishes the job.
     """
@@ -183,8 +184,10 @@ def sym_rank3_decompose(Xs: SymTensor222, tol: float = 1e-9) -> SymDecomposition
             inv = np.linalg.inv(form.transform)
             dirs = (np.array([alpha, 0.0]), np.array([0.0, beta]), np.array([1.0, 1.0]))
             vectors = tuple(inv @ v for v in dirs)
-            return SymDecomposition(3, vectors, _recon_error(Xs, vectors))
-        # fall through to the subtraction branch on the rare a' ~ 1 inputs
+            error = _recon_error(Xs, vectors)
+            if error <= tol * scale:
+                return SymDecomposition(3, vectors, error)
+        # fall through to the subtraction branch if a' ~ 1 or the vectors cancel
     if not (b_ok or c_ok):
         raise DomainError("tensors with b = c = 0 have symmetric rank at most 2")
     # subtract a cube so the remainder lands in G2, then finish with rank 2

@@ -30,6 +30,7 @@ dicts ready for JSON.
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -293,6 +294,11 @@ def _unconverged(converged) -> list:
     return [f"trial {t}: {rank1.NOT_CONVERGED}" for t in np.flatnonzero(~converged)]
 
 
+def _theta_steps(rows) -> tuple:
+    """The extra ("theta_steps", {refinement steps: trials}) of the rows."""
+    return "theta_steps", dict(sorted(Counter(r["theta_steps"] for r in rows).items()))
+
+
 def _mlrank_extras(rows) -> tuple:
     ok = [r for r in rows if r["orbit_after"] != "error"]
     return (("fraction_mlrank_222", sum(r["mlrank"] == "2x2x2" for r in ok) / max(1, len(ok))),)
@@ -379,7 +385,8 @@ def experiment_d3_closure(trials: int, seed: int = 0) -> ExperimentStats:
     """Deflate random orbit-D3 tensors (random transforms of the canonical
     form) by their theta-grid terms, as one stack, and tally the residual
     orbits; supports, not asserts, closure.  Unconverged trials are named
-    in the failure reasons, and ``converged`` counts the others."""
+    in the failure reasons; ``converged`` counts the others, and
+    ``theta_steps`` the rows' refinement step counts."""
     def solve(blocks):
         # `_sample_d3` of every trial, from its first three draws: a trial
         # with a draw above the cap draws on from its own stream
@@ -387,16 +394,16 @@ def experiment_d3_closure(trials: int, seed: int = 0) -> ExperimentStats:
         X = np.einsum("nip,njq,nkr,pqr->nijk", *blocks.swapaxes(0, 1), canonical_form("D3").array)
         for trial in np.flatnonzero(~(np.linalg.cond(blocks) <= D3_COND_CAP).all(axis=1)):
             X[trial] = _sample_d3(_trial_rng(seed, trial)).array
-        psi, x, y, z, converged, _ = rank1._best_rank1_stack(X)
+        psi, x, y, z, converged, steps = rank1._best_rank1_stack(X)
         rows = _report_rows(X, X - np.einsum("ni,nj,nk->nijk", x, y, z), psi)
-        for row, ok in zip(rows, converged.tolist()):
+        for row, ok, k in zip(rows, converged.tolist(), steps.tolist()):
             # the input is D3 by construction, whatever its classification reads
-            row.update(orbit_before="D3", converged=ok)
+            row.update(orbit_before="D3", converged=ok, theta_steps=k)
         return rows, _unconverged(converged)
 
     rows, reasons = _run(trials, seed, lambda rng: rng.standard_normal((3, 2, 2)), solve)
     return _aggregate("d3", trials, seed, rows, reasons,
-                      (("converged", sum(r["converged"] for r in rows)),))
+                      (("converged", sum(r["converged"] for r in rows)), _theta_steps(rows)))
 
 
 def experiment_pxpx2(p: int, trials: int, seed: int = 0) -> ExperimentStats:
@@ -412,14 +419,14 @@ def experiment_pxpx2(p: int, trials: int, seed: int = 0) -> ExperimentStats:
     `smallalg.spectra_small` call each; a trial whose slab quotient is
     singular or not finite is an error row.  A trial whose refinement did
     not converge is listed in the failure reasons and left out of the
-    fractions.
+    fractions.  ``theta_steps`` tallies the rows' refinement step counts.
     """
     if not 2 <= p <= 8:
         raise ValueError("p must be between 2 and 8")
 
     def solve(inputs):
         X = np.stack(inputs)
-        psi, x, y, z, converged, _ = rank1._best_rank1_stack(X)
+        psi, x, y, z, converged, steps = rank1._best_rank1_stack(X)
         Z = X - np.einsum("ni,nj,nk->nijk", x, y, z)
         _, before, _, ok_x = spectra_small(_quotient(X[..., 1], X[..., 0]), PAIRING_BAND)
         _, after, pairs, ok_z = spectra_small(_quotient(Z[..., 1], Z[..., 0]), PAIRING_BAND)
@@ -427,10 +434,10 @@ def experiment_pxpx2(p: int, trials: int, seed: int = 0) -> ExperimentStats:
         # no Delta, gap or mlrank here: those fields keep the error row's blanks
         rows = [dict(_error_row(), orbit_before=f"ncomplex={n}", psi=v, converged=conv,
                      orbit_after="D3" if c == 1 and m == max(0, n - 1) else "other",
-                     coincident_pairs=c, complex_before=n, complex_after=m)
-                if good else _error_row()
-                for n, m, c, good, v, conv in zip(before.tolist(), after.tolist(), pairs.tolist(),
-                                                  ok.tolist(), psi.tolist(), converged.tolist())]
+                     coincident_pairs=c, complex_before=n, complex_after=m, theta_steps=k)
+                if good else dict(_error_row(), theta_steps=k)
+                for n, m, c, good, v, conv, k in zip(*(a.tolist() for a in (
+                    before, after, pairs, ok, psi, converged, steps)))]
         reasons = [f"trial {t}: a slab quotient is singular or not finite"
                    for t in np.flatnonzero(~ok)]
         return rows, reasons + _unconverged(converged)
@@ -445,6 +452,7 @@ def experiment_pxpx2(p: int, trials: int, seed: int = 0) -> ExperimentStats:
         ("complex_decrement_fraction",
          sum(r["complex_after"] == max(0, r["complex_before"] - 1) for r in done) / n_conv),
         ("consistent_fraction", sum(r["orbit_after"] == "D3" for r in done) / n_conv),
+        _theta_steps(rows),
     )
     return _aggregate("pxp2", trials, seed, rows, reasons, extras)
 

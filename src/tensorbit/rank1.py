@@ -694,10 +694,8 @@ def _pencil(S, phi):
 def _theta_eval(arr, S, phi):
     """lambda = sigma_max^2 of the slab combination at each angle, its first
     and second derivatives in phi, and the term factors x, y; arr (..., p, p, 2)
-    and its `_gram_pencil` S broadcast against the angles phi.
-
-    lambda and y = v are the top eigenpair from `eigh` of the Gram pencil
-    S[0] + cos(phi) S[1] + sin(phi) S[2], and x = M v.
+    and its `_gram_pencil` S broadcast against the angles phi.  lambda and
+    y = v are the top eigenpair from `eigh` of the `_pencil`, and x = M v.
     """
     w, V = np.linalg.eigh(_pencil(S, phi))
     lam, v = w[..., -1], V[..., -1]
@@ -728,18 +726,25 @@ def _theta_stack(X):
     """`_best_rank1_stack` of one chunk.
 
     Each tensor gets the computation it would get alone: its own exact
-    prescale, grid maximum and certificate, and its kept lanes are refined
-    until all of them are done, or THETA_MAX_STEPS.  A tensor's lanes form
-    a row, padded with copies of its last lane, which take the same steps;
-    a tensor leaves the refinement with its row.
+    prescale, grid maxima and certificates, and its kept lanes are refined
+    until each is done or retired, or THETA_MAX_STEPS.  A tensor's lanes
+    form a row, padded with copies of its last lane, which take the same
+    steps; a tensor leaves the refinement with its row.
     """
     n, p = len(X), X.shape[1]
     unit, exponent = _prescale(X, 1)
     arr = unit[:, None]
     S = _gram_pencil(arr)
     lip = np.sqrt((S[:, 0, 1:] ** 2).reshape(n, -1).sum(axis=1))
-    h = 2.0 * math.pi / (THETA_GRID_PER_P * p)
-    grid = np.linalg.eigvalsh(_pencil(S, np.arange(THETA_GRID_PER_P * p) * h))[..., -1]
+    m = THETA_GRID_PER_P * p
+    h = 2.0 * math.pi / m
+    # lambda at every 4th angle, then around the kept ones; -inf elsewhere
+    grid = np.full((n, m), -np.inf)
+    grid[:, ::4] = coarse = np.linalg.eigvalsh(_pencil(S, np.arange(0, m, 4) * h))[..., -1]
+    i, c = np.nonzero(coarse + (lip * (1.0 - math.cos(2.0 * h)))[:, None]
+                      >= coarse.max(axis=1, keepdims=True))
+    cols = (4 * c[:, None] + (-2, -1, 1, 2)) % m
+    grid[i[:, None], cols] = np.linalg.eigvalsh(_pencil(S[i], cols * h))[..., -1]
     kept = grid + (lip * (1.0 - math.cos(0.5 * h)))[:, None] >= grid.max(axis=1, keepdims=True)
     count = kept.sum(axis=1)
     width = count.max()
@@ -748,7 +753,7 @@ def _theta_stack(X):
         lanes = lanes[(np.cumsum(count) - count)[:, None]
                       + np.minimum(np.arange(width), count[:, None] - 1)]
     phi = lanes.reshape(n, width) * h
-    lo, hi = phi - h, phi + h
+    lo, hi, left, right = phi - h, phi + h, phi - 0.5 * h, phi + 0.5 * h
     flat = 1e-14 * lip[:, None]
     active = np.arange(n)
     # per tensor: its steps, and phi, x, y and done of its chosen evaluation
@@ -770,10 +775,11 @@ def _theta_stack(X):
                     np.where(wide, x, best[2]), np.where(wide, y, best[3]),
                     np.where(later, done, best[4]))
             best_step = np.where(later, steps, best_step)
-        # every tensor leaves, or those whose lanes are all done, which with
-        # one tensor left is the same
-        finished = steps == THETA_MAX_STEPS or done.all()
-        leave = None if finished or len(active) == 1 else done.all(axis=1)
+        # a lane is over once done or retired; every tensor leaves, or those
+        # whose lanes are all over, which with one tensor left is the same
+        over = done | (hi < left) | (lo > right)
+        finished = steps == THETA_MAX_STEPS or over.all()
+        leave = None if finished or len(active) == 1 else over.all(axis=1)
         if finished or (leave is not None and leave.any()):
             # the largest lambda, on a tie the latest step and in it the
             # first lane: the running best of the scalar solve, which takes
@@ -792,8 +798,8 @@ def _theta_stack(X):
             best = tuple(b[stay] for b in best)
             if np.ndim(best_step):
                 best_step = best_step[stay]
-            active, arr, S, flat, phi, lo, hi, d1, d2, done = (
-                a[stay] for a in (active, arr, S, flat, phi, lo, hi, d1, d2, done))
+            active, arr, S, flat, phi, lo, hi, left, right, d1, d2, done = (
+                a[stay] for a in (active, arr, S, flat, phi, lo, hi, left, right, d1, d2, done))
         rising = d1 > 0.0
         lo = np.where(rising, phi, lo)
         hi = np.where(rising, hi, phi)
@@ -815,20 +821,23 @@ def best_rank1_pxpx2(X) -> BestRank1Result:
     With z = (cos t, sin t), psi = ||X||^2 - max_t sigma_max(cos t X1 +
     sin t X2)^2.  In phi = 2t, sigma_max^2 is lambda(phi), the top
     eigenvalue of S0 + cos(phi) S1 + sin(phi) S2 with A = X1^T X1,
-    C = X2^T X2, S0 = (A + C)/2, S1 = (A - C)/2 and S2 = sym(X1^T X2).
-
-    lambda and its top eigenvector come from `eigh` of that p x p Gram
-    pencil; no SVD of the slab combination is taken.
-    *Grid.* lambda is evaluated at 16p angles phi_j with step h.
+    C = X2^T X2, S0 = (A + C)/2, S1 = (A - C)/2 and S2 = sym(X1^T X2),
+    which `eigh` of that p x p Gram pencil gives, with no SVD.
     *Certificate.* lambda is the maximum over unit v of
     v^T S0 v + r cos(phi - phi_v) with r <= L = sqrt(||S1||_F^2 + ||S2||_F^2),
     so lambda(phi) >= lambda* - L (1 - cos(phi - phi*)) around a maximizer
-    phi*.  Every grid point with lambda_j + L (1 - cos(h/2)) at or above
-    the grid maximum is kept; the maximizer lies within h/2 of one of them.
-    *Refinement.* From each kept point, Newton steps on the exact first and
-    second derivatives of lambda, safeguarded by bisection inside a
-    bracket of +-h, until the predicted gain is below round-off.  The best
-    value seen gives x = sigma u, y = v and z.
+    phi*.  Of angles of step g, the one nearest phi* is within g/2 of it,
+    so the rule lambda + L (1 - cos(g/2)) >= their maximum keeps it.
+    *Grid.* Of the 16p angles phi_j = j h, lambda is taken at every 4th, and
+    then at 4c +- 1, 4c +- 2 around each 4c the rule keeps.  The angle
+    nearest phi* is within 2h of the nearest 4c, so it is evaluated, and the
+    rule of step h keeps it, with -inf where lambda is not taken.
+    *Refinement.* From each kept angle, Newton steps on the exact first and
+    second derivatives of lambda, safeguarded by bisection inside a bracket
+    of +-h, until the predicted gain is below round-off.  A lane whose
+    bracket lies beyond the midpoint to a neighbouring angle retires: a
+    maximizer there is nearer that angle, which the rule then keeps.  The
+    best value seen gives x = sigma u, y = v and z.
 
     No restarts or seeds.  The solve runs on X / 2^e with max|entry| / 2^e
     in [1/2, 1), which is exact, so psi(2^k X) = 4^k psi(X) over the whole

@@ -252,6 +252,15 @@ def test_cli_decompose_near_the_delta_band(capsys):
     assert code == 0 and json.loads(out)["reconstruction_error"] <= 1e-8
 
 
+def test_cli_decompose_with_a_tiny_middle_coefficient(capsys):
+    # the canonical form (a', 1, 1, d') of this input has vectors of size
+    # about 532 that nearly cancel; the cube subtraction reconstructs it
+    code, out, _ = _run(capsys, "decompose", "--data=0,5.960464477539063e-08,3.0,0.75")
+    payload = json.loads(out)
+    assert code == 0 and payload["rank"] == 3
+    assert payload["reconstruction_error"] <= 1e-14 * 3.0
+
+
 def test_cli_decompose_infeasible_rank(capsys):
     code, _, err = _run(capsys, "decompose", "--data=0,1,1,0", "--rank", "2")
     assert code == 4

@@ -180,6 +180,19 @@ def test_rank3_decompose_distinct_case():
         assert dec.reconstruction_error < 1e-8
 
 
+def test_rank3_decompose_reconstructs_when_a_middle_coefficient_is_tiny():
+    # b = 1e-7 |c|: the canonical-form vectors would nearly cancel, so the
+    # decomposition comes from the cube subtraction, to round-off
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        a, b, c, d = rng.standard_normal(4) * (1.0, 1e-7, 1.0, 1.0)
+        s = SymTensor222(a, b, c, d)
+        if classify_sym(s).orbit not in ("D3", "G3"):
+            continue
+        dec = sym_rank3_decompose(s)
+        assert dec.reconstruction_error <= 1e-9 * max(abs(v) for v in s.as_tuple())
+
+
 def test_rank3_rejects_rank2_input(sym_g2):
     with pytest.raises(DomainError):
         sym_rank3_decompose(sym_g2)

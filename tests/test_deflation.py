@@ -365,6 +365,25 @@ def test_experiment_pxpx2_rows_match_each_trial_alone(p):
             before.n_complex_pairs, after.n_complex_pairs, after.n_coincident_real_pairs)
 
 
+def test_theta_experiments_tally_their_refinement_steps():
+    # every row holds its step count, the same as the trial solved alone,
+    # and the summary tallies them; on the benchmark's pxpx2 inputs
+    # (p = 3, seeds 1..10, 10 trials each) no trial needs more than 5 steps
+    tally = {}
+    for seed in range(1, 11):
+        stats = experiment_pxpx2(3, 10, seed=seed)
+        hist = stats.summary_dict()["theta_steps"]
+        assert sum(hist.values()) == 10
+        for trial, row in enumerate(stats.rows):
+            X = _trial_rng(seed, trial).standard_normal((3, 3, 2))
+            assert row["theta_steps"] == best_rank1_pxpx2(X).iterations
+        for k, v in hist.items():
+            tally[k] = tally.get(k, 0) + v
+    assert max(tally) <= 5
+    d3 = dict(experiment_d3_closure(40, seed=2).extras)["theta_steps"]
+    assert sum(d3.values()) == 40 and min(d3) >= 1
+
+
 def test_experiment_pxpx2_fails_only_the_trial_with_a_singular_slab(monkeypatch):
     whole = experiment_pxpx2(3, 6, seed=1)
 

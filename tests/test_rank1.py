@@ -775,6 +775,58 @@ def test_theta_stack_matches_the_reference_solver():
         assert np.all(np.abs(psis - ref_psi) <= 1e-12 * (X ** 2).sum(axis=(1, 2, 3)))
 
 
+@pytest.mark.parametrize("seed, trial", [(6, 2), (9, 8), (10, 8)])
+def test_theta_stack_lanes_beyond_their_half_cell_retire(seed, trial):
+    # two lanes start on either side of the peak; the far one bisects
+    # towards its bracket edge, and without the half-cell rule it would run
+    # to THETA_MAX_STEPS after the near one is done
+    X = deflation._trial_rng(seed, trial).standard_normal((3, 3, 2))
+    res = best_rank1_pxpx2(X)
+    assert res.converged and res.iterations < rank1.THETA_MAX_STEPS
+    ref_psi, _ = reference.best_rank1(X[None])
+    assert abs(res.psi - ref_psi[0]) <= 1e-12 * (X ** 2).sum()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_theta_stack_keeps_two_far_maxima_of_near_equal_height(p):
+    # sigma_max(cos t X1 + sin t X2) = max(a |cos(t - t1)|, b |cos(t - t2)|)
+    # for orthonormal factors: two peaks 1.4 apart in t whose heights differ
+    # by 1e-9 relative; psi = a^2 + b^2 - max(a, b)^2 finds the higher one
+    # either way round, so both coarse cells are kept
+    Q = np.linalg.qr(np.random.default_rng(p).standard_normal((p, p)))[0]
+    z1, z2 = (np.array([math.cos(t), math.sin(t)]) for t in (0.3, 1.7))
+    for a, b in ((1.0 + 1e-9, 1.0), (1.0, 1.0 + 1e-9)):
+        X = (a * np.einsum("i,j,k->ijk", Q[:, 0], Q[:, 1], z1)
+             + b * np.einsum("i,j,k->ijk", Q[:, 1], Q[:, 0], z2))
+        res = best_rank1_pxpx2(X)
+        assert res.converged
+        assert abs(res.psi - min(a, b) ** 2) <= 1e-12 * (X ** 2).sum()
+        assert abs(res.term.z @ (z1 if a > b else z2)) >= 1.0 - 1e-12
+
+
+def _constant_criterion(p):
+    # the KHL slabs on 2x2 diagonal blocks: M(t)^T M(t) does not depend on t
+    X = np.zeros((p, p, 2))
+    for k in range(0, p - 1, 2):
+        X[k:k + 2, k:k + 2] = Tensor222.from_flat(KHL).array
+    return X
+
+
+@pytest.mark.parametrize("p", range(2, 9))
+def test_theta_stack_matches_the_reference_on_a_corpus(p):
+    rng = np.random.default_rng(100 + p)
+    stack = list(rng.standard_normal((30, p, p, 2)))
+    stack += [np.zeros((p, p, 2)), _constant_criterion(p)]
+    for eps in (1e-9, 1e-6, 1e-3):
+        u, v, w = rng.standard_normal((3, p))
+        stack.append(np.einsum("i,j,k->ijk", u, v, w[:2]) + eps * rng.standard_normal((p, p, 2)))
+    X = np.stack(stack)
+    psis, _, _, _, converged, _ = _best_rank1_stack(X)
+    ref_psi, _ = reference.best_rank1(X)
+    assert converged.all()
+    assert np.all(np.abs(psis - ref_psi) <= 1e-12 * (X ** 2).sum(axis=(1, 2, 3)))
+
+
 def test_theta_stack_in_chunks_matches_one_call(monkeypatch):
     X = np.random.default_rng(7).standard_normal((8, 3, 3, 2))
     whole = _best_rank1_stack(X)
