@@ -123,6 +123,8 @@ def main(argv=None) -> int:
     parser.add_argument("--claim", default=None, help="WORKLOAD:METRIC of a claimed gain")
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
+    if len(args.seeds) < 2:
+        parser.error("quartiles need at least two seeds")
 
     bench = {
         "parent": _rev(args.parent),
