@@ -1,8 +1,8 @@
 """Paired benchmark runs of two commits, written as one BENCH_<n>.json file.
 
     python3 tools/bench_pairs.py --parent REF [--change REF] --seeds 421-430 \
-        [--workloads mc-pxp2,mc-generic,requests] [--seconds 20] \
-        [--claim mc-pxp2:tensors_per_s] --out BENCH_<n>.json
+        [--workloads mc-pxp2,requests] [--claim mc-pxp2:tensors_per_s] \
+        --out BENCH_<n>.json
 
 Run it from the root of a git checkout.  Each side is a fresh export of
 its commit (`git archive`), so only committed files take part, and
@@ -10,8 +10,9 @@ its commit (`git archive`), so only committed files take part, and
 pair per seed, the parent first on even pair indices and the change first
 on odd ones.  Before each run the side's `__pycache__` directories and
 `perfbench/results` are removed, so every run byte-compiles afresh.  The
-end-to-end metrics, their units, directions and bounds come from the
-change's BENCHMARK.json.
+workloads (all by default), the run length and the end-to-end metrics
+with their units, directions and bounds come from the change's
+BENCHMARK.json.
 """
 
 import argparse
@@ -118,43 +119,44 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="the commit to compare against")
     parser.add_argument("--change", default="HEAD", help="the commit measured (HEAD)")
     parser.add_argument("--seeds", required=True, type=_seeds, help="a range A-B or a list")
-    parser.add_argument("--workloads", default="mc-pxp2,mc-generic,requests")
-    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--workloads", default=None, help="a subset, comma-separated")
     parser.add_argument("--claim", default=None, help="WORKLOAD:METRIC of a claimed gain")
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
     if len(args.seeds) < 2:
         parser.error("quartiles need at least two seeds")
 
-    bench = {
-        "parent": _rev(args.parent),
-        "change": _rev(args.change),
-        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g}",
-        "host": (f"{os.cpu_count()}-core {platform.system()} host, Python "
-                 f"{platform.python_version()}, numpy {numpy.__version__}, one BLAS thread; "
-                 "__pycache__ and perfbench/results removed before each run"),
-        "pairing": "one pair per seed; the parent runs first on even pair indices, "
-                   "the change first on odd ones",
-        "quartiles": "statistics.quantiles(n=4, method='inclusive'), [Q1, Q3]",
-    }
-    if args.claim:
-        workload, metric = args.claim.split(":")
-        bench["claimed"] = {"workload": workload, "metric": metric}
     results = {}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {side: export(ref, Path(tmp) / side)
                  for side, ref in zip(SIDES, (args.parent, args.change))}
-        metrics = json.loads((trees["change"] / "BENCHMARK.json").read_text())["end_to_end"]
-        for workload in args.workloads.split(","):
+        spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+        seconds = spec["run_seconds"]
+        bench = {
+            "parent": _rev(args.parent),
+            "change": _rev(args.change),
+            "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds}",
+            "host": (f"{os.cpu_count()}-core {platform.system()} host, Python "
+                     f"{platform.python_version()}, numpy {numpy.__version__}, one BLAS "
+                     "thread; __pycache__ and perfbench/results removed before each run"),
+            "pairing": "one pair per seed; the parent runs first on even pair indices, "
+                       "the change first on odd ones",
+            "quartiles": "statistics.quantiles(n=4, method='inclusive'), [Q1, Q3]",
+        }
+        if args.claim:
+            workload, metric = args.claim.split(":")
+            bench["claimed"] = {"workload": workload, "metric": metric}
+        workloads = [w["name"] for w in spec["workloads"]]
+        for workload in args.workloads.split(",") if args.workloads else workloads:
             results[workload] = {side: [] for side in SIDES}
             for pair, seed in enumerate(args.seeds):
                 for side in run_order(pair):
-                    run = run_once(trees[side], workload, seed, args.seconds)
+                    run = run_once(trees[side], workload, seed, seconds)
                     results[workload][side].append(run)
                     value = run["metrics"]["tensors_per_s"]["value"]
                     print(f"{workload} seed {seed} {side}: tensors_per_s {value:.6g}", flush=True)
             # written after each workload, so a cut run keeps what it finished
-            bench["workloads"] = aggregate(results, args.seeds, metrics)
+            bench["workloads"] = aggregate(results, args.seeds, spec["end_to_end"])
             args.out.write_text(json.dumps(bench, indent=1) + "\n")
     return 0
 
