@@ -1,14 +1,14 @@
 """Paired benchmark runs of two commits, written as one BENCH_<n>.json file.
 
-    python3 tools/bench_pairs.py --parent REF [--change REF] --seeds 421-430 \
+    python3 tools/bench_pairs.py --parent REF --seeds 421-430 \
         [--workloads mc-pxp2,requests] [--claim mc-pxp2:tensors_per_s] \
         --out BENCH_<n>.json
 
-Run it from the root of a git checkout.  Each side is a fresh export of
-its commit (`git archive`), so only committed files take part, and
-`perfbench/run.py` runs unchanged in it: once per seed and workload, one
-pair per seed, the parent first on even pair indices and the change first
-on odd ones.  Before each run the side's `__pycache__` directories and
+Run it from the root of a git checkout; the change is its HEAD.  Each
+side is a fresh export of its commit (`git archive`), so only committed
+files take part, and `perfbench/run.py` runs unchanged in it: once per
+seed and workload, one pair per seed, the parent first on even pair
+indices and the change first on odd ones.  Before each run the side's `__pycache__` directories and
 `perfbench/results` are removed, so every run byte-compiles afresh.  The
 workloads (all by default), the run length and the end-to-end metrics
 with their units, directions and bounds come from the change's
@@ -117,7 +117,6 @@ def _rev(ref: str) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="the commit to compare against")
-    parser.add_argument("--change", default="HEAD", help="the commit measured (HEAD)")
     parser.add_argument("--seeds", required=True, type=_seeds, help="a range A-B or a list")
     parser.add_argument("--workloads", default=None, help="a subset, comma-separated")
     parser.add_argument("--claim", default=None, help="WORKLOAD:METRIC of a claimed gain")
@@ -129,12 +128,12 @@ def main(argv=None) -> int:
     results = {}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {side: export(ref, Path(tmp) / side)
-                 for side, ref in zip(SIDES, (args.parent, args.change))}
+                 for side, ref in zip(SIDES, (args.parent, "HEAD"))}
         spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
         seconds = spec["run_seconds"]
         bench = {
             "parent": _rev(args.parent),
-            "change": _rev(args.change),
+            "change": _rev("HEAD"),
             "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds}",
             "host": (f"{os.cpu_count()}-core {platform.system()} host, Python "
                      f"{platform.python_version()}, numpy {numpy.__version__}, one BLAS "
