@@ -791,8 +791,8 @@ def test_theta_stack_lanes_beyond_their_half_cell_retire(seed, trial):
 def test_theta_stack_keeps_two_far_maxima_of_near_equal_height(p):
     # sigma_max(cos t X1 + sin t X2) = max(a |cos(t - t1)|, b |cos(t - t2)|)
     # for orthonormal factors: two peaks 1.4 apart in t whose heights differ
-    # by 1e-9 relative; psi = a^2 + b^2 - max(a, b)^2 finds the higher one
-    # either way round, so both coarse cells are kept
+    # by 1e-9 relative.  psi = min(a, b)^2 only at the higher peak, and
+    # swapping a and b swaps the peaks, so both coarse cells must be kept
     Q = np.linalg.qr(np.random.default_rng(p).standard_normal((p, p)))[0]
     z1, z2 = (np.array([math.cos(t), math.sin(t)]) for t in (0.3, 1.7))
     for a, b in ((1.0 + 1e-9, 1.0), (1.0, 1.0 + 1e-9)):
