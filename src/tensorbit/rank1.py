@@ -726,87 +726,57 @@ def _theta_stack(X):
     """`_best_rank1_stack` of one chunk.
 
     Each tensor gets the computation it would get alone: its own exact
-    prescale, grid maxima and certificates, and its kept lanes are refined
-    until each is done or retired, or THETA_MAX_STEPS.  A tensor's lanes
-    form a row, padded with copies of its last lane, which take the same
-    steps; a tensor leaves the refinement with its row.
+    prescale, grid maxima and certificates.  Each kept angle is a lane of
+    its own, refined until it is done or retired, or THETA_MAX_STEPS, and
+    then it leaves.  A tensor takes its largest lambda evaluated, on a tie
+    the latest step and in it the first lane, and its steps are the last
+    step at which one of its lanes was evaluated.
     """
     n, p = len(X), X.shape[1]
     unit, exponent = _prescale(X, 1)
-    arr = unit[:, None]
-    S = _gram_pencil(arr)
-    lip = np.sqrt((S[:, 0, 1:] ** 2).reshape(n, -1).sum(axis=1))
+    S = _gram_pencil(unit)
+    lip = np.sqrt((S[:, 1:] ** 2).reshape(n, -1).sum(axis=1))
     m = THETA_GRID_PER_P * p
     h = 2.0 * math.pi / m
     # lambda at every 4th angle, then around the kept ones; -inf elsewhere
     grid = np.full((n, m), -np.inf)
-    grid[:, ::4] = coarse = np.linalg.eigvalsh(_pencil(S, np.arange(0, m, 4) * h))[..., -1]
+    grid[:, ::4] = coarse = np.linalg.eigvalsh(_pencil(S[:, None], np.arange(0, m, 4) * h))[..., -1]
     i, c = np.nonzero(coarse + (lip * (1.0 - math.cos(2.0 * h)))[:, None]
                       >= coarse.max(axis=1, keepdims=True))
     cols = (4 * c[:, None] + (-2, -1, 1, 2)) % m
-    grid[i[:, None], cols] = np.linalg.eigvalsh(_pencil(S[i], cols * h))[..., -1]
+    grid[i[:, None], cols] = np.linalg.eigvalsh(_pencil(S[i, None], cols * h))[..., -1]
     kept = grid + (lip * (1.0 - math.cos(0.5 * h)))[:, None] >= grid.max(axis=1, keepdims=True)
-    count = kept.sum(axis=1)
-    width = count.max()
-    lanes = np.nonzero(kept)[1]
-    if lanes.size < n * width:
-        lanes = lanes[(np.cumsum(count) - count)[:, None]
-                      + np.minimum(np.arange(width), count[:, None] - 1)]
-    phi = lanes.reshape(n, width) * h
-    lo, hi, left, right = phi - h, phi + h, phi - 0.5 * h, phi + 0.5 * h
-    flat = 1e-14 * lip[:, None]
-    active = np.arange(n)
-    # per tensor: its steps, and phi, x, y and done of its chosen evaluation
-    out = (np.empty(n, dtype=int), np.empty(n), np.empty((n, p)), np.empty((n, p)),
-           np.empty(n, dtype=bool))
+    owner, j = np.nonzero(kept)
+    lane, base = np.arange(len(owner)), j * h
+    arr, S, flat, phi, lo, hi = unit[owner], S[owner], 1e-14 * lip[owner], base, base - h, base + h
+    seen = []
     for steps in range(1, THETA_MAX_STEPS + 1):
         lam, d1, d2, x, y = _theta_eval(arr, S, phi)
         # stationary to round-off, or a predicted Newton gain below it
         done = (np.abs(d1) <= flat) | ((d2 < 0.0) & (d1 * d1 <= -2e-15 * d2 * lam))
-        # each lane's largest lambda so far, on a tie the latest step: its
-        # lambda, phi, x, y and done there, and that step (one number while
-        # every lane's best is its latest evaluation)
-        later = None if steps == 1 else lam >= best[0]
-        if later is None or later.all():
-            best, best_step = (lam, phi, x, y, done), steps
-        else:
-            wide = later[..., None]
-            best = (np.where(later, lam, best[0]), np.where(later, phi, best[1]),
-                    np.where(wide, x, best[2]), np.where(wide, y, best[3]),
-                    np.where(later, done, best[4]))
-            best_step = np.where(later, steps, best_step)
-        # a lane is over once done or retired; every tensor leaves, or those
-        # whose lanes are all over, which with one tensor left is the same
-        over = done | (hi < left) | (lo > right)
-        finished = steps == THETA_MAX_STEPS or over.all()
-        leave = None if finished or len(active) == 1 else over.all(axis=1)
-        if finished or (leave is not None and leave.any()):
-            # the largest lambda, on a tie the latest step and in it the
-            # first lane: the running best of the scalar solve, which takes
-            # each step's first argmax lane when it is no lower
-            rows = slice(None) if finished else leave
-            top = best[0][rows]
-            if np.ndim(best_step):
-                top = np.where(top == top.max(axis=1, keepdims=True), best_step[rows], 0)
-            pick, idx = (np.arange(len(top)), top.argmax(axis=1)), active[rows]
-            out[0][idx] = steps
-            for o, b in zip(out[1:], best[1:]):
-                o[idx] = b[rows][pick]
-            if finished:
-                break
-            stay = ~leave
-            best = tuple(b[stay] for b in best)
-            if np.ndim(best_step):
-                best_step = best_step[stay]
-            active, arr, S, flat, phi, lo, hi, left, right, d1, d2, done = (
-                a[stay] for a in (active, arr, S, flat, phi, lo, hi, left, right, d1, d2, done))
+        seen.append((lane, lam, phi, x, y, done))
+        # a lane is over once done, or once its bracket is beyond its half cell
+        over = done | (hi < base - 0.5 * h) | (lo > base + 0.5 * h)
+        if steps == THETA_MAX_STEPS or over.all():
+            break
         rising = d1 > 0.0
         lo = np.where(rising, phi, lo)
         hi = np.where(rising, hi, phi)
         newton = phi - d1 / np.where(d2 < 0.0, d2, -np.inf)
-        inside = done | ((d2 < 0.0) & (lo <= newton) & (newton <= hi))
-        phi = np.where(inside, newton, 0.5 * (lo + hi))
-    taken, phi, x, y, converged = out
+        phi = np.where((d2 < 0.0) & (lo <= newton) & (newton <= hi), newton, 0.5 * (lo + hi))
+        if over.any():
+            live = ~over
+            lane, arr, S, flat, base, phi, lo, hi = (
+                a[live] for a in (lane, arr, S, flat, base, phi, lo, hi))
+    lane, lam, phi, x, y, converged = (np.concatenate(a) for a in zip(*seen))
+    step = np.repeat(np.arange(1, len(seen) + 1), [len(s[0]) for s in seen])
+    tensor = owner[lane]
+    taken = np.zeros(n, dtype=int)
+    np.maximum.at(taken, tensor, step)
+    # sorted by tensor, then lambda, step and lane from last to first, each
+    # tensor's evaluations form a run that ends with its pick
+    pick = np.lexsort((-lane, step, lam, tensor))[np.cumsum(np.bincount(tensor, minlength=n)) - 1]
+    phi, x, y, converged = phi[pick], x[pick], y[pick], converged[pick]
     half, z = 0.5 * phi, np.empty((n, 2))
     np.cos(half, out=z[:, 0])
     np.sin(half, out=z[:, 1])
@@ -832,12 +802,13 @@ def best_rank1_pxpx2(X) -> BestRank1Result:
     then at 4c +- 1, 4c +- 2 around each 4c the rule keeps.  The angle
     nearest phi* is within 2h of the nearest 4c, so it is evaluated, and the
     rule of step h keeps it, with -inf where lambda is not taken.
-    *Refinement.* From each kept angle, Newton steps on the exact first and
-    second derivatives of lambda, safeguarded by bisection inside a bracket
-    of +-h, until the predicted gain is below round-off.  A lane whose
-    bracket lies beyond the midpoint to a neighbouring angle retires: a
-    maximizer there is nearer that angle, which the rule then keeps.  The
-    best value seen gives x = sigma u, y = v and z.
+    *Refinement.* From each kept angle, a lane of Newton steps on the exact
+    first and second derivatives of lambda, safeguarded by bisection inside
+    a bracket of +-h.  A lane stops once the predicted gain is below
+    round-off (done), or once its bracket lies beyond the midpoint to a
+    neighbouring angle (retired): a maximizer there is nearer that angle,
+    which the rule then keeps.  The best value seen gives x = sigma u, y = v
+    and z.
 
     No restarts or seeds.  The solve runs on X / 2^e with max|entry| / 2^e
     in [1/2, 1), which is exact, so psi(2^k X) = 4^k psi(X) over the whole

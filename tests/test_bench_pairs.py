@@ -1,4 +1,5 @@
 import json
+import shutil
 import statistics
 import sys
 from pathlib import Path
@@ -63,3 +64,88 @@ def test_quartiles_are_inclusive():
     values = [1.0, 2.0, 3.0, 4.0, 10.0]
     q = statistics.quantiles(values, n=4, method="inclusive")
     assert bench_pairs.quartiles(values) == [q[0], q[2]] == [2.0, 4.0]
+
+
+# the last lines perfbench/run.py prints, as a run of mc-pxp2 printed them
+STDOUT = """\
+# 200 calls in 0.38 s, tail = p95; as measured, before host-speed scaling: \
+tensors_per_s 5610.83, call_p50_ms 1.66743, call_tail_ms 2.61197, setup_s 0.20468
+# 0 tensors left out by the residual screen
+tensors_per_s = 4116.63 1/s
+call_p50_ms = 2.28324 ms
+call_tail_ms = 3.4855 ms
+setup_s = 0.209686 s
+peak_rss_mb = 42.6172 MB
+{"correct": true, "attempted": 2000, "failed": 0, "metrics": {"tensors_per_s": \
+{"value": 4116.628565801556, "unit": "1/s"}, "call_p50_ms": {"value": 2.2832366616307347, \
+"unit": "ms"}, "call_tail_ms": {"value": 3.485495279053344, "unit": "ms"}, "setup_s": \
+{"value": 0.2096863395911271, "unit": "s"}, "peak_rss_mb": {"value": 42.6171875, "unit": "MB"}}}
+"""
+
+
+def test_read_run_keeps_the_figures_before_host_speed_scaling():
+    run = bench_pairs.read_run(STDOUT)
+    assert run["raw"] == {"tensors_per_s": 5610.83, "call_p50_ms": 1.66743,
+                          "call_tail_ms": 2.61197, "setup_s": 0.20468}
+    assert run["attempted"] == 2000 and run["correct"] is True
+    assert run["metrics"]["tensors_per_s"]["value"] == 4116.628565801556
+
+
+def test_aggregate_keeps_the_raw_figures_of_each_run():
+    runs = {side: [dict(_run(100.0 + i, 2.0), raw={"tensors_per_s": 150.0 + i}) for i in range(2)]
+            for side in bench_pairs.SIDES}
+    out = bench_pairs.aggregate({"mc-pxp2": runs}, [1, 2], METRICS)["mc-pxp2"]
+    assert out["raw"] == {side: [{"tensors_per_s": 150.0}, {"tensors_per_s": 151.0}]
+                          for side in bench_pairs.SIDES}
+
+
+def _offline(monkeypatch, runs):
+    # export copies this BENCHMARK.json, run_once is canned, and no
+    # subprocess may start
+    def export(ref, dest):
+        dest.mkdir(parents=True)
+        shutil.copy(ROOT / "BENCHMARK.json", dest)
+        return dest
+
+    def run_once(checkout, workload, seed, seconds):
+        runs.append((checkout.name, workload, seed))
+        return dict(_run(100.0, 2.0), raw={"tensors_per_s": 150.0})
+
+    def no_subprocess(*args, **kwargs):
+        raise AssertionError("a subprocess was started")
+
+    monkeypatch.setattr(bench_pairs, "export", export)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs, "_rev", lambda ref: ref)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", no_subprocess)
+
+
+@pytest.mark.parametrize("names", [
+    ["--workloads", "mc-pxp2,mc-pxp3"],
+    ["--claim", "mc-pxp2:tensor_per_s"],
+    ["--claim", "requests:tensors_per_s", "--workloads", "mc-pxp2"],
+    ["--claim", "mc-pxp2"],
+])
+def test_unknown_names_stop_before_the_first_run(monkeypatch, tmp_path, capsys, names):
+    runs = []
+    _offline(monkeypatch, runs)
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as stop:
+        bench_pairs.main(["--parent", "HEAD~1", "--seeds", "1-2", "--out", str(out), *names])
+    # the option named first is the one at fault
+    assert stop.value.code == 2 and names[0] in capsys.readouterr().err
+    assert runs == [] and not out.exists()
+
+
+def test_known_names_run_and_are_written(monkeypatch, tmp_path):
+    runs = []
+    _offline(monkeypatch, runs)
+    out = tmp_path / "bench.json"
+    bench_pairs.main(["--parent", "HEAD~1", "--seeds", "1-2", "--out", str(out),
+                      "--workloads", "mc-pxp2", "--claim", "mc-pxp2:call_p50_ms"])
+    assert runs == [("parent", "mc-pxp2", 1), ("change", "mc-pxp2", 1),
+                    ("change", "mc-pxp2", 2), ("parent", "mc-pxp2", 2)]
+    bench = json.loads(out.read_text())
+    assert bench["claimed"] == {"workload": "mc-pxp2", "metric": "call_p50_ms"}
+    assert list(bench["workloads"]) == ["mc-pxp2"]
+    assert bench["workloads"]["mc-pxp2"]["raw"]["change"] == [{"tensors_per_s": 150.0}] * 2

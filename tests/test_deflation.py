@@ -506,3 +506,14 @@ def test_check_degenerate_props_does_not_change_with_scale(k):
 def test_check_inapplicable_input(ex_a1):
     with pytest.raises(DomainError):
         check_degenerate_props(ex_a1)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_experiment_pxpx2_counts_the_real_eigenvalues_of_a_gaussian_pencil(p):
+    # E[#real eigenvalues] of a p x p Gaussian pencil is
+    # sqrt(pi) Gamma((p + 1)/2) / Gamma(p/2) (Edelman, Kostlan & Shub 1994),
+    # here p - 2 complex_before, within 5 standard errors
+    rows = experiment_pxpx2(p, 2000, seed=7).rows
+    real = np.array([p - 2 * r["complex_before"] for r in rows])
+    expected = math.sqrt(math.pi) * math.gamma((p + 1) / 2) / math.gamma(p / 2)
+    assert abs(real.mean() - expected) <= 5.0 * real.std(ddof=1) / math.sqrt(len(real))

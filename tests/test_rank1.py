@@ -835,6 +835,44 @@ def test_theta_stack_in_chunks_matches_one_call(monkeypatch):
         np.testing.assert_array_equal(chunked, one)
 
 
+def test_theta_stack_lanes_leave_one_by_one(monkeypatch):
+    # two lanes, one over a step before the other: it is not evaluated again
+    X = np.random.default_rng(9).standard_normal((3, 3, 2))
+    sizes, evaluate = [], rank1._theta_eval
+    monkeypatch.setattr(rank1, "_theta_eval",
+                        lambda arr, S, phi: sizes.append(np.size(phi)) or evaluate(arr, S, phi))
+    res = best_rank1_pxpx2(X)
+    assert sizes == [2, 2, 2, 1] and res.iterations == 4
+    assert res.converged
+    ref_psi, _ = reference.best_rank1(X[None])
+    assert abs(res.psi - ref_psi[0]) <= 1e-12 * (X ** 2).sum()
+
+
+@pytest.mark.parametrize("diagonals, psi_best", [(([1.0, 0.0], [0.0, 1.0]), 1.0),
+                                                 (([2.0, 1.0, 0.0], [0.0, 1.0, 2.0]), 6.0)])
+def test_theta_stack_breaks_exact_ties_by_the_first_lane(diagonals, psi_best):
+    # lambda(phi) has two equal maxima, at phi = 0 and pi, and both lanes are
+    # done at the first step: the first lane, phi = 0, gives the term
+    # X[0, 0, 0] e1 x e1 x e1, alone and in a stack
+    X = np.stack([np.diag(d) for d in diagonals], axis=-1)
+    best = np.zeros_like(X)
+    best[0, 0, 0] = X[0, 0, 0]
+    res = best_rank1_pxpx2(X)
+    assert res.converged and res.iterations == 1
+    assert res.psi == psi_best
+    np.testing.assert_array_equal(res.term.z, [1.0, 0.0])
+    np.testing.assert_array_equal(res.term.tensor(), best)
+    rng = np.random.default_rng(3)
+    stack = np.concatenate([rng.standard_normal((2,) + X.shape), X[None],
+                            np.ldexp(X, 9)[None], rng.standard_normal((3,) + X.shape)])
+    psis, x, y, z, converged, steps = _best_rank1_stack(stack)
+    for n, k in ((2, 0), (3, 9)):
+        assert psis[n] == math.ldexp(psi_best, 2 * k) and steps[n] == 1 and converged[n]
+        np.testing.assert_array_equal(z[n], [1.0, 0.0])
+        np.testing.assert_array_equal(np.einsum("i,j,k->ijk", x[n], y[n], z[n]),
+                                      np.ldexp(best, k))
+
+
 # ---------------------------------------------------------------------------
 # alternating least squares
 # ---------------------------------------------------------------------------

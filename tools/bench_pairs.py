@@ -12,7 +12,10 @@ indices and the change first on odd ones.  Before each run the side's `__pycache
 `perfbench/results` are removed, so every run byte-compiles afresh.  The
 workloads (all by default), the run length and the end-to-end metrics
 with their units, directions and bounds come from the change's
-BENCHMARK.json.
+BENCHMARK.json, and the names given to --workloads and --claim are
+checked against it before the first run.  Each run's figures as
+measured, before `perfbench/run.py` scales them to the reference host
+speed, are kept beside it as "raw", so the file shows the host's drift.
 """
 
 import argparse
@@ -29,6 +32,8 @@ from pathlib import Path
 import numpy
 
 SIDES = ("parent", "change")
+# perfbench/run.py prints its unscaled figures after this
+RAW_MARK = "as measured, before host-speed scaling:"
 
 
 def run_order(pair: int) -> tuple:
@@ -60,15 +65,16 @@ def summarize(metric: dict, parent: list, change: list) -> dict:
 def aggregate(results: dict, seeds: list, metrics: list) -> dict:
     """The "workloads" section of a BENCH file.
 
-    ``results[workload][side]`` lists the final JSON line of
-    `perfbench/run.py` for each seed in order; ``metrics`` is the
-    "end_to_end" list of BENCHMARK.json.
+    ``results[workload][side]`` lists the `read_run` of each seed in
+    order, whose "raw" figures are kept when every run has them;
+    ``metrics`` is the "end_to_end" list of BENCHMARK.json.
     """
     out = {}
     for workload, sides in results.items():
         entry = {"seeds": list(seeds)}
-        for key in ("correct", "failed", "attempted"):
-            entry[key] = {side: [run[key] for run in sides[side]] for side in SIDES}
+        for key in ("correct", "failed", "attempted", "raw"):
+            if all(key in run for side in SIDES for run in sides[side]):
+                entry[key] = {side: [run[key] for run in sides[side]] for side in SIDES}
         entry["metrics"] = {
             m["name"]: summarize(m, *([run["metrics"][m["name"]]["value"] for run in sides[side]]
                                       for side in SIDES))
@@ -93,13 +99,25 @@ def clean(checkout: Path) -> None:
     shutil.rmtree(checkout / "perfbench" / "results", ignore_errors=True)
 
 
+def read_run(stdout: str) -> dict:
+    """The final JSON line of a `perfbench/run.py` run, with its figures as
+    measured, before host-speed scaling, as "raw" ({metric: value})."""
+    lines = stdout.strip().splitlines()
+    run = json.loads(lines[-1])
+    for line in lines:
+        if RAW_MARK in line:
+            pairs = (item.split() for item in line.split(RAW_MARK, 1)[1].split(","))
+            run["raw"] = {name: float(value) for name, value in pairs}
+    return run
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One `perfbench/run.py` run in checkout; its final JSON line."""
+    """One `perfbench/run.py` run in checkout; `read_run` of its output."""
     clean(checkout)
     done = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds)],
                           cwd=checkout, check=True, stdout=subprocess.PIPE, text=True)
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    return read_run(done.stdout)
 
 
 def _seeds(text: str) -> list:
@@ -130,6 +148,20 @@ def main(argv=None) -> int:
         trees = {side: export(ref, Path(tmp) / side)
                  for side, ref in zip(SIDES, (args.parent, "HEAD"))}
         spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+        known = [w["name"] for w in spec["workloads"]]
+        workloads = args.workloads.split(",") if args.workloads else known
+        unknown = sorted(set(workloads) - set(known))
+        if unknown:
+            parser.error(f"--workloads: {', '.join(unknown)} not in BENCHMARK.json "
+                         f"(known: {', '.join(known)})")
+        claimed = None
+        if args.claim:
+            workload, _, metric = args.claim.partition(":")
+            metrics = [m["name"] for m in spec["end_to_end"]]
+            if workload not in workloads or metric not in metrics:
+                parser.error(f"--claim must be WORKLOAD:METRIC with WORKLOAD one of "
+                             f"{', '.join(workloads)} and METRIC one of {', '.join(metrics)}")
+            claimed = {"workload": workload, "metric": metric}
         seconds = spec["run_seconds"]
         bench = {
             "parent": _rev(args.parent),
@@ -142,11 +174,9 @@ def main(argv=None) -> int:
                        "the change first on odd ones",
             "quartiles": "statistics.quantiles(n=4, method='inclusive'), [Q1, Q3]",
         }
-        if args.claim:
-            workload, metric = args.claim.split(":")
-            bench["claimed"] = {"workload": workload, "metric": metric}
-        workloads = [w["name"] for w in spec["workloads"]]
-        for workload in args.workloads.split(",") if args.workloads else workloads:
+        if claimed:
+            bench["claimed"] = claimed
+        for workload in workloads:
             results[workload] = {side: [] for side in SIDES}
             for pair, seed in enumerate(args.seeds):
                 for side in run_order(pair):
