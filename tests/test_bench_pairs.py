@@ -91,14 +91,6 @@ def test_read_run_keeps_the_figures_before_host_speed_scaling():
     assert run["metrics"]["tensors_per_s"]["value"] == 4116.628565801556
 
 
-def test_aggregate_keeps_the_raw_figures_of_each_run():
-    runs = {side: [dict(_run(100.0 + i, 2.0), raw={"tensors_per_s": 150.0 + i}) for i in range(2)]
-            for side in bench_pairs.SIDES}
-    out = bench_pairs.aggregate({"mc-pxp2": runs}, [1, 2], METRICS)["mc-pxp2"]
-    assert out["raw"] == {side: [{"tensors_per_s": 150.0}, {"tensors_per_s": 151.0}]
-                          for side in bench_pairs.SIDES}
-
-
 def _offline(monkeypatch, runs):
     # export copies this BENCHMARK.json, run_once is canned, and no
     # subprocess may start

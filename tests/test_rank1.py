@@ -835,6 +835,26 @@ def test_theta_stack_in_chunks_matches_one_call(monkeypatch):
         np.testing.assert_array_equal(chunked, one)
 
 
+def test_theta_stack_starts_lanes_only_where_the_certificate_allows(monkeypatch):
+    # each lane starts at a grid angle phi_j with lambda_j + L (1 - cos(h/2))
+    # at least the grid maximum, lambda from the SVD and L from the slabs
+    p = 3
+    h = 2.0 * math.pi / (rank1.THETA_GRID_PER_P * p)
+    phi = np.arange(rank1.THETA_GRID_PER_P * p) * h
+    starts, evaluate = [], rank1._theta_eval
+    monkeypatch.setattr(rank1, "_theta_eval",
+                        lambda arr, S, phi: starts.append(phi) or evaluate(arr, S, phi))
+    for X in np.random.default_rng(12).standard_normal((100, p, p, 2)):
+        starts.clear()
+        best_rank1_pxpx2(X)
+        X1, X2 = X[..., 0], X[..., 1]
+        S1, B = (X1.T @ X1 - X2.T @ X2) / 2.0, X1.T @ X2
+        L = math.sqrt((S1 ** 2).sum() + (((B + B.T) / 2.0) ** 2).sum())
+        lam = np.linalg.svd(rank1._slab_combination(X, phi), compute_uv=False)[:, 0] ** 2
+        j = np.rint(starts[0] / h).astype(int)
+        assert np.all(lam[j] + L * (1.0 - math.cos(0.5 * h)) >= lam.max() * (1.0 - 1e-12))
+
+
 def test_theta_stack_lanes_leave_one_by_one(monkeypatch):
     # two lanes, one over a step before the other: it is not evaluated again
     X = np.random.default_rng(9).standard_normal((3, 3, 2))
