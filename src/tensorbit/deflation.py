@@ -334,8 +334,8 @@ def _enumerated_step(A, tally=None):
     if best is None:
         raise RuntimeError("no usable stationary point")
     # x (x) y (x) z with y = (1, y2) and z = (1, z2), as `StationaryPoint.term`
-    return best.psi, A, A - np.multiply.outer(np.multiply.outer(best.x, (1.0, best.y2)),
-                                              (1.0, best.z2))
+    return best.psi, A, A - np.array([[[x, x * best.z2], [x * best.y2, x * best.y2 * best.z2]]
+                                      for x in best.x.tolist()])
 
 
 def _symmetric_step(S: SymTensor222):

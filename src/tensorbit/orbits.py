@@ -136,9 +136,8 @@ def _ldexp(value: float, exponent: int) -> float:
 
 def _delta(a, b, c, d, e, f, g, h) -> float:
     """Hyperdeterminant of the slabs [[a, b], [c, d]] and [[e, f], [g, h]]."""
-    det = lambda p, q, r, s: p * s - q * r
-    mix = (det(a + e, b + f, c + g, d + h) - det(a - e, b - f, c - g, d - h)) / 2.0
-    return mix * mix - 4.0 * det(a, b, c, d) * det(e, f, g, h)
+    mix = ((a + e) * (d + h) - (b + f) * (c + g) - ((a - e) * (d - h) - (b - f) * (c - g))) / 2.0
+    return mix * mix - 4.0 * (a * d - b * c) * (e * h - f * g)
 
 
 def _delta_sym(a, b, c, d) -> float:

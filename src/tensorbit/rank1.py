@@ -36,8 +36,7 @@ import numpy as np
 
 from . import smallalg
 from .orbits import SymTensor222, _delta, _ldexp, hyperdet_sym
-from .tensors import (Rank1Term, Tensor222, TensorPxPx2, _as_array, _prescale, frobenius_norm_sq,
-                      unit_scaled)
+from .tensors import Rank1Term, Tensor222, TensorPxPx2, _as_array, _prescale, frobenius_norm_sq
 
 __all__ = [
     "StationaryPoint",
@@ -341,7 +340,6 @@ _MDE_FORM = np.einsum("rqs,akt,pu->rapqkust",
                       np.eye(2)).reshape(9, 8, 8)
 # each root of F seeds three lanes: the top and the bottom branch, and a crossing
 _LANE_SIGN = np.repeat([1.0, -1.0, 0.0], 8)
-_LOWER = np.tri(32, k=-1, dtype=bool)
 # |Im s| / (1 + |Re s|) of a root s of `_circle_roots`' polynomial above which it is
 # clearly not real: round-off splits a double root by about 1e-8, a triple one by 6e-6
 NONREAL_BAND = 1e-3
@@ -372,21 +370,21 @@ def _circle_roots(T):
     of F there, so the degree never drops.  Those values give the
     coefficients (`_sample_maps`), and the companion matrix the roots.
     """
-    (_, m1), (D, D1), (E, E1) = (T @ _GRID_BASIS).reshape(3, 2, 16)
-    h = D * D1 + E * E1
-    mq = m1 * m1 * (D * D + E * E)
-    F = mq - h * h
+    grid = (T @ _GRID_BASIS).reshape(3, 2, 16)     # (m, D, E) and their derivatives
+    Q, h = np.add(*(grid[1:, :1] * grid[1:]))     # D^2 + E^2 and D D' + E E'
+    mq, hh = grid[0, 1] * grid[0, 1] * Q, h * h
+    F = mq - hh
     j = int(np.argmax(np.abs(F)))
     # each value is a difference of two terms, each evaluated to a few ulp
-    if abs(F[j]) <= F_ROUNDOFF * float((mq + h * h).max()):
+    if abs(F[j]) <= F_ROUNDOFF * float((mq + hh).max()):
         raise ValueError("the stationarity polynomial vanishes to round-off; "
                          "use best_rank1_222")
     poly = _SAMPLE_MAPS[j] @ F
     companion = np.eye(8, k=-1)
-    companion[0] = -poly[7::-1] / poly[8]
+    companion[0] = poly[7::-1] / -poly[8]
     s = np.linalg.eigvals(companion)
     return ((_GRID[j] - np.pi) + 2.0 * np.arctan(s.real),
-            np.abs(s.imag) > NONREAL_BAND * (1.0 + np.abs(s.real)))
+            [abs(z.imag) > NONREAL_BAND * (1.0 + abs(z.real)) for z in s.tolist()])
 
 
 def _lambda_derivatives(T, phi, sign):
@@ -408,8 +406,8 @@ def _lambda_derivatives(T, phi, sign):
                                                      sign * r3 - m1, sign * r4 - m2)
 
 
-def _triple_root(T, arr, seed, nonreal):
-    """(lanes, phi_d, alpha): the lanes seeded at three roots of F near phi_d,
+def _triple_root(T, entries, seed, nonreal):
+    """(near, phi_d, alpha): whether each root of F is one of three near phi_d,
     where det M = a + rho cos(phi - phi0) turns to zero, and the angle of the
     bottom eigenvector there.  On D3 (rho = |a|) lambda_bot = det(M)^2 /
     lambda_top vanishes to order 4 there, so F = r^2 lambda_top' lambda_bot'
@@ -418,7 +416,7 @@ def _triple_root(T, arr, seed, nonreal):
     on w |lambda_top''| over their span w, is below |lambda_top'(phi_d)|; N,
     rho_m are the norms of the cos and sin coefficients of v = (D, E) and m,
     |v'| <= v1 = |v'(phi_d)| + w N and |v| >= r0 = |v(phi_d)| - w v1."""
-    a, e, b, f, c, g, d, h = arr.ravel().tolist()
+    a, e, b, f, c, g, d, h = entries
     d1, d2, mix = a * d - b * c, e * h - f * g, a * h + d * e - b * g - c * f
     if abs(abs(d1 + d2) - math.hypot(d1 - d2, mix)) > CLUSTER_BAND * abs(d1 + d2):
         return None     # not near D3: the zeros of det M are far apart, or det M has none
@@ -434,19 +432,19 @@ def _triple_root(T, arr, seed, nonreal):
     r0 = r - w * v1
     if r0 <= 0.0 or w * (rho_m + N + v1 * v1 / r0) >= abs(m1 + (D * D1 + E * E1) / r):
         return None
-    return np.tile(np.less_equal(gap, CLUSTER_BAND), 3), phi_d, math.atan2(-E, -D) / 2.0
+    return [g <= CLUSTER_BAND for g in gap], phi_d, math.atan2(-E, -D) / 2.0
 
 
-def _accounted(nonreal, branch, phi, start):
+def _accounted(nonreal, branch, phi, seed):
     """Whether every root of F is accounted for: clearly non-real, or the
-    top or the bottom lane it seeded (lanes i and 8 + i of root i, started
-    at start[i]) is accepted (``branch``) and within SEED_BAND of it."""
-    at = branch[:16] & (np.abs(phi[:16] - start[:16]) <= SEED_BAND)
-    return bool((nonreal | at[:8] | at[8:]).all())
+    top or the bottom lane it seeded (lanes i and 8 + i of root i, seeded
+    at seed[i]) is accepted (in ``branch``) and within SEED_BAND of it."""
+    at = {i % 8 for i in branch if abs(phi[i] - seed[i % 8]) <= SEED_BAND}
+    return all(n or i in at for i, n in enumerate(nonreal))
 
 
-def _circle_points(T, scale, arr):
-    """(phi, alpha, hessian_pd) of the distinct stationary points, with
+def _circle_points(T, scale, entries):
+    """The distinct stationary points as floats (phi, alpha, hessian_pd), with
     y = (cos alpha, sin alpha) and z = (cos phi/2, sin phi/2), and the
     `CircleRecord` of the evaluation at which the lanes stopped.
 
@@ -465,85 +463,101 @@ def _circle_points(T, scale, arr):
     input and D3 residuals that is after one step; near-rank-1 input, other
     multiple roots and crossings (where F has a double root that no branch
     lane matches) run to CIRCLE_STEPS.  A table so stopped is certified.
+
+    The merge runs in Python on the accepted lanes, which alone get alpha and
+    hessian_pd, the crossing points, built only if a crossing lane ends at a
+    crossing, and the triple point.  A lane is accepted within STEP_TOL of its
+    root, so two are one point when their phi agree within that band and they
+    take the same eigenvector of S(phi): of the same branch (the bottom one at
+    the triple root), or at a crossing the same sign of gamma.  The first in
+    lane order is kept, a strict minimum only if every copy says so.
     """
     seed, nonreal = _circle_roots(T)
-    triple = _triple_root(T, arr, seed, nonreal)
-    accounted = nonreal if triple is None else nonreal | triple[0][:8]
-    start = phi = np.concatenate([seed] * 3)
-    sign, cross = _LANE_SIGN, _LANE_SIGN == 0.0
-    aD, aE = float(T[1, 0]), float(T[2, 0])
+    triple = _triple_root(T, entries, seed, nonreal)
+    accounted = nonreal if triple is None else [n or t for n, t in zip(nonreal, triple[0])]
+    phi, seeds, sign = np.concatenate([seed] * 3), seed.tolist(), _LANE_SIGN
     # (c + i b) e^{i phi}: the phi-derivative of a + b cos(phi) + c sin(phi),
     # and i times the value minus a, which is minus the second derivative
     coef = 1j * T[:, 1:2] + T[:, 2:]
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(CIRCLE_STEPS + 1):
             wave = coef * np.exp(1j * phi)
-            (m1, D1, E1), (um, uD, uE) = wave.real, wave.imag
-            D, E = aD + uD, aE + uE
+            d1, u = wave.real, wave.imag      # (m', D', E') and (m, D, E) minus a
+            D, E = v = T[1:, :1] + u[1:]
             r = np.hypot(D, E)        # sqrt(Q)
-            h = D * D1 + E * E1       # Q' / 2
-            g = D1 * D1 + E1 * E1
+            h = np.add(*(v * d1[1:]))   # Q' / 2 = D D' + E E'
+            g = np.add(*(d1[1:] * d1[1:]))
             q = h / r
-            slope = m1 + sign * q
-            curv = sign * (g - D * uD - E * uE - q * q) / r - um
-            step = np.where(cross, h / g, slope / curv)
+            slope = d1[0] + sign * q
+            Du, Eu = v * u[1:]
+            curv = sign * (g - Du - Eu - q * q) / r - u[0]
+            step = slope / curv
+            step[16:] = h[16:] / g[16:]
             if k:
-                # converged: lambda' is zero to its round-off (~ scale^2 / sqrt(Q)) and the
-                # next step is within STEP_TOL, which a multiple root, approached linearly,
-                # is not
-                lanes = ~cross & (r > CROSSING_TOL * scale)
-                if triple is not None:
-                    lanes &= ~triple[0] & (np.abs(np.sin(0.5 * (phi - triple[1]))) > CLUSTER_BAND)
-                band, flat = scale * (1.0 + scale / r), np.abs(slope)
-                branch = lanes & (flat <= 1e-13 * band) & (np.abs(step) <= STEP_TOL)
-                # at a double or triple root of lambda' (say the flat optimum of the
-                # worked G2 example) Newton on lambda' stalls about eps^(1/3) away
-                stalled = np.flatnonzero(lanes & ~branch & (np.abs(curv) <= 1e-6 * scale)
-                                         & (flat <= 1e-10 * band))
+                # a branch lane (0-15) converged: lambda' is zero to its round-off
+                # (~ scale^2 / sqrt(Q)) and the next step is within STEP_TOL, which a
+                # multiple root, approached linearly, is not
+                ps, rs, slopes, curvs, steps = (x.tolist() for x in (phi, r, slope, curv, step))
+                branch, stalled = [], []
+                for i in range(16):
+                    if rs[i] <= CROSSING_TOL * scale or triple and (triple[0][i % 8] or abs(
+                            math.sin(0.5 * (ps[i] - triple[1]))) <= CLUSTER_BAND):
+                        continue
+                    band, flat = scale * (1.0 + scale / rs[i]), abs(slopes[i])
+                    if flat <= 1e-13 * band and abs(steps[i]) <= STEP_TOL:
+                        branch.append(i)
+                    # at a double or triple root of lambda' (say the flat optimum of the
+                    # worked G2 example) Newton on lambda' stalls about eps^(1/3) away
+                    elif abs(curvs[i]) <= 1e-6 * scale and flat <= 1e-10 * band:
+                        stalled.append(i)
                 # the polish stops once every root of F is accounted for and no
                 # lane stalls, since the steps below go on from here
-                certified = not stalled.size and _accounted(accounted, branch, phi, start)
+                certified = not stalled and _accounted(accounted, branch, ps, seeds)
                 if certified or k == CIRCLE_STEPS:
                     break
             phi = phi - np.minimum(np.maximum(step, -0.5), 0.5)
-        n_nonreal = int(np.count_nonzero(nonreal))
-        record = CircleRecord(certified, k, 8 - n_nonreal, n_nonreal, 0 if triple is None else 3,
-                              max(flat[branch].tolist(), default=0.0) / scale)
-        nu = np.sqrt(g)
-        pd = branch & (sign > 0.0) & (curv < 0.0)
-        on = cross & (r <= CROSSING_TOL * scale) & (np.abs(m1) < nu) & (nu > CROSSING_TOL * scale)
-        # the eigenvector of [[D, E], [E, -D]] for its eigenvalue sign sqrt(Q)
-        alpha = np.arctan2(sign * E, sign * D) / 2.0
+        record = CircleRecord(certified, k, 8 - sum(nonreal), sum(nonreal), 3 if triple else 0,
+                              max((abs(slopes[i]) for i in branch), default=0.0) / scale)
+        # (phi, alpha, hessian_pd) of the crossing points, for each sign of gamma
+        crossings = ()
+        if any(x <= CROSSING_TOL * scale for x in rs[16:]):
+            nu = np.sqrt(g)
+            on = ((sign == 0.0) & (r <= CROSSING_TOL * scale) & (np.abs(d1[0]) < nu)
+                  & (nu > CROSSING_TOL * scale))
+            beta, gamma = np.arctan2(d1[2][on], d1[1][on]), np.arccos(-d1[0][on] / nu[on])
+            crossings = [[(p, a / 2.0, False) for p, a in zip(phi[on].tolist(), alphas.tolist())]
+                         for alphas in (beta + gamma, beta - gamma)]
         # stalled lanes step on lambda'' and then lambda''', whose root there is
         # simple; lambda'' = 0 there, so these points are no strict minima
+        polished, stalled = {}, np.array(stalled, dtype=int)
         for order in (1, 2):
             if not stalled.size:
                 break
             trial = phi[stalled]
             for k in range(CIRCLE_STEPS + 1):
-                r, angle, lam = _lambda_derivatives(T, trial, sign[stalled])
+                r, alpha, lam = _lambda_derivatives(T, trial, sign[stalled])
                 step = lam[order] / lam[order + 1]
                 if k < CIRCLE_STEPS:
                     trial = trial - np.minimum(np.maximum(step, -0.5), 0.5)
             ok = (np.abs(step) <= STEP_TOL) & (np.abs(lam[0]) <= 1e-13 * scale * (1.0 + scale / r))
-            phi[stalled[ok]], alpha[stalled[ok]], branch[stalled[ok]] = trial[ok], angle[ok], True
+            polished.update(zip(stalled[ok].tolist(), zip(trial[ok].tolist(), alpha[ok].tolist())))
             stalled = stalled[~ok]
-    # a lane is accepted within STEP_TOL of its root: two lanes are one point when
-    # their phi agree within that band and they take the same eigenvector of
-    # S(phi), that of the same branch or at a crossing the same sign of gamma
-    points = phi[branch], alpha[branch], pd[branch], sign[branch]
-    if on.any():
-        beta, gamma, n = np.arctan2(E1[on], D1[on]), np.arccos(-m1[on] / nu[on]), int(on.sum())
-        points = [np.concatenate(pair) for pair in zip(points, (
-            np.tile(phi[on], 2), np.r_[beta + gamma, beta - gamma] / 2.0, np.zeros(2 * n, bool),
-            np.repeat([2.0, 3.0], n)))]
+    # the accepted lanes in lane order, by the eigenvector of S(phi) they take
+    Ds, Es, groups = D.tolist(), E.tolist(), {1.0: [], -1.0: []}
+    for i in sorted(branch + list(polished)):
+        # the eigenvector of [[D, E], [E, -D]] for its eigenvalue s sqrt(Q)
+        s = 1.0 if i < 8 else -1.0
+        p, alpha = polished.get(i) or (ps[i], math.atan2(s * Es[i], s * Ds[i]) / 2.0)
+        groups[s].append((p, alpha, s > 0.0 and curvs[i] < 0.0 and i not in polished))
     if triple is not None:
-        points = [np.append(a, b) for a, b in zip(points, (*triple[1:], False, -1.0))]
-    phi, alpha, pd, vector = points
-    same = (np.abs(np.sin((phi[:, None] - phi) / 2.0)) <= STEP_TOL) & (vector[:, None] == vector)
-    keep = ~(same & _LOWER[:phi.size, :phi.size]).any(axis=1)
-    pd &= ~(same & ~pd).any(axis=1)       # a strict minimum only if every copy says so
-    return phi[keep], alpha[keep], pd[keep], record
+        groups[-1.0].append((*triple[1:], False))
+    points = []
+    for group in (*groups.values(), *crossings):
+        for i, (p, a, pd) in enumerate(group):
+            if not any(abs(math.sin(0.5 * (p - o[0]))) <= STEP_TOL for o in group[:i]):
+                points.append((p, a, pd and all(o[2] for o in group[i + 1:]
+                                                if abs(math.sin(0.5 * (p - o[0]))) <= STEP_TOL)))
+    return points, record
 
 
 def stationary_points_222(X) -> EnumerationResult:
@@ -553,8 +567,9 @@ def stationary_points_222(X) -> EnumerationResult:
     z = (cos t, sin t) and phi = 2t, at a critical point of its eigenvalue
     lambda = m +- sqrt(Q): a real root of F = m'^2 Q - (Q'/2)^2, a degree-4
     trigonometric polynomial with 8 roots (`_circle_roots`), polished and
-    merged into points by `_circle_points`.  x, psi and Delta come from the
-    outer products y (x) z against the mode-1 unfolding.
+    merged into points by `_circle_points`.  Each point is built in Python
+    floats: x from y (x) z against the mode-1 unfolding, and psi and Delta
+    from the residual.
 
     ``hessian_pd`` is exact: a point is a strict local minimum iff it is on
     the top branch with lambda'' < 0, since the curvature in y is
@@ -564,31 +579,35 @@ def stationary_points_222(X) -> EnumerationResult:
     ``record`` (`CircleRecord`) says if the table is certified.  A D3 tensor's
     triple root of F is one point, x = 0 and ``hessian_pd`` False, at the
     double zero of det M.  The solve runs on X / 2^e (exact), and x, psi and
-    the residual's Delta are scaled back by 2^e, 4^e and 16^e.  Raises ValueError when F vanishes to round-off
+    the residual's Delta are scaled back by 2^e, 4^e and 16^e.  Raises
+    ValueError on non-finite entries, and when F vanishes to round-off
     (F_ROUNDOFF of m'^2 Q + (Q'/2)^2), where its roots carry no
     information: on orthogonal-pencil, rank-1 and zero input, whose
     stationary set is not finite, and on input within about 1e-7 relative
     of rank 1.  `best_rank1_222` then takes the theta-grid solver's term.
     """
-    arr, exponent = unit_scaled(_as_tensor(X))
+    arr, exponent = _prescale(_as_array(X).reshape(2, 2, 2))
+    a0, a1, a2, a3, a4, a5, a6, a7 = a = arr.ravel().tolist()
+    if not all(map(math.isfinite, a)):
+        raise ValueError("tensor entries must be finite")
     T = _mde_rows(arr)
-    phi, alpha, pd, record = _circle_points(T, float(np.abs(T).max()), arr)
-    Y = np.exp(1j * alpha).view(float).reshape(-1, 2)
-    Z = np.exp(0.5j * phi).view(float).reshape(-1, 2)
-    # y (x) z of each point against the mode-1 unfolding, both over (j, k)
-    W, U = (Y[:, :, None] * Z[:, None]).reshape(-1, 4), arr.reshape(2, 4)
-    x = W @ U.T
-    resid = U - x[:, :, None] * W[:, None]
-    values = (resid * resid).sum(axis=(1, 2)).tolist()
-    delta = _delta(*resid.reshape(-1, 2, 2, 2).transpose(3, 1, 2, 0).reshape(8, -1)).tolist()
-    limit = DEGENERATE_X_TOL * math.sqrt(float((arr * arr).sum()))
-    degenerate = (np.hypot(x[:, 0], x[:, 1]) <= limit).tolist()
-    # cos never returns 0, so the chart coordinates are finite
-    y2, z2 = (Y[:, 1] / Y[:, 0]).tolist(), (Z[:, 1] / Z[:, 0]).tolist()
-    x = np.ldexp(x * (Y[:, :1] * Z[:, :1]), exponent)
-    rows = zip(y2, z2, x, values, delta, pd.tolist(), degenerate)
-    points = sorted((StationaryPoint(a, b, xn, _ldexp(v, 2 * exponent), _ldexp(d, 4 * exponent),
-                                     p, g) for a, b, xn, v, d, p, g in rows),
+    found, record = _circle_points(T, max(map(abs, T.ravel().tolist())), a)
+    limit = DEGENERATE_X_TOL * math.hypot(*a)
+    rows, xs = [], []
+    for phi, alpha, pd in found:
+        y0, y1, z0, z1 = math.cos(alpha), math.sin(alpha), math.cos(0.5 * phi), math.sin(0.5 * phi)
+        w0, w1, w2, w3 = y0 * z0, y0 * z1, y1 * z0, y1 * z1
+        x0, x1 = a0 * w0 + a1 * w1 + a2 * w2 + a3 * w3, a4 * w0 + a5 * w1 + a6 * w2 + a7 * w3
+        # the residual, entry (i, j, k) at 4i + 2j + k
+        r = (a0 - x0 * w0, a1 - x0 * w1, a2 - x0 * w2, a3 - x0 * w3,
+             a4 - x1 * w0, a5 - x1 * w1, a6 - x1 * w2, a7 - x1 * w3)
+        # cos never returns 0, so the chart coordinates are finite
+        rows.append((y1 / y0, z1 / z0, _ldexp(math.hypot(*r) ** 2, 2 * exponent),
+                     _ldexp(_delta(*r[::2], *r[1::2]), 4 * exponent), pd,
+                     math.hypot(x0, x1) <= limit))
+        xs.append((x0 * w0, x1 * w0))
+    points = sorted((StationaryPoint(y2, z2, x, *rest)
+                     for (y2, z2, *rest), x in zip(rows, np.ldexp(xs, exponent))),
                     key=lambda s: (s.psi, s.y2, s.z2))
     return EnumerationResult(tuple(points), record.nonreal_roots, record)
 
@@ -715,8 +734,10 @@ def _theta_eval(arr, S, phi):
 def _best_rank1_stack(X):
     """`best_rank1_pxpx2` of each tensor of the stack X (N, p, p, 2), as the
     arrays (psi, x, y, z, converged, steps); solved THETA_STACK_CHUNK
-    tensors at a time."""
+    tensors at a time.  Raises ValueError on non-finite entries."""
     X = np.asarray(X, dtype=float)
+    if not np.isfinite(X).all():
+        raise ValueError("tensor entries must be finite")
     parts = [_theta_stack(X[i:i + THETA_STACK_CHUNK])
              for i in range(0, len(X), THETA_STACK_CHUNK)]
     return parts[0] if len(parts) == 1 else tuple(np.concatenate(a) for a in zip(*parts))

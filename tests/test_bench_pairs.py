@@ -83,6 +83,35 @@ peak_rss_mb = 42.6172 MB
 """
 
 
+# the last lines perfbench/run.py --trace 1 prints, cut to three layers
+TRACED = """\
+rank1.stationary_points_222.calls = 1000 count
+rank1.stationary_points_222.self_ms = 351.2 ms
+trace.overhead_pct = 0.0262 %
+{"correct": true, "attempted": 1000, "failed": 0, "metrics": {\
+"rank1.stationary_points_222.calls": {"value": 1000, "unit": "count"}, \
+"rank1.stationary_points_222.self_ms": {"value": 351.2, "unit": "ms"}, \
+"trace.overhead_pct": {"value": 0.0262, "unit": "%"}}}
+"""
+
+
+def test_traced_runs_are_kept_per_layer_beside_the_pairs():
+    traced = bench_pairs.read_run(TRACED)
+    assert "raw" not in traced
+    faster = json.loads(json.dumps(traced))
+    faster["metrics"]["rank1.stationary_points_222.self_ms"]["value"] = 270.5
+    results = {"mc-generic": {"parent": [_run(100.0, 3.0)] * 2, "change": [_run(120.0, 2.5)] * 2,
+                              "traced": {"parent": traced, "change": faster}}}
+    out = bench_pairs.aggregate(results, [7, 8], METRICS)["mc-generic"]
+    assert out["per_layer"] == {
+        "seed": 7,
+        "parent": {"rank1.stationary_points_222.calls": 1000,
+                   "rank1.stationary_points_222.self_ms": 351.2, "trace.overhead_pct": 0.0262},
+        "change": {"rank1.stationary_points_222.calls": 1000,
+                   "rank1.stationary_points_222.self_ms": 270.5, "trace.overhead_pct": 0.0262}}
+    assert out["metrics"]["tensors_per_s"]["change_median"] == 120.0
+
+
 def test_read_run_keeps_the_figures_before_host_speed_scaling():
     run = bench_pairs.read_run(STDOUT)
     assert run["raw"] == {"tensors_per_s": 5610.83, "call_p50_ms": 1.66743,
@@ -108,6 +137,7 @@ def _offline(monkeypatch, runs):
 
     monkeypatch.setattr(bench_pairs, "export", export)
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs, "trace_once", lambda *args: bench_pairs.read_run(TRACED))
     monkeypatch.setattr(bench_pairs, "_rev", lambda ref: ref)
     monkeypatch.setattr(bench_pairs.subprocess, "run", no_subprocess)
 
@@ -141,3 +171,18 @@ def test_known_names_run_and_are_written(monkeypatch, tmp_path):
     assert bench["claimed"] == {"workload": "mc-pxp2", "metric": "call_p50_ms"}
     assert list(bench["workloads"]) == ["mc-pxp2"]
     assert bench["workloads"]["mc-pxp2"]["raw"]["change"] == [{"tensors_per_s": 150.0}] * 2
+
+
+def test_each_side_makes_one_traced_run_on_the_first_seed(monkeypatch, tmp_path):
+    traced = []
+    _offline(monkeypatch, [])
+    monkeypatch.setattr(bench_pairs, "trace_once", lambda checkout, workload, seed, seconds: (
+        traced.append((checkout.name, workload, seed)) or bench_pairs.read_run(TRACED)))
+    out = tmp_path / "bench.json"
+    bench_pairs.main(["--parent", "HEAD~1", "--seeds", "3-4", "--out", str(out),
+                      "--workloads", "mc-pxp2,requests"])
+    assert traced == [(side, workload, 3) for workload in ("mc-pxp2", "requests")
+                      for side in ("parent", "change")]
+    per_layer = json.loads(out.read_text())["workloads"]["requests"]["per_layer"]
+    assert per_layer["seed"] == 3
+    assert per_layer["change"]["rank1.stationary_points_222.self_ms"] == 351.2

@@ -517,3 +517,12 @@ def test_experiment_pxpx2_counts_the_real_eigenvalues_of_a_gaussian_pencil(p):
     real = np.array([p - 2 * r["complex_before"] for r in rows])
     expected = math.sqrt(math.pi) * math.gamma((p + 1) / 2) / math.gamma(p / 2)
     assert abs(real.mean() - expected) <= 5.0 * real.std(ddof=1) / math.sqrt(len(real))
+
+
+def test_experiment_generic_labels_a_share_pi_over_4_of_gaussian_tensors_g2():
+    # a Gaussian 2x2x2 tensor has Delta > 0, orbit G2, with probability pi/4
+    # (De Silva & Lim 2008), here within 5 standard errors
+    rows = experiment_generic(3000, seed=7).rows
+    share = sum(r["orbit_before"] == "G2" for r in rows) / len(rows)
+    expected = math.pi / 4.0
+    assert abs(share - expected) <= 5.0 * math.sqrt(expected * (1.0 - expected) / len(rows))

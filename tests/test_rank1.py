@@ -835,6 +835,18 @@ def test_theta_stack_in_chunks_matches_one_call(monkeypatch):
         np.testing.assert_array_equal(chunked, one)
 
 
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_theta_stack_rejects_non_finite_entries(p, bad):
+    # at the parent a NaN tensor raised LinAlgError (p = 3) or IndexError (p = 2)
+    X = np.random.default_rng(p).standard_normal((4, p, p, 2))
+    X[2, 0, 1, 1] = bad
+    with pytest.raises(ValueError, match="tensor entries must be finite"):
+        _best_rank1_stack(X)
+    with pytest.raises(ValueError, match="tensor entries must be finite"):
+        best_rank1_pxpx2(X[2])
+
+
 def test_theta_stack_starts_lanes_only_where_the_certificate_allows(monkeypatch):
     # each lane starts at a grid angle phi_j with lambda_j + L (1 - cos(h/2))
     # at least the grid maximum, lambda from the SVD and L from the slabs

@@ -16,6 +16,8 @@ BENCHMARK.json, and the names given to --workloads and --claim are
 checked against it before the first run.  Each run's figures as
 measured, before `perfbench/run.py` scales them to the reference host
 speed, are kept beside it as "raw", so the file shows the host's drift.
+After a workload's pairs, each side makes one traced run (`--trace 1`) on
+the first seed, and its per-layer figures are kept as "per_layer".
 """
 
 import argparse
@@ -67,6 +69,8 @@ def aggregate(results: dict, seeds: list, metrics: list) -> dict:
 
     ``results[workload][side]`` lists the `read_run` of each seed in
     order, whose "raw" figures are kept when every run has them;
+    ``results[workload]["traced"]``, if present, holds each side's traced
+    run on the first seed, whose figures are kept as "per_layer";
     ``metrics`` is the "end_to_end" list of BENCHMARK.json.
     """
     out = {}
@@ -79,6 +83,10 @@ def aggregate(results: dict, seeds: list, metrics: list) -> dict:
             m["name"]: summarize(m, *([run["metrics"][m["name"]]["value"] for run in sides[side]]
                                       for side in SIDES))
             for m in metrics}
+        if "traced" in sides:
+            entry["per_layer"] = {"seed": seeds[0], **{
+                side: {name: m["value"] for name, m in sides["traced"][side]["metrics"].items()}
+                for side in SIDES}}
         out[workload] = entry
     return out
 
@@ -111,13 +119,20 @@ def read_run(stdout: str) -> dict:
     return run
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One `perfbench/run.py` run in checkout; `read_run` of its output."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """One `perfbench/run.py` run in checkout, traced if ``trace``; `read_run`
+    of its output."""
     clean(checkout)
     done = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", str(seconds)],
+                           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
                           cwd=checkout, check=True, stdout=subprocess.PIPE, text=True)
     return read_run(done.stdout)
+
+
+def trace_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """`run_once` with --trace 1: a fixed number of rounds, untraced and
+    traced, whose figures are per layer."""
+    return run_once(checkout, workload, seed, seconds, trace=1)
 
 
 def _seeds(text: str) -> list:
@@ -173,6 +188,7 @@ def main(argv=None) -> int:
             "pairing": "one pair per seed; the parent runs first on even pair indices, "
                        "the change first on odd ones",
             "quartiles": "statistics.quantiles(n=4, method='inclusive'), [Q1, Q3]",
+            "per_layer": "one --trace 1 run per side on the first seed, after the pairs",
         }
         if claimed:
             bench["claimed"] = claimed
@@ -184,6 +200,8 @@ def main(argv=None) -> int:
                     results[workload][side].append(run)
                     value = run["metrics"]["tensors_per_s"]["value"]
                     print(f"{workload} seed {seed} {side}: tensors_per_s {value:.6g}", flush=True)
+            results[workload]["traced"] = {side: trace_once(trees[side], workload, args.seeds[0],
+                                                            seconds) for side in SIDES}
             # written after each workload, so a cut run keeps what it finished
             bench["workloads"] = aggregate(results, args.seeds, spec["end_to_end"])
             args.out.write_text(json.dumps(bench, indent=1) + "\n")
