@@ -95,16 +95,20 @@ trace.overhead_pct = 0.0262 %
 """
 
 
-def test_traced_runs_are_kept_per_layer_beside_the_pairs():
+def test_traced_runs_are_kept_per_layer_as_medians():
     traced = bench_pairs.read_run(TRACED)
     assert "raw" not in traced
-    faster = json.loads(json.dumps(traced))
-    faster["metrics"]["rank1.stationary_points_222.self_ms"]["value"] = 270.5
-    results = {"mc-generic": {"parent": [_run(100.0, 3.0)] * 2, "change": [_run(120.0, 2.5)] * 2,
-                              "traced": {"parent": traced, "change": faster}}}
-    out = bench_pairs.aggregate(results, [7, 8], METRICS)["mc-generic"]
+
+    def run(self_ms):
+        out = json.loads(json.dumps(traced))
+        out["metrics"]["rank1.stationary_points_222.self_ms"]["value"] = self_ms
+        return out
+
+    results = {"mc-generic": {"parent": [_run(100.0, 3.0)] * 3, "change": [_run(120.0, 2.5)] * 3,
+                              "traced": {"parent": [run(351.2), run(402.0), run(340.0)],
+                                         "change": [run(270.5), run(260.0), run(300.0)]}}}
+    out = bench_pairs.aggregate(results, [7, 8, 9], METRICS)["mc-generic"]
     assert out["per_layer"] == {
-        "seed": 7,
         "parent": {"rank1.stationary_points_222.calls": 1000,
                    "rank1.stationary_points_222.self_ms": 351.2, "trace.overhead_pct": 0.0262},
         "change": {"rank1.stationary_points_222.calls": 1000,
@@ -173,7 +177,7 @@ def test_known_names_run_and_are_written(monkeypatch, tmp_path):
     assert bench["workloads"]["mc-pxp2"]["raw"]["change"] == [{"tensors_per_s": 150.0}] * 2
 
 
-def test_each_side_makes_one_traced_run_on_the_first_seed(monkeypatch, tmp_path):
+def test_each_pair_is_followed_by_a_traced_run_of_each_side(monkeypatch, tmp_path):
     traced = []
     _offline(monkeypatch, [])
     monkeypatch.setattr(bench_pairs, "trace_once", lambda checkout, workload, seed, seconds: (
@@ -181,8 +185,8 @@ def test_each_side_makes_one_traced_run_on_the_first_seed(monkeypatch, tmp_path)
     out = tmp_path / "bench.json"
     bench_pairs.main(["--parent", "HEAD~1", "--seeds", "3-4", "--out", str(out),
                       "--workloads", "mc-pxp2,requests"])
-    assert traced == [(side, workload, 3) for workload in ("mc-pxp2", "requests")
-                      for side in ("parent", "change")]
+    assert traced == [(side, workload, seed) for workload in ("mc-pxp2", "requests")
+                      for seed, order in ((3, ("parent", "change")), (4, ("change", "parent")))
+                      for side in order]
     per_layer = json.loads(out.read_text())["workloads"]["requests"]["per_layer"]
-    assert per_layer["seed"] == 3
     assert per_layer["change"]["rank1.stationary_points_222.self_ms"] == 351.2

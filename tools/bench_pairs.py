@@ -16,8 +16,10 @@ BENCHMARK.json, and the names given to --workloads and --claim are
 checked against it before the first run.  Each run's figures as
 measured, before `perfbench/run.py` scales them to the reference host
 speed, are kept beside it as "raw", so the file shows the host's drift.
-After a workload's pairs, each side makes one traced run (`--trace 1`) on
-the first seed, and its per-layer figures are kept as "per_layer".
+Each pair is followed by one traced run (`--trace 1`) of each side, in the
+same order, and the medians of their per-layer figures over the seeds are
+kept as "per_layer": a traced run times a fixed number of rounds, as short
+as one round, so one run alone drifts with the host.
 """
 
 import argparse
@@ -69,8 +71,8 @@ def aggregate(results: dict, seeds: list, metrics: list) -> dict:
 
     ``results[workload][side]`` lists the `read_run` of each seed in
     order, whose "raw" figures are kept when every run has them;
-    ``results[workload]["traced"]``, if present, holds each side's traced
-    run on the first seed, whose figures are kept as "per_layer";
+    ``results[workload]["traced"][side]``, if present, lists the traced
+    runs, whose per-layer medians are kept as "per_layer";
     ``metrics`` is the "end_to_end" list of BENCHMARK.json.
     """
     out = {}
@@ -84,9 +86,10 @@ def aggregate(results: dict, seeds: list, metrics: list) -> dict:
                                       for side in SIDES))
             for m in metrics}
         if "traced" in sides:
-            entry["per_layer"] = {"seed": seeds[0], **{
-                side: {name: m["value"] for name, m in sides["traced"][side]["metrics"].items()}
-                for side in SIDES}}
+            entry["per_layer"] = {side: {name: statistics.median(run["metrics"][name]["value"]
+                                                                 for run in sides["traced"][side])
+                                         for name in sides["traced"][side][0]["metrics"]}
+                                  for side in SIDES}
         out[workload] = entry
     return out
 
@@ -130,8 +133,8 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
 
 
 def trace_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """`run_once` with --trace 1: a fixed number of rounds, untraced and
-    traced, whose figures are per layer."""
+    """`run_once` with --trace 1: the per-layer figures of a fixed number of
+    rounds."""
     return run_once(checkout, workload, seed, seconds, trace=1)
 
 
@@ -188,20 +191,21 @@ def main(argv=None) -> int:
             "pairing": "one pair per seed; the parent runs first on even pair indices, "
                        "the change first on odd ones",
             "quartiles": "statistics.quantiles(n=4, method='inclusive'), [Q1, Q3]",
-            "per_layer": "one --trace 1 run per side on the first seed, after the pairs",
+            "per_layer": "medians of one --trace 1 run per side and seed, after the pair",
         }
         if claimed:
             bench["claimed"] = claimed
         for workload in workloads:
             results[workload] = {side: [] for side in SIDES}
+            traced = results[workload]["traced"] = {side: [] for side in SIDES}
             for pair, seed in enumerate(args.seeds):
                 for side in run_order(pair):
                     run = run_once(trees[side], workload, seed, seconds)
                     results[workload][side].append(run)
                     value = run["metrics"]["tensors_per_s"]["value"]
                     print(f"{workload} seed {seed} {side}: tensors_per_s {value:.6g}", flush=True)
-            results[workload]["traced"] = {side: trace_once(trees[side], workload, args.seeds[0],
-                                                            seconds) for side in SIDES}
+                for side in run_order(pair):
+                    traced[side].append(trace_once(trees[side], workload, seed, seconds))
             # written after each workload, so a cut run keeps what it finished
             bench["workloads"] = aggregate(results, args.seeds, spec["end_to_end"])
             args.out.write_text(json.dumps(bench, indent=1) + "\n")
