@@ -22,7 +22,7 @@ from .decomp import DomainError, sylvester_rank, sym_rank3_decompose
 from .document import TensorDocument, parse_document
 from .orbits import SymTensor222, _rank_tol, classify, hyperdet, slab_pencil
 from .smallalg import DEFAULT_COINCIDENCE_TOL, EigenPair2, NumericalFailure
-from .tensors import Tensor222, frobenius_norm_sq, multilinear_rank
+from .tensors import Tensor222, _as_array, frobenius_norm_sq, multilinear_rank, unit_scaled
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -206,7 +206,9 @@ def cmd_deflate(args) -> int:
     tensor = doc.to_tensor()
     if args.steps < 1:
         raise ValueError("--steps must be at least 1")
-    start_norm = frobenius_norm_sq(tensor)
+    # the stop test runs on X / 2^e (exact), where no norm overflows or underflows
+    unit, exponent = unit_scaled(tensor)
+    start_norm = frobenius_norm_sq(unit)
     reports = []
     current = tensor
     for step in range(args.steps):
@@ -226,7 +228,7 @@ def cmd_deflate(args) -> int:
             "warnings": list(report.warnings),
         })
         current = residual
-        if frobenius_norm_sq(current) <= 1e-12 * start_norm:
+        if frobenius_norm_sq(np.ldexp(_as_array(current), -exponent)) <= 1e-12 * start_norm:
             break
     _emit({"command": "deflate", "kind": doc.kind, "label": doc.label,
            "steps": reports})

@@ -16,15 +16,16 @@ stacked slab choice.
 Each experiment is a sampler and a solver run by one harness.  Trial t
 draws its input from its own counter-based RNG stream (Philox keyed on the
 run seed and t), so results are bit-identical for a fixed (seed, trials).
-The solver then takes every trial's input at once.  The D3-closure and
-pxpx2 kinds solve the whole stack in one theta-grid kernel call, and name
-unconverged trials in the failure reasons; the generic and symmetric
-kinds solve trial by trial (one enumeration, or `best_rank1_sym`).  The
-2x2x2 kinds report all their steps as one stack, and the pxpx2 kind counts
-its input and residual spectra with one eigenvalue call each.  A trial
-that raises or has a singular or non-finite slab quotient becomes an error
-row with a failure reason.  Rows can be dumped as CSV; summaries are plain
-dicts ready for JSON.
+The solver then takes every trial's input at once.  The D3-closure,
+symmetric and pxpx2 kinds solve the whole stack in one theta-grid kernel
+call (`_theta_step`): each row holds ``converged`` and ``theta_steps``,
+unconverged trials are named in the failure reasons, and the summary
+counts both.  The generic kind solves trial by trial, one enumeration
+each.  The 2x2x2 kinds report all their steps as one stack, and the pxpx2
+kind counts its input and residual spectra with one eigenvalue call each.
+A trial that raises or has a singular or non-finite slab quotient becomes
+an error row with a failure reason.  Rows can be dumped as CSV; summaries
+are plain dicts ready for JSON.
 """
 
 from __future__ import annotations
@@ -290,10 +291,6 @@ def _run(trials: int, seed: int, sample, solve):
     return [{"trial": trial, **row} for trial, row in enumerate(rows)], reasons
 
 
-def _unconverged(converged) -> list:
-    return [f"trial {t}: {rank1.NOT_CONVERGED}" for t in np.flatnonzero(~converged)]
-
-
 def _theta_steps(rows) -> tuple:
     """The extra ("theta_steps", {refinement steps: trials}) of the rows."""
     return "theta_steps", dict(sorted(Counter(r["theta_steps"] for r in rows).items()))
@@ -304,20 +301,32 @@ def _mlrank_extras(rows) -> tuple:
     return (("fraction_mlrank_222", sum(r["mlrank"] == "2x2x2" for r in ok) / max(1, len(ok))),)
 
 
-def _report_each(inputs, step) -> tuple:
-    """(rows, reasons) of the inputs deflated one at a time by ``step``,
-    which gives psi and the (2, 2, 2) arrays of the input and its residual.
-    A trial whose step raises becomes an error row with a reason; the other
+def _theta_step(X, report=_report_rows) -> tuple:
+    """(rows, reasons) of the stack X (N, p, p, 2) deflated by its
+    `rank1._best_rank1_stack` terms: ``report`` makes the rows from X, the
+    residuals and psi, each row gains ``converged`` and ``theta_steps``,
+    and the reasons name the unconverged trials."""
+    psi, x, y, z, converged, steps = rank1._best_rank1_stack(X)
+    rows = report(X, X - np.einsum("ni,nj,nk->nijk", x, y, z), psi)
+    for row, ok, k in zip(rows, converged.tolist(), steps.tolist()):
+        row.update(converged=ok, theta_steps=k)
+    return rows, [f"trial {t}: {rank1.NOT_CONVERGED}" for t in np.flatnonzero(~converged)]
+
+
+def _report_each(arrays, tally) -> tuple:
+    """(rows, reasons) of the 2x2x2 arrays (N, 2, 2, 2) deflated one at a
+    time by `_enumerated_step`, which counts each table in ``tally``.  A
+    trial whose step raises becomes an error row with a reason; the other
     steps are reported as one stack."""
-    psi, X = np.zeros(len(inputs)), np.zeros((len(inputs), 2, 2, 2))
-    R, ok, reasons = np.zeros_like(X), np.ones(len(inputs), dtype=bool), []
-    for trial, item in enumerate(inputs):
+    psi, R = np.zeros(len(arrays)), np.zeros_like(arrays)
+    ok, reasons = np.ones(len(arrays), dtype=bool), []
+    for trial, A in enumerate(arrays):
         try:
-            psi[trial], X[trial], R[trial] = step(item)
+            psi[trial], _, R[trial] = _enumerated_step(A, tally)
         except Exception as exc:
             ok[trial] = False
             reasons.append(f"trial {trial}: {exc}")
-    rows = iter(_report_rows(X[ok], R[ok], psi[ok]))
+    rows = iter(_report_rows(arrays[ok], R[ok], psi[ok]))
     return [next(rows) if good else _error_row() for good in ok.tolist()], reasons
 
 
@@ -338,12 +347,6 @@ def _enumerated_step(A, tally=None):
                                       for x in best.x.tolist()])
 
 
-def _symmetric_step(S: SymTensor222):
-    """psi and the expansions of S and its residual, as `deflate_once` deflates S."""
-    result = rank1.best_rank1_sym(S)
-    return result.psi, S.tensor().array, S.rank1_update(result.term.y, -1.0).tensor().array
-
-
 def experiment_generic(trials: int, seed: int = 0) -> ExperimentStats:
     """Deflate i.i.d. standard-normal 2x2x2 tensors and classify residuals.
 
@@ -355,19 +358,22 @@ def experiment_generic(trials: int, seed: int = 0) -> ExperimentStats:
     """
     tally = {"certified_tables": 0, "root_count_mismatches": 0}
     rows, reasons = _run(trials, seed, lambda rng: rng.standard_normal(8),
-                         lambda flat: _report_each(_slab_major(np.array(flat)),
-                                                   lambda A: _enumerated_step(A, tally)))
+                         lambda flat: _report_each(_slab_major(np.array(flat)), tally))
     return _aggregate("generic", trials, seed, rows, reasons,
                       _mlrank_extras(rows) + tuple(tally.items()))
 
 
 def experiment_symmetric(trials: int, seed: int = 0) -> ExperimentStats:
-    """Symmetric analogue: (a, b, c, d) i.i.d. normal, deflated by the
-    `best_rank1_sym` term as in `deflate_once`; a trial whose solve raises
-    is an error row.  The residuals are then reported as one stack."""
-    rows, reasons = _run(trials, seed, lambda rng: SymTensor222(*rng.standard_normal(4)),
-                         lambda inputs: _report_each(inputs, _symmetric_step))
-    return _aggregate("symmetric", trials, seed, rows, reasons, _mlrank_extras(rows))
+    """Symmetric analogue: (a, b, c, d) i.i.d. normal, expanded to 2x2x2
+    and deflated by their theta-grid terms.  By Banach's theorem the best
+    rank-1 term of a symmetric tensor is symmetric, so it is the
+    `best_rank1_sym` term of `deflate_once` up to round-off."""
+    rows, reasons = _run(trials, seed, lambda rng: rng.standard_normal(4),
+                         lambda abcd: _theta_step(
+                             np.array(abcd)[:, [0, 1, 1, 2, 1, 2, 2, 3]].reshape(-1, 2, 2, 2)))
+    return _aggregate("symmetric", trials, seed, rows, reasons,
+                      _mlrank_extras(rows) + (("converged", sum(r["converged"] for r in rows)),
+                                              _theta_steps(rows)))
 
 
 def _sample_d3(rng: np.random.Generator) -> Tensor222:
@@ -383,10 +389,8 @@ def _sample_d3(rng: np.random.Generator) -> Tensor222:
 
 def experiment_d3_closure(trials: int, seed: int = 0) -> ExperimentStats:
     """Deflate random orbit-D3 tensors (random transforms of the canonical
-    form) by their theta-grid terms, as one stack, and tally the residual
-    orbits; supports, not asserts, closure.  Unconverged trials are named
-    in the failure reasons; ``converged`` counts the others, and
-    ``theta_steps`` the rows' refinement step counts."""
+    form) by their theta-grid terms and tally the residual orbits;
+    supports, not asserts, closure."""
     def solve(blocks):
         # `_sample_d3` of every trial, from its first three draws: a trial
         # with a draw above the cap draws on from its own stream
@@ -394,12 +398,11 @@ def experiment_d3_closure(trials: int, seed: int = 0) -> ExperimentStats:
         X = np.einsum("nip,njq,nkr,pqr->nijk", *blocks.swapaxes(0, 1), canonical_form("D3").array)
         for trial in np.flatnonzero(~(np.linalg.cond(blocks) <= D3_COND_CAP).all(axis=1)):
             X[trial] = _sample_d3(_trial_rng(seed, trial)).array
-        psi, x, y, z, converged, steps = rank1._best_rank1_stack(X)
-        rows = _report_rows(X, X - np.einsum("ni,nj,nk->nijk", x, y, z), psi)
-        for row, ok, k in zip(rows, converged.tolist(), steps.tolist()):
+        rows, reasons = _theta_step(X)
+        for row in rows:
             # the input is D3 by construction, whatever its classification reads
-            row.update(orbit_before="D3", converged=ok, theta_steps=k)
-        return rows, _unconverged(converged)
+            row["orbit_before"] = "D3"
+        return rows, reasons
 
     rows, reasons = _run(trials, seed, lambda rng: rng.standard_normal((3, 2, 2)), solve)
     return _aggregate("d3", trials, seed, rows, reasons,
@@ -410,40 +413,36 @@ def experiment_pxpx2(p: int, trials: int, seed: int = 0) -> ExperimentStats:
     """pxpx2 deflation by the theta-grid best rank-1 term; spectra comparison.
 
     Each trial subtracts the term of `rank1.best_rank1_pxpx2`, which is
-    deterministic (no restarts, so ``seed`` only draws the inputs); all
-    trials are solved in one call of its stacked kernel.  The
+    deterministic (no restarts, so ``seed`` only draws the inputs).  The
     slab-pencil spectrum of the residual is compared with the input's:
     conjecture-consistent means exactly one coincident pair appears and
     the complex-pair count drops from n to max(0, n - 1).  The spectra are
     counted as a stack, the inputs' and the residuals' with one
     `smallalg.spectra_small` call each; a trial whose slab quotient is
-    singular or not finite is an error row.  A trial whose refinement did
-    not converge is listed in the failure reasons and left out of the
-    fractions.  ``theta_steps`` tallies the rows' refinement step counts.
+    singular or not finite is an error row.  The fractions and
+    ``converged`` count the converged trials that are not error rows.
     """
     if not 2 <= p <= 8:
         raise ValueError("p must be between 2 and 8")
 
-    def solve(inputs):
-        X = np.stack(inputs)
-        psi, x, y, z, converged, steps = rank1._best_rank1_stack(X)
-        Z = X - np.einsum("ni,nj,nk->nijk", x, y, z)
+    def report(X, Z, psi):
         _, before, _, ok_x = spectra_small(_quotient(X[..., 1], X[..., 0]), PAIRING_BAND)
         _, after, pairs, ok_z = spectra_small(_quotient(Z[..., 1], Z[..., 0]), PAIRING_BAND)
-        ok = ok_x & ok_z
         # no Delta, gap or mlrank here: those fields keep the error row's blanks
-        rows = [dict(_error_row(), orbit_before=f"ncomplex={n}", psi=v, converged=conv,
+        return [dict(_error_row(), orbit_before=f"ncomplex={n}", psi=v,
                      orbit_after="D3" if c == 1 and m == max(0, n - 1) else "other",
-                     coincident_pairs=c, complex_before=n, complex_after=m, theta_steps=k)
-                if good else dict(_error_row(), theta_steps=k)
-                for n, m, c, good, v, conv, k in zip(*(a.tolist() for a in (
-                    before, after, pairs, ok, psi, converged, steps)))]
-        reasons = [f"trial {t}: a slab quotient is singular or not finite"
-                   for t in np.flatnonzero(~ok)]
-        return rows, reasons + _unconverged(converged)
+                     coincident_pairs=c, complex_before=n, complex_after=m)
+                if good else _error_row()
+                for n, m, c, good, v in zip(*(a.tolist() for a in (
+                    before, after, pairs, ok_x & ok_z, psi)))]
+
+    def solve(inputs):
+        rows, unconverged = _theta_step(np.stack(inputs), report)
+        return rows, [f"trial {t}: a slab quotient is singular or not finite"
+                      for t, r in enumerate(rows) if r["orbit_after"] == "error"] + unconverged
 
     rows, reasons = _run(trials, seed, lambda rng: rng.standard_normal((p, p, 2)), solve)
-    done = [r for r in rows if r.get("converged")]
+    done = [r for r in rows if r["converged"] and r["orbit_after"] != "error"]
     n_conv = max(1, len(done))
     extras = (
         ("p", p),

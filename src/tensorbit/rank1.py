@@ -289,11 +289,14 @@ class CircleRecord:
 
 @dataclass(frozen=True)
 class EnumerationResult:
-    """Real stationary points plus enumeration diagnostics."""
+    """Real stationary points plus enumeration diagnostics.  ``ties`` counts
+    the usable (non-degenerate) points within TIE_REL_TOL ||X||^2 of the
+    best usable one, decided on X / 2^e as the order of the points is."""
 
     points: tuple
     n_complex: int
     record: CircleRecord | None = None
+    ties: int = 0
 
     @property
     def certified(self) -> bool:
@@ -579,7 +582,8 @@ def stationary_points_222(X) -> EnumerationResult:
     ``record`` (`CircleRecord`) says if the table is certified.  A D3 tensor's
     triple root of F is one point, x = 0 and ``hessian_pd`` False, at the
     double zero of det M.  The solve runs on X / 2^e (exact), and x, psi and
-    the residual's Delta are scaled back by 2^e, 4^e and 16^e.  Raises
+    the residual's Delta are scaled back by 2^e, 4^e and 16^e once the
+    points are sorted and their ties counted.  Raises
     ValueError on non-finite entries, and when F vanishes to round-off
     (F_ROUNDOFF of m'^2 Q + (Q'/2)^2), where its roots carry no
     information: on orthogonal-pencil, rank-1 and zero input, whose
@@ -593,7 +597,7 @@ def stationary_points_222(X) -> EnumerationResult:
     T = _mde_rows(arr)
     found, record = _circle_points(T, max(map(abs, T.ravel().tolist())), a)
     limit = DEGENERATE_X_TOL * math.hypot(*a)
-    rows, xs = [], []
+    rows = []
     for phi, alpha, pd in found:
         y0, y1, z0, z1 = math.cos(alpha), math.sin(alpha), math.cos(0.5 * phi), math.sin(0.5 * phi)
         w0, w1, w2, w3 = y0 * z0, y0 * z1, y1 * z0, y1 * z1
@@ -602,14 +606,17 @@ def stationary_points_222(X) -> EnumerationResult:
         r = (a0 - x0 * w0, a1 - x0 * w1, a2 - x0 * w2, a3 - x0 * w3,
              a4 - x1 * w0, a5 - x1 * w1, a6 - x1 * w2, a7 - x1 * w3)
         # cos never returns 0, so the chart coordinates are finite
-        rows.append((y1 / y0, z1 / z0, _ldexp(math.hypot(*r) ** 2, 2 * exponent),
-                     _ldexp(_delta(*r[::2], *r[1::2]), 4 * exponent), pd,
-                     math.hypot(x0, x1) <= limit))
-        xs.append((x0 * w0, x1 * w0))
-    points = sorted((StationaryPoint(y2, z2, x, *rest)
-                     for (y2, z2, *rest), x in zip(rows, np.ldexp(xs, exponent))),
-                    key=lambda s: (s.psi, s.y2, s.z2))
-    return EnumerationResult(tuple(points), record.nonreal_roots, record)
+        rows.append((math.hypot(*r) ** 2, y1 / y0, z1 / z0, _delta(*r[::2], *r[1::2]), pd,
+                     math.hypot(x0, x1) <= limit, (x0 * w0, x1 * w0)))
+    # sorted by psi before it is scaled back, where it can overflow or underflow
+    rows.sort(key=lambda row: row[:3])
+    usable = [row[0] for row in rows if not row[5]]
+    points = tuple(StationaryPoint(y2, z2, x, _ldexp(value, 2 * exponent),
+                                   _ldexp(delta, 4 * exponent), pd, degenerate)
+                   for (value, y2, z2, delta, pd, degenerate, _), x
+                   in zip(rows, np.ldexp([row[6] for row in rows], exponent)))
+    return EnumerationResult(points, record.nonreal_roots, record,
+                             _ties(usable, usable[0], float((arr ** 2).sum())) if usable else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -642,8 +649,8 @@ def best_rank1_222(X, cross_check: bool = True) -> BestRank1Result:
     """Globally best rank-1 approximation of a 2x2x2 tensor.
 
     The smallest psi among the non-degenerate points of one
-    `stationary_points_222` enumeration; ``multiplicity`` counts the
-    distinct minimizers within TIE_REL_TOL.  The theta-grid solver
+    `stationary_points_222` enumeration; ``multiplicity`` is its ``ties``
+    (1 for a theta-grid term).  The theta-grid solver
     `best_rank1_pxpx2` is the fallback when no point is usable, and with
     ``cross_check`` it checks a table that is not certified: if its value
     is lower by more than 1e-8 ||X||^2 the input is non-generic.  A result
@@ -664,7 +671,6 @@ def best_rank1_222(X, cross_check: bool = True) -> BestRank1Result:
     every root where lambda_top' can vanish; its psi = ||X||^2 is no optimum.
     """
     t = _as_tensor(X)
-    norm_sq = frobenius_norm_sq(t)
     warnings = []
     try:
         enum = stationary_points_222(t)
@@ -678,7 +684,7 @@ def best_rank1_222(X, cross_check: bool = True) -> BestRank1Result:
         grid = best_rank1_pxpx2(t)
         if best is None:
             warnings.append("no usable stationary point; theta-grid fallback")
-        elif grid.psi < best[0] - 1e-8 * norm_sq:
+        elif grid.psi < best[0] - 1e-8 * frobenius_norm_sq(t):
             warnings.append("non-generic input: the theta-grid solver beat the enumeration")
         else:
             grid = None
@@ -686,7 +692,7 @@ def best_rank1_222(X, cross_check: bool = True) -> BestRank1Result:
             best, method, converged = (grid.psi, grid.term), "theta", grid.converged
             warnings.extend(grid.warnings)
     return BestRank1Result(best[1], float(best[0]), enum.points,
-                           max(1, _ties([p.psi for p in usable], best[0], norm_sq)),
+                           enum.ties if method == "enumerate" else 1,
                            n_complex=enum.n_complex, converged=converged, method=method,
                            warnings=tuple(warnings))
 
@@ -895,9 +901,9 @@ def stationary_points_sym(Xs: SymTensor222) -> EnumerationResult:
     real and those within its band of each other are one direction, which
     is listed once; ``n_complex`` counts the non-real roots, so a double
     real root is one point and no complex one.  ``z`` is
-    y1/y2 (+-inf at y2 = 0).  The solve runs on Xs / 2^e (exact), so psi
-    scales exactly.  Raises ValueError for the zero tensor, on which H
-    vanishes identically.
+    y1/y2 (+-inf at y2 = 0).  The solve, the order of the points and
+    their ties run on Xs / 2^e (exact), so psi scales exactly.  Raises
+    ValueError for the zero tensor, on which H vanishes identically.
     """
     entries, exponent = _prescale(Xs.as_tuple())
     angles = np.arange(6) * (np.pi / 6.0)
@@ -925,15 +931,19 @@ def stationary_points_sym(Xs: SymTensor222) -> EnumerationResult:
     resid = np.stack([a - Y[:, 0] ** 3, b - Y[:, 0] ** 2 * Y[:, 1],
                       c - Y[:, 0] * Y[:, 1] ** 2, d - Y[:, 1] ** 3], axis=1)
     # ||X - y (x) y (x) y||^2, which equals ||X||^2 - f(u)^2 without its cancellation
-    values = resid ** 2 @ np.array([1.0, 3.0, 3.0, 1.0])
+    values = (resid ** 2 @ np.array([1.0, 3.0, 3.0, 1.0])).tolist()
     y = np.cbrt(np.ldexp(f, exponent))[:, None] * u
     with np.errstate(divide="ignore"):
-        ratio = u[:, 0] / u[:, 1]
-    points = sorted((SymStationaryPoint(float(ratio[n]), y[n], float(y[n, 1] ** 3),
-                                        float(np.ldexp(values[n], 2 * exponent)),
-                                        hyperdet_sym(np.ldexp(resid[n], exponent)))
-                     for n in range(z.size)), key=lambda s: (s.psi, s.z))
-    return EnumerationResult(tuple(points), n_complex)
+        ratio = (u[:, 0] / u[:, 1]).tolist()
+    # sorted by psi before it is scaled back, where it can overflow or underflow
+    order = sorted(range(len(values)), key=lambda n: (values[n], ratio[n]))
+    points = tuple(SymStationaryPoint(ratio[n], y[n], float(y[n, 1] ** 3),
+                                      _ldexp(values[n], 2 * exponent),
+                                      hyperdet_sym(np.ldexp(resid[n], exponent)))
+                   for n in order)
+    norm_sq = float((entries[[0, 1, 1, 2, 1, 2, 2, 3]] ** 2).sum())
+    return EnumerationResult(points, n_complex, None,
+                             _ties(values, min(values), norm_sq) if values else 0)
 
 
 def best_rank1_sym(Xs: SymTensor222) -> BestRank1Result:
@@ -941,8 +951,8 @@ def best_rank1_sym(Xs: SymTensor222) -> BestRank1Result:
 
     The smallest psi among the `stationary_points_sym` enumeration, which
     is complete: by Banach's theorem it is also the best rank-1 term of the
-    expansion.  ``multiplicity`` counts the points within TIE_REL_TOL
-    ||X||^2 of it.  The zero tensor gives the zero term, with a warning.
+    expansion.  ``multiplicity`` is the enumeration's ``ties``.  The zero
+    tensor gives the zero term, with a warning.
     """
     try:
         enum = stationary_points_sym(Xs)
@@ -951,9 +961,7 @@ def best_rank1_sym(Xs: SymTensor222) -> BestRank1Result:
         return BestRank1Result(Rank1Term(zero, zero, zero), 0.0, (), 1,
                                warnings=("symmetric enumeration degenerate",))
     best = enum.points[0]
-    return BestRank1Result(best.term(), best.psi, enum.points,
-                           _ties([p.psi for p in enum.points], best.psi, frobenius_norm_sq(Xs)),
-                           n_complex=enum.n_complex)
+    return BestRank1Result(best.term(), best.psi, enum.points, enum.ties, n_complex=enum.n_complex)
 
 
 # ---------------------------------------------------------------------------

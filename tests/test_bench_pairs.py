@@ -190,3 +190,27 @@ def test_each_pair_is_followed_by_a_traced_run_of_each_side(monkeypatch, tmp_pat
                       for side in order]
     per_layer = json.loads(out.read_text())["workloads"]["requests"]["per_layer"]
     assert per_layer["change"]["rank1.stationary_points_222.self_ms"] == 351.2
+
+
+def test_src_lines_are_the_wc_total_of_each_sides_python_sources(monkeypatch, tmp_path):
+    # each canned export holds Python files at two depths of src/, and
+    # files that do not count: a non-Python one and one outside src/
+    _offline(monkeypatch, [])
+    sources = {"parent": {"src/pkg/a.py": "x = 1\ny = 2\n", "src/pkg/sub/b.py": "z = 3\n"},
+               "change": {"src/pkg/a.py": "x = 1\n", "src/pkg/sub/b.py": "z = 3\nw = 4"}}
+
+    def export(ref, dest):
+        dest.mkdir(parents=True)
+        shutil.copy(ROOT / "BENCHMARK.json", dest)
+        for name, text in {**sources[dest.name], "src/pkg/notes.txt": "a\nb\n",
+                           "tools/c.py": "c = 5\n"}.items():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            (dest / name).write_text(text)
+        return dest
+
+    monkeypatch.setattr(bench_pairs, "export", export)
+    out = tmp_path / "bench.json"
+    bench_pairs.main(["--parent", "HEAD~1", "--seeds", "1-2", "--out", str(out),
+                      "--workloads", "mc-pxp2"])
+    # wc -l counts newlines, so an unterminated last line adds none
+    assert json.loads(out.read_text())["src_lines"] == {"parent": 3, "change": 2}

@@ -170,6 +170,30 @@ def test_cli_deflate_step_count_does_not_change_with_scale(k):
     assert _deflate_steps(np.ldexp(x, k).tolist()) == _deflate_steps(x.tolist()) == 3
 
 
+@pytest.mark.parametrize("k", [520, -520, 600, -600, 999, -999])
+def test_terms_ties_and_chains_hold_where_psi_overflows_or_underflows(k):
+    # beyond |k| = 500 psi and ||X||^2 saturate to inf or 0 once scaled
+    # back, so the order of the points, the tie count and the stop test of
+    # the chain are decided before that
+    rng = np.random.default_rng(8)
+    cube_root = np.ldexp(2.0 ** ((k % 3) / 3.0), k // 3)    # 2^(k/3), to an ulp
+    for x in rng.standard_normal((5, 8)):
+        base, res = (rank1.best_rank1_222(Tensor222.from_flat(v)) for v in (x, np.ldexp(x, k)))
+        np.testing.assert_array_equal(res.term.tensor(), np.ldexp(base.term.tensor(), k))
+        with np.errstate(over="ignore"):
+            assert res.psi == np.ldexp(base.psi, 2 * k)
+        assert res.multiplicity == base.multiplicity == 1
+        assert _deflate_steps(np.ldexp(x, k).tolist(), 2) == 2
+    for s in rng.standard_normal((5, 4)):
+        base, res = (rank1.best_rank1_sym(SymTensor222(*v)) for v in (s, np.ldexp(s, k)))
+        y = cube_root * base.term.y
+        assert np.abs(res.term.y - y).max() <= 1e-15 * np.abs(y).max()
+        with np.errstate(over="ignore"):
+            assert res.psi == np.ldexp(base.psi, 2 * k)
+        assert res.multiplicity == base.multiplicity == 1
+        assert _deflate_steps(np.ldexp(s, k).tolist(), 2) == 2
+
+
 def test_cli_deflate_zero_tensor_stops_after_one_step():
     assert _deflate_steps([0.0] * 8) == 1
 

@@ -285,19 +285,25 @@ def test_experiment_generic_keeps_trials_whose_enumeration_raises(monkeypatch):
                         lambda X: rank1.EnumerationResult((), 8))
     stats = experiment_generic(2, seed=0)
     assert stats.failures == 2 and stats.counts == (("error", 2),)
-    # the symmetric kind fails the trial whose best_rank1_sym raises, alone
-    whole = experiment_symmetric(4, seed=0)
-    solve_sym = rank1.best_rank1_sym
 
-    def sym_fails_on_trial_2(S):
-        if S == SymTensor222(*_trial_rng(0, 2).standard_normal(4)):
-            raise ValueError("no symmetric term")
-        return solve_sym(S)
 
-    monkeypatch.setattr(rank1, "best_rank1_sym", sym_fails_on_trial_2)
-    stats = experiment_symmetric(4, seed=0)
-    assert stats.failure_reasons == ("trial 2: no symmetric term",)
-    assert stats.rows[2] == dict(deflation._error_row(), trial=2)
+@pytest.mark.parametrize("experiment", [experiment_d3_closure, experiment_symmetric])
+def test_stacked_experiments_name_the_unconverged_trial(monkeypatch, experiment):
+    # a trial whose theta-grid refinement stops unconverged is named and
+    # kept; the other rows are those of an unpatched run
+    whole = experiment(4, seed=0)
+    stack = rank1._best_rank1_stack
+
+    def trial_2_unconverged(X):
+        psi, x, y, z, converged, steps = stack(X)
+        converged[2] = False
+        return psi, x, y, z, converged, steps
+
+    monkeypatch.setattr(rank1, "_best_rank1_stack", trial_2_unconverged)
+    stats = experiment(4, seed=0)
+    assert stats.failure_reasons == (f"trial 2: {rank1.NOT_CONVERGED}",)
+    assert stats.rows[2] == dict(whole.rows[2], converged=False)
+    assert dict(stats.extras)["converged"] == 3
     assert [r for n, r in enumerate(stats.rows) if n != 2] == \
         [r for n, r in enumerate(whole.rows) if n != 2]
 

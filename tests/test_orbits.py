@@ -190,6 +190,18 @@ def test_classify_invariance_interior_orbits(seed):
             assert classify(out).orbit == base_orbit
 
 
+def test_classify_sym_labels_a_share_of_kostlan_cubics_g3():
+    # a Kostlan binary cubic, coefficients of x^3, x^2 y, x y^2, y^3 with
+    # variances 1, 3, 3, 1, has sqrt(3) real roots on average, so three of
+    # them with probability (sqrt(3) - 1) / 2 (Edelman & Kostlan 1995); its
+    # symmetric tensor has entry variances (1, 1/3, 1/3, 1) and is G3 then,
+    # here within 5 standard errors
+    draws = np.random.default_rng(5).standard_normal((20000, 4)) * np.sqrt([1, 1 / 3, 1 / 3, 1])
+    share = sum(classify_sym(SymTensor222(*s)).orbit == "G3" for s in draws) / len(draws)
+    expected = (math.sqrt(3.0) - 1.0) / 2.0
+    assert abs(share - expected) <= 5.0 * math.sqrt(expected * (1.0 - expected) / len(draws))
+
+
 def test_classify_sym_agrees_with_sylvester_rank():
     rank_of = {"D0": 0, "D1": 1, "G2": 2, "D3": 3, "G3": 3}
     for seed in range(1000):

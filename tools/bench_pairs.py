@@ -19,7 +19,8 @@ speed, are kept beside it as "raw", so the file shows the host's drift.
 Each pair is followed by one traced run (`--trace 1`) of each side, in the
 same order, and the medians of their per-layer figures over the seeds are
 kept as "per_layer": a traced run times a fixed number of rounds, as short
-as one round, so one run alone drifts with the host.
+as one round, so one run alone drifts with the host.  "src_lines" gives
+the size of each side's library, the `wc -l` total of its src/**/*.py.
 """
 
 import argparse
@@ -101,6 +102,11 @@ def export(ref: str, dest: Path) -> Path:
                              stdout=subprocess.PIPE).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
     return dest
+
+
+def src_lines(checkout: Path) -> int:
+    """The `wc -l` total of the src/**/*.py files in checkout."""
+    return sum(path.read_bytes().count(b"\n") for path in checkout.glob("src/**/*.py"))
 
 
 def clean(checkout: Path) -> None:
@@ -192,6 +198,7 @@ def main(argv=None) -> int:
                        "the change first on odd ones",
             "quartiles": "statistics.quantiles(n=4, method='inclusive'), [Q1, Q3]",
             "per_layer": "medians of one --trace 1 run per side and seed, after the pair",
+            "src_lines": {side: src_lines(trees[side]) for side in SIDES},
         }
         if claimed:
             bench["claimed"] = claimed
