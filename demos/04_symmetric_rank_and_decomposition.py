@@ -3,8 +3,9 @@
 # A symmetric tensor (a, b, c, d) is a binary cubic in disguise.  Its
 # symmetric rank follows Sylvester's kernel-vector criterion, the rank-2
 # decomposition comes from the two real roots of Sylvester's kernel
-# quadratic, and every rank-3 tensor is an explicit (S, S, S) transform
-# of the canonical D3 or G3 representative.
+# quadratic, the rank-3 one from the roots of an apolar cubic, and every
+# rank-3 tensor is an explicit (S, S, S) transform of the canonical D3 or
+# G3 representative.
 
 import numpy as np
 
@@ -18,9 +19,8 @@ examples = [
 ]
 for name, s in examples:
     rank, dec = tb.sylvester_rank(s)
-    err = "-" if dec is None else f"{dec.reconstruction_error:.2e}"
     print(f"  {name:14} {s.as_tuple()}: orbit {tb.classify_sym(s).orbit:2}, "
-          f"symmetric rank {rank}, reconstruction error {err}")
+          f"symmetric rank {rank}, reconstruction error {dec.reconstruction_error:.2e}")
 
 print()
 print("rank-2 decomposition recovers planted directions")

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import deflation, rank1
-from .decomp import DomainError, sylvester_rank, sym_rank3_decompose
+from .decomp import DomainError, sylvester_rank
 from .document import TensorDocument, parse_document
 from .orbits import SymTensor222, _rank_tol, classify, hyperdet, slab_pencil
 from .smallalg import DEFAULT_COINCIDENCE_TOL, EigenPair2, NumericalFailure
@@ -248,14 +248,12 @@ def cmd_decompose(args) -> int:
         if wanted != rank:
             raise DomainError(
                 f"tensor has symmetric rank {rank}; exact rank-{wanted} output unsupported")
-    if dec is None and rank == 3:
-        dec = sym_rank3_decompose(tensor, args.tol)
     payload = {
         "command": "decompose",
         "label": doc.label,
         "rank": rank,
-        "vectors": [] if dec is None else [list(map(float, v)) for v in dec.vectors],
-        "reconstruction_error": None if dec is None else dec.reconstruction_error,
+        "vectors": [list(map(float, v)) for v in dec.vectors],
+        "reconstruction_error": dec.reconstruction_error,
     }
     _emit(payload)
     return EXIT_OK

@@ -1,17 +1,15 @@
 """Symmetric rank, constructive decompositions, and canonical-form transforms.
 
-A symmetric 2x2x2 tensor (a, b, c, d) corresponds to the binary cubic
-a u1^3 + 3 b u1^2 u2 + 3 c u1 u2^2 + d u2^3.  Its symmetric rank follows
-Sylvester's criterion: the kernel vector of the Hankel coefficient matrix
-defines a polynomial q whose distinct real roots supply the decomposition
-directions.  For rank 2 the kernel vector is
-g = (ac - b^2, bc - ad, bd - c^2) and disc(q) equals the hyperdeterminant.
-
-Rank-3 tensors (orbits D3 and G3) are first diagonal-rescaled to the
-normal form (a', 1, 1, 1 | 1, 1, 1, d'), which has the explicit three-term
-decomposition with directions (alpha, 0), (0, beta), (1, 1).  The same
-normal form is the entry point for solving (S, S, S) . Y_canonical = X
-for an explicit transform S from the canonical D3 / G3 representative.
+A symmetric 2x2x2 tensor (a, b, c, d) is the binary cubic
+a u1^3 + 3 b u1^2 u2 + 3 c u1 u2^2 + d u2^3.  By Sylvester's theorem
+(Comon, Golub, Lim & Mourrain 2008) the directions of a decomposition are
+the distinct real roots of a form apolar to it, one whose coefficients the
+Hankel rows of (a, b, c, d) annihilate: for rank 2 the kernel quadratic
+g = (ac - b^2, bc - ad, bd - c^2), whose discriminant is the
+hyperdeterminant, and for rank 3 (orbits D3, G3) a cubic L1 L2 L3 with two
+of its roots fixed.  The cube weights then solve the moment equations.  The
+diagonal rescale to (a', 1, 1, d') is the entry point for solving
+(S, S, S) . Y_canonical = X from the canonical D3 / G3 representative.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .orbits import SymTensor222, canonical_form, classify_sym, hyperdet_sym
+from .orbits import SymTensor222, _ldexp, _rank_tol, canonical_form, classify_sym, hyperdet_sym
 from .smallalg import NumericalFailure, Polynomial, is_real_root, roots
 from .tensors import _prescale, multilinear_transform
 
@@ -41,6 +39,18 @@ __all__ = [
 
 # the relative band of the Delta and residual checks of the canonical-form transforms
 TRANSFORM_TOL = 1e-6
+
+# the rank-3 construction's pairs of unit directions u_r = (p_r, q_r), 60 degrees apart, with
+# L1 L2 = al t1^2 + be t1 t2 + ga t2^2 for L_r(t) = q_r t1 - p_r t2, and the linear maps of
+# (a, b, c, d) to u3 = (al a + be b + ga c, al b + be c + ga d) and to det(u3, u_r)
+_PAIR_ANGLES = np.arange(6)[:, None] * (np.pi / 6.0) + (0.0, np.pi / 3.0)
+_PAIRS = np.stack([np.cos(_PAIR_ANGLES), np.sin(_PAIR_ANGLES)], axis=-1)
+_L12 = np.stack([np.sin(_PAIR_ANGLES).prod(axis=1), -np.sin(_PAIR_ANGLES.sum(axis=1)),
+                 np.cos(_PAIR_ANGLES).prod(axis=1)], axis=1)
+_U3 = np.zeros((6, 2, 4))
+_U3[:, 0, :3] = _U3[:, 1, 1:] = _L12
+_APOLAR = np.concatenate(
+    [_U3, _PAIRS[..., 1:] * _U3[:, None, 0] - _PAIRS[..., :1] * _U3[:, None, 1]], axis=1)
 
 
 class DomainError(ValueError):
@@ -103,19 +113,20 @@ def _unit_kernel(Xs: SymTensor222):
 
 
 def sylvester_rank(Xs: SymTensor222, tol: float = 1e-9):
-    """Symmetric rank in {0, 1, 2, 3} with a decomposition when available.
+    """Symmetric rank in {0, 1, 2, 3} with a decomposition.
 
     Rank 1 corresponds to a vanishing kernel vector (perfect-cube
-    coefficients); rank 2 to the kernel quadratic having two distinct real
-    roots (positive discriminant); everything else is rank 3.  The tests
-    run on Xs / 2^e with max|entry| / 2^e in [1/2, 1), which is exact, so
-    they take the same decisions over the whole double range.
+    coefficients), within the rank cutoff min(tol, 1e-9) of `classify`;
+    rank 2 to the kernel quadratic having two distinct real roots
+    (discriminant above the Delta band tol); everything else is rank 3.
+    The tests run on Xs / 2^e with max|entry| / 2^e in [1/2, 1), which is
+    exact, so they take the same decisions over the whole double range.
     """
     a, b, c, d = Xs.as_tuple()
     g, scale = _unit_kernel(Xs)
     if scale == 0.0:
         return 0, SymDecomposition(0, (), 0.0)
-    if np.max(np.abs(g)) <= tol * scale ** 2:
+    if np.max(np.abs(g)) <= _rank_tol(tol) * scale ** 2:
         if abs(a) >= abs(d):
             v1 = np.cbrt(a)
             v2 = v1 * (b / a) if a != 0.0 else 0.0
@@ -126,10 +137,16 @@ def sylvester_rank(Xs: SymTensor222, tol: float = 1e-9):
         return 1, SymDecomposition(1, (v,), _recon_error(Xs, (v,)))
     if g[1] ** 2 - 4.0 * g[0] * g[2] > tol * scale ** 4:
         return 2, _rank2_from_kernel(Xs, g)
-    try:
-        return 3, sym_rank3_decompose(Xs, tol)
-    except (DomainError, NumericalFailure):
-        return 3, None
+    return 3, _rank3_apolar(Xs)
+
+
+def _from_directions(Xs: SymTensor222, dirs) -> SymDecomposition:
+    """The decomposition along the unit directions ``dirs``: the cube
+    weights solve the moment equations in least squares."""
+    cols = [[x ** 3, x * x * y, x * y * y, y ** 3] for x, y in dirs]
+    w, *_ = np.linalg.lstsq(np.array(cols).T, np.array(Xs.as_tuple()), rcond=None)
+    vectors = tuple(np.cbrt(wi) * u for wi, u in zip(w, dirs))
+    return SymDecomposition(len(dirs), vectors, _recon_error(Xs, vectors))
 
 
 def _rank2_from_kernel(Xs: SymTensor222, g) -> SymDecomposition:
@@ -142,10 +159,21 @@ def _rank2_from_kernel(Xs: SymTensor222, g) -> SymDecomposition:
     g0, g1, g2 = g
     s = -0.5 * (g1 + np.copysign(np.sqrt(g1 * g1 - 4.0 * g0 * g2), g1))
     dirs = [u / np.linalg.norm(u) for u in (np.array([s, g2]), np.array([g0, s]))]
-    cols = [[x ** 3, x * x * y, x * y * y, y ** 3] for x, y in dirs]
-    w, *_ = np.linalg.lstsq(np.array(cols).T, np.array(Xs.as_tuple()), rcond=None)
-    vectors = tuple(np.cbrt(wi) * u for wi, u in zip(w, dirs))
-    return SymDecomposition(2, vectors, _recon_error(Xs, vectors))
+    return _from_directions(Xs, dirs)
+
+
+def _rank3_apolar(Xs: SymTensor222) -> SymDecomposition:
+    """Rank-3 decomposition along u1, u2 and the third root u3 of an apolar
+    cubic L1 L2 L3: u3 is parallel to (al a + be b + ga c, al b + be c + ga d),
+    which vanishes only if L1 L2 is the kernel quadratic, so never on rank-3
+    input.  Of the `_PAIRS` the one whose u3 lies farthest from both of its
+    directions is taken, with u3 from Xs / 2^e (exact)."""
+    unit, _ = _prescale(Xs.as_tuple())
+    V = _APOLAR @ unit
+    norms = np.hypot(V[:, 0], V[:, 1])
+    # |det(u3, u_r)| / |u3| is the |sin| of the angle between u3 and u_r
+    j = int(np.argmax(np.abs(V[:, 2:]).min(axis=1) / norms))
+    return _from_directions(Xs, (*_PAIRS[j], V[j, :2] / norms[j]))
 
 
 def sym_rank2_decompose(Xs: SymTensor222, tol: float = 1e-9) -> SymDecomposition:
@@ -158,70 +186,31 @@ def sym_rank2_decompose(Xs: SymTensor222, tol: float = 1e-9) -> SymDecomposition
 
 
 def sym_rank3_decompose(Xs: SymTensor222, tol: float = 1e-9) -> SymDecomposition:
-    """Rank-3 decomposition for orbits D3 and G3.
-
-    When both middle coefficients are nonzero the tensor is rescaled to
-    (a', 1, 1, d') and decomposed as a'-1, d'-1 cubes plus the all-ones
-    direction, if that reconstructs X within tol * max|entry|.  Otherwise,
-    and when b = 0 or c = 0, a rank-1 cube is subtracted so that
-    the remainder has a slab pencil with distinct real eigenvalues, and
-    the rank-2 construction finishes the job.
-    """
+    """Rank-3 decomposition of an orbit-D3 or G3 tensor along the roots of
+    an apolar cubic (`_rank3_apolar`)."""
     label = classify_sym(Xs, max(tol, 1e-12))
     if label.orbit not in ("D3", "G3"):
         raise DomainError(
             f"rank-3 decomposition needs orbit D3 or G3, got {label.orbit}; "
             "use sym_rank2_decompose for rank-2 input")
-    a, b, c, d = Xs.as_tuple()
-    scale = max(abs(v) for v in (a, b, c, d))
-    b_ok = abs(b) > tol * scale
-    c_ok = abs(c) > tol * scale
-    if b_ok and c_ok:
-        form = canonicalize_sym_form(Xs, tol)
-        alpha = np.cbrt(form.a - 1.0)
-        beta = np.cbrt(form.d - 1.0)
-        if abs(alpha) > tol and abs(beta) > tol:
-            inv = np.linalg.inv(form.transform)
-            dirs = (np.array([alpha, 0.0]), np.array([0.0, beta]), np.array([1.0, 1.0]))
-            vectors = tuple(inv @ v for v in dirs)
-            error = _recon_error(Xs, vectors)
-            if error <= tol * scale:
-                return SymDecomposition(3, vectors, error)
-        # fall through to the subtraction branch if a' ~ 1 or the vectors cancel
-    if not (b_ok or c_ok):
-        raise DomainError("tensors with b = c = 0 have symmetric rank at most 2")
-    # subtract a cube so the remainder lands in G2, then finish with rank 2
-    # heads on both axes: near the Delta band every head on one axis can
-    # leave a remainder that reads D3 again
-    steps = (1.0, 2.0, 4.0, 8.0)
-    first = [np.array([np.cbrt(a - np.copysign(m, c) * (scale + abs(a))), 0.0]) for m in steps]
-    second = [np.array([0.0, np.cbrt(d - np.copysign(m, b) * (scale + abs(d)))]) for m in steps]
-    for head in first + second if c_ok else second + first:
-        remainder = Xs.rank1_update(head, -1.0)
-        if classify_sym(remainder, max(tol, 1e-12)).orbit != "G2":
-            continue
-        try:
-            tail = sym_rank2_decompose(remainder, tol)
-        except DomainError:
-            continue
-        vectors = (head,) + tail.vectors
-        return SymDecomposition(3, vectors, _recon_error(Xs, vectors))
-    raise NumericalFailure("no cube subtraction produced a rank-2 remainder")
+    return _rank3_apolar(Xs)
 
 
-def canonicalize_sym_form(Xs: SymTensor222, tol: float = 1e-12) -> CanonicalSymForm:
+def canonicalize_sym_form(Xs: SymTensor222) -> CanonicalSymForm:
     """Diagonal rescale to (a', 1, 1, d'): S = diag(mu, eta) with
-    mu^3 = c / b^2 and eta^3 = b / c^2.  Requires b != 0 and c != 0."""
+    mu^3 = c / b^2 and eta^3 = b / c^2.  Requires b and c above 1e-12
+    max|entry|.  Each quotient divides twice rather than by b^2 or c^2,
+    which overflow or underflow far inside the double range."""
     a, b, c, d = Xs.as_tuple()
     scale = max(abs(v) for v in (a, b, c, d))
-    if abs(b) <= tol * scale:
+    if abs(b) <= 1e-12 * scale:
         return CanonicalSymForm(np.nan, np.nan, None, "b_zero")
-    if abs(c) <= tol * scale:
+    if abs(c) <= 1e-12 * scale:
         return CanonicalSymForm(np.nan, np.nan, None, "c_zero")
-    mu = np.cbrt(c / (b * b))
-    eta = np.cbrt(b / (c * c))
-    a_new = a * c / (b * b)
-    d_new = d * b / (c * c)
+    mu = np.cbrt(c / b / b)
+    eta = np.cbrt(b / c / c)
+    a_new = (a / b) * (c / b)
+    d_new = (d / c) * (b / c)
     return CanonicalSymForm(float(a_new), float(d_new), np.diag([mu, eta]))
 
 
@@ -349,12 +338,16 @@ def canonical_transform(Xs: SymTensor222) -> CanonicalTransform:
 
     Normalizes with the diagonal rescale, solves the normal-form system,
     and composes: X = (P^-1 S, ...) . Y_canonical where P is the
-    diagonal rescale and S the normal-form transform.
+    diagonal rescale and S the normal-form transform, on Xs / 8^m (exact)
+    with max|entry| / 8^m in [1/2, 4), where no product saturates; the
+    transform is then scaled back by 2^m.
     """
     label = classify_sym(Xs, 1e-9)
     if label.orbit not in ("D3", "G3"):
         raise DomainError(f"canonical transforms cover orbits D3 and G3, got {label.orbit}")
-    form = canonicalize_sym_form(Xs)
+    m = _prescale(Xs.as_tuple())[1] // 3
+    unit = SymTensor222(*np.ldexp(Xs.as_tuple(), -3 * m).tolist())
+    form = canonicalize_sym_form(unit)
     if not form.normalizable:
         raise DomainError(f"normal form unavailable: {form.branch}")
     if label.orbit == "D3":
@@ -362,6 +355,5 @@ def canonical_transform(Xs: SymTensor222) -> CanonicalTransform:
     else:
         inner = transform_from_canonical_G3(form.a, form.d)
     total = np.linalg.inv(form.transform) @ inner.S
-    got = _apply_sym(total, label.orbit)
-    residual = float(np.max(np.abs(np.array(got.as_tuple()) - np.array(Xs.as_tuple()))))
-    return CanonicalTransform(total, label.orbit, residual)
+    residual = _form_residual(total, label.orbit, unit)
+    return CanonicalTransform(np.ldexp(total, m), label.orbit, _ldexp(residual, 3 * m))

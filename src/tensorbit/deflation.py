@@ -38,11 +38,11 @@ import numpy as np
 
 from . import rank1
 from .decomp import DomainError
-from .orbits import (OrbitLabel, SymTensor222, _hyperdets, _is_zero, _orbit, _quotient, _rank_tol,
-                     _slab_pencils, canonical_form, classify, slab_pencil)
+from .orbits import (OrbitLabel, SymTensor222, _hyperdets, _is_zero, _ldexp, _orbit, _quotient,
+                     _rank_tol, _slab_pencils, canonical_form, classify, slab_pencil)
 from .smallalg import DEFAULT_COINCIDENCE_TOL, EigenPair2, spectra_small
 from .tensors import (MultilinearRank, Tensor222, TensorPxPx2, _as_array, _ranks, _slab_major,
-                      frobenius_norm_sq, multilinear_transform)
+                      frobenius_norm_sq, multilinear_transform, unit_scaled)
 
 __all__ = [
     "DeflationReport",
@@ -481,12 +481,14 @@ def check_degenerate_props(X) -> DeflationReport:
     tensors deflate to D1, with the tie multiplicity reported when both
     diagonal pairs carry equal weight (and the extra closed-form family
     counted when ah = de).  Every band is PROPS_TOL relative to the input's
-    scale, so 2^k X gets the verdicts of X.
+    scale, and the candidates' psis and tie bound are taken on X / 2^e
+    (exact), where no square saturates, so 2^k X gets the verdicts of X.
     """
     t = X if isinstance(X, Tensor222) else Tensor222(X)
     label = classify(t, PROPS_TOL)
-    a_, b_, c_, d_, e_, f_, g_, h_ = t.entries
-    scale = max(map(abs, t.entries))
+    unit, exponent = unit_scaled(t)
+    a_, b_, c_, d_, e_, f_, g_, h_ = Tensor222(unit).entries
+    scale = max(map(abs, (a_, b_, c_, d_, e_, f_, g_, h_)))
     diagonal = scale > 0.0 and max(abs(b_), abs(c_), abs(f_), abs(g_)) <= PROPS_TOL * scale
     expected = "D0" if label.orbit == "D1" else "D1"
     if label.orbit == "D1" or (not diagonal and label.orbit in ("D2", "D2p", "D2pp")):
@@ -505,10 +507,11 @@ def check_degenerate_props(X) -> DeflationReport:
         if abs(lead - tail) <= band and abs(a_ * h_ - d_ * e_) <= band:
             family = Tensor222.from_entries(a_, a_, d_, d_, e_, e_, h_, h_)
             candidates.append(Tensor222(family.array / 2.0))
-        psis = [frobenius_norm_sq(Tensor222(t.array - c.array)) for c in candidates]
+        psis = [frobenius_norm_sq(unit - c.array) for c in candidates]
         best = int(np.argmin(psis))
-        report = _deflation_report(t.array, t.array - candidates[best].array, psis[best],
-                                   rank1._ties(psis, psis[best], frobenius_norm_sq(t)), (),
+        report = _deflation_report(t.array, t.array - np.ldexp(candidates[best].array, exponent),
+                                   _ldexp(psis[best], 2 * exponent),
+                                   rank1._ties(psis, psis[best], frobenius_norm_sq(unit)), (),
                                    PROPS_TOL)
     if report.orbit_after.orbit != expected:
         raise RuntimeError(f"{label.orbit} input deflated to {report.orbit_after.orbit}, "

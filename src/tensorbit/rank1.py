@@ -684,10 +684,15 @@ def best_rank1_222(X, cross_check: bool = True) -> BestRank1Result:
         grid = best_rank1_pxpx2(t)
         if best is None:
             warnings.append("no usable stationary point; theta-grid fallback")
-        elif grid.psi < best[0] - 1e-8 * frobenius_norm_sq(t):
-            warnings.append("non-generic input: the theta-grid solver beat the enumeration")
         else:
-            grid = None
+            # both psis and ||X||^2 on X / 2^e (exact), where none saturates
+            unit, e = _prescale(t.array)
+            psis = [frobenius_norm_sq(unit - np.ldexp(term.tensor(), -e))
+                    for term in (grid.term, best[1])]
+            if psis[0] < psis[1] - 1e-8 * frobenius_norm_sq(unit):
+                warnings.append("non-generic input: the theta-grid solver beat the enumeration")
+            else:
+                grid = None
         if grid is not None:
             best, method, converged = (grid.psi, grid.term), "theta", grid.converged
             warnings.extend(grid.warnings)
@@ -808,8 +813,9 @@ def _theta_stack(X):
     np.cos(half, out=z[:, 0])
     np.sin(half, out=z[:, 1])
     value = ((unit - np.einsum("ni,nj,nk->nijk", x, y, z)) ** 2).sum(axis=(1, 2, 3))
-    return (np.ldexp(value, 2 * exponent), np.ldexp(x, exponent[:, None]), y, z, converged,
-            taken)
+    with np.errstate(over="ignore"):  # psi scaled back is inf where it overflows, as in `_ldexp`
+        psi = np.ldexp(value, 2 * exponent)
+    return psi, np.ldexp(x, exponent[:, None]), y, z, converged, taken
 
 
 def best_rank1_pxpx2(X) -> BestRank1Result:

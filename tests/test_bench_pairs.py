@@ -214,3 +214,38 @@ def test_src_lines_are_the_wc_total_of_each_sides_python_sources(monkeypatch, tm
                       "--workloads", "mc-pxp2"])
     # wc -l counts newlines, so an unterminated last line adds none
     assert json.loads(out.read_text())["src_lines"] == {"parent": 3, "change": 2}
+
+
+@pytest.mark.parametrize("differ", [False, True])
+def test_both_sides_run_the_changes_benchmark(monkeypatch, tmp_path, differ):
+    # the canned exports hold a perfbench/ tree; where it or BENCHMARK.json
+    # differ, the parent's export runs with the change's copies
+    _offline(monkeypatch, [])
+    spec = (ROOT / "BENCHMARK.json").read_text()
+    trees = {"parent": {"BENCHMARK.json": spec, "perfbench/run.py": "old = 1\n",
+                        "perfbench/tests/gone.py": "gone = 1\n"},
+             "change": {"BENCHMARK.json": spec.replace('"run_seconds": 20', '"run_seconds": 21'),
+                        "perfbench/run.py": "new = 1\n", "perfbench/tests/added.py": "added = 1\n"}}
+    if not differ:
+        trees["change"] = dict(trees["parent"])
+
+    def export(ref, dest):
+        for name, text in trees[dest.name].items():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            (dest / name).write_text(text)
+        return dest
+
+    seen = {}
+
+    def run_once(checkout, workload, seed, seconds):
+        seen[checkout.name] = {str(p.relative_to(checkout)): p.read_text()
+                               for p in sorted(checkout.rglob("*")) if p.is_file()}
+        return _run(100.0, 2.0)
+
+    monkeypatch.setattr(bench_pairs, "export", export)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "bench.json"
+    bench_pairs.main(["--parent", "HEAD~1", "--seeds", "1-2", "--out", str(out),
+                      "--workloads", "mc-pxp2"])
+    assert seen["parent"] == seen["change"] == trees["change"]
+    assert json.loads(out.read_text())["benchmark_copied_to_parent"] is differ

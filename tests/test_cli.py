@@ -270,19 +270,39 @@ def test_cli_decompose(capsys):
 
 def test_cli_decompose_near_the_delta_band(capsys):
     # Delta = 8.5e-22 is inside the band, so the rank-3 path runs with c = 0:
-    # a cube head on the second axis leaves a remainder that reads D3 again,
-    # and one on the first axis finishes the decomposition
+    # the apolar construction needs no nonzero middle coefficient
     code, out, _ = _run(capsys, "decompose", "--data=0,5.960464477539063e-08,0,1")
     assert code == 0 and json.loads(out)["reconstruction_error"] <= 1e-8
 
 
 def test_cli_decompose_with_a_tiny_middle_coefficient(capsys):
     # the canonical form (a', 1, 1, d') of this input has vectors of size
-    # about 532 that nearly cancel; the cube subtraction reconstructs it
+    # about 532 that nearly cancel; the apolar construction does not use it
     code, out, _ = _run(capsys, "decompose", "--data=0,5.960464477539063e-08,3.0,0.75")
     payload = json.loads(out)
     assert code == 0 and payload["rank"] == 3
     assert payload["reconstruction_error"] <= 1e-14 * 3.0
+
+
+def test_cli_decompose_far_below_one(capsys):
+    # (0, 1, 1, 0) * 2^-600: b * b underflows to 0, and the rank-3 path must not divide by it
+    code, out, _ = _run(capsys, "decompose",
+                        "--data=0,2.409919865102884e-181,2.409919865102884e-181,0")
+    payload = json.loads(out)
+    assert code == 0 and payload["rank"] == 3
+    assert payload["reconstruction_error"] <= 1e-13 * 2.409919865102884e-181
+
+
+def test_cli_decompose_and_classify_agree_at_a_loose_tol(capsys):
+    # the rank-1 test of decompose takes the rank cutoff min(tol, 1e-9) of classify
+    data = "--data=1,0,1e-4,3e-5"
+    code, out, _ = _run(capsys, "classify", "--tol", "1e-3", data)
+    label = json.loads(out)
+    assert code == 0 and label["orbit"] == "D3" and label["multilinear_rank"] == [2, 2, 2]
+    code, out, _ = _run(capsys, "decompose", "--tol", "1e-3", data)
+    payload = json.loads(out)
+    assert code == 0 and payload["rank"] == 3
+    assert payload["reconstruction_error"] <= 1e-13
 
 
 def test_cli_decompose_infeasible_rank(capsys):

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 from contextlib import redirect_stdout
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensorbit import (DomainError, SymTensor222, canonical_transform,
+from tensorbit import (DomainError, SymTensor222, best_rank1_sym, canonical_transform,
                        canonicalize_sym_form, classify_sym, hyperdet_sym, multilinear_transform,
                        sylvester_rank, sym_rank2_decompose, sym_rank3_decompose,
                        transform_from_canonical_D3, transform_from_canonical_G3)
@@ -167,7 +168,8 @@ def test_rank3_decompose_b_zero_branch():
     assert classify_sym(s).orbit in ("D3", "G3")
     dec = sym_rank3_decompose(s)
     assert dec.reconstruction_error < 1e-8
-    # head cube was chosen so the remainder has a distinct-real pencil
+    # b = 0 needs no branch; the other two cubes of the decomposition are a
+    # rank-2 remainder, with a distinct-real pencil
     head = dec.vectors[0]
     remainder = s.rank1_update(head, -1.0)
     assert classify_sym(remainder).orbit == "G2"
@@ -181,8 +183,8 @@ def test_rank3_decompose_distinct_case():
 
 
 def test_rank3_decompose_reconstructs_when_a_middle_coefficient_is_tiny():
-    # b = 1e-7 |c|: the canonical-form vectors would nearly cancel, so the
-    # decomposition comes from the cube subtraction, to round-off
+    # b = 1e-7 |c|: the canonical-form vectors would nearly cancel; the
+    # apolar construction does not use them and reconstructs to round-off
     rng = np.random.default_rng(0)
     for _ in range(200):
         a, b, c, d = rng.standard_normal(4) * (1.0, 1e-7, 1.0, 1.0)
@@ -196,6 +198,68 @@ def test_rank3_decompose_reconstructs_when_a_middle_coefficient_is_tiny():
 def test_rank3_rejects_rank2_input(sym_g2):
     with pytest.raises(DomainError):
         sym_rank3_decompose(sym_g2)
+
+
+def _rank3_sets():
+    """Fixed-seed rank-3 inputs: Gaussian, D3 residuals of `best_rank1_sym`,
+    one middle coefficient scaled by 10^-12..10^-4, integer entries in
+    -2..2, and Gaussian inputs at 2^+-600 and 2^+-1000."""
+    rank3 = lambda v: classify_sym(SymTensor222(*v)).orbit in ("D3", "G3")
+    rng = np.random.default_rng(2201)
+    gauss = rng.standard_normal((600, 4))
+    residuals = [np.array(s.rank1_update(best_rank1_sym(s).term.x, -1.0).as_tuple())
+                 for s in (SymTensor222(*v) for v in rng.standard_normal((300, 4)))]
+    small = rng.standard_normal((400, 4))
+    small[np.arange(400), 1 + rng.integers(0, 2, 400)] *= 10.0 ** rng.uniform(-12, -4, 400)
+    ints = np.array(list(itertools.product(range(-2, 3), repeat=4)), float)
+    scaled = [np.ldexp(v, k) for v in gauss[:60] if rank3(v) for k in (-1000, -600, 600, 1000)]
+    return {"gaussian": gauss, "d3 residuals": residuals, "small middle": small,
+            "integers": ints, "2^+-600, 2^+-1000": scaled}
+
+
+@pytest.mark.parametrize("name,inputs", _rank3_sets().items())
+def test_rank3_reconstructs_to_round_off_on_every_input_set(name, inputs):
+    # one apolar construction: no branch on small b or c, and no overflow or
+    # underflow far into the double range
+    count = 0
+    for v in inputs:
+        s = SymTensor222(*v)
+        if classify_sym(s).orbit not in ("D3", "G3"):
+            continue
+        count += 1
+        for dec in (sym_rank3_decompose(s), sylvester_rank(s)[1]):
+            assert dec.rank == 3 and len(dec.vectors) == 3
+            bound = 1e-13 * np.abs(v).max()
+            assert dec.reconstruction_error <= bound and _max_err(dec.reconstruct(), s) <= bound
+    assert count >= 100
+
+
+def test_sylvester_rank_decomposes_every_rank3_input():
+    # rank 3 without a D3 / G3 label, as near the Delta band or at a loose tol
+    rng = np.random.default_rng(2202)
+    count = 0
+    for tol in (1e-9, 1e-6, 1e-3):
+        for v in rng.standard_normal((300, 4)) * (1.0, 1e-3, 1.0, 1.0):
+            s = SymTensor222(*v)
+            rank, dec = sylvester_rank(s, tol)
+            if rank == 3:
+                count += 1
+                assert dec.reconstruction_error <= 1e-13 * np.abs(v).max()
+    assert count > 300
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-6, 1e-3])
+def test_sylvester_rank_agrees_with_classify_sym_at_every_tol(tol):
+    # rank 1 is decided by the rank cutoff min(tol, 1e-9) of classify, not by tol
+    rank_of = {"D0": 0, "D1": 1, "G2": 2, "D3": 3, "G3": 3}
+    rng = np.random.default_rng(2203)
+    inputs = list(rng.standard_normal((500, 4)))
+    for eps in (1e-6, 1e-5, 1e-4, 1e-3):
+        for (y1, y2), noise in zip(rng.standard_normal((300, 2)), rng.standard_normal((300, 4))):
+            inputs.append(np.array([y1 ** 3, y1 * y1 * y2, y1 * y2 * y2, y2 ** 3]) + eps * noise)
+    for v in inputs:
+        s = SymTensor222(*v)
+        assert sylvester_rank(s, tol)[0] == rank_of[classify_sym(s, tol).orbit]
 
 
 def test_rank3_random_g3_tensors():
@@ -354,3 +418,25 @@ def test_g3_cubic_discriminant_is_minus_27_delta():
 def test_canonical_transform_rejects_g2(sym_g2):
     with pytest.raises(DomainError):
         canonical_transform(sym_g2)
+
+
+@pytest.mark.parametrize("orbit", ["G3", "D3"])
+def test_canonical_transform_over_the_whole_double_range(orbit):
+    # b^2 and c^2 overflowed or underflowed beyond about 2^+-510; the
+    # transform of 2^k X is 2^(k/3) times that of X where 3 divides k
+    rng = np.random.default_rng(2204)
+    if orbit == "G3":
+        inputs = [v for v in rng.standard_normal((80, 4))
+                  if classify_sym(SymTensor222(*v)).orbit == "G3"][:20]
+    else:
+        inputs = [np.array(s.rank1_update(best_rank1_sym(s).term.x, -1.0).as_tuple())
+                  for s in (SymTensor222(*v) for v in rng.standard_normal((20, 4)))]
+    for v in inputs:
+        ref = canonical_transform(SymTensor222(*v))
+        for k in (-1000, -600, -520, 520, 600, 1000):
+            x = np.ldexp(v, k)
+            tr = canonical_transform(SymTensor222(*x))
+            assert tr.orbit == ref.orbit == orbit
+            assert tr.residual <= 1e-11 * np.abs(x).max()
+            if k % 3 == 0:
+                np.testing.assert_array_equal(tr.S, np.ldexp(ref.S, k // 3))

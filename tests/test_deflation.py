@@ -14,7 +14,7 @@ from tensorbit import (DomainError, SymTensor222, Tensor222, canonical_form,
                        slab_pencil)
 from tensorbit.deflation import (_deflation_report, _pencil_gap, _reports, _sample_d3, _trial_rng,
                                  _trial_rngs, write_trial_csv)
-from tensorbit.orbits import ORBITS, _quotient, _rank_tol, _slab_pencils
+from tensorbit.orbits import ORBITS, _ldexp, _quotient, _rank_tol, _slab_pencils
 from tensorbit.tensors import _slab_major
 from tensorbit.rank1 import best_rank1_222, best_rank1_pxpx2
 from tensorbit.smallalg import DEFAULT_COINCIDENCE_TOL, spectrum_small
@@ -507,6 +507,18 @@ def test_check_degenerate_props_does_not_change_with_scale(k):
         assert (report.orbit_before.orbit, report.orbit_after.orbit, report.residual_mlrank) == \
             (ref.orbit_before.orbit, ref.orbit_after.orbit, ref.residual_mlrank)
         assert report.psi == math.ldexp(ref.psi, 2 * k)
+
+
+@pytest.mark.parametrize("k", [-600, -520, 520, 600])
+def test_check_degenerate_props_where_psi_saturates(k):
+    # the candidates' psis and the tie bound are taken on X / 2^e, so one
+    # best candidate stays one tie where psi reads inf or 0
+    entries = (1, 0, 0, 0, 0, 0, 0, 2)
+    ref = check_degenerate_props(Tensor222.from_flat(entries))
+    report = check_degenerate_props(Tensor222.from_flat(np.ldexp(entries, k)))
+    assert report.ties == ref.ties == 1
+    assert report.orbit_after.orbit == "D1"
+    assert report.psi == _ldexp(ref.psi, 2 * k)
 
 
 def test_check_inapplicable_input(ex_a1):

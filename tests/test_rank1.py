@@ -1,6 +1,7 @@
 import itertools
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -567,6 +568,31 @@ def test_uncertified_table_runs_the_cross_check(monkeypatch):
     assert stationary_points_222(near).certified
     res = best_rank1_222(near)
     assert len(calls) == 1 and res.method == "enumerate"
+
+
+@pytest.mark.parametrize("k", [0, 500, 520, 600, -600])
+def test_cross_check_compares_the_terms_where_psi_saturates(monkeypatch, k):
+    # an uncertified table without its best point: the theta-grid term must
+    # replace the enumeration's also where psi and ||X||^2 read inf or 0,
+    # and with no overflow warning from numpy
+    enumerate_ = rank1.stationary_points_222
+
+    def worse(t):
+        enum = enumerate_(t)
+        return rank1.EnumerationResult(enum.points[1:], enum.n_complex, None, 1)
+
+    monkeypatch.setattr(rank1, "stationary_points_222", worse)
+    X = np.random.default_rng(1).standard_normal((2, 2, 2))
+    ref = best_rank1_222(X)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = best_rank1_222(np.ldexp(X, k))
+    assert res.method == ref.method == "theta"
+    assert res.warnings == ref.warnings
+    assert "non-generic input: the theta-grid solver beat the enumeration" in res.warnings
+    np.testing.assert_array_equal(res.term.x, np.ldexp(ref.term.x, k))
+    np.testing.assert_array_equal(res.term.y, ref.term.y)
+    np.testing.assert_array_equal(res.term.z, ref.term.z)
 
 
 def test_certified_tables_list_the_optimum():

@@ -21,6 +21,9 @@ same order, and the medians of their per-layer figures over the seeds are
 kept as "per_layer": a traced run times a fixed number of rounds, as short
 as one round, so one run alone drifts with the host.  "src_lines" gives
 the size of each side's library, the `wc -l` total of its src/**/*.py.
+Both sides run one benchmark: where `perfbench/` or BENCHMARK.json differ
+between the exports, the change's are copied over the parent's before the
+first run, and "benchmark_copied_to_parent" records whether they were.
 """
 
 import argparse
@@ -109,6 +112,24 @@ def src_lines(checkout: Path) -> int:
     return sum(path.read_bytes().count(b"\n") for path in checkout.glob("src/**/*.py"))
 
 
+def _benchmark_files(checkout: Path) -> dict:
+    """{relative path: bytes} of BENCHMARK.json and the files under perfbench/."""
+    paths = [checkout / "BENCHMARK.json", *(checkout / "perfbench").rglob("*")]
+    return {str(path.relative_to(checkout)): path.read_bytes() for path in paths if path.is_file()}
+
+
+def share_benchmark(parent: Path, change: Path) -> bool:
+    """Copy the change's perfbench/ and BENCHMARK.json over the parent's
+    export where they differ, so both sides run one benchmark; whether they
+    differed."""
+    if _benchmark_files(parent) == _benchmark_files(change):
+        return False
+    shutil.rmtree(parent / "perfbench", ignore_errors=True)
+    shutil.copytree(change / "perfbench", parent / "perfbench")
+    shutil.copy(change / "BENCHMARK.json", parent / "BENCHMARK.json")
+    return True
+
+
 def clean(checkout: Path) -> None:
     """Remove what an earlier run left: byte-code and perfbench results."""
     for cache in list(checkout.rglob("__pycache__")):
@@ -171,6 +192,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {side: export(ref, Path(tmp) / side)
                  for side, ref in zip(SIDES, (args.parent, "HEAD"))}
+        copied = share_benchmark(trees["parent"], trees["change"])
         spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
         known = [w["name"] for w in spec["workloads"]]
         workloads = args.workloads.split(",") if args.workloads else known
@@ -199,6 +221,7 @@ def main(argv=None) -> int:
             "quartiles": "statistics.quantiles(n=4, method='inclusive'), [Q1, Q3]",
             "per_layer": "medians of one --trace 1 run per side and seed, after the pair",
             "src_lines": {side: src_lines(trees[side]) for side in SIDES},
+            "benchmark_copied_to_parent": copied,
         }
         if claimed:
             bench["claimed"] = claimed
