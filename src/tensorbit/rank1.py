@@ -681,7 +681,8 @@ def best_rank1_222(X, cross_check: bool = True) -> BestRank1Result:
     best = (usable[0].psi, usable[0].term()) if usable else None
     method, converged = "enumerate", True
     if (cross_check and not enum.certified) or best is None:
-        grid = best_rank1_pxpx2(t)
+        with np.errstate(over="ignore"):  # its psi is inf where it overflows, as `_ldexp` gives
+            grid = best_rank1_pxpx2(t)
         if best is None:
             warnings.append("no usable stationary point; theta-grid fallback")
         else:
@@ -813,9 +814,8 @@ def _theta_stack(X):
     np.cos(half, out=z[:, 0])
     np.sin(half, out=z[:, 1])
     value = ((unit - np.einsum("ni,nj,nk->nijk", x, y, z)) ** 2).sum(axis=(1, 2, 3))
-    with np.errstate(over="ignore"):  # psi scaled back is inf where it overflows, as in `_ldexp`
-        psi = np.ldexp(value, 2 * exponent)
-    return psi, np.ldexp(x, exponent[:, None]), y, z, converged, taken
+    return (np.ldexp(value, 2 * exponent), np.ldexp(x, exponent[:, None]), y, z, converged,
+            taken)
 
 
 def best_rank1_pxpx2(X) -> BestRank1Result:
