@@ -47,6 +47,7 @@ tr = tb.canonical_transform(s)
 print(f"  orbit {tr.orbit}, residual {tr.residual:.2e}, det(S) = "
       f"{np.linalg.det(tr.S):+.6f}")
 moved = tb.multilinear_transform(tb.canonical_form(tr.orbit), tr.S, tr.S, tr.S)
-print(f"  rebuilt entries: {np.round([moved.array[0,0,0], moved.array[0,1,0], moved.array[1,1,0], moved.array[1,1,1]], 10)}")
+# adding 0.0 prints a round-off -0.0 as 0.0
+print(f"  rebuilt entries: {np.round([moved.array[0,0,0], moved.array[0,1,0], moved.array[1,1,0], moved.array[1,1,1]], 10) + 0.0}")
 shear = tb.transform_from_canonical_D3(0.0, 0.75)
-print(f"  boundary normal form (0, 3/4) comes from the unit shear: S = {shear.S.tolist()}")
+print(f"  boundary normal form (0, 3/4) comes from the unit shear: S = {(shear.S.round(12) + 0.0).tolist()}")

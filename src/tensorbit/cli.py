@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
@@ -34,26 +35,20 @@ EXIT_INFEASIBLE = 4
 # deterministic JSON with 17-significant-digit floats
 # ---------------------------------------------------------------------------
 
-def _format_float(v: float) -> str:
-    if np.isnan(v):
-        return '"nan"'
-    if np.isinf(v):
-        return '"inf"' if v > 0 else '"-inf"'
-    return format(float(v), ".17g")
-
-
 def _to_json(obj) -> str:
-    if isinstance(obj, dict):
-        items = ", ".join(f"{json.dumps(str(k))}: {_to_json(v)}" for k, v in obj.items())
-        return "{" + items + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_to_json(v) for v in obj) + "]"
-    if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
-    if isinstance(obj, (float, np.floating)):
-        return _format_float(float(obj))
-    if isinstance(obj, (int, np.integer)):
+    kind = type(obj)
+    if kind is float or isinstance(obj, np.floating):
+        v = float(obj)
+        if math.isfinite(v):
+            return format(v, ".17g")
+        return '"nan"' if math.isnan(v) else '"inf"' if v > 0 else '"-inf"'
+    if kind is dict:
+        return "{" + ", ".join(f"{json.dumps(str(k))}: {_to_json(v)}" for k, v in obj.items()) + "}"
+    if kind is list or kind is tuple:
+        return "[" + ", ".join(map(_to_json, obj)) + "]"
+    if kind is int or isinstance(obj, np.integer):
         return str(int(obj))
+    # str, bool and None
     return json.dumps(obj)
 
 

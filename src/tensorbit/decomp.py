@@ -8,18 +8,22 @@ Hankel rows of (a, b, c, d) annihilate: for rank 2 the kernel quadratic
 g = (ac - b^2, bc - ad, bd - c^2), whose discriminant is the
 hyperdeterminant, and for rank 3 (orbits D3, G3) a cubic L1 L2 L3 with two
 of its roots fixed.  The cube weights then solve the moment equations.  The
-diagonal rescale to (a', 1, 1, d') is the entry point for solving
-(S, S, S) . Y_canonical = X from the canonical D3 / G3 representative.
+transforms (S, S, S) . Y_canonical = X from the canonical D3 / G3
+representative come from the same kernel quadratic: its double root (D3) or
+its complex pair (G3) gives S directly (`_kernel_S`).  The diagonal rescale
+to (a', 1, 1, d') is a public normal form that no transform uses.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .orbits import SymTensor222, _ldexp, _rank_tol, canonical_form, classify_sym, hyperdet_sym
-from .smallalg import NumericalFailure, Polynomial, is_real_root, roots
+from .smallalg import NumericalFailure
 from .tensors import _prescale, multilinear_transform
 
 __all__ = [
@@ -220,140 +224,86 @@ def _apply_sym(S, orbit: str) -> SymTensor222:
     return SymTensor222(x[0, 0, 0], x[0, 1, 0], x[1, 1, 0], x[1, 1, 1])
 
 
-def _form_tensor(a: float, d: float) -> SymTensor222:
-    return SymTensor222(a, 1.0, 1.0, d)
-
-
 def _form_residual(S, orbit: str, target: SymTensor222) -> float:
     got = _apply_sym(S, orbit)
     return float(np.max(np.abs(np.array(got.as_tuple()) - np.array(target.as_tuple()))))
 
 
-def transform_from_canonical_D3(a: float, d: float) -> CanonicalTransform:
-    """Invertible S with (S, S, S) . Y_D3 = (a, 1, 1, d), for Delta ~ 0.
+def _kernel_S(unit: np.ndarray, g, orbit: str) -> np.ndarray:
+    """S with (S, S, S) . Y_orbit = unit, from the roots of the kernel
+    quadratic q of `_unit_kernel`, whose coefficients are g.
 
-    General solution: s1/s3 = 1 +- sqrt(1 - a), s2 = a / (3 s1^2),
-    s4 = d / (3 s3^2), with the scale pinned at s1 = 1.  The a = 0 and
-    d = 0 corners use their explicit solutions.
+    With f(u) = unit(u, u, u) the transform says f(u) = f_Y(S^T u).  On G3, q
+    has the roots v and conj(v), f = Re(W (v . u)^3) and Y_G3 is
+    -Re((u1 + i u2)^3): S has the columns Re p and Im p for p = c v with
+    c^3 = -W.  Of the six such S, Y_G3's symmetries (three cube roots, each
+    with or without conjugation), the one with the smallest |S[0, 0]| and
+    det S > 0 is taken.  On D3, q has a double root l, f = (l . u)^2 (m . u)
+    and Y_D3 is 3 u1^2 u2: S = [l, m / 3], with l's larger entry pinned at
+    +1.  W and m solve the moment equations in least squares.
     """
-    target = _form_tensor(a, d)
+    g0, g1, g2 = g
+    # the homogeneous roots (s, g2) and (g0, s) of `_rank2_from_kernel`; the D3 root is double
+    root = cmath.sqrt(g1 * g1 - 4.0 * g0 * g2) if orbit == "G3" else 0.0
+    s = -0.5 * (g1 + math.copysign(1.0, g1) * root)
+    v = np.array([s, g2] if abs(g2) >= abs(g0) else [g0, s])
+    if orbit == "G3":
+        v = v / np.linalg.norm(v)
+        cube = np.array([v[0] ** 3, v[0] ** 2 * v[1], v[0] * v[1] ** 2, v[1] ** 3])
+        (wr, wi), *_ = np.linalg.lstsq(np.stack([cube.real, -cube.imag], axis=1), unit, rcond=None)
+        phases = (cmath.phase(-complex(wr, wi)) + 2.0 * np.pi * np.arange(3)) / 3.0
+        P = (np.cbrt(math.hypot(wr, wi)) * np.exp(1j * phases))[:, None] * v
+        p = P[np.argmin(np.abs(P[:, 0].real))]
+        return np.array([p.real, p.imag * np.sign(p.real[0] * p.imag[1] - p.real[1] * p.imag[0])]).T
+    l1, l2 = l = v / v[np.argmax(np.abs(v))]
+    sym = np.array([[l1 * l1, 0.0], [2.0 * l1 * l2 / 3.0, l1 * l1 / 3.0],
+                    [l2 * l2 / 3.0, 2.0 * l1 * l2 / 3.0], [0.0, l2 * l2]])
+    m, *_ = np.linalg.lstsq(sym, unit, rcond=None)
+    return np.stack([l, m / 3.0], axis=1)
+
+
+def _kernel_transform(Xs: SymTensor222, orbit: str) -> CanonicalTransform:
+    """`_kernel_S` on Xs / 8^k (exact), scaled back by 2^k, so that S of
+    8^j Xs is exactly 2^j S.  Raises DomainError on rank-1 input, at the
+    rank cutoff of `sylvester_rank`, and NumericalFailure where S misses Xs
+    by more than TRANSFORM_TOL max|entry|."""
+    k = _prescale(Xs.as_tuple())[1] // 3
+    unit = np.ldexp(Xs.as_tuple(), -3 * k)
+    target = SymTensor222(*unit.tolist())
+    g, scale = _unit_kernel(target)
+    if np.max(np.abs(g)) <= _rank_tol(1e-9) * scale ** 2:
+        raise DomainError(f"rank-1 input has no {orbit} transform")
+    S = _kernel_S(unit, g, orbit)
+    residual = _form_residual(S, orbit, target)
+    if residual > TRANSFORM_TOL * np.abs(unit).max():
+        raise NumericalFailure(f"{orbit} transform residual {residual:.3e} too large")
+    return CanonicalTransform(np.ldexp(S, k), orbit, _ldexp(residual, 3 * k))
+
+
+def transform_from_canonical_D3(a: float, d: float) -> CanonicalTransform:
+    """Invertible S with (S, S, S) . Y_D3 = (a, 1, 1, d), for |Delta| within
+    the `TRANSFORM_TOL` band of max(1, |a|, |d|)^4 (`_kernel_transform`)."""
+    target = SymTensor222(a, 1.0, 1.0, d)
     scale = max(1.0, abs(a), abs(d))
-    delta = hyperdet_sym(target)
     # |Delta| / scale^4, one factor at a time: scale^4 overflows above about 1e77
-    if abs(delta) / scale / scale / scale / scale > TRANSFORM_TOL:
+    if abs(hyperdet_sym(target)) / scale / scale / scale / scale > TRANSFORM_TOL:
         raise DomainError(f"normal form ({a}, {d}) is not on the Delta = 0 boundary")
-    if abs(a - 1.0) <= 1e-9 and abs(d - 1.0) <= 1e-9:
-        raise DomainError("(a, d) = (1, 1) is the rank-1 corner, not orbit D3")
-    candidates = []
-    if abs(a) <= 1e-9:
-        candidates.append(np.array([[1.0, 0.0], [0.5, 1.0]]))
-    if abs(d) <= 1e-9:
-        candidates.append(np.array([[0.5, 1.0], [1.0, 0.0]]))
-    if not candidates:
-        if a >= 1.0 or d >= 1.0:
-            raise DomainError("orbit D3 normal forms satisfy a < 1 and d < 1")
-        root = np.sqrt(1.0 - a)
-        for rho in (1.0 + root, 1.0 - root):
-            if abs(rho) <= 1e-12:
-                continue
-            s1 = 1.0
-            s3 = s1 / rho
-            s2 = a / (3.0 * s1 * s1)
-            s4 = d / (3.0 * s3 * s3)
-            candidates.append(np.array([[s1, s2], [s3, s4]]))
-    best = min(candidates, key=lambda S: _form_residual(S, "D3", target))
-    residual = _form_residual(best, "D3", target)
-    if residual > TRANSFORM_TOL * scale:
-        raise NumericalFailure(f"D3 transform residual {residual:.3e} too large")
-    return CanonicalTransform(best, "D3", residual)
-
-
-def _g3_candidates_general(a: float, d: float):
-    out = []
-    rts = roots(Polynomial([-a, 3.0, -3.0, d]))
-    for alpha in rts.real[is_real_root(rts)].tolist():
-        den = 12.0 * (alpha * alpha - 2.0 * alpha + a)
-        if abs(den) < 1e-12:
-            continue
-        s3cubed = (alpha * (3.0 - d * alpha) ** 2 - 4.0 * a * d) / den
-        s3 = float(np.cbrt(s3cubed))
-        s1 = alpha * s3
-        if abs(s1) < 1e-12 or abs(s3) < 1e-12:
-            continue
-        s2sq = (s1 ** 3 + a) / (3.0 * s1)
-        s4sq = (s3 ** 3 + d) / (3.0 * s3)
-        if s2sq < -1e-10 or s4sq < -1e-10:
-            continue
-        s2 = np.sqrt(max(s2sq, 0.0))
-        s4m = np.sqrt(max(s4sq, 0.0))
-        if s2 > 1e-12:
-            # the cross equation fixes sign(s2 * s4); try that sign first
-            cross = (1.0 + s1 * s1 * s3 - s2 * s2 * s3) / s1
-            lead = np.sign(cross) * s4m if cross != 0.0 else s4m
-            out.append(np.array([[s1, s2], [s3, lead]]))
-            out.append(np.array([[s1, s2], [s3, -lead]]))
-        else:
-            out.append(np.array([[s1, s2], [s3, s4m]]))
-            out.append(np.array([[s1, s2], [s3, -s4m]]))
-    return out
+    return _kernel_transform(target, "D3")
 
 
 def transform_from_canonical_G3(a: float, d: float) -> CanonicalTransform:
-    """Invertible S with (S, S, S) . Y_G3 = (a, 1, 1, d), for Delta < 0.
-
-    s1/s3 solves the cubic d t^3 - 3 t^2 + 3 t - a = 0 (three distinct
-    real roots; its discriminant is -27 Delta); every root is tried and
-    the candidate with the smallest residual wins.  The a = 0 and d = 0
-    corners use their explicit solutions.
-    """
-    target = _form_tensor(a, d)
-    scale = max(1.0, abs(a), abs(d))
-    delta = hyperdet_sym(target)
-    if delta >= 0.0:
+    """Invertible S with (S, S, S) . Y_G3 = (a, 1, 1, d), for Delta < 0
+    (`_kernel_transform`)."""
+    target = SymTensor222(a, 1.0, 1.0, d)
+    if hyperdet_sym(target) >= 0.0:
         raise DomainError(f"normal form ({a}, {d}) has Delta >= 0, not orbit G3")
-    candidates = []
-    if abs(a) <= 1e-9:
-        s3 = float(np.cbrt(0.75 - d))
-        candidates.append(np.array([[0.0, np.sqrt(1.0 / s3)],
-                                    [s3, np.sqrt(1.0 / (4.0 * s3))]]))
-    if abs(d) <= 1e-9:
-        s1 = float(np.cbrt(0.75 - a))
-        candidates.append(np.array([[s1, np.sqrt(1.0 / (4.0 * s1))],
-                                    [0.0, np.sqrt(1.0 / s1)]]))
-    if not candidates:
-        candidates = _g3_candidates_general(a, d)
-    if not candidates:
-        raise NumericalFailure("no usable cubic root for the G3 transform")
-    scored = sorted((_form_residual(S, "G3", target), i, S)
-                    for i, S in enumerate(candidates))
-    residual, _, best = scored[0]
-    if residual > TRANSFORM_TOL * scale:
-        all_res = ", ".join(f"{r:.3e}" for r, _, _ in scored)
-        raise NumericalFailure(f"G3 transform residuals too large: {all_res}")
-    return CanonicalTransform(best, "G3", residual)
+    return _kernel_transform(target, "G3")
 
 
 def canonical_transform(Xs: SymTensor222) -> CanonicalTransform:
-    """Full transform from the canonical orbit representative to ``Xs``.
-
-    Normalizes with the diagonal rescale, solves the normal-form system,
-    and composes: X = (P^-1 S, ...) . Y_canonical where P is the
-    diagonal rescale and S the normal-form transform, on Xs / 8^m (exact)
-    with max|entry| / 8^m in [1/2, 4), where no product saturates; the
-    transform is then scaled back by 2^m.
-    """
+    """Full transform from the canonical orbit representative to ``Xs``, an
+    orbit-D3 or G3 tensor (`_kernel_transform`)."""
     label = classify_sym(Xs, 1e-9)
     if label.orbit not in ("D3", "G3"):
         raise DomainError(f"canonical transforms cover orbits D3 and G3, got {label.orbit}")
-    m = _prescale(Xs.as_tuple())[1] // 3
-    unit = SymTensor222(*np.ldexp(Xs.as_tuple(), -3 * m).tolist())
-    form = canonicalize_sym_form(unit)
-    if not form.normalizable:
-        raise DomainError(f"normal form unavailable: {form.branch}")
-    if label.orbit == "D3":
-        inner = transform_from_canonical_D3(form.a, form.d)
-    else:
-        inner = transform_from_canonical_G3(form.a, form.d)
-    total = np.linalg.inv(form.transform) @ inner.S
-    residual = _form_residual(total, label.orbit, unit)
-    return CanonicalTransform(np.ldexp(total, m), label.orbit, _ldexp(residual, 3 * m))
+    return _kernel_transform(Xs, label.orbit)

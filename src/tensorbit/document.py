@@ -11,6 +11,7 @@ with kind one of full222, sym222, pxpx2.  Data layout:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,14 +78,13 @@ def _validate_length(kind: str, data: tuple):
 
 
 def infer_kind(n_values: int) -> str:
-    """Document kind from the flat value count (4 -> sym222, 8 -> full222,
-    1 + 2 p^2 -> pxpx2)."""
+    """Document kind from the value count: 4 sym222, 8 full222, 1 + 2 p^2 pxpx2."""
     if n_values == 4:
         return "sym222"
     if n_values == 8:
         return "full222"
-    p = round(np.sqrt((n_values - 1) / 2.0))
-    if n_values >= 9 and 1 + 2 * p * p == n_values:
+    p = math.isqrt(max(n_values - 1, 0) // 2)
+    if p >= 2 and 1 + 2 * p * p == n_values:
         return "pxpx2"
     raise ValueError(f"cannot infer document kind from {n_values} values")
 

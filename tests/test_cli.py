@@ -1,5 +1,6 @@
 import io
 import json
+import warnings
 from contextlib import redirect_stdout
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensorbit import SymTensor222, Tensor222, TensorPxPx2, rank1
-from tensorbit.cli import main
+from tensorbit.cli import _to_json, main
 from tensorbit.document import TensorDocument, infer_kind, parse_document
 from conftest import EXAMPLE_A1, SYM_G3
 
@@ -84,6 +85,25 @@ def test_cli_classify_worked_g2(capsys):
 def test_cli_classify_zero_document(capsys):
     code, out, _ = _run(capsys, "classify", "--data=0,0,0,0,0,0,0,0")
     assert code == 0 and json.loads(out)["orbit"] == "D0"
+
+
+def test_cli_classify_empty_data_is_an_input_error(capsys):
+    # the pxpx2 count test took sqrt(-1/2) on zero values and failed on NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, "classify", "--data=")
+    assert code == 2 and out == ""
+    assert err == "error: cannot infer document kind from 0 values\n"
+
+
+def test_to_json_formats_each_type():
+    payload = {"x": [float("nan"), float("inf"), -float("inf"), 0.1, -0.0],
+               "np": (np.float64(2.5), np.float32(0.5), np.int64(-3), np.float64("-inf")),
+               "nested": ((1, (True, None)), [], {}), 7: "s\"q"}
+    assert _to_json(payload) == (
+        '{"x": ["nan", "inf", "-inf", 0.10000000000000001, -0], '
+        '"np": [2.5, 0.5, -3, "-inf"], "nested": [[1, [true, null]], [], {}], "7": "s\\"q"}')
+    assert json.loads(_to_json(payload))["np"] == [2.5, 0.5, -3, "-inf"]
 
 
 def test_cli_classify_malformed_document(tmp_path, capsys):
