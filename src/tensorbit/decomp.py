@@ -145,12 +145,15 @@ def sylvester_rank(Xs: SymTensor222, tol: float = 1e-9):
 
 
 def _from_directions(Xs: SymTensor222, dirs) -> SymDecomposition:
-    """The decomposition along the unit directions ``dirs``: the cube
-    weights solve the moment equations in least squares."""
+    """The decomposition along the unit directions ``dirs``: the cube weights
+    solve the moment equations in least squares on Xs / 8^k (exact), where none overflows."""
+    k = _prescale(Xs.as_tuple())[1] // 3
+    unit = SymTensor222(*np.ldexp(Xs.as_tuple(), -3 * k).tolist())
     cols = [[x ** 3, x * x * y, x * y * y, y ** 3] for x, y in dirs]
-    w, *_ = np.linalg.lstsq(np.array(cols).T, np.array(Xs.as_tuple()), rcond=None)
+    w, *_ = np.linalg.lstsq(np.array(cols).T, np.array(unit.as_tuple()), rcond=None)
     vectors = tuple(np.cbrt(wi) * u for wi, u in zip(w, dirs))
-    return SymDecomposition(len(dirs), vectors, _recon_error(Xs, vectors))
+    return SymDecomposition(len(dirs), tuple(np.ldexp(v, k) for v in vectors),
+                            _ldexp(_recon_error(unit, vectors), 3 * k))
 
 
 def _rank2_from_kernel(Xs: SymTensor222, g) -> SymDecomposition:

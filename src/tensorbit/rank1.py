@@ -276,8 +276,8 @@ class StationaryPoint:
 @dataclass(frozen=True)
 class CircleRecord:
     """How a circle enumeration ended (`_circle_points`): certified or not,
-    its Newton steps, its real, clearly non-real and triple (`_triple_root`)
-    roots of F, and the largest |lambda'| of an accepted lane over max|(m, D, E)|."""
+    the Newton steps of its points, its real, clearly non-real and triple
+    (`_triple_root`) roots of F, and max |lambda'| of an accepted lane / max|(m, D, E)|."""
 
     certified: bool
     steps: int
@@ -341,8 +341,8 @@ _MDE_FORM = np.einsum("rqs,akt,pu->rapqkust",
                       [[[0.5, 0.0], [0.0, 0.5]], [[0.5, 0.0], [0.0, -0.5]], [[0.0, 1.0], [0.0, 0.0]]],
                       [[[0.5, 0.0], [0.0, 0.5]], [[0.5, 0.0], [0.0, -0.5]], [[0.0, 0.5], [0.5, 0.0]]],
                       np.eye(2)).reshape(9, 8, 8)
-# each root of F seeds three lanes: the top and the bottom branch, and a crossing
-_LANE_SIGN = np.repeat([1.0, -1.0, 0.0], 8)
+# each root i of F seeds three lanes, 3i to 3i + 2: the top and the bottom branch, and a crossing
+_LANE_SIGN = (1.0, -1.0, 0.0) * 8
 # |Im s| / (1 + |Re s|) of a root s of `_circle_roots`' polynomial above which it is
 # clearly not real: round-off splits a double root by about 1e-8, a triple one by 6e-6
 NONREAL_BAND = 1e-3
@@ -363,9 +363,9 @@ def _mde_rows(arr):
 
 
 def _circle_roots(T):
-    """Real parts, as angles phi, of the 8 roots of F = m'^2 Q - (Q'/2)^2, in
-    which m, D, E are the rows (a, b, c) of T, each a + b cos(phi) + c sin(phi),
-    and whether each root is clearly non-real (NONREAL_BAND).
+    """Real parts, as angles phi in floats, of the 8 roots of F = m'^2 Q -
+    (Q'/2)^2, in which m, D, E are the rows (a, b, c) of T, each a + b cos(phi)
+    + c sin(phi), and whether each root is clearly non-real (NONREAL_BAND).
 
     F is a degree-4 trigonometric polynomial.  With phi = phi0 + theta and
     s = tan(theta/2), (1 + s^2)^4 F is a real degree-8 polynomial in s whose
@@ -386,7 +386,7 @@ def _circle_roots(T):
     companion = np.eye(8, k=-1)
     companion[0] = poly[7::-1] / -poly[8]
     s = np.linalg.eigvals(companion)
-    return ((_GRID[j] - np.pi) + 2.0 * np.arctan(s.real),
+    return (((_GRID[j] - np.pi) + 2.0 * np.arctan(s.real)).tolist(),
             [abs(z.imag) > NONREAL_BAND * (1.0 + abs(z.real)) for z in s.tolist()])
 
 
@@ -424,7 +424,7 @@ def _triple_root(T, entries, seed, nonreal):
     if abs(abs(d1 + d2) - math.hypot(d1 - d2, mix)) > CLUSTER_BAND * abs(d1 + d2):
         return None     # not near D3: the zeros of det M are far apart, or det M has none
     phi_d = math.atan2(mix, d1 - d2) + (math.pi if d1 + d2 > 0.0 else 0.0)
-    gap = [1.0 if n else abs(math.sin(0.5 * (s - phi_d))) for s, n in zip(seed.tolist(), nonreal)]
+    gap = [1.0 if n else abs(math.sin(0.5 * (s - phi_d))) for s, n in zip(seed, nonreal)]
     if sum(g <= CLUSTER_BAND for g in gap) != 3:
         return None
     w = 2.0 * math.asin(max(g for g in gap if g <= CLUSTER_BAND))
@@ -438,12 +438,16 @@ def _triple_root(T, entries, seed, nonreal):
     return [g <= CLUSTER_BAND for g in gap], phi_d, math.atan2(-E, -D) / 2.0
 
 
-def _accounted(nonreal, branch, phi, seed):
-    """Whether every root of F is accounted for: clearly non-real, or the
-    top or the bottom lane it seeded (lanes i and 8 + i of root i, seeded
-    at seed[i]) is accepted (in ``branch``) and within SEED_BAND of it."""
-    at = {i % 8 for i in branch if abs(phi[i] - seed[i % 8]) <= SEED_BAND}
-    return all(n or i in at for i, n in enumerate(nonreal))
+def _accounted(nonreal, branch, stalled, seed):
+    """Whether the lanes certify the table: none ``stalled``, and each root i of
+    F clearly non-real or with lane 3i or 3i + 1 in ``branch`` within SEED_BAND of seed[i]."""
+    at = {lane // 3 for lane, p, *_ in branch if abs(p - seed[lane // 3]) <= SEED_BAND}
+    return not stalled and all(n or i in at for i, n in enumerate(nonreal))
+
+
+def _divide(a, b):
+    """a / b for b = +-0.0, where Python raises: numpy's +-inf, or nan for a = 0 or nan."""
+    return math.copysign(math.inf, a) * math.copysign(1.0, b) if a and a == a else math.nan
 
 
 def _circle_points(T, scale, entries):
@@ -456,106 +460,100 @@ def _circle_points(T, scale, entries):
     (D, E) towards an angle where S(phi) is a multiple of I.  There y is
     stationary iff y^T S'(phi) y = m' + nu cos(2 alpha - beta) = 0, with
     (D', E') = nu (cos beta, sin beta); when S'(phi) = 0 every y is, and no
-    point is isolated.
+    point is isolated.  A pass evaluates and tests each lane in Python floats
+    (numpy's inf or nan where they divide by zero); at the seeds the lanes of
+    a root share one evaluation.
 
-    The lanes stop at the first evaluation after a step at which every
-    root of F is accounted for: clearly non-real (NONREAL_BAND), in a triple
-    root (`_triple_root`, whose lanes and those near it give way to its one
-    point), or with a branch lane seeded at it converged within SEED_BAND
-    of it, and no lane stalled at a multiple root of lambda'.  On Gaussian
-    input and D3 residuals that is after one step; near-rank-1 input, other
-    multiple roots and crossings (where F has a double root that no branch
-    lane matches) run to CIRCLE_STEPS.  A table so stopped is certified.
+    The lanes stop at the first evaluation, at the seeds or after a step, at
+    which `_accounted` certifies the table: each root of F clearly non-real
+    (NONREAL_BAND), in a triple root (`_triple_root`, one point) or with a
+    branch lane accepted, and no lane stalled; else at CIRCLE_STEPS, as near
+    rank 1 and at crossings (double roots of F that no branch lane matches).
+    A lane accepted at the seeds lists its point one Newton step on, where a
+    second evaluation would put it: ``steps`` counts the steps points took.
 
-    The merge runs in Python on the accepted lanes, which alone get alpha and
-    hessian_pd, the crossing points, built only if a crossing lane ends at a
-    crossing, and the triple point.  A lane is accepted within STEP_TOL of its
-    root, so two are one point when their phi agree within that band and they
-    take the same eigenvector of S(phi): of the same branch (the bottom one at
-    the triple root), or at a crossing the same sign of gamma.  The first in
-    lane order is kept, a strict minimum only if every copy says so.
+    Two accepted lanes, each within STEP_TOL of its root, are one point when
+    their phi agree within that band and they take one eigenvector of S(phi):
+    of one branch (the bottom one at the triple root), or at a crossing one
+    sign of gamma.  The first in lane order is kept, a strict minimum only if
+    every copy says so.
     """
     seed, nonreal = _circle_roots(T)
     triple = _triple_root(T, entries, seed, nonreal)
     accounted = nonreal if triple is None else [n or t for n, t in zip(nonreal, triple[0])]
-    phi, seeds, sign = np.concatenate([seed] * 3), seed.tolist(), _LANE_SIGN
-    # (c + i b) e^{i phi}: the phi-derivative of a + b cos(phi) + c sin(phi),
-    # and i times the value minus a, which is minus the second derivative
-    coef = 1j * T[:, 1:2] + T[:, 2:]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for k in range(CIRCLE_STEPS + 1):
-            wave = coef * np.exp(1j * phi)
-            d1, u = wave.real, wave.imag      # (m', D', E') and (m, D, E) minus a
-            D, E = v = T[1:, :1] + u[1:]
-            r = np.hypot(D, E)        # sqrt(Q)
-            h = np.add(*(v * d1[1:]))   # Q' / 2 = D D' + E E'
-            g = np.add(*(d1[1:] * d1[1:]))
-            q = h / r
-            slope = d1[0] + sign * q
-            Du, Eu = v * u[1:]
-            curv = sign * (g - Du - Eu - q * q) / r - u[0]
-            step = slope / curv
-            step[16:] = h[16:] / g[16:]
-            if k:
-                # a branch lane (0-15) converged: lambda' is zero to its round-off
-                # (~ scale^2 / sqrt(Q)) and the next step is within STEP_TOL, which a
-                # multiple root, approached linearly, is not
-                ps, rs, slopes, curvs, steps = (x.tolist() for x in (phi, r, slope, curv, step))
-                branch, stalled = [], []
-                for i in range(16):
-                    if rs[i] <= CROSSING_TOL * scale or triple and (triple[0][i % 8] or abs(
-                            math.sin(0.5 * (ps[i] - triple[1]))) <= CLUSTER_BAND):
-                        continue
-                    band, flat = scale * (1.0 + scale / rs[i]), abs(slopes[i])
-                    if flat <= 1e-13 * band and abs(steps[i]) <= STEP_TOL:
-                        branch.append(i)
-                    # at a double or triple root of lambda' (say the flat optimum of the
-                    # worked G2 example) Newton on lambda' stalls about eps^(1/3) away
-                    elif abs(curvs[i]) <= 1e-6 * scale and flat <= 1e-10 * band:
-                        stalled.append(i)
-                # the polish stops once every root of F is accounted for and no
-                # lane stalls, since the steps below go on from here
-                certified = not stalled and _accounted(accounted, branch, ps, seeds)
-                if certified or k == CIRCLE_STEPS:
-                    break
-            phi = phi - np.minimum(np.maximum(step, -0.5), 0.5)
-        record = CircleRecord(certified, k, 8 - sum(nonreal), sum(nonreal), 3 if triple else 0,
-                              max((abs(slopes[i]) for i in branch), default=0.0) / scale)
-        # (phi, alpha, hessian_pd) of the crossing points, for each sign of gamma
-        crossings = ()
-        if any(x <= CROSSING_TOL * scale for x in rs[16:]):
-            nu = np.sqrt(g)
-            on = ((sign == 0.0) & (r <= CROSSING_TOL * scale) & (np.abs(d1[0]) < nu)
-                  & (nu > CROSSING_TOL * scale))
-            beta, gamma = np.arctan2(d1[2][on], d1[1][on]), np.arccos(-d1[0][on] / nu[on])
-            crossings = [[(p, a / 2.0, False) for p, a in zip(phi[on].tolist(), alphas.tolist())]
-                         for alphas in (beta + gamma, beta - gamma)]
-        # stalled lanes step on lambda'' and then lambda''', whose root there is
-        # simple; lambda'' = 0 there, so these points are no strict minima
-        polished, stalled = {}, np.array(stalled, dtype=int)
-        for order in (1, 2):
-            if not stalled.size:
-                break
-            trial = phi[stalled]
-            for k in range(CIRCLE_STEPS + 1):
-                r, alpha, lam = _lambda_derivatives(T, trial, sign[stalled])
+    (_, mb, mc), (Da, Db, Dc), (Ea, Eb, Ec) = T.tolist()
+    phi, tol = [p for p in seed for _ in range(3)], CROSSING_TOL * scale
+    for k in range(CIRCLE_STEPS + 1):
+        branch, stalled, near, steps, last = [], [], [], [], None
+        for lane, (p, sign) in enumerate(zip(phi, _LANE_SIGN)):
+            if p != last:
+                # m minus its constant, m', (D, E), (D', E'), sqrt(Q) by C's hypot as
+                # np.hypot takes it, Q' / 2, r' and r'' (0 / 0 is nan at r = 0)
+                last, c, s = p, math.cos(p), math.sin(p)
+                mu, m1 = mb * c + mc * s, mc * c - mb * s
+                Du, D1, Eu, E1 = Db * c + Dc * s, Dc * c - Db * s, Eb * c + Ec * s, Ec * c - Eb * s
+                D, E = Da + Du, Ea + Eu
+                r, h, g = abs(complex(D, E)), D * D1 + E * E1, D1 * D1 + E1 * E1
+                q = h / r if r else math.nan
+                bend = (g - D * Du - E * Eu - q * q) / r if r else math.nan
+            if not sign:    # a crossing lane; g = 0 makes h = 0
+                steps.append(h / g if g else math.nan)
+                if r <= tol and abs(m1) < (nu := math.sqrt(g)) and nu > tol:    # at a crossing
+                    near.append((p, math.atan2(E1, D1), math.acos(-m1 / nu)))
+                continue
+            slope, curv = m1 + sign * q, sign * bend - mu
+            step = slope / curv if curv else _divide(slope, curv)
+            steps.append(step)
+            if r <= tol or triple and (triple[0][lane // 3] or abs(
+                    math.sin(0.5 * (p - triple[1]))) <= CLUSTER_BAND):
+                continue
+            # converged: lambda' is zero to its round-off (~ scale^2 / sqrt(Q)) and the
+            # step within STEP_TOL, which a multiple root, approached linearly, is not
+            band, flat = scale * (1.0 + scale / r), abs(slope)
+            if flat <= 1e-13 * band and abs(step) <= STEP_TOL:
+                branch.append((lane, p, slope, curv, step, D, E, sign))
+            # at a double or triple root of lambda' (say the flat optimum of the
+            # worked G2 example) Newton on lambda' stalls about eps^(1/3) away
+            elif abs(curv) <= 1e-6 * scale and flat <= 1e-10 * band:
+                stalled.append((lane, p))
+        certified = _accounted(accounted, branch, stalled, seed)
+        if certified or k == CIRCLE_STEPS:
+            break
+        phi = [p - min(max(step, -0.5), 0.5) for p, step in zip(phi, steps)]
+    record = CircleRecord(certified, max(k, 1), 8 - sum(nonreal), sum(nonreal), 3 if triple else 0,
+                          max((abs(lane[2]) for lane in branch), default=0.0) / scale)
+    listed = []
+    for lane, p, _, curv, step, D, E, sign in branch:
+        if not k:
+            p -= step
+            c, s = math.cos(p), math.sin(p)
+            D, E = Da + (Db * c + Dc * s), Ea + (Eb * c + Ec * s)
+        # the eigenvector of [[D, E], [E, -D]] for its eigenvalue sign sqrt(Q)
+        listed.append((lane, p, math.atan2(sign * E, sign * D) / 2.0, sign > 0.0 and curv < 0.0))
+    # stalled lanes step on lambda'' and then lambda''', whose root there is
+    # simple; lambda'' = 0 there, so these points are no strict minima
+    for order in (1, 2):
+        if not stalled:
+            break
+        lanes, trial = map(np.array, zip(*stalled))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for n in range(CIRCLE_STEPS + 1):
+                r, alpha, lam = _lambda_derivatives(T, trial, np.array(_LANE_SIGN)[lanes])
                 step = lam[order] / lam[order + 1]
-                if k < CIRCLE_STEPS:
+                if n < CIRCLE_STEPS:
                     trial = trial - np.minimum(np.maximum(step, -0.5), 0.5)
             ok = (np.abs(step) <= STEP_TOL) & (np.abs(lam[0]) <= 1e-13 * scale * (1.0 + scale / r))
-            polished.update(zip(stalled[ok].tolist(), zip(trial[ok].tolist(), alpha[ok].tolist())))
-            stalled = stalled[~ok]
-    # the accepted lanes in lane order, by the eigenvector of S(phi) they take
-    Ds, Es, groups = D.tolist(), E.tolist(), {1.0: [], -1.0: []}
-    for i in sorted(branch + list(polished)):
-        # the eigenvector of [[D, E], [E, -D]] for its eigenvalue s sqrt(Q)
-        s = 1.0 if i < 8 else -1.0
-        p, alpha = polished.get(i) or (ps[i], math.atan2(s * Es[i], s * Ds[i]) / 2.0)
-        groups[s].append((p, alpha, s > 0.0 and curvs[i] < 0.0 and i not in polished))
+        listed += [(lane, p, a, False) for lane, p, a in
+                   zip(lanes[ok].tolist(), trial[ok].tolist(), alpha[ok].tolist())]
+        stalled = [pair for pair, done in zip(stalled, ok.tolist()) if not done]
+    # in lane order, by the eigenvector of S(phi) they take: top, then bottom branch
+    groups = [[point for lane, *point in sorted(listed) if lane % 3 == b] for b in (0, 1)]
     if triple is not None:
-        groups[-1.0].append((*triple[1:], False))
+        groups[1].append((*triple[1:], False))
+    # (phi, alpha, hessian_pd) of the crossing points, (beta +- gamma) / 2
+    crossings = [[(p, (b + sign * c) / 2.0, False) for p, b, c in near] for sign in (1.0, -1.0)]
     points = []
-    for group in (*groups.values(), *crossings):
+    for group in (*groups, *crossings):
         for i, (p, a, pd) in enumerate(group):
             if not any(abs(math.sin(0.5 * (p - o[0]))) <= STEP_TOL for o in group[:i]):
                 points.append((p, a, pd and all(o[2] for o in group[i + 1:]
@@ -660,15 +658,14 @@ def best_rank1_222(X, cross_check: bool = True) -> BestRank1Result:
     with r = sqrt(Q).  At a crossing r has a downward kink, |S'| |phi - phi0|
     to first order, so lambda_top has no maximum there unless S' = 0 and
     both are smooth: the maximum is a real root of m' + r' and so of
-    F = r^2 (m' - r')(m' + r'), at which the certificate accepts a lane.
-    Its top lane starts within root accuracy (about sqrt(eps) at a double
-    root of F, as where m' = r' = 0 and both branches are critical) of a
-    simple root of lambda_top', and is accepted and listed after one step;
-    if also lambda_top'' = 0 it stalls, which voids the certificate.  As
-    lambda >= ||X||^2 / 4 there, the maximum is never a degenerate point.
-    A triple root of F accounted for at once (`_triple_root`) spans no zero
-    of lambda_top', so a certified table still has an accepted top lane at
-    every root where lambda_top' can vanish; its psi = ||X||^2 is no optimum.
+    F = r^2 (m' - r')(m' + r').  Its top lane starts within root accuracy
+    (about sqrt(eps) at a double root of F) of a simple root of lambda_top',
+    and is accepted at its seed or after one step, its point one Newton step
+    on from the seed either way; if also lambda_top'' = 0 it stalls, which
+    voids the certificate.  As lambda >= ||X||^2 / 4 there, the maximum is
+    never a degenerate point.  A triple root of F accounted for at once
+    (`_triple_root`) spans no zero of lambda_top'; its psi = ||X||^2 is no
+    optimum.
     """
     t = _as_tensor(X)
     warnings = []

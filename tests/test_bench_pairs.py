@@ -57,6 +57,11 @@ def test_aggregate_reproduces_a_committed_bench_file():
                        for i in range(len(entry["seeds"]))]
                 for side in bench_pairs.SIDES}
         out = bench_pairs.aggregate({workload: runs}, entry["seeds"], METRICS)[workload]
+        # the file predates "beyond_bound", which summarize adds to each metric
+        for name, metric in out["metrics"].items():
+            gain = metric["change_vs_parent"] * (1.0 if metric["better"] == "higher" else -1.0)
+            assert metric.pop("beyond_bound") == (
+                "worse" if gain < -metric["bound"] else "better" if gain > metric["bound"] else None)
         assert out == entry
 
 
@@ -122,6 +127,40 @@ def test_read_run_keeps_the_figures_before_host_speed_scaling():
                           "call_tail_ms": 2.61197, "setup_s": 0.20468}
     assert run["attempted"] == 2000 and run["correct"] is True
     assert run["metrics"]["tensors_per_s"]["value"] == 4116.628565801556
+
+
+def test_read_run_keeps_the_call_count():
+    # peak_rss_mb grows with the calls a run records, so each run keeps its count
+    run = bench_pairs.read_run(STDOUT)
+    assert run["calls"] == 200
+    assert "calls" not in bench_pairs.read_run(TRACED)
+    out = bench_pairs.aggregate({"mc-pxp2": {"parent": [dict(run, calls=200)] * 2,
+                                             "change": [dict(run, calls=260)] * 2}},
+                                [1, 2], METRICS)["mc-pxp2"]
+    assert out["calls"] == {"parent": [200, 200], "change": [260, 260]}
+
+
+def test_each_metric_says_whether_its_change_is_beyond_its_bound():
+    # bounds: tensors_per_s 13%, call_p50_ms 11%, call_tail_ms 22%, setup_s
+    # 25%, peak_rss_mb 2%; call_tail_ms is twice call_p50_ms in `_run`
+    def run(tps, p50, rss):
+        out = _run(tps, p50)
+        out["metrics"]["peak_rss_mb"]["value"] = rss
+        return out
+
+    parent = [run(100.0, 2.0, 40.0)] * 3
+    change = [run(115.0, 2.3, 40.9)] * 3
+    metrics = bench_pairs.aggregate({"requests": {"parent": parent, "change": change}},
+                                    [1, 2, 3], METRICS)["requests"]["metrics"]
+    assert {name: m["beyond_bound"] for name, m in metrics.items()} == {
+        "tensors_per_s": "better", "call_p50_ms": "worse", "call_tail_ms": None,
+        "setup_s": None, "peak_rss_mb": "worse"}
+    # a lower time beyond its bound is better, a higher rate within it is neither
+    change = [run(110.0, 1.7, 40.0)] * 3
+    metrics = bench_pairs.aggregate({"requests": {"parent": parent, "change": change}},
+                                    [1, 2, 3], METRICS)["requests"]["metrics"]
+    assert [metrics[name]["beyond_bound"] for name in ("tensors_per_s", "call_p50_ms")] == [
+        None, "better"]
 
 
 def _offline(monkeypatch, runs):

@@ -313,6 +313,17 @@ def test_cli_decompose_far_below_one(capsys):
     assert payload["reconstruction_error"] <= 1e-13 * 2.409919865102884e-181
 
 
+def test_cli_decompose_near_the_top_of_the_double_range(capsys):
+    # a cube weight is about 2.8e308 here, while the vectors are about 5e102
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = _run(capsys, "decompose", "--data=1e308,1e308,-1e308,1e308")
+    payload = json.loads(out)
+    assert code == 0 and payload["rank"] == 2
+    assert all(abs(x) < 1e103 for v in payload["vectors"] for x in v)   # not "inf" or "nan"
+    assert payload["reconstruction_error"] <= 1e-14 * 1e308
+
+
 def test_cli_decompose_and_classify_agree_at_a_loose_tol(capsys):
     # the rank-1 test of decompose takes the rank cutoff min(tol, 1e-9) of classify
     data = "--data=1,0,1e-4,3e-5"

@@ -1,6 +1,7 @@
 import io
 import itertools
 import json
+import warnings
 from contextlib import redirect_stdout
 
 import numpy as np
@@ -71,6 +72,28 @@ def test_sylvester_rank_on_large_input():
     rank, dec = sylvester_rank(SymTensor222(*data))
     assert rank == sylvester_rank(SymTensor222(*np.ldexp(data, -263)))[0]
     assert dec.reconstruction_error <= 1e-8 * data[0]
+
+
+@pytest.mark.parametrize("entries, rank", [
+    ((1e308, 1e308, -1e308, 1e308), 2),
+    *((np.ldexp(x, k), r) for x, r in (((1.3, 0.2, -0.45, 0.9), 2), ((0.7, 0.4, -1.3, 0.4), 3))
+      for k in (1000, -1000)),
+])
+def test_decompositions_near_the_ends_of_the_double_range(entries, rank):
+    # a cube weight of unit directions can exceed the double range where the
+    # vector, its cube root, does not: the weights are solved on X / 8^k.  The
+    # reconstruction runs on X / 8^j, where no cube of a vector entry overflows
+    X = SymTensor222(*entries)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, dec = sylvester_rank(X)
+    assert got == rank and np.isfinite(np.array(dec.vectors)).all()
+    j = int(np.frexp(np.abs(entries).max())[1]) // 3
+    cubes = sum(np.array([y1 ** 3, y1 * y1 * y2, y1 * y2 * y2, y2 ** 3])
+                for y1, y2 in (np.ldexp(v, -j) for v in dec.vectors))
+    unit = np.ldexp(entries, -3 * j)
+    assert np.abs(cubes - unit).max() <= 1e-14 * np.abs(unit).max()
+    assert dec.reconstruction_error <= 1e-14 * np.abs(entries).max()
 
 
 def test_d3_transform_of_a_huge_normal_form_fails_typed():

@@ -313,7 +313,7 @@ def _near_rank1(seed, eps):
     return Tensor222(base + eps * np.linalg.norm(base) * rng.standard_normal((2, 2, 2)))
 
 
-def _hard_inputs():
+def _hard_corpora():
     """Inputs whose roots of F crowd together or coincide: near rank 1, the
     residuals of Gaussian deflations (on Delta = 0, orbit D3), and the
     nonzero integer tensors with entries in -1..1 up to sign, as X and -X
@@ -324,7 +324,12 @@ def _hard_inputs():
     grid = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=8)))
     first = grid[np.arange(len(grid)), (grid != 0.0).argmax(axis=1)]
     integer = grid[first > 0.0].reshape(-1, 2, 2, 2)
-    return np.concatenate([near, residuals, integer])
+    return {"near": np.array(near), "residual": np.array(residuals), "integer": integer}
+
+
+def _hard_inputs():
+    """The `_hard_corpora` as one stack."""
+    return np.concatenate(list(_hard_corpora().values()))
 
 
 def _separation(enum):
@@ -644,6 +649,98 @@ def test_tables_count_the_nonreal_roots_of_f():
         except ValueError:
             continue
         assert enum.n_complex % 2 == 0 and enum.n_complex == enum.record.nonreal_roots
+
+
+@pytest.mark.parametrize("corpus, counts", [("residual", (0, 291, 1228, 301, 296, 295)),
+                                            ("integer", (400, 896, 18416, 4224, 4848, 256))])
+def test_hard_corpora_keep_their_table_counts(corpus, counts):
+    # the crossing, stall and triple-root paths, which Gaussian input never
+    # reaches: tables that raise, certified tables, points, hessian_pd points,
+    # degenerate points and tables with a triple root of F, as the numpy
+    # lanes counted them.  The near-rank-1 corpus is left out, since its point
+    # counts move under a one-ulp change of one entry.  So does the table of
+    # residual 285, not certified: 3 points, or 4 (one degenerate) where the
+    # deflation that makes it rounds one entry the other way, as the numpy
+    # lanes' FMA complex products did on x86-64-v3 and later
+    raised = certified = points = pd = degenerate = triple = 0
+    for A in _hard_corpora()[corpus]:
+        try:
+            enum = stationary_points_222(A)
+        except ValueError:
+            raised += 1
+            continue
+        certified += enum.certified
+        points += len(enum)
+        pd += sum(p.hessian_pd for p in enum)
+        degenerate += sum(p.degenerate for p in enum)
+        triple += enum.record.cluster_roots == 3
+    assert (raised, certified, points, pd, degenerate, triple) == counts
+
+
+def test_lane_division_by_zero_is_numpys():
+    # the lanes run in Python floats, which raise where numpy divides by zero
+    values = [1.0, -2.5, 0.0, -0.0, math.inf, -math.inf, math.nan]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for a, b in itertools.product(values, [0.0, -0.0]):
+            want, got = np.float64(a) / np.float64(b), rank1._divide(a, b)
+            assert (math.isnan(got) and math.isnan(want)) or got == want
+            assert math.isnan(got) or math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+@pytest.mark.parametrize("flat, table", [
+    # sqrt(Q) = 0 at some lanes, lambda'' = 0 at a seed, and crossing points
+    ((0, 0, 0, 1, -1, -1, 0, 0), [(1.0, True, False), (2.8, False, False), (2.8, False, False),
+                                  (3.0, False, True), (3.0, False, True)]),
+    # S'(phi) = 0 at the seeds of the crossing lanes, and lambda'' = 0 at four
+    ((0, 0, 0, 1, -1, 0, 0, 0), [(1.0, True, False)] * 2 + [(1.5, False, False)] * 4
+                                + [(2.0, False, True)] * 2),
+])
+def test_integer_tables_through_zero_divisions_and_crossings(monkeypatch, flat, table):
+    # tables of the integer corpus whose lanes divide by zero: the lanes take
+    # numpy's inf or nan and go on, and list (psi, hessian_pd, degenerate) as
+    # the numpy lanes did
+    divided = []
+    divide = rank1._divide
+    monkeypatch.setattr(rank1, "_divide", lambda a, b: divided.append(b) or divide(a, b))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        enum = stationary_points_222(np.array(flat, float).reshape(2, 2, 2))
+    assert divided
+    record = enum.record
+    assert (record.certified, record.steps, record.real_roots, enum.n_complex) == (False, 4, 8, 0)
+    assert [(p.hessian_pd, p.degenerate) for p in enum] == [row[1:] for row in table]
+    np.testing.assert_allclose([p.psi for p in enum], [row[0] for row in table], rtol=0, atol=1e-12)
+
+
+def _branch_slopes(A, enum):
+    """|lambda'| over the acceptance band scale (1 + scale / sqrt(Q)) of each
+    non-degenerate point of the table enum of A, recomputed on the branch
+    whose eigenvector is the point's y, at phi = 2 atan(z2)."""
+    T = rank1._mde_rows(unit_scaled(A)[0])
+    scale = np.abs(T).max()
+    points = [p for p in enum if not p.degenerate]
+    phi, alpha = 2.0 * np.arctan([p.z2 for p in points]), np.arctan([p.y2 for p in points])
+    slopes = []
+    for sign in (1.0, -1.0):
+        r, beta, lam = rank1._lambda_derivatives(T, phi, sign)
+        slopes.append((np.abs(np.cos(beta - alpha)), np.abs(lam[0]) / (scale * (1.0 + scale / r))))
+    (top, on_top), (bottom, on_bottom) = slopes
+    return np.where(top >= bottom, on_top, on_bottom)
+
+
+def test_certified_points_are_converged(d3_corpora):
+    # however its lane was accepted (at the seeds or after a step), each
+    # usable point of a certified table is a root of lambda' to round-off: on
+    # the 1,000 Gaussian tables of experiment_generic's seed 0 and on the
+    # D3 residuals
+    gaussian = deflation._slab_major(np.array([rng.standard_normal(8)
+                                               for rng in deflation._trial_rngs(0, 1000)]))
+    worst = 0.0
+    for A in np.concatenate([gaussian, d3_corpora["residual"]]):
+        enum = stationary_points_222(A)
+        if enum.certified:
+            worst = max(worst, _branch_slopes(A, enum).max())
+    assert worst <= 1e-13
 
 
 # ---------------------------------------------------------------------------

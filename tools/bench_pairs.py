@@ -15,7 +15,10 @@ with their units, directions and bounds come from the change's
 BENCHMARK.json, and the names given to --workloads and --claim are
 checked against it before the first run.  Each run's figures as
 measured, before `perfbench/run.py` scales them to the reference host
-speed, are kept beside it as "raw", so the file shows the host's drift.
+speed, are kept beside it as "raw", so the file shows the host's drift,
+and the number of calls it timed as "calls", which peak RSS grows with.
+Each end-to-end metric says whether its change of median is beyond its
+bound in BENCHMARK.json ("beyond_bound": "worse", "better" or null).
 Each pair is followed by one traced run (`--trace 1`) of each side, in the
 same order, and the medians of their per-layer figures over the seeds are
 kept as "per_layer": a traced run times a fixed number of rounds, as short
@@ -57,8 +60,10 @@ def quartiles(values) -> list:
 
 def summarize(metric: dict, parent: list, change: list) -> dict:
     """The per-run values of one metric on both sides, their medians and
-    quartiles, the change's median relative to the parent's, and the number
-    of pairs the change wins (strictly better in the metric's direction)."""
+    quartiles, the change's median relative to the parent's, the number of
+    pairs the change wins (strictly better in the metric's direction), and
+    whether that relative change is beyond the metric's bound: "worse",
+    "better", or None within it."""
     sign = 1.0 if metric["better"] == "higher" else -1.0
     out = {"unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
            "parent": parent, "change": change}
@@ -67,6 +72,9 @@ def summarize(metric: dict, parent: list, change: list) -> dict:
         out[f"{side}_quartiles"] = quartiles(values)
     out["change_vs_parent"] = out["change_median"] / out["parent_median"] - 1.0
     out["pairs_won_by_change"] = sum(sign * (c - p) > 0.0 for p, c in zip(parent, change))
+    gain = sign * out["change_vs_parent"]
+    out["beyond_bound"] = ("worse" if gain < -metric["bound"] else
+                           "better" if gain > metric["bound"] else None)
     return out
 
 
@@ -82,7 +90,7 @@ def aggregate(results: dict, seeds: list, metrics: list) -> dict:
     out = {}
     for workload, sides in results.items():
         entry = {"seeds": list(seeds)}
-        for key in ("correct", "failed", "attempted", "raw"):
+        for key in ("correct", "failed", "attempted", "calls", "raw"):
             if all(key in run for side in SIDES for run in sides[side]):
                 entry[key] = {side: [run[key] for run in sides[side]] for side in SIDES}
         entry["metrics"] = {
@@ -139,11 +147,14 @@ def clean(checkout: Path) -> None:
 
 def read_run(stdout: str) -> dict:
     """The final JSON line of a `perfbench/run.py` run, with its figures as
-    measured, before host-speed scaling, as "raw" ({metric: value})."""
+    measured, before host-speed scaling, as "raw" ({metric: value}), and the
+    number of calls it timed as "calls": each call leaves a record, so peak
+    RSS grows with it."""
     lines = stdout.strip().splitlines()
     run = json.loads(lines[-1])
     for line in lines:
         if RAW_MARK in line:
+            run["calls"] = int(line.split()[1])
             pairs = (item.split() for item in line.split(RAW_MARK, 1)[1].split(","))
             run["raw"] = {name: float(value) for name, value in pairs}
     return run
