@@ -58,7 +58,7 @@ def test_aggregate_reproduces_a_committed_bench_file():
                 for side in bench_pairs.SIDES}
         out = bench_pairs.aggregate({workload: runs}, entry["seeds"], METRICS)[workload]
         # the file predates "beyond_bound", which summarize adds to each metric
-        for name, metric in out["metrics"].items():
+        for metric in out["metrics"].values():
             gain = metric["change_vs_parent"] * (1.0 if metric["better"] == "higher" else -1.0)
             assert metric.pop("beyond_bound") == (
                 "worse" if gain < -metric["bound"] else "better" if gain > metric["bound"] else None)
