@@ -656,12 +656,11 @@ def test_tables_count_the_nonreal_roots_of_f():
 def test_hard_corpora_keep_their_table_counts(corpus, counts):
     # the crossing, stall and triple-root paths, which Gaussian input never
     # reaches: tables that raise, certified tables, points, hessian_pd points,
-    # degenerate points and tables with a triple root of F, as the numpy
-    # lanes counted them.  The near-rank-1 corpus is left out, since its point
-    # counts move under a one-ulp change of one entry.  So does the table of
-    # residual 285, not certified: 3 points, or 4 (one degenerate) where the
-    # deflation that makes it rounds one entry the other way, as the numpy
-    # lanes' FMA complex products did on x86-64-v3 and later
+    # degenerate points and tables with a triple root of F.  The near-rank-1
+    # corpus is left out, since its point counts move under a one-ulp change
+    # of one entry.  So does the table of residual 285, which is not
+    # certified (3 points, or 4 with one degenerate), so the residual counts
+    # hold for the residuals that this deflation makes
     raised = certified = points = pd = degenerate = triple = 0
     for A in _hard_corpora()[corpus]:
         try:
@@ -697,8 +696,7 @@ def test_lane_division_by_zero_is_numpys():
 ])
 def test_integer_tables_through_zero_divisions_and_crossings(monkeypatch, flat, table):
     # tables of the integer corpus whose lanes divide by zero: the lanes take
-    # numpy's inf or nan and go on, and list (psi, hessian_pd, degenerate) as
-    # the numpy lanes did
+    # numpy's inf or nan and go on, to these (psi, hessian_pd, degenerate)
     divided = []
     divide = rank1._divide
     monkeypatch.setattr(rank1, "_divide", lambda a, b: divided.append(b) or divide(a, b))
