@@ -25,14 +25,14 @@ from .deflation import (DeflationReport, ExperimentStats, check_degenerate_props
                         deflate_once, experiment_d3_closure, experiment_generic,
                         experiment_pxpx2, experiment_symmetric, write_trial_csv)
 from .document import TensorDocument, parse_document
-from .orbits import (OrbitLabel, SymTensor222, canonical_form, classify, classify_sym,
-                     hyperdet, hyperdet_sym, pencil_eigs, slab_pencil)
+from .orbits import (OrbitLabel, canonical_form, classify, classify_sym, hyperdet, hyperdet_sym,
+                     pencil_eigs, slab_pencil)
 from .rank1 import (BestRank1Result, StationaryPoint, SymStationaryPoint, best_rank1_222,
                     best_rank1_pxpx2, best_rank1_sym, detect_infinite_best, hopm, optimal_x,
                     psi, psi_surface, stationary_points_222, stationary_points_sym)
 from .smallalg import (EigenPair2, NumericalFailure, Polynomial, Spectrum, common_root,
                        eig2, roots, spectrum_small)
-from .tensors import (MultilinearRank, Rank1Term, Tensor222, TensorPxPx2, contract_mode,
-                      frobenius_norm_sq, multilinear_rank, multilinear_transform)
+from .tensors import (MultilinearRank, Rank1Term, SymTensor222, Tensor222, TensorPxPx2,
+                      contract_mode, frobenius_norm_sq, multilinear_rank, multilinear_transform)
 
 __version__ = "0.1.0"

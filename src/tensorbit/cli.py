@@ -21,9 +21,10 @@ import numpy as np
 from . import deflation, rank1
 from .decomp import DomainError, sylvester_rank
 from .document import TensorDocument, parse_document
-from .orbits import SymTensor222, _rank_tol, classify, hyperdet, slab_pencil
+from .orbits import _rank_tol, classify, hyperdet, slab_pencil
 from .smallalg import DEFAULT_COINCIDENCE_TOL, EigenPair2, NumericalFailure
-from .tensors import Tensor222, _as_array, frobenius_norm_sq, multilinear_rank, unit_scaled
+from .tensors import (SymTensor222, Tensor222, _as_array, frobenius_norm_sq, multilinear_rank,
+                      unit_scaled)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -135,9 +136,8 @@ def _term_row(tensor: Tensor222, result) -> dict:
     y, z = result.term.y, result.term.z
     y2 = float(y[1] / y[0]) if abs(y[0]) > 1e-12 * np.linalg.norm(y) else None
     z2 = float(z[1] / z[0]) if abs(z[0]) > 1e-12 * np.linalg.norm(z) else None
-    resid = Tensor222(tensor.array - result.term.tensor())
     return {"y2": y2, "z2": z2, "psi": result.psi,
-            "delta_residual": hyperdet(resid), "hessian_pd": None,
+            "delta_residual": hyperdet(tensor.array - result.term.tensor()), "hessian_pd": None,
             "degenerate": False}
 
 

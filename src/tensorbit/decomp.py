@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .orbits import SymTensor222, _ldexp, _rank_tol, canonical_form, classify_sym, hyperdet_sym
+from .orbits import _ldexp, _rank_tol, canonical_form, classify_sym, hyperdet_sym
 from .smallalg import NumericalFailure
-from .tensors import _prescale, multilinear_transform
+from .tensors import SymTensor222, _prescale, multilinear_transform
 
 __all__ = [
     "DomainError",
@@ -240,10 +240,13 @@ def _kernel_S(unit: np.ndarray, g, orbit: str) -> np.ndarray:
     has the roots v and conj(v), f = Re(W (v . u)^3) and Y_G3 is
     -Re((u1 + i u2)^3): S has the columns Re p and Im p for p = c v with
     c^3 = -W.  Of the six such S, Y_G3's symmetries (three cube roots, each
-    with or without conjugation), the one with the smallest |S[0, 0]| and
-    det S > 0 is taken.  On D3, q has a double root l, f = (l . u)^2 (m . u)
-    and Y_D3 is 3 u1^2 u2: S = [l, m / 3], with l's larger entry pinned at
-    +1.  W and m solve the moment equations in least squares.
+    with or without conjugation), the three with det S > 0 have first rows
+    120 degrees apart; the one whose first row is nearest (1, -1), with the
+    largest S[0, 0] - S[0, 1], is taken.  On Y_G3 that is the identity, by
+    0.63, and on (0, 1, 1, d) it has S[0, 0] = 0.  On D3, q has a double
+    root l, f = (l . u)^2 (m . u) and Y_D3 is 3 u1^2 u2: S = [l, m / 3], with
+    l's larger entry pinned at +1.  W and m solve the moment equations in
+    least squares.
     """
     g0, g1, g2 = g
     # the homogeneous roots (s, g2) and (g0, s) of `_rank2_from_kernel`; the D3 root is double
@@ -256,8 +259,10 @@ def _kernel_S(unit: np.ndarray, g, orbit: str) -> np.ndarray:
         (wr, wi), *_ = np.linalg.lstsq(np.stack([cube.real, -cube.imag], axis=1), unit, rcond=None)
         phases = (cmath.phase(-complex(wr, wi)) + 2.0 * np.pi * np.arange(3)) / 3.0
         P = (np.cbrt(math.hypot(wr, wi)) * np.exp(1j * phases))[:, None] * v
-        p = P[np.argmin(np.abs(P[:, 0].real))]
-        return np.array([p.real, p.imag * np.sign(p.real[0] * p.imag[1] - p.real[1] * p.imag[0])]).T
+        # the three S = [Re p, +-Im p] share the sign of their determinant
+        sign = np.sign(P[0, 0].real * P[0, 1].imag - P[0, 1].real * P[0, 0].imag)
+        S = np.stack([P.real, sign * P.imag], axis=-1)
+        return S[np.argmax(S[:, 0, 0] - S[:, 0, 1])]
     l1, l2 = l = v / v[np.argmax(np.abs(v))]
     sym = np.array([[l1 * l1, 0.0], [2.0 * l1 * l2 / 3.0, l1 * l1 / 3.0],
                     [l2 * l2 / 3.0, 2.0 * l1 * l2 / 3.0], [0.0, l2 * l2]])

@@ -38,11 +38,12 @@ import numpy as np
 
 from . import rank1
 from .decomp import DomainError
-from .orbits import (OrbitLabel, SymTensor222, _hyperdets, _is_zero, _ldexp, _orbit, _quotient,
-                     _rank_tol, _slab_pencils, canonical_form, classify, slab_pencil)
+from .orbits import (OrbitLabel, _hyperdets, _is_zero, _ldexp, _orbit, _quotient, _rank_tol,
+                     _slab_pencils, canonical_form, classify, slab_pencil)
 from .smallalg import DEFAULT_COINCIDENCE_TOL, EigenPair2, spectra_small
-from .tensors import (MultilinearRank, Tensor222, TensorPxPx2, _as_array, _ranks, _slab_major,
-                      frobenius_norm_sq, multilinear_transform, unit_scaled)
+from .tensors import (_SYM_INDEX, MultilinearRank, SymTensor222, Tensor222, TensorPxPx2, _as_array,
+                      _entries, _ranks, _slab_major, frobenius_norm_sq, multilinear_transform,
+                      unit_scaled)
 
 __all__ = [
     "DeflationReport",
@@ -200,14 +201,14 @@ def deflate_once(X, tol: float = 1e-9, coincidence_tol: float = DEFAULT_COINCIDE
     if isinstance(X, TensorPxPx2):
         raise ValueError("deflate_once handles 2x2x2 tensors; use best_rank1_pxpx2 "
                          "plus spectrum_small (or experiment_pxpx2) for pxpx2 input")
+    A = _as_array(X)
     if isinstance(X, SymTensor222):
         result = rank1.best_rank1_sym(X)
         residual = X.rank1_update(result.term.y, -1.0)
     else:
-        X = X if isinstance(X, Tensor222) else Tensor222(X)
         result = rank1.best_rank1_222(X)
-        residual = Tensor222(X.array - result.term.tensor())
-    return residual, _deflation_report(_as_array(X), _as_array(residual), result.psi,
+        residual = Tensor222(A - result.term.tensor())
+    return residual, _deflation_report(A, _as_array(residual), result.psi,
                                        result.multiplicity, result.warnings, tol, coincidence_tol)
 
 
@@ -369,8 +370,7 @@ def experiment_symmetric(trials: int, seed: int = 0) -> ExperimentStats:
     rank-1 term of a symmetric tensor is symmetric, so it is the
     `best_rank1_sym` term of `deflate_once` up to round-off."""
     rows, reasons = _run(trials, seed, lambda rng: rng.standard_normal(4),
-                         lambda abcd: _theta_step(
-                             np.array(abcd)[:, [0, 1, 1, 2, 1, 2, 2, 3]].reshape(-1, 2, 2, 2)))
+                         lambda abcd: _theta_step(np.array(abcd)[:, _SYM_INDEX]))
     return _aggregate("symmetric", trials, seed, rows, reasons,
                       _mlrank_extras(rows) + (("converged", sum(r["converged"] for r in rows)),
                                               _theta_steps(rows)))
@@ -484,15 +484,15 @@ def check_degenerate_props(X) -> DeflationReport:
     scale, and the candidates' psis and tie bound are taken on X / 2^e
     (exact), where no square saturates, so 2^k X gets the verdicts of X.
     """
-    t = X if isinstance(X, Tensor222) else Tensor222(X)
-    label = classify(t, PROPS_TOL)
-    unit, exponent = unit_scaled(t)
-    a_, b_, c_, d_, e_, f_, g_, h_ = Tensor222(unit).entries
+    A = _as_array(X)
+    label = classify(X, PROPS_TOL)
+    unit, exponent = unit_scaled(X)
+    a_, b_, c_, d_, e_, f_, g_, h_ = _entries(unit)
     scale = max(map(abs, (a_, b_, c_, d_, e_, f_, g_, h_)))
     diagonal = scale > 0.0 and max(abs(b_), abs(c_), abs(f_), abs(g_)) <= PROPS_TOL * scale
     expected = "D0" if label.orbit == "D1" else "D1"
     if label.orbit == "D1" or (not diagonal and label.orbit in ("D2", "D2p", "D2pp")):
-        report = deflate_once(t, PROPS_TOL)[1]
+        report = deflate_once(X, PROPS_TOL)[1]
     elif not diagonal:
         raise DomainError(
             f"check_degenerate_props applies to D1, the D2 family, or "
@@ -509,7 +509,7 @@ def check_degenerate_props(X) -> DeflationReport:
             candidates.append(Tensor222(family.array / 2.0))
         psis = [frobenius_norm_sq(unit - c.array) for c in candidates]
         best = int(np.argmin(psis))
-        report = _deflation_report(t.array, t.array - np.ldexp(candidates[best].array, exponent),
+        report = _deflation_report(A, A - np.ldexp(candidates[best].array, exponent),
                                    _ldexp(psis[best], 2 * exponent),
                                    rank1._ties(psis, psis[best], frobenius_norm_sq(unit)), (),
                                    PROPS_TOL)

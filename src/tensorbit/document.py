@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .orbits import SymTensor222
-from .tensors import Tensor222, TensorPxPx2
+from .tensors import SymTensor222, Tensor222, TensorPxPx2
 
 __all__ = ["TensorDocument", "parse_document", "infer_kind"]
 

@@ -5,7 +5,9 @@ three modes are D0, D1, D2, D2p, D2pp, G2, D3, G3.  Degenerate orbits are
 separated by multilinear rank; the full-multilinear-rank orbits G2 / D3 /
 G3 are separated by the sign of the hyperdeterminant (+ / 0 / -), with D3
 additionally carrying a defective double eigenvalue of the slab pencil.
-Symmetric tensors occupy the sub-list D0, D1, G2, D3, G3.
+Symmetric tensors occupy the sub-list D0, D1, G2, D3, G3, and are
+classified by their expansion.  `SymTensor222`, the flat entry order and
+the input check live in `tensors`; SymTensor222 is re-exported here.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ import numpy as np
 
 from .smallalg import (DEFAULT_COINCIDENCE_TOL, EigenPair2, _diagonalizable, _eig2_terms,
                        _eigen_pair, eig2)
-from .tensors import DEFAULT_RANK_TOL, Tensor222, _prescale, multilinear_rank, unit_scaled
+from .tensors import (DEFAULT_RANK_TOL, SymTensor222, Tensor222, _as_array, _entries, _prescale,
+                      multilinear_rank, unit_scaled)
 
 __all__ = [
     "ORBITS",
@@ -76,56 +79,6 @@ class OrbitLabel:
         return hash(self.orbit)
 
 
-@dataclass(frozen=True)
-class SymTensor222:
-    """Symmetric 2x2x2 tensor with slabs X1 = [a b; b c], X2 = [b c; c d]."""
-
-    a: float
-    b: float
-    c: float
-    d: float
-
-    def __init__(self, a, b, c, d):
-        for name, v in (("a", a), ("b", b), ("c", c), ("d", d)):
-            v = float(v)
-            if not math.isfinite(v):
-                raise ValueError("tensor entries must be finite")
-            object.__setattr__(self, name, v)
-
-    @classmethod
-    def from_flat(cls, data) -> "SymTensor222":
-        data = np.asarray(data, dtype=float).ravel()
-        if data.size != 4:
-            raise ValueError(f"expected 4 entries, got {data.size}")
-        return cls(*data)
-
-    def as_tuple(self) -> tuple:
-        return (self.a, self.b, self.c, self.d)
-
-    def tensor(self) -> Tensor222:
-        """Full 2x2x2 expansion (symmetric under all index permutations)."""
-        a, b, c, d = self.as_tuple()
-        return Tensor222.from_entries(a, b, b, c, b, c, c, d)
-
-    def rank1_update(self, y, coeff=1.0) -> "SymTensor222":
-        """This tensor plus ``coeff`` times y (x) y (x) y."""
-        y1, y2 = float(y[0]), float(y[1])
-        return SymTensor222(self.a + coeff * y1 ** 3,
-                            self.b + coeff * y1 ** 2 * y2,
-                            self.c + coeff * y1 * y2 ** 2,
-                            self.d + coeff * y2 ** 3)
-
-
-def _slabs(X):
-    if isinstance(X, SymTensor222):
-        a, b, c, d = X.as_tuple()
-        return np.array([[a, b], [b, c]]), np.array([[b, c], [c, d]])
-    if isinstance(X, Tensor222):
-        return X.slab1, X.slab2
-    arr = np.asarray(X, dtype=float)
-    return arr[:, :, 0], arr[:, :, 1]
-
-
 def _ldexp(value: float, exponent: int) -> float:
     """value * 2^exponent, and +-inf where that overflows."""
     try:
@@ -144,17 +97,13 @@ def _delta_sym(a, b, c, d) -> float:
     return (b * c - a * d) ** 2 - 4.0 * (b * d - c * c) * (a * c - b * b)
 
 
-def _slab_entries(X) -> list:
-    X1, X2 = _slabs(X)
-    return X1.ravel().tolist() + X2.ravel().tolist()
-
-
 def _hyperdets(A):
     """`hyperdet` of each tensor of the stack A (..., 2, 2, 2), with the
     same exact scaling: (Delta of A / 2^e, e, A / 2^e, max|entry|), with
     max|entry| / 2^e in [1/2, 1).  Delta is Delta of A / 2^e times 2^(4e)."""
     unit, exponent = _prescale(A, A.ndim - 3)
-    delta = _delta(*(unit[..., i, j, k] for k in (0, 1) for i in (0, 1) for j in (0, 1)))
+    flat = _entries(unit)
+    delta = _delta(*(flat[..., n] for n in range(8)))
     return delta, exponent, unit, np.abs(A).max(axis=(-3, -2, -1))
 
 
@@ -166,7 +115,7 @@ def hyperdet(X) -> float:
     multiplied by 2^(4e), so the value overflows or underflows only where
     Delta itself does.
     """
-    unit, exponent = _prescale(_slab_entries(X))
+    unit, exponent = _prescale(_entries(_as_array(X)))
     return _ldexp(_delta(*unit.tolist()), 4 * exponent)
 
 
@@ -185,13 +134,11 @@ def pencil_eigs(X, slab_order: str = "21",
     designated slab is singular (condition number above the cap), pointing
     at the other order.
     """
-    X1, X2 = _slabs(X)
+    A = _as_array(X)
     if slab_order == "21":
-        num, den = X2, X1
-        other = "12"
+        num, den, other = A[..., 1], A[..., 0], "12"
     elif slab_order == "12":
-        num, den = X1, X2
-        other = "21"
+        num, den, other = A[..., 0], A[..., 1], "21"
     else:
         raise ValueError("slab_order must be '21' or '12'")
     if not _invertible(den):
@@ -228,6 +175,8 @@ def _quotient(num, den):
 def slab_pencil(X, coincidence_tol: float = DEFAULT_COINCIDENCE_TOL) -> EigenPair2 | None:
     """`pencil_eigs` of X2 X1^-1, or of X1 X2^-1 when X1 is singular; None
     when both slabs are."""
+    # checked first: a non-finite entry's ValueError must not read as a singular slab
+    _as_array(X)
     for order in ("21", "12"):
         try:
             return pencil_eigs(X, order, coincidence_tol)
@@ -302,14 +251,12 @@ def classify(X, tol: float = 1e-9, zero_scale: float | None = None) -> OrbitLabe
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if isinstance(X, SymTensor222):
-        X = X.tensor()
     X, exponent = unit_scaled(X)
     unit_max = float(np.abs(X).max())
     if _is_zero(math.ldexp(unit_max, exponent), zero_scale, tol):
         return OrbitLabel("D0", 0.0)
     quartic = unit_max ** 4
-    delta = _delta(*_slab_entries(X))
+    delta = _delta(*_entries(X).tolist())
     mlr = multilinear_rank(X, _rank_tol(tol)).as_tuple()
     return OrbitLabel(_orbit(mlr, delta, quartic, tol), abs(delta) / quartic)
 
@@ -321,4 +268,4 @@ def classify_sym(Xs: SymTensor222, tol: float = 1e-9,
     All three unfoldings of a symmetric tensor are the same matrix up to a
     column order, so the label is one of D0, D1, G2, D3, G3.
     """
-    return classify(Xs.tensor(), tol, zero_scale)
+    return classify(Xs, tol, zero_scale)

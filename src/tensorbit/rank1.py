@@ -25,6 +25,10 @@ sigma_max^2 by `eigh` of the Gram pencil S0 + cos(phi) S1 + sin(phi) S2;
 `best_rank1_222` uses it as its fallback and to cross-check a table that
 the circle solve does not certify.  `hopm` (alternating least squares)
 remains as an independent iterative method.
+
+Every public function here takes its tensor through `tensors._as_array`,
+which also holds `SymTensor222` and the slab-major entry order; only the
+Python-float lanes of the 2x2x2 enumeration index entries in C order.
 """
 
 from __future__ import annotations
@@ -35,8 +39,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import smallalg
-from .orbits import SymTensor222, _delta, _ldexp, hyperdet_sym
-from .tensors import Rank1Term, Tensor222, TensorPxPx2, _as_array, _prescale, frobenius_norm_sq
+from .orbits import _delta, _ldexp, hyperdet_sym
+from .tensors import (_SYM_INDEX, Rank1Term, SymTensor222, _as_array, _entries, _finite, _prescale,
+                      frobenius_norm_sq)
 
 __all__ = [
     "StationaryPoint",
@@ -80,13 +85,9 @@ HOPM_RESTARTS = 8
 # criterion and first-order quantities
 # ---------------------------------------------------------------------------
 
-def _as_tensor(X) -> Tensor222:
-    return X if isinstance(X, Tensor222) else Tensor222(X)
-
-
 def psi(X, term: Rank1Term) -> float:
     """Squared residual ||X - x (x) y (x) z||^2, expanded form."""
-    arr = X.array if isinstance(X, (Tensor222, TensorPxPx2)) else np.asarray(X, float)
+    arr = _as_array(X)
     x, y, z = term.x, term.y, term.z
     if (x.size, y.size, z.size) != arr.shape:
         raise ValueError("factor lengths do not match tensor dimensions")
@@ -98,7 +99,7 @@ def psi(X, term: Rank1Term) -> float:
 
 def optimal_x(X, y, z) -> np.ndarray:
     """Mode-1 factor minimizing the criterion for fixed y and z."""
-    arr = X.array if isinstance(X, (Tensor222, TensorPxPx2)) else np.asarray(X, float)
+    arr = _as_array(X)
     y = np.asarray(y, float)
     z = np.asarray(z, float)
     ny = float(y @ y)
@@ -110,13 +111,13 @@ def optimal_x(X, y, z) -> np.ndarray:
 
 def psi_surface(X, y2, z2):
     """Criterion with x eliminated, as a function of (y2, z2); broadcasts."""
-    t = _as_tensor(X)
-    a, b, c, d, e, f, g, h = t.entries
+    arr = _as_array(X)
+    a, b, c, d, e, f, g, h = _entries(arr)
     y2 = np.asarray(y2, float)
     z2 = np.asarray(z2, float)
     v1 = a + e * z2 + b * y2 + f * y2 * z2
     v2 = c + g * z2 + d * y2 + h * y2 * z2
-    return frobenius_norm_sq(t) - (v1 * v1 + v2 * v2) / ((1.0 + y2 ** 2) * (1.0 + z2 ** 2))
+    return frobenius_norm_sq(X) - (v1 * v1 + v2 * v2) / ((1.0 + y2 ** 2) * (1.0 + z2 ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +132,7 @@ def stationarity_quadratics(X, var: str = "z"):
     coefficient array (length 3) of the named coefficient as a polynomial
     in the *other* variable.
     """
-    a, b, c, d, e, f, g, h = _as_tensor(X).entries
+    a, b, c, d, e, f, g, h = _entries(_as_array(X))
     p = a * f + b * e + c * h + d * g
     if var == "z":
         A1 = np.array([a * b + c * d, p, e * f + g * h])
@@ -161,7 +162,7 @@ def boundary_quadratic(X, var: str = "z"):
 
     Returned in the same layout as `stationarity_quadratics`.
     """
-    a, b, c, d, e, f, g, h = _as_tensor(X).entries
+    a, b, c, d, e, f, g, h = _entries(_as_array(X))
     q = a * g - b * h - c * e + d * f
     r = b * c - a * d + e * h - f * g
     if var == "z":
@@ -219,7 +220,7 @@ def chart_consistency_poly(X) -> np.ndarray:
 def zero_factor_quadratic(X, var: str = "z") -> np.ndarray:
     """Quadratic whose roots are the var-components of the two stationary
     points with x = 0; its discriminant equals Delta(X)."""
-    a, b, c, d, e, f, g, h = _as_tensor(X).entries
+    a, b, c, d, e, f, g, h = _entries(_as_array(X))
     if var == "z":
         return np.array([a * d - b * c, a * h - b * g + d * e - c * f, e * h - f * g])
     if var == "y":
@@ -230,7 +231,7 @@ def zero_factor_quadratic(X, var: str = "z") -> np.ndarray:
 def boundary_only_quadratic(X, var: str = "z") -> np.ndarray:
     """Quadratic whose roots are the two boundary-locus solutions that are
     not stationary points; its discriminant also equals Delta(X)."""
-    a, b, c, d, e, f, g, h = _as_tensor(X).entries
+    a, b, c, d, e, f, g, h = _entries(_as_array(X))
     if var == "z":
         return np.array([e * h - f * g, -(a * h - b * g + d * e - c * f), a * d - b * c])
     if var == "y":
@@ -590,8 +591,6 @@ def stationary_points_222(X) -> EnumerationResult:
     """
     arr, exponent = _prescale(_as_array(X).reshape(2, 2, 2))
     a0, a1, a2, a3, a4, a5, a6, a7 = a = arr.ravel().tolist()
-    if not all(map(math.isfinite, a)):
-        raise ValueError("tensor entries must be finite")
     T = _mde_rows(arr)
     found, record = _circle_points(T, max(map(abs, T.ravel().tolist())), a)
     limit = DEGENERATE_X_TOL * math.hypot(*a)
@@ -667,10 +666,10 @@ def best_rank1_222(X, cross_check: bool = True) -> BestRank1Result:
     (`_triple_root`) spans no zero of lambda_top'; its psi = ||X||^2 is no
     optimum.
     """
-    t = _as_tensor(X)
+    arr = _as_array(X)
     warnings = []
     try:
-        enum = stationary_points_222(t)
+        enum = stationary_points_222(X)
     except ValueError:
         enum = EnumerationResult((), 0)
         warnings.append("enumeration degenerate: the stationarity polynomial is round-off")
@@ -679,12 +678,12 @@ def best_rank1_222(X, cross_check: bool = True) -> BestRank1Result:
     method, converged = "enumerate", True
     if (cross_check and not enum.certified) or best is None:
         with np.errstate(over="ignore"):  # its psi is inf where it overflows, as `_ldexp` gives
-            grid = best_rank1_pxpx2(t)
+            grid = best_rank1_pxpx2(X)
         if best is None:
             warnings.append("no usable stationary point; theta-grid fallback")
         else:
             # both psis and ||X||^2 on X / 2^e (exact), where none saturates
-            unit, e = _prescale(t.array)
+            unit, e = _prescale(arr)
             psis = [frobenius_norm_sq(unit - np.ldexp(term.tensor(), -e))
                     for term in (grid.term, best[1])]
             if psis[0] < psis[1] - 1e-8 * frobenius_norm_sq(unit):
@@ -744,9 +743,7 @@ def _best_rank1_stack(X):
     """`best_rank1_pxpx2` of each tensor of the stack X (N, p, p, 2), as the
     arrays (psi, x, y, z, converged, steps); solved THETA_STACK_CHUNK
     tensors at a time.  Raises ValueError on non-finite entries."""
-    X = np.asarray(X, dtype=float)
-    if not np.isfinite(X).all():
-        raise ValueError("tensor entries must be finite")
+    X = _finite(np.asarray(X, dtype=float))
     parts = [_theta_stack(X[i:i + THETA_STACK_CHUNK])
              for i in range(0, len(X), THETA_STACK_CHUNK)]
     return parts[0] if len(parts) == 1 else tuple(np.concatenate(a) for a in zip(*parts))
@@ -944,7 +941,7 @@ def stationary_points_sym(Xs: SymTensor222) -> EnumerationResult:
                                       _ldexp(values[n], 2 * exponent),
                                       hyperdet_sym(np.ldexp(resid[n], exponent)))
                    for n in order)
-    norm_sq = float((entries[[0, 1, 1, 2, 1, 2, 2, 3]] ** 2).sum())
+    norm_sq = float((entries[_SYM_INDEX] ** 2).sum())
     return EnumerationResult(points, n_complex, None,
                              _ties(values, min(values), norm_sq) if values else 0)
 
@@ -1036,7 +1033,7 @@ def hopm(X, max_iter: int = 500, tol: float = 1e-14, seed: int = 0) -> BestRank1
         raise ValueError("max_iter must be at least 1")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    arr = X.array if isinstance(X, (Tensor222, TensorPxPx2)) else np.asarray(X, float)
+    arr = _as_array(X)
     best = None
     total_it = 0
     for x0, y0, z0 in _hopm_inits(arr, seed):
@@ -1075,8 +1072,7 @@ def detect_infinite_best(X) -> bool:
     """Sufficient condition for infinitely many best rank-1 approximations:
     every mode-3 contraction and every mode-2 contraction is orthogonal up
     to scale (checked on basis contractions plus the cross term)."""
-    t = _as_tensor(X)
-    arr = t.array
+    arr = _as_array(X)
     mode3 = _orthogonal_pencil(arr[:, :, 0], arr[:, :, 1])
     mode2 = _orthogonal_pencil(arr[:, 0, :], arr[:, 1, :])
     return bool(mode3 and mode2)

@@ -1,4 +1,5 @@
-"""Dense 2x2x2 and pxpx2 tensor containers with mode contractions and ranks.
+"""Dense 2x2x2, symmetric 2x2x2 and pxpx2 tensors, mode contractions and
+ranks: the one module that knows their layouts and checks a tensor argument.
 
 A 2x2x2 tensor is stored with entry ``X[i, j, k]`` indexing row ``i``,
 column ``j``, frontal slab ``k``.  The flat entry order used everywhere in
@@ -7,7 +8,11 @@ this package (I/O included) is slab-major::
     X1 = [[a, b], [c, d]]    (k = 0)
     X2 = [[e, f], [g, h]]    (k = 1)
 
-i.e. ``(a, b, c, d, e, f, g, h)``.
+i.e. ``(a, b, c, d, e, f, g, h)``, which `_slab_major` and `_entries` map
+to and from the arrays.  Entry (i, j, k) of a `SymTensor222` (a, b, c, d)
+is coefficient i + j + k (`_SYM_INDEX`).  `_as_array`, the input check of
+every public function that takes a tensor, passes a container's entries
+through and rejects a raw array with a non-finite entry.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import numpy as np
 
 __all__ = [
     "Tensor222",
+    "SymTensor222",
     "TensorPxPx2",
     "Rank1Term",
     "MultilinearRank",
@@ -32,12 +38,31 @@ __all__ = [
 DEFAULT_RANK_TOL = 1e-9
 
 
-def _frozen_array(values, shape) -> np.ndarray:
-    arr = np.array(values, dtype=float).reshape(shape)
+def _finite(arr: np.ndarray) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError("tensor entries must be finite")
+    return arr
+
+
+def _frozen_array(values, shape) -> np.ndarray:
+    # C order, so that what is computed from a container does not depend on how it was built
+    arr = _finite(np.array(values, dtype=float, order="C").reshape(shape))
     arr.flags.writeable = False
     return arr
+
+
+def _slab_major(flat) -> np.ndarray:
+    """The (..., 2, 2, 2) arrays of slab-major entries (..., 8), (a, ..., h)."""
+    flat = np.asarray(flat)
+    # axes (k, i, j) to (i, j, k); two swaps take a fraction of moveaxis's time
+    return flat.reshape(flat.shape[:-1] + (2, 2, 2)).swapaxes(-3, -1).swapaxes(-3, -2)
+
+
+def _entries(A) -> np.ndarray:
+    """The slab-major entries (..., 8) of the arrays A (..., 2, 2, 2), the
+    inverse of `_slab_major`."""
+    A = np.asarray(A)
+    return A.swapaxes(-1, -3).swapaxes(-1, -2).reshape(A.shape[:-3] + (8,))
 
 
 @dataclass(frozen=True)
@@ -52,17 +77,14 @@ class Tensor222:
     @classmethod
     def from_entries(cls, a, b, c, d, e, f, g, h) -> "Tensor222":
         """Build from slab-major entries: X1 = [a b; c d], X2 = [e f; g h]."""
-        arr = np.empty((2, 2, 2))
-        arr[:, :, 0] = [[a, b], [c, d]]
-        arr[:, :, 1] = [[e, f], [g, h]]
-        return cls(arr)
+        return cls(_slab_major(np.array((a, b, c, d, e, f, g, h), dtype=float)))
 
     @classmethod
     def from_flat(cls, data) -> "Tensor222":
         data = np.asarray(data, dtype=float).ravel()
         if data.size != 8:
             raise ValueError(f"expected 8 entries, got {data.size}")
-        return cls.from_entries(*data)
+        return cls(_slab_major(data))
 
     @classmethod
     def from_slabs(cls, slab1, slab2) -> "Tensor222":
@@ -82,17 +104,50 @@ class Tensor222:
     @property
     def entries(self) -> tuple:
         """Slab-major entry tuple (a, b, c, d, e, f, g, h)."""
-        x = self.array
-        return (x[0, 0, 0], x[0, 1, 0], x[1, 0, 0], x[1, 1, 0],
-                x[0, 0, 1], x[0, 1, 1], x[1, 0, 1], x[1, 1, 1])
+        return tuple(_entries(self.array))
 
-    def __sub__(self, other) -> "Tensor222":
-        other_arr = other.array if isinstance(other, Tensor222) else np.asarray(other)
-        return Tensor222(self.array - other_arr)
 
-    def __add__(self, other) -> "Tensor222":
-        other_arr = other.array if isinstance(other, Tensor222) else np.asarray(other)
-        return Tensor222(self.array + other_arr)
+# entry (i, j, k) of a symmetric 2x2x2 tensor is its coefficient i + j + k
+_SYM_INDEX = np.indices((2, 2, 2)).sum(axis=0)
+
+
+@dataclass(frozen=True)
+class SymTensor222:
+    """Symmetric 2x2x2 tensor with slabs X1 = [a b; b c], X2 = [b c; c d]."""
+
+    a: float
+    b: float
+    c: float
+    d: float
+
+    def __init__(self, a, b, c, d):
+        for name, v in (("a", a), ("b", b), ("c", c), ("d", d)):
+            v = float(v)
+            if not math.isfinite(v):
+                raise ValueError("tensor entries must be finite")
+            object.__setattr__(self, name, v)
+
+    @classmethod
+    def from_flat(cls, data) -> "SymTensor222":
+        data = np.asarray(data, dtype=float).ravel()
+        if data.size != 4:
+            raise ValueError(f"expected 4 entries, got {data.size}")
+        return cls(*data)
+
+    def as_tuple(self) -> tuple:
+        return (self.a, self.b, self.c, self.d)
+
+    def tensor(self) -> Tensor222:
+        """Full 2x2x2 expansion (symmetric under all index permutations)."""
+        return Tensor222(_as_array(self))
+
+    def rank1_update(self, y, coeff=1.0) -> "SymTensor222":
+        """This tensor plus ``coeff`` times y (x) y (x) y."""
+        y1, y2 = float(y[0]), float(y[1])
+        return SymTensor222(self.a + coeff * y1 ** 3,
+                            self.b + coeff * y1 ** 2 * y2,
+                            self.c + coeff * y1 * y2 ** 2,
+                            self.d + coeff * y2 ** 3)
 
 
 @dataclass(frozen=True)
@@ -169,19 +224,15 @@ class MultilinearRank:
         return hash(self.as_tuple())
 
 
-def _slab_major(flat) -> np.ndarray:
-    """The (..., 2, 2, 2) arrays of slab-major entries (..., 8), (a, ..., h)."""
-    flat = np.asarray(flat)
-    return np.moveaxis(flat.reshape(flat.shape[:-1] + (2, 2, 2)), -3, -1)
-
-
 def _as_array(X) -> np.ndarray:
+    """The entries of X, the tensor argument of a public function: a
+    container's own array, a SymTensor222's expansion, or a raw array as
+    floats, which raises ValueError unless every entry is finite."""
     if isinstance(X, (Tensor222, TensorPxPx2)):
         return X.array
-    if hasattr(X, "tensor"):
-        # orbits.SymTensor222 (whose module imports this one), by its expansion
-        return _as_array(X.tensor())
-    return np.asarray(X, dtype=float)
+    if isinstance(X, SymTensor222):
+        return np.array(X.as_tuple())[_SYM_INDEX]
+    return _finite(np.asarray(X, dtype=float))
 
 
 def contract_mode(X, v, mode: int) -> np.ndarray:

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensorbit import SymTensor222, Tensor222, TensorPxPx2, rank1
+from tensorbit import SymTensor222, Tensor222, TensorPxPx2, deflation, rank1
 from tensorbit.cli import _to_json, main
+from tensorbit.smallalg import NumericalFailure
 from tensorbit.document import TensorDocument, infer_kind, parse_document
 from conftest import EXAMPLE_A1, SYM_G3
 
@@ -51,6 +52,20 @@ def test_document_validation():
         TensorDocument("nope", (1.0,))
     with pytest.raises(ValueError):
         TensorDocument("pxpx2", (2, 1.0))
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: TensorDocument("sym222", (1.0, 2.0)), "sym222 documents need 4 values, got 2"),
+    (lambda: TensorDocument("pxpx2", ()), "pxpx2 documents need a leading dimension value"),
+    (lambda: TensorDocument("pxpx2", (2.5,) + (0.0,) * 12),
+     "pxpx2 dimension must be an integer >= 2, got 2.5"),
+    (lambda: TensorDocument("pxpx2", (1.0, 0.0, 0.0)),
+     "pxpx2 dimension must be an integer >= 2, got 1.0"),
+    (lambda: parse_document({"kind": "full222"}), "document object lacks a 'data' field"),
+])
+def test_document_validation_messages(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
 
 
 def test_document_sym():
@@ -123,6 +138,33 @@ def test_cli_rank1_table(capsys):
     assert len(payload["stationary_points"]) == 6
     pd_rows = [r for r in payload["stationary_points"] if r["hessian_pd"]]
     assert len(pd_rows) == 1 and abs(pd_rows[0]["psi"] - 2.6863) < 5e-5 * 2.6863
+
+
+_FULL_COLUMNS = ("y2", "z2", "psi", "delta_residual", "hessian_pd", "degenerate")
+
+
+@pytest.mark.parametrize("data,columns,rows", [
+    (",".join(str(v) for v in EXAMPLE_A1), _FULL_COLUMNS, 6),
+    ("0,1,1,0", ("z", "y2", "psi", "delta_residual"), 3),
+    # the one row synthesized from the theta-grid term, whose hessian_pd is None
+    ("1,0.5,2,1,-1,-0.5,-2,-1", _FULL_COLUMNS, 1),
+    # a pxpx2 term comes with no table
+    ("3" + ",0.5" * 18, (), 0),
+])
+def test_cli_rank1_prints_a_table_without_json(capsys, data, columns, rows):
+    _, out, _ = _run(capsys, "rank1", f"--data={data}", "--json")
+    payload = json.loads(out)
+    code, out, _ = _run(capsys, "rank1", f"--data={data}")
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == (2 + rows if rows else 1)
+    assert lines[0] == (f"best psi = {payload['psi']!r}  (method {payload['method']}, "
+                        f"multiplicity {payload['multiplicity']})")
+    if rows:
+        assert lines[1] == "  ".join(f"{c:>14}" for c in columns)
+    for line, row in zip(lines[2:], payload["stationary_points"]):
+        want = [f"{row[c]:14.6g}" if isinstance(row[c], float) else f"{str(row[c]):>14}"
+                for c in columns]
+        assert line == "  ".join(want)
 
 
 def test_cli_rank1_exact_rank1_document(capsys):
@@ -339,6 +381,33 @@ def test_cli_decompose_and_classify_agree_at_a_loose_tol(capsys):
 def test_cli_decompose_infeasible_rank(capsys):
     code, _, err = _run(capsys, "decompose", "--data=0,1,1,0", "--rank", "2")
     assert code == 4
+
+
+def test_cli_decompose_refuses_a_rank_above_the_tensors(capsys):
+    code, out, err = _run(capsys, "decompose", "--data=1,0,0,1", "--rank", "3")
+    assert code == 4 and out == ""
+    assert err == "error: tensor has symmetric rank 2; exact rank-3 output unsupported\n"
+
+
+def test_cli_numerical_failure_exits_with_code_3(capsys, monkeypatch):
+    def fail(tensor):
+        raise NumericalFailure("no convergence")
+
+    monkeypatch.setattr(rank1, "best_rank1_222", fail)
+    code, out, err = _run(capsys, "rank1", "--data=1,2,3,4,5,6,7,8", "--json")
+    assert code == 3 and out == ""
+    assert err == "numerical failure: no convergence\n"
+
+
+@pytest.mark.parametrize("kind,experiment", [
+    ("symmetric", lambda: deflation.experiment_symmetric(20, 5)),
+    ("d3", lambda: deflation.experiment_d3_closure(20, 5)),
+    ("pxp2", lambda: deflation.experiment_pxpx2(4, 20, 5)),
+])
+def test_cli_experiment_runs_each_kind(capsys, kind, experiment):
+    code, out, _ = _run(capsys, "experiment", kind, "--trials", "20", "--seed", "5", "--p", "4")
+    assert code == 0
+    assert out == _to_json({"command": "experiment", **experiment().summary_dict()}) + "\n"
 
 
 def test_cli_experiment_generic(capsys, tmp_path):

@@ -1,14 +1,19 @@
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
 import warnings
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import tensorbit
 from tensorbit import (DomainError, SymTensor222, best_rank1_sym, canonical_transform,
                        canonicalize_sym_form, classify_sym, hyperdet_sym, multilinear_transform,
                        sylvester_rank, sym_rank2_decompose, sym_rank3_decompose,
@@ -482,6 +487,36 @@ def _assert_transform(v, orbit, bound):
 def test_canonical_transform_of_the_canonical_forms(orbit, entries):
     tr = _assert_transform(np.array(entries), orbit, 1e-15)
     assert abs(abs(np.linalg.det(tr.S)) - 1.0) <= 1e-14
+
+
+# numpy's x86-64-v2 kernels: every dispatch target above its baseline switched off
+BASELINE_DISPATCH = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
+
+_CANONICAL_TRANSFORMS = """
+from tensorbit import SymTensor222, canonical_transform
+from tensorbit.decomp import _apply_sym
+for orbit, v in (("D3", (0.0, 1.0, 0.0, 0.0)), ("G3", (-1.0, 0.0, 1.0, 0.0))):
+    tr = canonical_transform(SymTensor222(*v))
+    err = max(abs(g - w) for g, w in zip(_apply_sym(tr.S, orbit).as_tuple(), v))
+    print(orbit, tr.orbit, tr.residual.hex(), err.hex())
+"""
+
+
+def test_canonical_transforms_hold_at_numpy_baseline_dispatch():
+    # the G3 pick once tied two rotations at the canonical form, and round-off
+    # chose between them: 1.25e-15 with these kernels, 9.2e-16 with AVX-512
+    src = str(Path(tensorbit.__file__).resolve().parents[1])
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=BASELINE_DISPATCH,
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", _CANONICAL_TRANSFORMS], env=env,
+                          capture_output=True, text=True, timeout=120)
+    if proc.returncode and "You cannot disable CPU feature" in proc.stderr:
+        pytest.skip("numpy refuses NPY_DISABLE_CPU_FEATURES=" + BASELINE_DISPATCH)
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()]
+    assert [row[:2] for row in rows] == [["D3", "D3"], ["G3", "G3"]]
+    for _, _, residual, err in rows:
+        assert float.fromhex(residual) <= 1e-15 and float.fromhex(err) <= 1e-15
 
 
 def _middle_coefficient_sets():

@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
 
-from tensorbit import (MultilinearRank, Rank1Term, Tensor222, TensorPxPx2, canonical_form,
-                       contract_mode, frobenius_norm_sq, multilinear_rank,
-                       multilinear_transform)
+import tensorbit
+from tensorbit import (MultilinearRank, Rank1Term, SymTensor222, Tensor222, TensorPxPx2,
+                       best_rank1_222, best_rank1_pxpx2, canonical_form, check_degenerate_props,
+                       classify, contract_mode, deflate_once, detect_infinite_best,
+                       frobenius_norm_sq, hopm, hyperdet, multilinear_rank,
+                       multilinear_transform, optimal_x, orbits, pencil_eigs, psi, psi_surface,
+                       slab_pencil, stationary_points_222)
+from tensorbit.rank1 import stationary_poly
+from tensorbit.tensors import _SYM_INDEX, _entries, _slab_major, unit_scaled
 from conftest import EXAMPLE_A1, KHL, random_tensor
 
 
@@ -171,3 +177,97 @@ def test_pxpx2_shape_checks():
     t = TensorPxPx2(np.arange(18.0).reshape(3, 3, 2))
     assert t.p == 3
     np.testing.assert_array_equal(t.slab1, t.array[:, :, 0])
+
+
+def test_symmetric_tensors_live_in_tensors():
+    assert tensorbit.SymTensor222 is orbits.SymTensor222 is SymTensor222
+    assert SymTensor222.__module__ == "tensorbit.tensors"
+
+
+def test_symmetric_expansion_takes_coefficient_i_plus_j_plus_k():
+    coeffs = (1.5, -2.0, 0.25, 3.0)
+    full = SymTensor222(*coeffs).tensor().array
+    for i, j, k in np.ndindex(2, 2, 2):
+        assert full[i, j, k] == coeffs[i + j + k] == coeffs[_SYM_INDEX[i, j, k]]
+    assert SymTensor222(*coeffs).tensor().entries == (1.5, -2.0, -2.0, 0.25, -2.0, 0.25, 0.25, 3.0)
+
+
+def test_slab_major_order_round_trips_on_stacks():
+    flat = np.arange(24.0).reshape(3, 8)
+    arrays = _slab_major(flat)
+    assert arrays.shape == (3, 2, 2, 2)
+    np.testing.assert_array_equal(arrays[1], Tensor222.from_flat(flat[1]).array)
+    np.testing.assert_array_equal(_entries(arrays), flat)
+
+
+def test_containers_are_c_ordered_however_they_are_built():
+    for t in (Tensor222.from_entries(*range(8)), Tensor222.from_flat(range(8)),
+              Tensor222(np.arange(8.0).reshape(2, 2, 2).transpose(2, 1, 0)),
+              SymTensor222(1, 2, 3, 4).tensor()):
+        assert t.array.flags.c_contiguous
+
+
+_EYE = np.eye(2)
+# every public function that takes a tensor, called on a raw 2x2x2 array
+_RAW_ARRAY_CALLS = {
+    "classify": classify,
+    "hyperdet": hyperdet,
+    "multilinear_rank": multilinear_rank,
+    "slab_pencil": slab_pencil,
+    "pencil_eigs": pencil_eigs,
+    "hopm": hopm,
+    "optimal_x": lambda X: optimal_x(X, [1.0, 0.0], [0.6, 0.8]),
+    "psi": lambda X: psi(X, Rank1Term(_EYE[0], _EYE[0], _EYE[1])),
+    "psi_surface": lambda X: psi_surface(X, 0.5, -0.25),
+    "best_rank1_222": best_rank1_222,
+    "best_rank1_pxpx2": best_rank1_pxpx2,
+    "stationary_points_222": stationary_points_222,
+    "stationary_poly": stationary_poly,
+    "detect_infinite_best": detect_infinite_best,
+    "deflate_once": deflate_once,
+    "check_degenerate_props": check_degenerate_props,
+    "frobenius_norm_sq": frobenius_norm_sq,
+    "unit_scaled": unit_scaled,
+    "contract_mode": lambda X: contract_mode(X, [1.0, 0.0], 3),
+    "multilinear_transform": lambda X: multilinear_transform(X, _EYE, _EYE, _EYE),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RAW_ARRAY_CALLS))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_raw_arrays_with_a_non_finite_entry_are_rejected(name, bad):
+    # at the parent commit classify raised LinAlgError on NaN, hyperdet
+    # returned nan and slab_pencil None, each on an unchecked array
+    X = random_tensor(0).array.copy()
+    X[1, 0, 1] = bad
+    with pytest.raises(ValueError, match="^tensor entries must be finite$"):
+        _RAW_ARRAY_CALLS[name](X)
+    # the same entries as a nested list
+    with pytest.raises(ValueError, match="^tensor entries must be finite$"):
+        _RAW_ARRAY_CALLS[name](X.tolist())
+
+
+def test_raw_arrays_give_what_their_containers_give():
+    t = random_tensor(4)
+    raw = t.array.copy()
+    assert classify(raw) == classify(t) and hyperdet(raw) == hyperdet(t)
+    assert multilinear_rank(raw) == multilinear_rank(t)
+    assert best_rank1_222(raw).psi == best_rank1_222(t).psi
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: Tensor222.from_flat(range(7)), "expected 8 entries, got 7"),
+    (lambda: SymTensor222.from_flat(range(5)), "expected 4 entries, got 5"),
+    (lambda: SymTensor222(0.0, np.inf, 0.0, 0.0), "tensor entries must be finite"),
+    (lambda: Rank1Term([[1.0, 0.0]], [1.0, 0.0], [1.0, 0.0]), "factor x must be a vector"),
+    (lambda: contract_mode(random_tensor(1), [1.0, 0.0], 4), "mode must be 1, 2 or 3, got 4"),
+    (lambda: contract_mode(random_tensor(1), [np.nan, 0.0], 3),
+     "contraction vector must be finite"),
+    (lambda: multilinear_transform(random_tensor(1), _EYE, np.eye(3), _EYE),
+     r"matrix T must be 2x2, got \(3, 3\)"),
+    (lambda: pencil_eigs(random_tensor(1), "13"), "slab_order must be '21' or '12'"),
+    (lambda: deflate_once(TensorPxPx2(np.ones((3, 3, 2)))), "deflate_once handles 2x2x2 tensors"),
+])
+def test_argument_checks(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
