@@ -503,8 +503,8 @@ for orbit, v in (("D3", (0.0, 1.0, 0.0, 0.0)), ("G3", (-1.0, 0.0, 1.0, 0.0))):
 
 
 def test_canonical_transforms_hold_at_numpy_baseline_dispatch():
-    # the G3 pick once tied two rotations at the canonical form, and round-off
-    # chose between them: 1.25e-15 with these kernels, 9.2e-16 with AVX-512
+    # a G3 pick that ties two rotations at the canonical form leaves the choice
+    # to round-off, which reads 1.25e-15 with these kernels
     src = str(Path(tensorbit.__file__).resolve().parents[1])
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=BASELINE_DISPATCH,
                PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))

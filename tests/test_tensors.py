@@ -236,8 +236,8 @@ _RAW_ARRAY_CALLS = {
 @pytest.mark.parametrize("name", sorted(_RAW_ARRAY_CALLS))
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_raw_arrays_with_a_non_finite_entry_are_rejected(name, bad):
-    # at the parent commit classify raised LinAlgError on NaN, hyperdet
-    # returned nan and slab_pencil None, each on an unchecked array
+    # unchecked, classify raises LinAlgError on NaN, hyperdet returns nan and
+    # slab_pencil None
     X = random_tensor(0).array.copy()
     X[1, 0, 1] = bad
     with pytest.raises(ValueError, match="^tensor entries must be finite$"):
