@@ -21,10 +21,9 @@ import numpy as np
 from . import deflation, rank1
 from .decomp import DomainError, sylvester_rank
 from .document import TensorDocument, parse_document
-from .orbits import _rank_tol, classify, hyperdet, slab_pencil
+from .orbits import classify, hyperdet, slab_pencil
 from .smallalg import DEFAULT_COINCIDENCE_TOL, EigenPair2, NumericalFailure
-from .tensors import (SymTensor222, Tensor222, _as_array, frobenius_norm_sq, multilinear_rank,
-                      unit_scaled)
+from .tensors import SymTensor222, Tensor222, _as_array, frobenius_norm_sq, unit_scaled
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -97,31 +96,22 @@ def cmd_classify(args) -> int:
     if not isinstance(tensor, (Tensor222, SymTensor222)):
         raise ValueError("classify handles full222 and sym222 documents")
     label = classify(tensor, args.tol)
-    delta = hyperdet(tensor)
-    mlr = multilinear_rank(tensor, _rank_tol(args.tol))
-    pencil = slab_pencil(tensor, args.coincidence_tol)
     _emit({
         "command": "classify",
         "kind": doc.kind,
         "label": doc.label,
         "orbit": label.orbit,
-        "delta": delta,
-        "multilinear_rank": list(mlr.as_tuple()),
-        "pencil": _pencil_dict(pencil),
+        "delta": label.delta,
+        "multilinear_rank": list(label.mlrank.as_tuple()),
+        "pencil": _pencil_dict(slab_pencil(tensor, args.coincidence_tol)),
         "boundary_margin": label.boundary_margin,
     })
     return EXIT_OK
 
 
 def _point_rows(points):
-    rows = []
-    for pt in points:
-        rows.append({
-            "y2": pt.y2, "z2": pt.z2, "psi": pt.psi,
-            "delta_residual": pt.delta_residual,
-            "hessian_pd": pt.hessian_pd, "degenerate": pt.degenerate,
-        })
-    return rows
+    return [{"y2": pt.y2, "z2": pt.z2, "psi": pt.psi, "delta_residual": pt.delta_residual,
+             "hessian_pd": pt.hessian_pd, "degenerate": pt.degenerate} for pt in points]
 
 
 def _sym_point_rows(points):
@@ -185,14 +175,8 @@ def cmd_rank1(args) -> int:
         if rows:
             print("  ".join(f"{c:>14}" for c in table_cols))
             for row in rows:
-                cells = []
-                for c in table_cols:
-                    v = row[c]
-                    if isinstance(v, float):
-                        cells.append(f"{v:14.6g}")
-                    else:
-                        cells.append(f"{str(v):>14}")
-                print("  ".join(cells))
+                print("  ".join(f"{v:14.6g}" if isinstance(v, float) else f"{str(v):>14}"
+                                for v in (row[c] for c in table_cols)))
     return EXIT_OK
 
 
@@ -243,14 +227,13 @@ def cmd_decompose(args) -> int:
         if wanted != rank:
             raise DomainError(
                 f"tensor has symmetric rank {rank}; exact rank-{wanted} output unsupported")
-    payload = {
+    _emit({
         "command": "decompose",
         "label": doc.label,
         "rank": rank,
         "vectors": [list(map(float, v)) for v in dec.vectors],
         "reconstruction_error": dec.reconstruction_error,
-    }
-    _emit(payload)
+    })
     return EXIT_OK
 
 

@@ -12,6 +12,8 @@ transforms (S, S, S) . Y_canonical = X from the canonical D3 / G3
 representative come from the same kernel quadratic: its double root (D3) or
 its complex pair (G3) gives S directly (`_kernel_S`).  The diagonal rescale
 to (a', 1, 1, d') is a public normal form that no transform uses.
+Each public function checks its tensor once (`tensors._as_sym`) and scales
+it once (`_unit_sym`); the helpers pass the scaled coefficients on.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ import numpy as np
 
 from .orbits import _ldexp, _rank_tol, canonical_form, classify_sym, hyperdet_sym
 from .smallalg import NumericalFailure
-from .tensors import SymTensor222, _prescale, multilinear_transform
+from .tensors import (_SYM_FIRST, SymTensor222, _as_sym, _cubes, _entries, _prescale,
+                      multilinear_transform)
 
 __all__ = [
     "DomainError",
@@ -99,21 +102,28 @@ class CanonicalTransform:
     residual: float
 
 
-def _recon_error(Xs: SymTensor222, vectors) -> float:
-    out = np.array(Xs.as_tuple(), float)
-    for v in vectors:
-        y1, y2 = v
-        out = out - np.array([y1 ** 3, y1 ** 2 * y2, y1 * y2 ** 2, y2 ** 3])
-    return float(np.max(np.abs(out)))
+def _unit_sym(Xs: SymTensor222):
+    """(Xs / 8^k, k), as coefficients with max|entry| in [1/2, 4) or zero:
+    exact, and a vector of Xs / 8^k is one of Xs over 2^k."""
+    coeffs = np.array(Xs.as_tuple())
+    k = _prescale(coeffs)[1] // 3
+    return np.ldexp(coeffs, -3 * k), k
 
 
-def _unit_kernel(Xs: SymTensor222):
-    """(g, scale): the kernel vector g = (ac - b^2, bc - ad, bd - c^2) of
-    Xs / 2^e, whose roots are those of Xs, and max|entry| / 2^e, in [1/2, 1)
-    or 0 for the zero tensor (`_prescale`, which is exact)."""
-    unit, _ = _prescale(Xs.as_tuple())
+def _kernel(unit) -> np.ndarray:
+    """The kernel vector (ac - b^2, bc - ad, bd - c^2) of ``unit``."""
     a, b, c, d = unit.tolist()
-    return np.array([a * c - b * b, b * c - a * d, b * d - c * c]), float(np.abs(unit).max())
+    return np.array([a * c - b * b, b * c - a * d, b * d - c * c])
+
+
+def _decomposition(unit, k: int, vectors) -> SymDecomposition:
+    """The decomposition of unit * 8^k with the terms v (x) v (x) v of the
+    ``vectors`` of unit, scaled back by 2^k."""
+    out = unit
+    for v in vectors:
+        out = out - _cubes(v)
+    return SymDecomposition(len(vectors), tuple(np.ldexp(v, k) for v in vectors),
+                            _ldexp(float(np.max(np.abs(out))), 3 * k))
 
 
 def sylvester_rank(Xs: SymTensor222, tol: float = 1e-9):
@@ -123,41 +133,38 @@ def sylvester_rank(Xs: SymTensor222, tol: float = 1e-9):
     coefficients), within the rank cutoff min(tol, 1e-9) of `classify`;
     rank 2 to the kernel quadratic having two distinct real roots
     (discriminant above the Delta band tol); everything else is rank 3.
-    The tests run on Xs / 2^e with max|entry| / 2^e in [1/2, 1), which is
-    exact, so they take the same decisions over the whole double range.
+    The tests run on Xs / 8^k (`_unit_sym`), which is exact, so they take
+    the same decisions over the whole double range.
     """
-    a, b, c, d = Xs.as_tuple()
-    g, scale = _unit_kernel(Xs)
+    unit, k = _unit_sym(_as_sym(Xs))
+    scale = float(np.abs(unit).max())
     if scale == 0.0:
         return 0, SymDecomposition(0, (), 0.0)
+    g = _kernel(unit)
     if np.max(np.abs(g)) <= _rank_tol(tol) * scale ** 2:
+        a, b, c, d = unit.tolist()
         if abs(a) >= abs(d):
             v1 = np.cbrt(a)
             v2 = v1 * (b / a) if a != 0.0 else 0.0
         else:
             v2 = np.cbrt(d)
             v1 = v2 * (c / d)
-        v = np.array([v1, v2])
-        return 1, SymDecomposition(1, (v,), _recon_error(Xs, (v,)))
+        return 1, _decomposition(unit, k, (np.array([v1, v2]),))
     if g[1] ** 2 - 4.0 * g[0] * g[2] > tol * scale ** 4:
-        return 2, _rank2_from_kernel(Xs, g)
-    return 3, _rank3_apolar(Xs)
+        return 2, _rank2_from_kernel(unit, k, g)
+    return 3, _rank3_apolar(unit, k)
 
 
-def _from_directions(Xs: SymTensor222, dirs) -> SymDecomposition:
-    """The decomposition along the unit directions ``dirs``: the cube weights
-    solve the moment equations in least squares on Xs / 8^k (exact), where none overflows."""
-    k = _prescale(Xs.as_tuple())[1] // 3
-    unit = SymTensor222(*np.ldexp(Xs.as_tuple(), -3 * k).tolist())
-    cols = [[x ** 3, x * x * y, x * y * y, y ** 3] for x, y in dirs]
-    w, *_ = np.linalg.lstsq(np.array(cols).T, np.array(unit.as_tuple()), rcond=None)
-    vectors = tuple(np.cbrt(wi) * u for wi, u in zip(w, dirs))
-    return SymDecomposition(len(dirs), tuple(np.ldexp(v, k) for v in vectors),
-                            _ldexp(_recon_error(unit, vectors), 3 * k))
+def _from_directions(unit, k: int, dirs) -> SymDecomposition:
+    """The decomposition of unit * 8^k along the unit directions ``dirs``,
+    with cube weights from the moment equations on unit, where none overflows."""
+    w, *_ = np.linalg.lstsq(_cubes(np.array(dirs)).T, unit, rcond=None)
+    return _decomposition(unit, k, [np.cbrt(wi) * u for wi, u in zip(w, dirs)])
 
 
-def _rank2_from_kernel(Xs: SymTensor222, g) -> SymDecomposition:
-    """Decomposition along the roots of q(u1, u2) = g2 u1^2 + g1 u1 u2 + g0 u2^2.
+def _rank2_from_kernel(unit, k: int, g) -> SymDecomposition:
+    """Decomposition of unit * 8^k along the roots of its kernel quadratic
+    q(u1, u2) = g2 u1^2 + g1 u1 u2 + g0 u2^2.
 
     With s = -(g1 + sign(g1) sqrt(disc)) / 2 the homogeneous roots are
     (s, g2) and (g0, s): neither subtracts nearly equal numbers, and a
@@ -166,41 +173,43 @@ def _rank2_from_kernel(Xs: SymTensor222, g) -> SymDecomposition:
     g0, g1, g2 = g
     s = -0.5 * (g1 + np.copysign(np.sqrt(g1 * g1 - 4.0 * g0 * g2), g1))
     dirs = [u / np.linalg.norm(u) for u in (np.array([s, g2]), np.array([g0, s]))]
-    return _from_directions(Xs, dirs)
+    return _from_directions(unit, k, dirs)
 
 
-def _rank3_apolar(Xs: SymTensor222) -> SymDecomposition:
-    """Rank-3 decomposition along u1, u2 and the third root u3 of an apolar
-    cubic L1 L2 L3: u3 is parallel to (al a + be b + ga c, al b + be c + ga d),
-    which vanishes only if L1 L2 is the kernel quadratic, so never on rank-3
-    input.  Of the `_PAIRS` the one whose u3 lies farthest from both of its
-    directions is taken, with u3 from Xs / 2^e (exact)."""
-    unit, _ = _prescale(Xs.as_tuple())
+def _rank3_apolar(unit, k: int) -> SymDecomposition:
+    """Rank-3 decomposition of unit * 8^k along u1, u2 and the third root u3
+    of an apolar cubic L1 L2 L3: u3 is parallel to (al a + be b + ga c,
+    al b + be c + ga d), which vanishes only if L1 L2 is the kernel
+    quadratic, so never on rank-3 input.  Of the `_PAIRS` the one whose u3
+    lies farthest from both of its directions is taken."""
     V = _APOLAR @ unit
     norms = np.hypot(V[:, 0], V[:, 1])
     # |det(u3, u_r)| / |u3| is the |sin| of the angle between u3 and u_r
     j = int(np.argmax(np.abs(V[:, 2:]).min(axis=1) / norms))
-    return _from_directions(Xs, (*_PAIRS[j], V[j, :2] / norms[j]))
+    return _from_directions(unit, k, (*_PAIRS[j], V[j, :2] / norms[j]))
 
 
 def sym_rank2_decompose(Xs: SymTensor222, tol: float = 1e-9) -> SymDecomposition:
     """Rank-2 decomposition of an orbit-G2 tensor along the two real roots
     of Sylvester's kernel quadratic (whose discriminant is Delta > 0)."""
+    Xs = _as_sym(Xs)
     label = classify_sym(Xs, max(tol, 1e-12))
     if label.orbit != "G2":
         raise DomainError(f"rank-2 decomposition needs orbit G2, got {label.orbit}")
-    return _rank2_from_kernel(Xs, _unit_kernel(Xs)[0])
+    unit, k = _unit_sym(Xs)
+    return _rank2_from_kernel(unit, k, _kernel(unit))
 
 
 def sym_rank3_decompose(Xs: SymTensor222, tol: float = 1e-9) -> SymDecomposition:
     """Rank-3 decomposition of an orbit-D3 or G3 tensor along the roots of
     an apolar cubic (`_rank3_apolar`)."""
+    Xs = _as_sym(Xs)
     label = classify_sym(Xs, max(tol, 1e-12))
     if label.orbit not in ("D3", "G3"):
         raise DomainError(
             f"rank-3 decomposition needs orbit D3 or G3, got {label.orbit}; "
             "use sym_rank2_decompose for rank-2 input")
-    return _rank3_apolar(Xs)
+    return _rank3_apolar(*_unit_sym(Xs))
 
 
 def canonicalize_sym_form(Xs: SymTensor222) -> CanonicalSymForm:
@@ -208,7 +217,7 @@ def canonicalize_sym_form(Xs: SymTensor222) -> CanonicalSymForm:
     mu^3 = c / b^2 and eta^3 = b / c^2.  Requires b and c above 1e-12
     max|entry|.  Each quotient divides twice rather than by b^2 or c^2,
     which overflow or underflow far inside the double range."""
-    a, b, c, d = Xs.as_tuple()
+    a, b, c, d = _as_sym(Xs).as_tuple()
     scale = max(abs(v) for v in (a, b, c, d))
     if abs(b) <= 1e-12 * scale:
         return CanonicalSymForm(np.nan, np.nan, None, "b_zero")
@@ -221,20 +230,14 @@ def canonicalize_sym_form(Xs: SymTensor222) -> CanonicalSymForm:
     return CanonicalSymForm(float(a_new), float(d_new), np.diag([mu, eta]))
 
 
-def _apply_sym(S, orbit: str) -> SymTensor222:
-    full = multilinear_transform(canonical_form(orbit), S, S, S)
-    x = full.array
-    return SymTensor222(x[0, 0, 0], x[0, 1, 0], x[1, 1, 0], x[1, 1, 1])
-
-
-def _form_residual(S, orbit: str, target: SymTensor222) -> float:
-    got = _apply_sym(S, orbit)
-    return float(np.max(np.abs(np.array(got.as_tuple()) - np.array(target.as_tuple()))))
+def _apply_sym(S, orbit: str) -> np.ndarray:
+    """The coefficients of (S, S, S) . Y_orbit."""
+    return _entries(multilinear_transform(canonical_form(orbit), S, S, S).array)[_SYM_FIRST]
 
 
 def _kernel_S(unit: np.ndarray, g, orbit: str) -> np.ndarray:
     """S with (S, S, S) . Y_orbit = unit, from the roots of the kernel
-    quadratic q of `_unit_kernel`, whose coefficients are g.
+    quadratic q of `_kernel`, whose coefficients are g.
 
     With f(u) = unit(u, u, u) the transform says f(u) = f_Y(S^T u).  On G3, q
     has the roots v and conj(v), f = Re(W (v . u)^3) and Y_G3 is
@@ -255,7 +258,7 @@ def _kernel_S(unit: np.ndarray, g, orbit: str) -> np.ndarray:
     v = np.array([s, g2] if abs(g2) >= abs(g0) else [g0, s])
     if orbit == "G3":
         v = v / np.linalg.norm(v)
-        cube = np.array([v[0] ** 3, v[0] ** 2 * v[1], v[0] * v[1] ** 2, v[1] ** 3])
+        cube = _cubes(v)
         (wr, wi), *_ = np.linalg.lstsq(np.stack([cube.real, -cube.imag], axis=1), unit, rcond=None)
         phases = (cmath.phase(-complex(wr, wi)) + 2.0 * np.pi * np.arange(3)) / 3.0
         P = (np.cbrt(math.hypot(wr, wi)) * np.exp(1j * phases))[:, None] * v
@@ -271,19 +274,17 @@ def _kernel_S(unit: np.ndarray, g, orbit: str) -> np.ndarray:
 
 
 def _kernel_transform(Xs: SymTensor222, orbit: str) -> CanonicalTransform:
-    """`_kernel_S` on Xs / 8^k (exact), scaled back by 2^k, so that S of
-    8^j Xs is exactly 2^j S.  Raises DomainError on rank-1 input, at the
+    """`_kernel_S` on Xs / 8^k (`_unit_sym`), scaled back by 2^k, so that S
+    of 8^j Xs is exactly 2^j S.  Raises DomainError on rank-1 input, at the
     rank cutoff of `sylvester_rank`, and NumericalFailure where S misses Xs
     by more than TRANSFORM_TOL max|entry|."""
-    k = _prescale(Xs.as_tuple())[1] // 3
-    unit = np.ldexp(Xs.as_tuple(), -3 * k)
-    target = SymTensor222(*unit.tolist())
-    g, scale = _unit_kernel(target)
+    unit, k = _unit_sym(Xs)
+    g, scale = _kernel(unit), np.abs(unit).max()
     if np.max(np.abs(g)) <= _rank_tol(1e-9) * scale ** 2:
         raise DomainError(f"rank-1 input has no {orbit} transform")
     S = _kernel_S(unit, g, orbit)
-    residual = _form_residual(S, orbit, target)
-    if residual > TRANSFORM_TOL * np.abs(unit).max():
+    residual = float(np.max(np.abs(_apply_sym(S, orbit) - unit)))
+    if residual > TRANSFORM_TOL * scale:
         raise NumericalFailure(f"{orbit} transform residual {residual:.3e} too large")
     return CanonicalTransform(np.ldexp(S, k), orbit, _ldexp(residual, 3 * k))
 
@@ -311,6 +312,7 @@ def transform_from_canonical_G3(a: float, d: float) -> CanonicalTransform:
 def canonical_transform(Xs: SymTensor222) -> CanonicalTransform:
     """Full transform from the canonical orbit representative to ``Xs``, an
     orbit-D3 or G3 tensor (`_kernel_transform`)."""
+    Xs = _as_sym(Xs)
     label = classify_sym(Xs, 1e-9)
     if label.orbit not in ("D3", "G3"):
         raise DomainError(f"canonical transforms cover orbits D3 and G3, got {label.orbit}")

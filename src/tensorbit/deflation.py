@@ -6,12 +6,11 @@ residual on the rank-2/rank-3 boundary orbit D3, i.e. the residual slab
 pencil acquires a defective double eigenvalue and the hyperdeterminant of
 the residual vanishes.
 
-One stacked computation, `_reports`, gives every report: the labels and
-margins, Delta values and multilinear ranks of the inputs and residuals of
-N steps, from one exact scaling and one rank call.  `DeflationReport` is
-its N = 1 case, with both slab pencils from `slab_pencil`, and experiment
-rows are built from its lists, with the residuals' slab pencils from one
-stacked slab choice.
+A `DeflationReport` holds two `classify` labels, the input's and the
+residual's, which carry the Delta values and the residual's multilinear
+rank, and the `slab_pencil` of each.  Experiment rows come from the same
+decision over all their steps at once, `orbits._reports`, with the
+residuals' slab pencils from one stacked slab choice.
 
 Each experiment is a sampler and a solver run by one harness.  Trial t
 draws its input from its own counter-based RNG stream (Philox keyed on the
@@ -38,12 +37,11 @@ import numpy as np
 
 from . import rank1
 from .decomp import DomainError
-from .orbits import (OrbitLabel, _hyperdets, _is_zero, _ldexp, _orbit, _quotient, _rank_tol,
-                     _slab_pencils, canonical_form, classify, slab_pencil)
+from .orbits import (RESIDUAL_BAND, OrbitLabel, _ldexp, _quotient, _reports, _slab_pencils,
+                     canonical_form, classify, slab_pencil)
 from .smallalg import DEFAULT_COINCIDENCE_TOL, EigenPair2, spectra_small
 from .tensors import (_SYM_INDEX, MultilinearRank, SymTensor222, Tensor222, TensorPxPx2, _as_array,
-                      _entries, _ranks, _slab_major, frobenius_norm_sq, multilinear_transform,
-                      unit_scaled)
+                      _entries, _slab_major, frobenius_norm_sq, multilinear_transform, unit_scaled)
 
 __all__ = [
     "DeflationReport",
@@ -58,9 +56,6 @@ __all__ = [
 ]
 
 GAP_BUCKETS = (1e-14, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 1.0)
-# the Delta band of a residual, which reaches the boundary only up to
-# root-solver accuracy
-RESIDUAL_BAND = 1e-6
 # band for pairing pxpx2 pencil eigenvalues, wider than the library's 1e-6:
 # an error e in the rank-1 term splits a defective double eigenvalue by ~sqrt(e)
 PAIRING_BAND = 1e-4
@@ -127,44 +122,16 @@ def _pencil_gap(pencil):
     return float(pencil.gap / (1.0 + max(map(abs, pencil.values))))
 
 
-def _reports(X, R, tol: float = 1e-9):
-    """(labels, margins, deltas, ranks) of N deflation steps, the inputs X
-    (N, 2, 2, 2) deflated to the residuals R: lists over the 2N tensors of
-    [X; R], inputs first.  X[n] is labelled as by `classify(X[n], tol)`,
-    R[n] as by `classify(R[n], max(tol, RESIDUAL_BAND), zero_scale=
-    max|X[n]|)`, with the rank that label uses and `hyperdet`.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    n = len(X)
-    A = np.concatenate([X, R])
-    band = max(tol, RESIDUAL_BAND)
-    delta, exponent, unit, scale = _hyperdets(A)
-    ranks = np.stack(_ranks(unit, np.repeat([_rank_tol(tol), _rank_tol(band)], n)[:, None]),
-                     axis=1).tolist()
-    tols, zero_scales = [tol] * n + [band] * n, [None] * n + scale[:n].tolist()
-    labels, margins = [], []
-    for s, z, t, r, d, u in zip(scale.tolist(), zero_scales, tols, ranks, delta.tolist(),
-                                np.ldexp(scale, -exponent).tolist()):
-        quartic = u ** 4
-        zero = _is_zero(s, z, t)
-        labels.append("D0" if zero else _orbit(tuple(r), d, quartic, t))
-        margins.append(0.0 if zero else abs(d) / quartic)
-    with np.errstate(over="ignore"):
-        deltas = np.ldexp(delta, 4 * exponent).tolist()
-    return labels, margins, deltas, ranks
-
-
 def _deflation_report(X, R, psi: float, ties: int, warnings, tol: float,
                       coincidence_tol: float = DEFAULT_COINCIDENCE_TOL) -> DeflationReport:
-    """The report of the input X deflated to the residual R, both (2, 2, 2)
-    arrays, with criterion psi: the N = 1 case of `_reports`, and the
-    `slab_pencil` of each."""
-    labels, margins, deltas, ranks = _reports(X[None], R[None], tol)
-    # the fields in order: orbits, deltas and pencils before and after, then the residual's rank
-    return DeflationReport(OrbitLabel(labels[0], margins[0]), OrbitLabel(labels[1], margins[1]),
-                           *deltas, slab_pencil(X, coincidence_tol), slab_pencil(R, coincidence_tol),
-                           MultilinearRank(*ranks[1]), float(psi), ties, tuple(warnings))
+    """The report of the 2x2x2 tensor X deflated to the residual R, with
+    criterion psi: the label of X at ``tol``, that of R at the residual band
+    relative to max|X|, and the `slab_pencil` of each."""
+    before = classify(X, tol)
+    after = classify(R, max(tol, RESIDUAL_BAND), float(np.abs(_as_array(X)).max()))
+    return DeflationReport(before, after, before.delta, after.delta,
+                           slab_pencil(X, coincidence_tol), slab_pencil(R, coincidence_tol),
+                           after.mlrank, float(psi), ties, tuple(warnings))
 
 
 def _report_rows(X, R, psi) -> list:
@@ -201,15 +168,16 @@ def deflate_once(X, tol: float = 1e-9, coincidence_tol: float = DEFAULT_COINCIDE
     if isinstance(X, TensorPxPx2):
         raise ValueError("deflate_once handles 2x2x2 tensors; use best_rank1_pxpx2 "
                          "plus spectrum_small (or experiment_pxpx2) for pxpx2 input")
-    A = _as_array(X)
     if isinstance(X, SymTensor222):
         result = rank1.best_rank1_sym(X)
         residual = X.rank1_update(result.term.y, -1.0)
     else:
+        # a raw array is checked once, here
+        X = X if isinstance(X, Tensor222) else Tensor222(X)
         result = rank1.best_rank1_222(X)
-        residual = Tensor222(A - result.term.tensor())
-    return residual, _deflation_report(A, _as_array(residual), result.psi,
-                                       result.multiplicity, result.warnings, tol, coincidence_tol)
+        residual = Tensor222(X.array - result.term.tensor())
+    return residual, _deflation_report(X, residual, result.psi, result.multiplicity,
+                                       result.warnings, tol, coincidence_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -484,6 +452,8 @@ def check_degenerate_props(X) -> DeflationReport:
     scale, and the candidates' psis and tie bound are taken on X / 2^e
     (exact), where no square saturates, so 2^k X gets the verdicts of X.
     """
+    # a raw array is checked once, here
+    X = X if isinstance(X, (Tensor222, SymTensor222)) else Tensor222(X)
     A = _as_array(X)
     label = classify(X, PROPS_TOL)
     unit, exponent = unit_scaled(X)
@@ -509,7 +479,7 @@ def check_degenerate_props(X) -> DeflationReport:
             candidates.append(Tensor222(family.array / 2.0))
         psis = [frobenius_norm_sq(unit - c.array) for c in candidates]
         best = int(np.argmin(psis))
-        report = _deflation_report(A, A - np.ldexp(candidates[best].array, exponent),
+        report = _deflation_report(X, Tensor222(A - np.ldexp(candidates[best].array, exponent)),
                                    _ldexp(psis[best], 2 * exponent),
                                    rank1._ties(psis, psis[best], frobenius_norm_sq(unit)), (),
                                    PROPS_TOL)

@@ -7,7 +7,9 @@ G3 are separated by the sign of the hyperdeterminant (+ / 0 / -), with D3
 additionally carrying a defective double eigenvalue of the slab pencil.
 Symmetric tensors occupy the sub-list D0, D1, G2, D3, G3, and are
 classified by their expansion.  `SymTensor222`, the flat entry order and
-the input check live in `tensors`; SymTensor222 is re-exported here.
+the input checks live in `tensors`; SymTensor222 is re-exported here.
+A label carries the Delta and multilinear rank it was decided from, and
+`_reports` takes the decision of `classify` over a stack.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ import numpy as np
 
 from .smallalg import (DEFAULT_COINCIDENCE_TOL, EigenPair2, _diagonalizable, _eig2_terms,
                        _eigen_pair, eig2)
-from .tensors import (DEFAULT_RANK_TOL, SymTensor222, Tensor222, _as_array, _entries, _prescale,
-                      multilinear_rank, unit_scaled)
+from .tensors import (DEFAULT_RANK_TOL, MultilinearRank, SymTensor222, Tensor222, _as_array,
+                      _as_sym, _entries, _prescale, _ranks, unit_scaled)
 
 __all__ = [
     "ORBITS",
@@ -40,6 +42,9 @@ ORBITS = ("D0", "D1", "D2", "D2p", "D2pp", "G2", "D3", "G3")
 SYMMETRIC_ORBITS = ("D0", "D1", "G2", "D3", "G3")
 
 PENCIL_COND_CAP = 1e8
+# the Delta band of a deflation residual, which reaches the boundary only up
+# to root-solver accuracy
+RESIDUAL_BAND = 1e-6
 
 _CANONICAL = {
     "D0": (0, 0, 0, 0, 0, 0, 0, 0),
@@ -60,15 +65,19 @@ def canonical_form(orbit: str) -> Tensor222:
 
 @dataclass(frozen=True)
 class OrbitLabel:
-    """Orbit name plus a distance-to-threshold diagnostic.
-
+    """Orbit name, the two facts it was decided from, and a diagnostic:
     ``boundary_margin`` is |hyperdeterminant| in units of the fourth power
     of the largest entry magnitude, i.e. how far the tensor sits from the
-    Delta = 0 boundary on the classifier's own scale.
+    Delta = 0 boundary on the classifier's own scale (0 for D0).  ``delta``
+    is the hyperdeterminant on the tensor's own scale, the value `hyperdet`
+    returns, and ``mlrank`` the multilinear rank at the cutoff the label
+    used (`_rank_tol`).  Labels compare and hash by ``orbit`` alone.
     """
 
     orbit: str
     boundary_margin: float = 0.0
+    delta: float = 0.0
+    mlrank: MultilinearRank = MultilinearRank(0, 0, 0)
 
     def __eq__(self, other):
         if isinstance(other, OrbitLabel):
@@ -97,16 +106,6 @@ def _delta_sym(a, b, c, d) -> float:
     return (b * c - a * d) ** 2 - 4.0 * (b * d - c * c) * (a * c - b * b)
 
 
-def _hyperdets(A):
-    """`hyperdet` of each tensor of the stack A (..., 2, 2, 2), with the
-    same exact scaling: (Delta of A / 2^e, e, A / 2^e, max|entry|), with
-    max|entry| / 2^e in [1/2, 1).  Delta is Delta of A / 2^e times 2^(4e)."""
-    unit, exponent = _prescale(A, A.ndim - 3)
-    flat = _entries(unit)
-    delta = _delta(*(flat[..., n] for n in range(8)))
-    return delta, exponent, unit, np.abs(A).max(axis=(-3, -2, -1))
-
-
 def hyperdet(X) -> float:
     """Hyperdeterminant: discriminant of det(l1 X1 + l2 X2) in (l1, l2).
 
@@ -121,8 +120,9 @@ def hyperdet(X) -> float:
 
 def hyperdet_sym(Xs: SymTensor222) -> float:
     """Closed form (bc - ad)^2 - 4 (bd - c^2)(ac - b^2) for symmetric input,
-    with the scaling of `hyperdet`."""
-    unit, exponent = _prescale(Xs.as_tuple() if isinstance(Xs, SymTensor222) else Xs)
+    a SymTensor222 or four finite coefficients, with the scaling of
+    `hyperdet`."""
+    unit, exponent = _prescale(_as_sym(Xs).as_tuple())
     return _ldexp(_delta_sym(*unit.tolist()), 4 * exponent)
 
 
@@ -134,7 +134,11 @@ def pencil_eigs(X, slab_order: str = "21",
     designated slab is singular (condition number above the cap), pointing
     at the other order.
     """
-    A = _as_array(X)
+    return _pencil_eigs(_as_array(X), slab_order, coincidence_tol)
+
+
+def _pencil_eigs(A, slab_order: str, coincidence_tol: float) -> EigenPair2:
+    """`pencil_eigs` of the checked array A."""
     if slab_order == "21":
         num, den, other = A[..., 1], A[..., 0], "12"
     elif slab_order == "12":
@@ -176,10 +180,10 @@ def slab_pencil(X, coincidence_tol: float = DEFAULT_COINCIDENCE_TOL) -> EigenPai
     """`pencil_eigs` of X2 X1^-1, or of X1 X2^-1 when X1 is singular; None
     when both slabs are."""
     # checked first: a non-finite entry's ValueError must not read as a singular slab
-    _as_array(X)
+    A = _as_array(X)
     for order in ("21", "12"):
         try:
-            return pencil_eigs(X, order, coincidence_tol)
+            return _pencil_eigs(A, order, coincidence_tol)
         except ValueError:
             continue
     return None
@@ -212,26 +216,19 @@ def _rank_tol(tol: float) -> float:
     return min(tol, DEFAULT_RANK_TOL)
 
 
-def _is_zero(scale: float, zero_scale, tol: float) -> bool:
-    """The D0 decision on the largest entry magnitude ``scale``, relative to
-    an external ``zero_scale`` when one is given."""
-    return scale == 0.0 or (zero_scale is not None and scale <= _rank_tol(tol) * zero_scale)
-
-
-def _orbit(mlr: tuple, delta: float, quartic: float, tol: float) -> str:
-    """The orbit of a nonzero tensor from its multilinear rank and its
-    hyperdeterminant, with ``quartic`` the fourth power of its largest entry
-    magnitude on the scale of ``delta``: |Delta| <= tol * quartic is the
-    boundary D3."""
-    if max(mlr) <= 1:
-        return "D1"
-    if min(mlr) == 1:
-        return ("D2p", "D2pp", "D2")[mlr.index(1)]
-    if delta > tol * quartic:
-        return "G2"
-    if delta < -tol * quartic:
-        return "G3"
-    return "D3"
+def _decide(scale: float, unit_max: float, zero_scale, mlr, delta: float, tol: float) -> tuple:
+    """(orbit, margin) from the largest entry magnitude ``scale``, that is
+    ``unit_max`` on the scale of Delta ``delta``, and the multilinear rank
+    ``mlr``: D0 at zero or at most _rank_tol(tol) ``zero_scale``, and the
+    boundary D3 at |Delta| <= tol unit_max^4."""
+    if scale == 0.0 or (zero_scale is not None and scale <= _rank_tol(tol) * zero_scale):
+        return "D0", 0.0
+    quartic = unit_max ** 4
+    if min(mlr) <= 1:
+        orbit = "D1" if max(mlr) <= 1 else ("D2p", "D2pp", "D2")[mlr.index(1)]
+    else:
+        orbit = "G2" if delta > tol * quartic else "G3" if delta < -tol * quartic else "D3"
+    return orbit, abs(delta) / quartic
 
 
 def classify(X, tol: float = 1e-9, zero_scale: float | None = None) -> OrbitLabel:
@@ -247,25 +244,52 @@ def classify(X, tol: float = 1e-9, zero_scale: float | None = None) -> OrbitLabe
     and Delta decisions run on X / 2^e with max|entry| / 2^e in [1/2, 1):
     the division is exact, so the label and margin do not depend on the
     scale and the degree-4 hyperdeterminant neither overflows nor
-    underflows.  A SymTensor222 is classified by its expansion.
+    underflows.  The label carries that rank and that Delta, scaled back
+    as `hyperdet` scales it.  A SymTensor222 is classified by its expansion.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     X, exponent = unit_scaled(X)
     unit_max = float(np.abs(X).max())
-    if _is_zero(math.ldexp(unit_max, exponent), zero_scale, tol):
-        return OrbitLabel("D0", 0.0)
-    quartic = unit_max ** 4
     delta = _delta(*_entries(X).tolist())
-    mlr = multilinear_rank(X, _rank_tol(tol)).as_tuple()
-    return OrbitLabel(_orbit(mlr, delta, quartic, tol), abs(delta) / quartic)
+    mlrank = MultilinearRank(*map(int, _ranks(X, _rank_tol(tol))))
+    orbit, margin = _decide(math.ldexp(unit_max, exponent), unit_max, zero_scale,
+                            mlrank.as_tuple(), delta, tol)
+    return OrbitLabel(orbit, margin, _ldexp(delta, 4 * exponent), mlrank)
 
 
 def classify_sym(Xs: SymTensor222, tol: float = 1e-9,
                  zero_scale: float | None = None) -> OrbitLabel:
-    """Orbit of a symmetric 2x2x2 tensor: `classify` of its expansion.
+    """Orbit of a symmetric 2x2x2 tensor, a SymTensor222 or four finite
+    coefficients: `classify` of its expansion.
 
     All three unfoldings of a symmetric tensor are the same matrix up to a
     column order, so the label is one of D0, D1, G2, D3, G3.
     """
-    return classify(Xs, tol, zero_scale)
+    return classify(_as_sym(Xs), tol, zero_scale)
+
+
+def _reports(X, R, tol: float = 1e-9):
+    """(labels, margins, deltas, ranks) of N deflation steps, the inputs X
+    (N, 2, 2, 2) deflated to the residuals R: lists over the 2N tensors of
+    [X; R], inputs first.  X[n] is labelled as by `classify(X[n], tol)`,
+    R[n] as by `classify(R[n], max(tol, RESIDUAL_BAND), zero_scale=
+    max|X[n]|)`, from one exact scaling and one rank call.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    n = len(X)
+    A = np.concatenate([X, R])
+    band = max(tol, RESIDUAL_BAND)
+    unit, exponent = _prescale(A, 1)
+    flat = _entries(unit)
+    delta = _delta(*(flat[..., k] for k in range(8)))
+    scale = np.abs(A).max(axis=(1, 2, 3))
+    ranks = np.stack(_ranks(unit, np.repeat([_rank_tol(tol), _rank_tol(band)], n)[:, None]),
+                     axis=1).tolist()
+    decided = [_decide(*args) for args in zip(
+        scale.tolist(), np.ldexp(scale, -exponent).tolist(), [None] * n + scale[:n].tolist(),
+        ranks, delta.tolist(), [tol] * n + [band] * n)]
+    with np.errstate(over="ignore"):
+        deltas = np.ldexp(delta, 4 * exponent).tolist()
+    return [d[0] for d in decided], [d[1] for d in decided], deltas, ranks

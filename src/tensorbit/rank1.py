@@ -26,9 +26,9 @@ sigma_max^2 by `eigh` of the Gram pencil S0 + cos(phi) S1 + sin(phi) S2;
 the circle solve does not certify.  `hopm` (alternating least squares)
 remains as an independent iterative method.
 
-Every public function here takes its tensor through `tensors._as_array`,
-which also holds `SymTensor222` and the slab-major entry order; only the
-Python-float lanes of the 2x2x2 enumeration index entries in C order.
+Every public function here checks its tensor with `tensors._as_array`, or
+a symmetric one with `tensors._as_sym`; only the Python-float lanes of the
+2x2x2 enumeration index entries in C order rather than through `tensors`.
 """
 
 from __future__ import annotations
@@ -39,9 +39,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import smallalg
-from .orbits import _delta, _ldexp, hyperdet_sym
-from .tensors import (_SYM_INDEX, Rank1Term, SymTensor222, _as_array, _entries, _finite, _prescale,
-                      frobenius_norm_sq)
+from .orbits import _delta, _delta_sym, _ldexp
+from .tensors import (_SYM_INDEX, Rank1Term, SymTensor222, _as_array, _as_sym, _cubes, _entries,
+                      _finite, _prescale, frobenius_norm_sq)
 
 __all__ = [
     "StationaryPoint",
@@ -875,7 +875,10 @@ def sym_stationarity_cubic(Xs: SymTensor222) -> np.ndarray:
     It is H(z, 1) for the binary cubic H(y1, y2) = y2 (X y y)_1 - y1 (X y y)_2,
     which is zero exactly where X y y is parallel to y.
     """
-    a, b, c, d = Xs.as_tuple()
+    return _stationarity_cubic(*_as_sym(Xs).as_tuple())
+
+
+def _stationarity_cubic(a, b, c, d) -> np.ndarray:
     return np.array([c, 2.0 * b - d, a - 2.0 * c, -b])
 
 
@@ -903,9 +906,11 @@ def stationary_points_sym(Xs: SymTensor222) -> EnumerationResult:
     real root is one point and no complex one.  ``z`` is
     y1/y2 (+-inf at y2 = 0).  The solve, the order of the points and
     their ties run on Xs / 2^e (exact), so psi scales exactly.  Raises
-    ValueError for the zero tensor, on which H vanishes identically.
+    ValueError for the zero tensor, on which H vanishes identically.  Each
+    point's ``delta_residual`` is Delta of the residual on Xs / 2^e, scaled
+    back by 16^e, as `stationary_points_222` takes it.
     """
-    entries, exponent = _prescale(Xs.as_tuple())
+    entries, exponent = _prescale(_as_sym(Xs).as_tuple())
     angles = np.arange(6) * (np.pi / 6.0)
     U = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     G = _sym_contraction(entries, U)
@@ -916,8 +921,7 @@ def stationary_points_sym(Xs: SymTensor222) -> EnumerationResult:
     w, v = U[j], np.array([-U[j, 1], U[j, 0]])
     gv = _sym_contraction(entries, v)
     # the tensor in the basis (w, v): its cubic in z has leading term H(w) z^3
-    rotated = SymTensor222(w @ G[j], v @ G[j], w @ gv, v @ gv)
-    z = np.roots(sym_stationarity_cubic(rotated)[::-1])
+    z = np.roots(_stationarity_cubic(w @ G[j], v @ G[j], w @ gv, v @ gv)[::-1])
     # round-off moves a double root off the real axis or splits it along it
     # by about the same amount, so one band decides realness and distinctness
     real = smallalg.is_real_root(z)
@@ -927,9 +931,7 @@ def stationary_points_sym(Xs: SymTensor222) -> EnumerationResult:
     u = (z[:, None] * w + v) / np.hypot(z, 1.0)[:, None]
     f = (u * _sym_contraction(entries, u)).sum(axis=1)
     Y = np.cbrt(f)[:, None] * u
-    a, b, c, d = entries
-    resid = np.stack([a - Y[:, 0] ** 3, b - Y[:, 0] ** 2 * Y[:, 1],
-                      c - Y[:, 0] * Y[:, 1] ** 2, d - Y[:, 1] ** 3], axis=1)
+    resid = entries - _cubes(Y)
     # ||X - y (x) y (x) y||^2, which equals ||X||^2 - f(u)^2 without its cancellation
     values = (resid ** 2 @ np.array([1.0, 3.0, 3.0, 1.0])).tolist()
     y = np.cbrt(np.ldexp(f, exponent))[:, None] * u
@@ -939,7 +941,7 @@ def stationary_points_sym(Xs: SymTensor222) -> EnumerationResult:
     order = sorted(range(len(values)), key=lambda n: (values[n], ratio[n]))
     points = tuple(SymStationaryPoint(ratio[n], y[n], float(y[n, 1] ** 3),
                                       _ldexp(values[n], 2 * exponent),
-                                      hyperdet_sym(np.ldexp(resid[n], exponent)))
+                                      _ldexp(_delta_sym(*resid[n].tolist()), 4 * exponent))
                    for n in order)
     norm_sq = float((entries[_SYM_INDEX] ** 2).sum())
     return EnumerationResult(points, n_complex, None,
@@ -954,6 +956,7 @@ def best_rank1_sym(Xs: SymTensor222) -> BestRank1Result:
     expansion.  ``multiplicity`` is the enumeration's ``ties``.  The zero
     tensor gives the zero term, with a warning.
     """
+    Xs = _as_sym(Xs)
     try:
         enum = stationary_points_sym(Xs)
     except ValueError:

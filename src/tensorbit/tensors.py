@@ -10,9 +10,11 @@ this package (I/O included) is slab-major::
 
 i.e. ``(a, b, c, d, e, f, g, h)``, which `_slab_major` and `_entries` map
 to and from the arrays.  Entry (i, j, k) of a `SymTensor222` (a, b, c, d)
-is coefficient i + j + k (`_SYM_INDEX`).  `_as_array`, the input check of
-every public function that takes a tensor, passes a container's entries
-through and rejects a raw array with a non-finite entry.
+is coefficient i + j + k (`_SYM_INDEX`, inverted by `_SYM_FIRST`), and
+y (x) y (x) y has the coefficients `_cubes(y)`.  `_as_array`, the input
+check of every public function that takes a tensor, passes a container's
+entries through and rejects a raw array with a non-finite entry; `_as_sym`
+checks a symmetric tensor argument.
 """
 
 from __future__ import annotations
@@ -107,8 +109,18 @@ class Tensor222:
         return tuple(_entries(self.array))
 
 
-# entry (i, j, k) of a symmetric 2x2x2 tensor is its coefficient i + j + k
+# entry (i, j, k) of a symmetric 2x2x2 tensor is its coefficient i + j + k, and
+# coefficient n is read back from its first slab-major entry: (0, 1, 3, 7)
 _SYM_INDEX = np.indices((2, 2, 2)).sum(axis=0)
+_SYM_FIRST = np.unique(_entries(_SYM_INDEX), return_index=True)[1]
+
+
+def _cubes(Y) -> np.ndarray:
+    """The coefficients (y1^3, y1^2 y2, y1 y2^2, y2^3) of y (x) y (x) y for
+    the vector Y, or along the last axis for each row y of the stack Y (n, 2)."""
+    y1, y2 = np.asarray(Y).T
+    # C order, so that what is computed from it does not depend on its layout
+    return np.ascontiguousarray(np.array([y1 ** 3, y1 ** 2 * y2, y1 * y2 ** 2, y2 ** 3]).T)
 
 
 @dataclass(frozen=True)
@@ -143,11 +155,7 @@ class SymTensor222:
 
     def rank1_update(self, y, coeff=1.0) -> "SymTensor222":
         """This tensor plus ``coeff`` times y (x) y (x) y."""
-        y1, y2 = float(y[0]), float(y[1])
-        return SymTensor222(self.a + coeff * y1 ** 3,
-                            self.b + coeff * y1 ** 2 * y2,
-                            self.c + coeff * y1 * y2 ** 2,
-                            self.d + coeff * y2 ** 3)
+        return SymTensor222(*(np.array(self.as_tuple()) + coeff * _cubes(y)).tolist())
 
 
 @dataclass(frozen=True)
@@ -233,6 +241,16 @@ def _as_array(X) -> np.ndarray:
     if isinstance(X, SymTensor222):
         return np.array(X.as_tuple())[_SYM_INDEX]
     return _finite(np.asarray(X, dtype=float))
+
+
+def _as_sym(Xs) -> SymTensor222:
+    """Xs, the symmetric tensor argument of a public function: a
+    SymTensor222, or four coefficients (a, b, c, d) made into one, which
+    raises ValueError unless there are four and every one is finite."""
+    try:
+        return Xs if isinstance(Xs, SymTensor222) else SymTensor222.from_flat(Xs)
+    except TypeError:
+        raise ValueError(f"expected 4 coefficients, got {type(Xs).__name__}") from None
 
 
 def contract_mode(X, v, mode: int) -> np.ndarray:

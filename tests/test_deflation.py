@@ -12,9 +12,9 @@ from tensorbit import (DomainError, SymTensor222, Tensor222, canonical_form,
                        experiment_generic, experiment_pxpx2, experiment_symmetric,
                        frobenius_norm_sq, hyperdet, multilinear_rank, multilinear_transform,
                        slab_pencil)
-from tensorbit.deflation import (_deflation_report, _pencil_gap, _reports, _sample_d3, _trial_rng,
+from tensorbit.deflation import (_deflation_report, _pencil_gap, _sample_d3, _trial_rng,
                                  _trial_rngs, write_trial_csv)
-from tensorbit.orbits import ORBITS, _ldexp, _quotient, _rank_tol, _slab_pencils
+from tensorbit.orbits import ORBITS, _ldexp, _quotient, _rank_tol, _reports, _slab_pencils
 from tensorbit.tensors import _slab_major
 from tensorbit.rank1 import best_rank1_222, best_rank1_pxpx2
 from tensorbit.smallalg import DEFAULT_COINCIDENCE_TOL, spectrum_small
@@ -223,6 +223,10 @@ def test_stacked_report_matches_the_scalar_functions(tol, zero_scale):
         assert (deltas[i], deltas[n + i]) == (hyperdet(Tensor222(x)), hyperdet(t))
         assert tuple(ranks[i]) == multilinear_rank(Tensor222(x), _rank_tol(tol)).as_tuple()
         assert tuple(ranks[n + i]) == multilinear_rank(t, _rank_tol(band)).as_tuple()
+        # each label carries the Delta and the rank it was decided from
+        assert (before.delta, after.delta) == (deltas[i], deltas[n + i])
+        assert (before.mlrank.as_tuple(), after.mlrank.as_tuple()) == \
+            (tuple(ranks[i]), tuple(ranks[n + i]))
         assert _same_pencil(pencils[i], slab_pencil(t, 1e-6))
         # the N = 1 report is the stack's own case
         assert (report.orbit_before.orbit, report.orbit_before.boundary_margin) == \

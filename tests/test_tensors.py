@@ -2,15 +2,20 @@ import numpy as np
 import pytest
 
 import tensorbit
-from tensorbit import (MultilinearRank, Rank1Term, SymTensor222, Tensor222, TensorPxPx2,
-                       best_rank1_222, best_rank1_pxpx2, canonical_form, check_degenerate_props,
-                       classify, contract_mode, deflate_once, detect_infinite_best,
-                       frobenius_norm_sq, hopm, hyperdet, multilinear_rank,
-                       multilinear_transform, optimal_x, orbits, pencil_eigs, psi, psi_surface,
-                       slab_pencil, stationary_points_222)
-from tensorbit.rank1 import stationary_poly
-from tensorbit.tensors import _SYM_INDEX, _entries, _slab_major, unit_scaled
-from conftest import EXAMPLE_A1, KHL, random_tensor
+from tensorbit import (MultilinearRank, Rank1Term, SymDecomposition, SymTensor222, Tensor222,
+                       TensorPxPx2, best_rank1_222, best_rank1_pxpx2, best_rank1_sym,
+                       canonical_form, canonical_transform, canonicalize_sym_form,
+                       check_degenerate_props, classify, classify_sym, contract_mode,
+                       deflate_once, detect_infinite_best, frobenius_norm_sq, hopm, hyperdet,
+                       hyperdet_sym, multilinear_rank, multilinear_transform, optimal_x, orbits,
+                       pencil_eigs, psi, psi_surface, slab_pencil, stationary_points_222,
+                       stationary_points_sym, sylvester_rank, sym_rank2_decompose,
+                       sym_rank3_decompose)
+from tensorbit.decomp import _apply_sym
+from tensorbit.rank1 import stationary_poly, sym_stationarity_cubic
+from tensorbit.tensors import _SYM_FIRST, _SYM_INDEX, _as_array, _cubes, _entries, _slab_major, \
+    unit_scaled
+from conftest import EXAMPLE_A1, KHL, SYM_G2, SYM_G3, random_tensor
 
 
 def test_entry_slab_round_trip():
@@ -190,6 +195,24 @@ def test_symmetric_expansion_takes_coefficient_i_plus_j_plus_k():
     for i, j, k in np.ndindex(2, 2, 2):
         assert full[i, j, k] == coeffs[i + j + k] == coeffs[_SYM_INDEX[i, j, k]]
     assert SymTensor222(*coeffs).tensor().entries == (1.5, -2.0, -2.0, 0.25, -2.0, 0.25, 0.25, 3.0)
+    # _SYM_FIRST reads each coefficient back from the expansion
+    assert _entries(np.array(coeffs)[_SYM_INDEX])[_SYM_FIRST].tolist() == list(coeffs)
+    assert _SYM_FIRST.tolist() == [0, 1, 3, 7]
+
+
+def test_every_symmetric_rank1_map_is_the_expansion_of_y_y_y():
+    # the shared cube map, through each function that writes y (x) y (x) y in
+    # the symmetric layout, against the full outer product
+    for y in np.random.default_rng(27).standard_normal((20, 2)) * [[1.0, 3.0]]:
+        want = Rank1Term(y, y, y).tensor()
+        scale = np.abs(want).max()
+        for got in (_cubes(y)[_SYM_INDEX],
+                    _as_array(SymTensor222(0.0, 0.0, 0.0, 0.0).rank1_update(y)),
+                    _as_array(SymDecomposition(1, (y,), 0.0).reconstruct()),
+                    _apply_sym(np.column_stack([y, [0.5, -2.0]]), "D1")[_SYM_INDEX]):
+            np.testing.assert_allclose(got, want, rtol=0, atol=4e-16 * scale)
+    Y = np.random.default_rng(28).standard_normal((5, 2))
+    np.testing.assert_allclose(_cubes(Y), [_cubes(y) for y in Y], rtol=4e-16)
 
 
 def test_slab_major_order_round_trips_on_stacks():
@@ -208,8 +231,10 @@ def test_containers_are_c_ordered_however_they_are_built():
 
 
 _EYE = np.eye(2)
-# every public function that takes a tensor, called on a raw 2x2x2 array
+# every public function that takes a tensor, called on a raw 2x2x2 array, and
+# hyperdet_sym on four of its entries
 _RAW_ARRAY_CALLS = {
+    "hyperdet_sym": lambda X: hyperdet_sym(np.ravel(X)[4:]),
     "classify": classify,
     "hyperdet": hyperdet,
     "multilinear_rank": multilinear_rank,
@@ -245,6 +270,43 @@ def test_raw_arrays_with_a_non_finite_entry_are_rejected(name, bad):
     # the same entries as a nested list
     with pytest.raises(ValueError, match="^tensor entries must be finite$"):
         _RAW_ARRAY_CALLS[name](X.tolist())
+
+
+# every public function that takes a symmetric tensor
+_SYM_CALLS = {
+    "hyperdet_sym": hyperdet_sym,
+    "classify_sym": classify_sym,
+    "sym_stationarity_cubic": sym_stationarity_cubic,
+    "stationary_points_sym": stationary_points_sym,
+    "best_rank1_sym": best_rank1_sym,
+    "sylvester_rank": sylvester_rank,
+    "sym_rank2_decompose": sym_rank2_decompose,
+    "sym_rank3_decompose": sym_rank3_decompose,
+    "canonicalize_sym_form": canonicalize_sym_form,
+    "canonical_transform": canonical_transform,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SYM_CALLS))
+@pytest.mark.parametrize("bad,message", [
+    ([0.5, np.nan, 1.0, -2.0], "^tensor entries must be finite$"),
+    ((0.5, 1.0, np.inf, -2.0), "^tensor entries must be finite$"),
+    (np.array([-np.inf, 1.0, 1.0, 0.0]), "^tensor entries must be finite$"),
+    ([0.5, 1.0, -2.0], "^expected 4 entries, got 3$"),
+    (np.zeros(8), "^expected 4 entries, got 8$"),
+    (Tensor222.from_flat(SYM_G3 * 2), "^expected 4 coefficients, got Tensor222$"),
+])
+def test_symmetric_functions_reject_anything_but_four_finite_coefficients(name, bad, message):
+    # unchecked, most of them raised AttributeError or numpy's AxisError, and
+    # hyperdet_sym returned nan
+    with pytest.raises(ValueError, match=message):
+        _SYM_CALLS[name](bad)
+
+
+@pytest.mark.parametrize("name", sorted(_SYM_CALLS))
+def test_four_raw_coefficients_give_what_a_symmetric_tensor_gives(name):
+    coeffs = SYM_G2 if name == "sym_rank2_decompose" else (0.25, 1.0, 1.5, -0.5)
+    assert repr(_SYM_CALLS[name](list(coeffs))) == repr(_SYM_CALLS[name](SymTensor222(*coeffs)))
 
 
 def test_raw_arrays_give_what_their_containers_give():
