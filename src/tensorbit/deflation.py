@@ -37,8 +37,8 @@ import numpy as np
 
 from . import rank1
 from .decomp import DomainError
-from .orbits import (RESIDUAL_BAND, OrbitLabel, _ldexp, _quotient, _reports, _slab_pencils,
-                     canonical_form, classify, slab_pencil)
+from .orbits import (OrbitLabel, _ldexp, _quotient, _reports, _slab_pencils, canonical_form,
+                     classify, slab_pencil)
 from .smallalg import DEFAULT_COINCIDENCE_TOL, EigenPair2, spectra_small
 from .tensors import (_SYM_INDEX, MultilinearRank, SymTensor222, Tensor222, TensorPxPx2, _as_array,
                       _entries, _slab_major, frobenius_norm_sq, multilinear_transform, unit_scaled)
@@ -56,6 +56,9 @@ __all__ = [
 ]
 
 GAP_BUCKETS = (1e-14, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 1.0)
+# the Delta band of a residual, which reaches the boundary only up to
+# root-solver accuracy
+RESIDUAL_BAND = 1e-6
 # band for pairing pxpx2 pencil eigenvalues, wider than the library's 1e-6:
 # an error e in the rank-1 term splits a defective double eigenvalue by ~sqrt(e)
 PAIRING_BAND = 1e-4
@@ -137,11 +140,12 @@ def _deflation_report(X, R, psi: float, ties: int, warnings, tol: float,
 def _report_rows(X, R, psi) -> list:
     """The experiment rows of N deflation steps, the input X[n] (N, 2, 2, 2)
     deflated to the residual R[n] with criterion psi[n], from `_reports` at
-    its default bands and the residuals' stacked `slab_pencil`s."""
+    the default Delta band and the residual band, and the residuals'
+    stacked `slab_pencil`s."""
     n = len(X)
     if not n:
         return []
-    labels, _, deltas, ranks = _reports(X, R)
+    labels, _, deltas, ranks = _reports(X, R, 1e-9, RESIDUAL_BAND)
     return [{
         "orbit_before": b,
         "orbit_after": a,

@@ -42,9 +42,6 @@ ORBITS = ("D0", "D1", "D2", "D2p", "D2pp", "G2", "D3", "G3")
 SYMMETRIC_ORBITS = ("D0", "D1", "G2", "D3", "G3")
 
 PENCIL_COND_CAP = 1e8
-# the Delta band of a deflation residual, which reaches the boundary only up
-# to root-solver accuracy
-RESIDUAL_BAND = 1e-6
 
 _CANONICAL = {
     "D0": (0, 0, 0, 0, 0, 0, 0, 0),
@@ -269,18 +266,15 @@ def classify_sym(Xs: SymTensor222, tol: float = 1e-9,
     return classify(_as_sym(Xs), tol, zero_scale)
 
 
-def _reports(X, R, tol: float = 1e-9):
+def _reports(X, R, tol: float, band: float):
     """(labels, margins, deltas, ranks) of N deflation steps, the inputs X
     (N, 2, 2, 2) deflated to the residuals R: lists over the 2N tensors of
     [X; R], inputs first.  X[n] is labelled as by `classify(X[n], tol)`,
-    R[n] as by `classify(R[n], max(tol, RESIDUAL_BAND), zero_scale=
-    max|X[n]|)`, from one exact scaling and one rank call.
+    R[n] as by `classify(R[n], band, zero_scale=max|X[n]|)`, from one exact
+    scaling and one rank call.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     n = len(X)
     A = np.concatenate([X, R])
-    band = max(tol, RESIDUAL_BAND)
     unit, exponent = _prescale(A, 1)
     flat = _entries(unit)
     delta = _delta(*(flat[..., k] for k in range(8)))

@@ -906,9 +906,8 @@ def stationary_points_sym(Xs: SymTensor222) -> EnumerationResult:
     real root is one point and no complex one.  ``z`` is
     y1/y2 (+-inf at y2 = 0).  The solve, the order of the points and
     their ties run on Xs / 2^e (exact), so psi scales exactly.  Raises
-    ValueError for the zero tensor, on which H vanishes identically.  Each
-    point's ``delta_residual`` is Delta of the residual on Xs / 2^e, scaled
-    back by 16^e, as `stationary_points_222` takes it.
+    ValueError for the zero tensor, on which H vanishes identically.  As in
+    `stationary_points_222`, Delta of each residual is scaled back by 16^e.
     """
     entries, exponent = _prescale(_as_sym(Xs).as_tuple())
     angles = np.arange(6) * (np.pi / 6.0)

@@ -244,9 +244,8 @@ def _as_array(X) -> np.ndarray:
 
 
 def _as_sym(Xs) -> SymTensor222:
-    """Xs, the symmetric tensor argument of a public function: a
-    SymTensor222, or four coefficients (a, b, c, d) made into one, which
-    raises ValueError unless there are four and every one is finite."""
+    """Xs, the symmetric tensor argument of a public function, or its four
+    finite coefficients (a, b, c, d) as one; ValueError on anything else."""
     try:
         return Xs if isinstance(Xs, SymTensor222) else SymTensor222.from_flat(Xs)
     except TypeError:

@@ -210,7 +210,7 @@ def test_stacked_report_matches_the_scalar_functions(tol, zero_scale):
     A = _orbit_representatives()
     X = A if zero_scale is None else np.full_like(A, zero_scale)
     band = max(tol, deflation.RESIDUAL_BAND)
-    labels, margins, deltas, ranks = _reports(X, A, tol)
+    labels, margins, deltas, ranks = _reports(X, A, tol, band)
     pencils = _slab_pencils(A, 1e-6)
     n = len(A)
     for i, (x, arr) in enumerate(zip(X, A)):
@@ -258,7 +258,7 @@ def test_stacked_pencils_take_slab_pencils_order():
 
 
 def test_reports_validate_tol(capsys):
-    # the stacked report checks tol as classify does, on every report path
+    # a deflation report checks tol through classify, on the library and CLI paths
     with pytest.raises(ValueError, match="tol must be positive"):
         deflate_once(Tensor222.from_flat([1, 2, 3, 4, 5, 6, 7, 9]), tol=0)
     assert main(["deflate", "--data=1,2,3,4,5,6,7,9", "--tol", "0"]) == 2
