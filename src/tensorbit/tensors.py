@@ -48,7 +48,10 @@ def _finite(arr: np.ndarray) -> np.ndarray:
 
 def _frozen_array(values, shape) -> np.ndarray:
     # C order, so that what is computed from a container does not depend on how it was built
-    arr = _finite(np.array(values, dtype=float, order="C").reshape(shape))
+    arr = np.array(values, dtype=float, order="C")
+    if arr.shape != shape:
+        raise ValueError(f"expected shape {shape}, got {arr.shape}")
+    arr = _finite(arr)
     arr.flags.writeable = False
     return arr
 

@@ -329,6 +329,9 @@ def test_raw_arrays_give_what_their_containers_give():
      r"matrix T must be 2x2, got \(3, 3\)"),
     (lambda: pencil_eigs(random_tensor(1), "13"), "slab_order must be '21' or '12'"),
     (lambda: deflate_once(TensorPxPx2(np.ones((3, 3, 2)))), "deflate_once handles 2x2x2 tensors"),
+    # a flat list is not read in some order other than the slab-major one
+    (lambda: Tensor222(np.arange(8.0)), r"expected shape \(2, 2, 2\), got \(8,\)"),
+    (lambda: deflate_once(list(range(8))), r"expected shape \(2, 2, 2\), got \(8,\)"),
 ])
 def test_argument_checks(build, message):
     with pytest.raises(ValueError, match=message):
