@@ -67,7 +67,7 @@ def corpus() -> list:
     """The argv of every call, in a fixed order."""
     rng = np.random.default_rng(2027)
     calls = []
-    for name, scale in SCALES.items():
+    for scale in SCALES.values():
         for cmd, size in REQUEST_KINDS:
             calls += [_request(cmd, scale * rng.standard_normal(size)) for _ in range(PER_VARIANT)]
     for cmd, size in REQUEST_KINDS:
