@@ -121,7 +121,7 @@ def _decomposition(unit, k: int, vectors) -> SymDecomposition:
     ``vectors`` of unit, scaled back by 2^k."""
     out = unit
     for v in vectors:
-        out = out - _cubes(v)
+        out = out - _cubes(*v)
     return SymDecomposition(len(vectors), tuple(np.ldexp(v, k) for v in vectors),
                             _ldexp(float(np.max(np.abs(out))), 3 * k))
 
@@ -158,7 +158,7 @@ def sylvester_rank(Xs: SymTensor222, tol: float = 1e-9):
 def _from_directions(unit, k: int, dirs) -> SymDecomposition:
     """The decomposition of unit * 8^k along the unit directions ``dirs``,
     with cube weights from the moment equations on unit, where none overflows."""
-    w, *_ = np.linalg.lstsq(_cubes(np.array(dirs)).T, unit, rcond=None)
+    w, *_ = np.linalg.lstsq(np.array(_cubes(*np.transpose(dirs))), unit, rcond=None)
     return _decomposition(unit, k, [np.cbrt(wi) * u for wi, u in zip(w, dirs)])
 
 
@@ -258,7 +258,7 @@ def _kernel_S(unit: np.ndarray, g, orbit: str) -> np.ndarray:
     v = np.array([s, g2] if abs(g2) >= abs(g0) else [g0, s])
     if orbit == "G3":
         v = v / np.linalg.norm(v)
-        cube = _cubes(v)
+        cube = np.array(_cubes(*v))
         (wr, wi), *_ = np.linalg.lstsq(np.stack([cube.real, -cube.imag], axis=1), unit, rcond=None)
         phases = (cmath.phase(-complex(wr, wi)) + 2.0 * np.pi * np.arange(3)) / 3.0
         P = (np.cbrt(math.hypot(wr, wi)) * np.exp(1j * phases))[:, None] * v

@@ -22,7 +22,7 @@ import numpy as np
 from .smallalg import (DEFAULT_COINCIDENCE_TOL, EigenPair2, _diagonalizable, _eig2_terms,
                        _eigen_pair, eig2)
 from .tensors import (DEFAULT_RANK_TOL, MultilinearRank, SymTensor222, Tensor222, _as_array,
-                      _as_sym, _entries, _prescale, _ranks, unit_scaled)
+                      _as_sym, _entries, _prescale, _ranks)
 
 __all__ = [
     "ORBITS",
@@ -246,7 +246,7 @@ def classify(X, tol: float = 1e-9, zero_scale: float | None = None) -> OrbitLabe
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    X, exponent = unit_scaled(X)
+    X, exponent = _prescale(_as_array(X))
     unit_max = float(np.abs(X).max())
     delta = _delta(*_entries(X).tolist())
     mlrank = MultilinearRank(*map(int, _ranks(X, _rank_tol(tol))))

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import smallalg
 from .orbits import _delta, _delta_sym, _ldexp
-from .tensors import (_SYM_INDEX, Rank1Term, SymTensor222, _as_array, _as_sym, _cubes, _entries,
+from .tensors import (Rank1Term, SymTensor222, _as_array, _as_sym, _cubes, _entries,
                       _finite, _prescale, frobenius_norm_sq)
 
 __all__ = [
@@ -87,7 +87,7 @@ HOPM_RESTARTS = 8
 
 def psi(X, term: Rank1Term) -> float:
     """Squared residual ||X - x (x) y (x) z||^2, expanded form."""
-    arr = _as_array(X)
+    arr = _as_array(X, pxpx2=True)
     x, y, z = term.x, term.y, term.z
     if (x.size, y.size, z.size) != arr.shape:
         raise ValueError("factor lengths do not match tensor dimensions")
@@ -99,7 +99,7 @@ def psi(X, term: Rank1Term) -> float:
 
 def optimal_x(X, y, z) -> np.ndarray:
     """Mode-1 factor minimizing the criterion for fixed y and z."""
-    arr = _as_array(X)
+    arr = _as_array(X, pxpx2=True)
     y = np.asarray(y, float)
     z = np.asarray(z, float)
     ny = float(y @ y)
@@ -589,7 +589,7 @@ def stationary_points_222(X) -> EnumerationResult:
     stationary set is not finite, and on input within about 1e-7 relative
     of rank 1.  `best_rank1_222` then takes the theta-grid solver's term.
     """
-    arr, exponent = _prescale(_as_array(X).reshape(2, 2, 2))
+    arr, exponent = _prescale(_as_array(X))
     a0, a1, a2, a3, a4, a5, a6, a7 = a = arr.ravel().tolist()
     T = _mde_rows(arr)
     found, record = _circle_points(T, max(map(abs, T.ravel().tolist())), a)
@@ -843,7 +843,7 @@ def best_rank1_pxpx2(X) -> BestRank1Result:
     its step limit without reaching a stationary point.  This is the
     one-tensor case of the stacked solve that the experiments run.
     """
-    psi, x, y, z, converged, steps = _best_rank1_stack(_as_array(X)[None])
+    psi, x, y, z, converged, steps = _best_rank1_stack(_as_array(X, pxpx2=True)[None])
     converged = bool(converged[0])
     return BestRank1Result(Rank1Term(x[0], y[0], z[0]), float(psi[0]), (), 1,
                            converged=converged, iterations=int(steps[0]), method="theta",
@@ -875,19 +875,17 @@ def sym_stationarity_cubic(Xs: SymTensor222) -> np.ndarray:
     It is H(z, 1) for the binary cubic H(y1, y2) = y2 (X y y)_1 - y1 (X y y)_2,
     which is zero exactly where X y y is parallel to y.
     """
-    return _stationarity_cubic(*_as_sym(Xs).as_tuple())
+    return np.array(_stationarity_cubic(*_as_sym(Xs).as_tuple()))
 
 
-def _stationarity_cubic(a, b, c, d) -> np.ndarray:
-    return np.array([c, 2.0 * b - d, a - 2.0 * c, -b])
+def _stationarity_cubic(a, b, c, d) -> tuple:
+    return c, 2.0 * b - d, a - 2.0 * c, -b
 
 
-def _sym_contraction(entries, Y) -> np.ndarray:
-    """X y y for each row y of ``Y``, from the entries (a, b, c, d)."""
-    a, b, c, d = entries
-    y1, y2 = Y[..., 0], Y[..., 1]
-    return np.stack([a * y1 * y1 + 2.0 * b * y1 * y2 + c * y2 * y2,
-                     b * y1 * y1 + 2.0 * c * y1 * y2 + d * y2 * y2], axis=-1)
+# the directions k pi / 6 of the charts of `stationary_points_sym`, exact at 0 and
+# pi / 2; e1 is (1, -0), so that its point has z = -inf, the first in the order of z
+_SYM_CHARTS = ((1.0, -0.0), (math.sqrt(0.75), 0.5), (0.5, math.sqrt(0.75)), (0.0, 1.0),
+               (-0.5, math.sqrt(0.75)), (-math.sqrt(0.75), 0.5))
 
 
 def stationary_points_sym(Xs: SymTensor222) -> EnumerationResult:
@@ -897,71 +895,89 @@ def stationary_points_sym(Xs: SymTensor222) -> EnumerationResult:
     real root of the binary cubic H (`sym_stationarity_cubic`), and then
     s^3 = f(u) = <X, u (x) u (x) u> and psi = ||X||^2 - f(u)^2.  H is
     solved in one rotated chart z = u . w / u . v, with (w, v) the basis
-    that puts the chart's point at infinity at the angle k pi / 6 where |H|
-    is largest.  A nonzero binary cubic vanishes at three directions at
-    most, so the chart cubic keeps degree 3 and no root is lost, including
-    y2 = 0 when b = 0.  Roots that `smallalg.is_real_root` calls real are
-    real and those within its band of each other are one direction, which
-    is listed once; ``n_complex`` counts the non-real roots, so a double
-    real root is one point and no complex one.  ``z`` is
-    y1/y2 (+-inf at y2 = 0).  The solve, the order of the points and
-    their ties run on Xs / 2^e (exact), so psi scales exactly.  Raises
-    ValueError for the zero tensor, on which H vanishes identically.  As in
-    `stationary_points_222`, Delta of each residual is scaled back by 16^e.
+    that puts the chart's point at infinity at the direction w of
+    `_SYM_CHARTS` where |H| is largest.  A nonzero binary cubic vanishes at
+    three directions at most, so the chart cubic keeps degree 3 and no
+    root is lost.  Its roots are the eigenvalues of its companion matrix,
+    built as `np.roots` builds it.  Roots that `smallalg.is_real_root`
+    calls real are real and those within its band of each other are one
+    direction, which is listed once; ``n_complex`` counts the non-real
+    roots, so a double real root is one point and no complex one.  A chart
+    direction where H is zero in floats, as e1 is at b = 0 and e2 at
+    c = 0, replaces the root nearest to it, so that y2 = 0 or y1 = 0 is
+    exact there.  ``z`` is y1/y2, and -inf at y2 = 0.
+
+    Everything but the eigenvalues is computed in Python floats, so the
+    points do not depend on numpy's CPU dispatch.  The solve, the order of
+    the points and their ties run on Xs / 2^e (exact), so psi scales
+    exactly; psi is ||X - y (x) y (x) y||^2 from the residual, and as in
+    `stationary_points_222` the residual's Delta is scaled back by 16^e.
+    The points are sorted by psi, except that the ``ties``, the points
+    within TIE_REL_TOL ||X||^2 of the best, come first in the order of z:
+    round-off in psi does not decide which of them is the best.  Raises
+    ValueError for the zero tensor, on which H vanishes identically.
     """
-    entries, exponent = _prescale(_as_sym(Xs).as_tuple())
-    angles = np.arange(6) * (np.pi / 6.0)
-    U = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    G = _sym_contraction(entries, U)
-    H = U[:, 1] * G[:, 0] - U[:, 0] * G[:, 1]
-    j = int(np.argmax(np.abs(H)))
-    if H[j] == 0.0:
+    unit, exponent = _prescale(_as_sym(Xs).as_tuple())
+    a, b, c, d = unit.tolist()
+
+    def forms(u1, u2):
+        """f(u) = <X, u (x) u (x) u> and H(u), from the cubes of u."""
+        c1, c2, c3, c4 = _cubes(u1, u2)
+        return (a * c1 + 3.0 * b * c2 + 3.0 * c * c3 + d * c4,
+                c * c4 + (2.0 * b - d) * c3 + (a - 2.0 * c) * c2 - b * c1)
+
+    F = [forms(*u) for u in _SYM_CHARTS]
+    j = max(range(6), key=lambda k: abs(F[k][1]))
+    if F[j][1] == 0.0:
         raise ValueError("the stationarity cubic vanishes: zero tensor")
-    w, v = U[j], np.array([-U[j, 1], U[j, 0]])
-    gv = _sym_contraction(entries, v)
-    # the tensor in the basis (w, v): its cubic in z has leading term H(w) z^3
-    z = np.roots(_stationarity_cubic(w @ G[j], v @ G[j], w @ gv, v @ gv)[::-1])
+    (w1, w2), (fw, hw) = _SYM_CHARTS[j], F[j]
+    # the tensor in the basis (w, v), v = (-w2, w1), is (f(w), -H(w), H(v), f(v)),
+    # and its cubic in z has leading term H(w) z^3
+    p = _stationarity_cubic(fw, -hw, *forms(-w2, w1)[::-1])[::-1]
+    roots = np.linalg.eigvals([[-q / p[0] for q in p[1:]], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     # round-off moves a double root off the real axis or splits it along it
     # by about the same amount, so one band decides realness and distinctness
-    real = smallalg.is_real_root(z)
-    n_complex = int(z.size - np.count_nonzero(real))
-    z = np.sort(z.real[real])
-    z = z[np.append(True, np.diff(z) > smallalg.IMAG_TOL * (1.0 + np.abs(z[1:])))]
-    u = (z[:, None] * w + v) / np.hypot(z, 1.0)[:, None]
-    f = (u * _sym_contraction(entries, u)).sum(axis=1)
-    Y = np.cbrt(f)[:, None] * u
-    resid = entries - _cubes(Y)
-    # ||X - y (x) y (x) y||^2, which equals ||X||^2 - f(u)^2 without its cancellation
-    values = (resid ** 2 @ np.array([1.0, 3.0, 3.0, 1.0])).tolist()
-    y = np.cbrt(np.ldexp(f, exponent))[:, None] * u
-    with np.errstate(divide="ignore"):
-        ratio = (u[:, 0] / u[:, 1]).tolist()
+    real = sorted(t.real for t in roots.tolist() if smallalg.is_real_root(t))
+    U = [((t * w1 - w2) / math.hypot(t, 1.0), (t * w2 + w1) / math.hypot(t, 1.0))
+         for t, t0 in zip(real, [-math.inf, *real]) if t - t0 > smallalg.IMAG_TOL * (1.0 + abs(t))]
+    # a chart direction where H is zero (e1 at b = 0, e2 at c = 0) is a root: it
+    # replaces the computed root nearest to it, so that its point is exact
+    for e in [e for e, (_, h) in zip(_SYM_CHARTS, F) if h == 0.0]:
+        U[max(range(len(U)), key=lambda n: abs(U[n][0] * e[0] + U[n][1] * e[1]))] = e
+    rows = []
+    for u1, u2 in U:
+        f = forms(u1, u2)[0]
+        c1, c2, c3, c4 = _cubes(math.cbrt(f) * u1, math.cbrt(f) * u2)
+        r1, r2, r3, r4 = resid = a - c1, b - c2, c - c3, d - c4
+        # ||X - y (x) y (x) y||^2, which equals ||X||^2 - f(u)^2 without its cancellation
+        value = r1 * r1 + 3.0 * r2 * r2 + 3.0 * r3 * r3 + r4 * r4
+        ratio = u1 / u2 if u2 else math.copysign(math.inf, u1) * math.copysign(1.0, u2)
+        s = math.cbrt(math.ldexp(f, exponent))
+        rows.append((value, ratio, s * u1, s * u2, resid))
     # sorted by psi before it is scaled back, where it can overflow or underflow
-    order = sorted(range(len(values)), key=lambda n: (values[n], ratio[n]))
-    points = tuple(SymStationaryPoint(ratio[n], y[n], float(y[n, 1] ** 3),
-                                      _ldexp(values[n], 2 * exponent),
-                                      _ldexp(_delta_sym(*resid[n].tolist()), 4 * exponent))
-                   for n in order)
-    norm_sq = float((entries[_SYM_INDEX] ** 2).sum())
-    return EnumerationResult(points, n_complex, None,
-                             _ties(values, min(values), norm_sq) if values else 0)
+    rows.sort(key=lambda row: row[:2])
+    ties = _ties([row[0] for row in rows], rows[0][0], a * a + 3.0 * b * b + 3.0 * c * c + d * d)
+    rows[:ties] = sorted(rows[:ties], key=lambda row: row[1])
+    points = tuple(SymStationaryPoint(z, np.array([y1, y2]), y2 ** 3, _ldexp(value, 2 * exponent),
+                                      _ldexp(_delta_sym(*r), 4 * exponent))
+                   for value, z, y1, y2, r in rows)
+    return EnumerationResult(points, len(roots) - len(real), None, ties)
 
 
 def best_rank1_sym(Xs: SymTensor222) -> BestRank1Result:
     """Best symmetric rank-1 approximation y (x) y (x) y.
 
-    The smallest psi among the `stationary_points_sym` enumeration, which
-    is complete: by Banach's theorem it is also the best rank-1 term of the
-    expansion.  ``multiplicity`` is the enumeration's ``ties``.  The zero
-    tensor gives the zero term, with a warning.
+    The first point of the `stationary_points_sym` enumeration, which is
+    complete: the smallest psi, or of the points tied with it the first in
+    the order of z.  By Banach's theorem it is also the best rank-1 term of
+    the expansion.  ``multiplicity`` is the enumeration's ``ties``.  The
+    zero tensor gives the zero term, with a warning.
     """
     Xs = _as_sym(Xs)
-    try:
-        enum = stationary_points_sym(Xs)
-    except ValueError:
-        zero = np.zeros(2)
-        return BestRank1Result(Rank1Term(zero, zero, zero), 0.0, (), 1,
+    if not any(Xs.as_tuple()):
+        return BestRank1Result(Rank1Term(*[np.zeros(2)] * 3), 0.0, (), 1,
                                warnings=("symmetric enumeration degenerate",))
+    enum = stationary_points_sym(Xs)
     best = enum.points[0]
     return BestRank1Result(best.term(), best.psi, enum.points, enum.ties, n_complex=enum.n_complex)
 
@@ -1035,7 +1051,7 @@ def hopm(X, max_iter: int = 500, tol: float = 1e-14, seed: int = 0) -> BestRank1
         raise ValueError("max_iter must be at least 1")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    arr = _as_array(X)
+    arr = _as_array(X, pxpx2=True)
     best = None
     total_it = 0
     for x0, y0, z0 in _hopm_inits(arr, seed):

@@ -86,9 +86,8 @@ class Polynomial:
 
 def is_real_root(r):
     """Whether each root r lies within IMAG_TOL * (1 + |Re r|) of the real
-    axis: the one realness band of the package."""
-    r = np.asarray(r)
-    return np.abs(r.imag) <= IMAG_TOL * (1.0 + np.abs(r.real))
+    axis: the one realness band of the package; r is a number or an array."""
+    return abs(r.imag) <= IMAG_TOL * (1.0 + abs(r.real))
 
 
 def roots(f: Polynomial, tol: float = 1e-8) -> np.ndarray:

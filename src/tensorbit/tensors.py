@@ -11,10 +11,10 @@ this package (I/O included) is slab-major::
 i.e. ``(a, b, c, d, e, f, g, h)``, which `_slab_major` and `_entries` map
 to and from the arrays.  Entry (i, j, k) of a `SymTensor222` (a, b, c, d)
 is coefficient i + j + k (`_SYM_INDEX`, inverted by `_SYM_FIRST`), and
-y (x) y (x) y has the coefficients `_cubes(y)`.  `_as_array`, the input
+y (x) y (x) y has the coefficients `_cubes(*y)`.  `_as_array`, the input
 check of every public function that takes a tensor, passes a container's
-entries through and rejects a raw array with a non-finite entry; `_as_sym`
-checks a symmetric tensor argument.
+entries through and rejects a raw array of the wrong shape or with a
+non-finite entry; `_as_sym` checks a symmetric tensor argument.
 """
 
 from __future__ import annotations
@@ -118,12 +118,11 @@ _SYM_INDEX = np.indices((2, 2, 2)).sum(axis=0)
 _SYM_FIRST = np.unique(_entries(_SYM_INDEX), return_index=True)[1]
 
 
-def _cubes(Y) -> np.ndarray:
-    """The coefficients (y1^3, y1^2 y2, y1 y2^2, y2^3) of y (x) y (x) y for
-    the vector Y, or along the last axis for each row y of the stack Y (n, 2)."""
-    y1, y2 = np.asarray(Y).T
-    # C order, so that what is computed from it does not depend on its layout
-    return np.ascontiguousarray(np.array([y1 ** 3, y1 ** 2 * y2, y1 * y2 ** 2, y2 ** 3]).T)
+def _cubes(y1, y2) -> tuple:
+    """The coefficients (y1^3, y1^2 y2, y1 y2^2, y2^3) of y (x) y (x) y, of
+    floats or elementwise of arrays.  Products round the same on both, so a
+    stack and its rows give the same bits."""
+    return y1 * y1 * y1, y1 * y1 * y2, y1 * y2 * y2, y2 * y2 * y2
 
 
 @dataclass(frozen=True)
@@ -158,7 +157,7 @@ class SymTensor222:
 
     def rank1_update(self, y, coeff=1.0) -> "SymTensor222":
         """This tensor plus ``coeff`` times y (x) y (x) y."""
-        return SymTensor222(*(np.array(self.as_tuple()) + coeff * _cubes(y)).tolist())
+        return SymTensor222(*(v + coeff * c for v, c in zip(self.as_tuple(), _cubes(*y))))
 
 
 @dataclass(frozen=True)
@@ -235,15 +234,21 @@ class MultilinearRank:
         return hash(self.as_tuple())
 
 
-def _as_array(X) -> np.ndarray:
+def _as_array(X, pxpx2: bool = False) -> np.ndarray:
     """The entries of X, the tensor argument of a public function: a
     container's own array, a SymTensor222's expansion, or a raw array as
-    floats, which raises ValueError unless every entry is finite."""
+    floats, which raises ValueError unless its shape is (2, 2, 2), or
+    (p, p, 2) with p >= 2 for a function that takes ``pxpx2`` tensors,
+    and every entry is finite."""
     if isinstance(X, (Tensor222, TensorPxPx2)):
         return X.array
     if isinstance(X, SymTensor222):
         return np.array(X.as_tuple())[_SYM_INDEX]
-    return _finite(np.asarray(X, dtype=float))
+    arr = np.asarray(X, dtype=float)
+    p = arr.shape[0] if pxpx2 and arr.ndim and arr.shape[0] > 2 else 2
+    if arr.shape != (p, p, 2):
+        raise ValueError(f"expected shape {'(p, p, 2)' if pxpx2 else (2, 2, 2)}, got {arr.shape}")
+    return _finite(arr)
 
 
 def _as_sym(Xs) -> SymTensor222:
@@ -261,7 +266,7 @@ def contract_mode(X, v, mode: int) -> np.ndarray:
     Returns the matrix of the contracted tensor, with the remaining modes
     ordered as in the input.  E.g. mode 3 yields ``v[0]*X1 + v[1]*X2``.
     """
-    arr = _as_array(X)
+    arr = _as_array(X, pxpx2=True)
     if mode not in (1, 2, 3):
         raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
     v = np.asarray(v, dtype=float)
@@ -281,7 +286,7 @@ def multilinear_transform(X, S, T, U):
     return the tensor unchanged.  The result has the same container type
     as the input.
     """
-    arr = _as_array(X)
+    arr = _as_array(X, pxpx2=True)
     S, T, U = (np.asarray(M, dtype=float) for M in (S, T, U))
     for name, M, dim in (("S", S, arr.shape[0]), ("T", T, arr.shape[1]), ("U", U, arr.shape[2])):
         if M.shape != (dim, dim):
@@ -296,7 +301,7 @@ def multilinear_transform(X, S, T, U):
 
 def frobenius_norm_sq(X) -> float:
     """Sum of squared entries; zero iff the all-zero tensor."""
-    arr = _as_array(X)
+    arr = _as_array(X, pxpx2=True)
     return float((arr ** 2).sum())
 
 
@@ -319,7 +324,7 @@ def _prescale(A, lead: int = 0):
 
 def unit_scaled(X):
     """`_prescale` of the tensor X: (X / 2^e, e)."""
-    return _prescale(_as_array(X))
+    return _prescale(_as_array(X, pxpx2=True))
 
 
 def _ranks(arr, tol: float) -> tuple:
@@ -343,4 +348,4 @@ def multilinear_rank(X, tol: float = DEFAULT_RANK_TOL) -> MultilinearRank:
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    return MultilinearRank(*(int(r) for r in _ranks(_as_array(X), tol)))
+    return MultilinearRank(*(int(r) for r in _ranks(_as_array(X, pxpx2=True), tol)))

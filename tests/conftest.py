@@ -1,8 +1,15 @@
-"""Shared fixtures: the worked example tensors used across the suite."""
+"""Shared fixtures: the worked example tensors used across the suite, and
+a runner for scripts at numpy's baseline CPU dispatch."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tensorbit
 from tensorbit import SymTensor222, Tensor222
 
 # random G2-side tensor: 6 real stationary points, global psi 2.6863,
@@ -83,3 +90,22 @@ def random_tensor(seed: int) -> Tensor222:
 def random_sym(seed: int) -> SymTensor222:
     rng = np.random.default_rng(seed)
     return SymTensor222(*rng.standard_normal(4))
+
+
+# numpy's x86-64-v2 kernels: every dispatch target above its baseline switched off
+BASELINE_DISPATCH = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
+
+
+def run_at_baseline_dispatch(script: str) -> str:
+    """The stdout of the Python ``script``, run on this checkout's tensorbit in
+    a subprocess with NPY_DISABLE_CPU_FEATURES=BASELINE_DISPATCH; skips the
+    test where numpy refuses that setting."""
+    src = str(Path(tensorbit.__file__).resolve().parents[1])
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=BASELINE_DISPATCH,
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    if proc.returncode and "You cannot disable CPU feature" in proc.stderr:
+        pytest.skip("numpy refuses NPY_DISABLE_CPU_FEATURES=" + BASELINE_DISPATCH)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout

@@ -1,19 +1,14 @@
 import io
 import itertools
 import json
-import os
-import subprocess
-import sys
 import warnings
 from contextlib import redirect_stdout
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import tensorbit
 from tensorbit import (DomainError, SymTensor222, best_rank1_sym, canonical_transform,
                        canonicalize_sym_form, classify_sym, hyperdet_sym, multilinear_transform,
                        sylvester_rank, sym_rank2_decompose, sym_rank3_decompose,
@@ -21,7 +16,7 @@ from tensorbit import (DomainError, SymTensor222, best_rank1_sym, canonical_tran
 from tensorbit.cli import main
 from tensorbit.decomp import TRANSFORM_TOL, _apply_sym
 from tensorbit.smallalg import NumericalFailure
-from conftest import SYM_G3, random_sym
+from conftest import SYM_G3, random_sym, run_at_baseline_dispatch
 
 
 def _max_err(s, t) -> float:
@@ -491,9 +486,6 @@ def test_canonical_transform_of_the_canonical_forms(orbit, entries):
     assert abs(abs(np.linalg.det(tr.S)) - 1.0) <= 1e-14
 
 
-# numpy's x86-64-v2 kernels: every dispatch target above its baseline switched off
-BASELINE_DISPATCH = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
-
 _CANONICAL_TRANSFORMS = """
 from tensorbit import SymTensor222, canonical_transform
 from tensorbit.decomp import _apply_sym
@@ -507,15 +499,7 @@ for orbit, v in (("D3", (0.0, 1.0, 0.0, 0.0)), ("G3", (-1.0, 0.0, 1.0, 0.0))):
 def test_canonical_transforms_hold_at_numpy_baseline_dispatch():
     # a G3 pick that ties two rotations at the canonical form leaves the choice
     # to round-off, which reads 1.25e-15 with these kernels
-    src = str(Path(tensorbit.__file__).resolve().parents[1])
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=BASELINE_DISPATCH,
-               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run([sys.executable, "-c", _CANONICAL_TRANSFORMS], env=env,
-                          capture_output=True, text=True, timeout=120)
-    if proc.returncode and "You cannot disable CPU feature" in proc.stderr:
-        pytest.skip("numpy refuses NPY_DISABLE_CPU_FEATURES=" + BASELINE_DISPATCH)
-    assert proc.returncode == 0, proc.stderr
-    rows = [line.split() for line in proc.stdout.splitlines()]
+    rows = [line.split() for line in run_at_baseline_dispatch(_CANONICAL_TRANSFORMS).splitlines()]
     assert [row[:2] for row in rows] == [["D3", "D3"], ["G3", "G3"]]
     for _, _, residual, err in rows:
         assert float.fromhex(residual) <= 1e-15 and float.fromhex(err) <= 1e-15

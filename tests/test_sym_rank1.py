@@ -1,4 +1,8 @@
+import io
 import itertools
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +12,10 @@ from hypothesis import strategies as st
 from tensorbit import (Rank1Term, SymTensor222, best_rank1_pxpx2, best_rank1_sym, deflate_once,
                        frobenius_norm_sq, psi, stationary_points_sym)
 from tensorbit.rank1 import sym_stationarity_cubic
-from conftest import SYM_G3, random_sym
+from conftest import SYM_G3, random_sym, run_at_baseline_dispatch
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+import cli_corpus  # noqa: E402
 
 # every nonzero symmetric tensor with integer entries in -2..2
 INTEGER_SYM = [SymTensor222(*t) for t in itertools.product(range(-2, 3), repeat=4) if any(t)]
@@ -147,6 +154,55 @@ def test_stationary_points_sym_lists_each_direction_once():
 def test_best_rank1_sym_counts_ties():
     assert best_rank1_sym(SymTensor222(1, 0, 0, 1)).multiplicity == 2   # e1 and e2
     assert best_rank1_sym(SymTensor222(1, 0, -1, 0)).multiplicity == 3  # Re (y1 + i y2)^3
+
+
+@pytest.mark.parametrize("k", [0, 600, -600])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_a_tie_is_decided_by_the_order_of_z(sign, k):
+    # +-Y_G3 has three optima, and which of them rounded lowest used to pick
+    # the term.  The tied points come first, in the order of z, and
+    # the one at y2 = 0 is z = -inf.
+    s = SymTensor222(*np.ldexp(sign * np.array([-1.0, 0.0, 1.0, 0.0]), k))
+    enum = stationary_points_sym(s)
+    assert enum.ties == 3 and [p.z for p in enum] == sorted(p.z for p in enum)
+    assert enum[0].z == -np.inf and enum[0].y[1] == 0.0
+    res = best_rank1_sym(s)
+    assert res.multiplicity == 3 and res.term.y[1] == 0.0
+    np.testing.assert_allclose(res.term.y[0], -sign * 2.0 ** (k / 3), rtol=1e-15)
+
+
+def test_a_root_where_a_chart_value_vanishes_is_exact():
+    # H(e1) = -b and H(e2) = c are exact, so b = 0 puts a point at y2 = 0 and
+    # c = 0 one at y1 = 0, with no round-off in either
+    enum = stationary_points_sym(SymTensor222(1, 0, -1, 0))
+    assert [(p.y[1], p.z) for p in enum if p.y[1] == 0.0] == [(0.0, -np.inf)]
+    enum = stationary_points_sym(SymTensor222(0, 0, 0, 1))     # e2 cubed; e1 a double root
+    assert [(p.y.tolist(), p.z) for p in enum] == [([0.0, 1.0], 0.0), ([0.0, 0.0], -np.inf)]
+    enum = stationary_points_sym(SymTensor222(0, 1, 0, 2))     # H = -y1^3: e2 a triple root
+    assert len(enum) == 1 and enum[0].y[0] == 0.0 and enum[0].z == 0.0
+
+
+_SYM_POINT_HEXES = """
+import numpy as np
+from tensorbit import SymTensor222, stationary_points_sym
+inputs = np.random.default_rng(2801).standard_normal((200, 4)).tolist() + SPECIAL
+for v in inputs:
+    for k in (0, 600, -600):
+        enum = stationary_points_sym(SymTensor222(*np.ldexp(v, k)))
+        print(enum.n_complex, enum.ties, *(x.hex() for p in enum for x in
+                                           (p.z, *p.y.tolist(), p.y2_cubed, p.psi, p.delta_residual)))
+"""
+
+
+def test_symmetric_points_are_the_same_at_numpy_baseline_dispatch():
+    # every point is built in Python floats around one LAPACK call, so
+    # numpy's SIMD kernels do not reach it
+    script = _SYM_POINT_HEXES.replace("SPECIAL", repr([list(v) for v in cli_corpus.SYM_SPECIAL]))
+    here = io.StringIO()
+    with redirect_stdout(here):
+        exec(script, {})
+    assert len(here.getvalue().splitlines()) == 3 * (200 + len(cli_corpus.SYM_SPECIAL))
+    assert run_at_baseline_dispatch(script) == here.getvalue()
 
 
 def test_best_rank1_sym_zero_tensor():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -206,13 +208,15 @@ def test_every_symmetric_rank1_map_is_the_expansion_of_y_y_y():
     for y in np.random.default_rng(27).standard_normal((20, 2)) * [[1.0, 3.0]]:
         want = Rank1Term(y, y, y).tensor()
         scale = np.abs(want).max()
-        for got in (_cubes(y)[_SYM_INDEX],
+        for got in (np.array(_cubes(*y))[_SYM_INDEX],
                     _as_array(SymTensor222(0.0, 0.0, 0.0, 0.0).rank1_update(y)),
                     _as_array(SymDecomposition(1, (y,), 0.0).reconstruct()),
                     _apply_sym(np.column_stack([y, [0.5, -2.0]]), "D1")[_SYM_INDEX]):
             np.testing.assert_allclose(got, want, rtol=0, atol=4e-16 * scale)
+    # products round alike on a stack, its rows and their Python floats
     Y = np.random.default_rng(28).standard_normal((5, 2))
-    np.testing.assert_allclose(_cubes(Y), [_cubes(y) for y in Y], rtol=4e-16)
+    np.testing.assert_array_equal(np.transpose(_cubes(*Y.T)), [_cubes(*y) for y in Y])
+    np.testing.assert_array_equal(np.transpose(_cubes(*Y.T)), [_cubes(*y) for y in Y.tolist()])
 
 
 def test_slab_major_order_round_trips_on_stacks():
@@ -271,6 +275,39 @@ def test_raw_arrays_with_a_non_finite_entry_are_rejected(name, bad):
     with pytest.raises(ValueError, match="^tensor entries must be finite$"):
         _RAW_ARRAY_CALLS[name](X.tolist())
 
+
+
+# the public functions that also take a pxpx2 tensor, with arguments for p = 3
+_E3 = np.eye(3)
+_PXPX2_CALLS = {
+    "multilinear_rank": multilinear_rank,
+    "hopm": hopm,
+    "optimal_x": lambda X: optimal_x(X, [1.0, 0.0, 0.0], [0.6, 0.8]),
+    "psi": lambda X: psi(X, Rank1Term(_E3[0], _E3[1], _EYE[1])),
+    "best_rank1_pxpx2": best_rank1_pxpx2,
+    "frobenius_norm_sq": frobenius_norm_sq,
+    "unit_scaled": unit_scaled,
+    "contract_mode": lambda X: contract_mode(X, [1.0, 0.0], 3),
+    "multilinear_transform": lambda X: multilinear_transform(X, _E3, _E3, _EYE),
+}
+
+
+@pytest.mark.parametrize("name", sorted(set(_RAW_ARRAY_CALLS) - {"hyperdet_sym"}))
+def test_raw_arrays_of_the_wrong_shape_are_rejected(name):
+    # unchecked, stationary_points_222 and best_rank1_222 reshaped a flat list
+    # in C order, while classify and hyperdet raised AxisError, slab_pencil
+    # IndexError and hopm an unpacking error
+    want = "(p, p, 2)" if name in _PXPX2_CALLS else "(2, 2, 2)"
+    for bad in ([1, 2, 3, 4, 5, 6, 7, 9], np.zeros((2, 2, 3)), np.zeros((1, 1, 2)),
+                np.zeros((2, 2, 2, 1)), np.zeros((3, 2, 2))):
+        with pytest.raises(ValueError, match=re.escape(f"expected shape {want}, got {np.shape(bad)}")):
+            _RAW_ARRAY_CALLS[name](bad)
+    X = np.random.default_rng(5).standard_normal((3, 3, 2))
+    if name in _PXPX2_CALLS:
+        assert repr(_PXPX2_CALLS[name](X.tolist())) == repr(_PXPX2_CALLS[name](X))
+    else:
+        with pytest.raises(ValueError, match=re.escape("expected shape (2, 2, 2), got (3, 3, 2)")):
+            _RAW_ARRAY_CALLS[name](X)
 
 # every public function that takes a symmetric tensor
 _SYM_CALLS = {

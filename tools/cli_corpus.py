@@ -9,9 +9,10 @@ the corpus.  ``--src`` names the directory that holds the `tensorbit`
 package (default: this checkout's ``src``), ``--limit`` runs the first N
 calls only, and ``--dump`` writes one JSON record per call.  ``--compare``
 reads two dumps of the same corpus and prints how many calls differ, by
-command, whether any of them differs in more than its floats (an orbit, a
-rank, an exit code or a message), and the largest relative difference of
-a float.
+command and by command and document kind, how many of them differ in more
+than their floats (an orbit, a rank, an exit code or a message) with the
+argv of the first 50 of those, and the largest relative difference of a
+float.
 
 The corpus covers the seven single-tensor request kinds (classify, rank1
 and deflate of full222 and sym222 documents, and decompose) on Gaussian
@@ -28,6 +29,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import re
 import sys
 import warnings
@@ -38,6 +40,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 PER_VARIANT = 36        # tensors of each request kind per entry variant
+MAX_LISTED = 50         # calls that differ beyond their floats listed by --compare
 SCALES = (1.0, 2.0 ** 600, 2.0 ** -600)
 REQUEST_KINDS = (("classify", 8), ("classify", 4), ("rank1", 8), ("rank1", 4),
                  ("deflate", 8), ("deflate", 4), ("decompose", 4))
@@ -169,22 +172,42 @@ def _float_gap(a, b):
     return None if None in gaps else max(gaps, default=0.0)
 
 
+def _kind(argv) -> str:
+    """The document kind of a call: its --kind, else the one its --data
+    count implies (4 sym222, 8 full222, 1 + 2 p^2 pxpx2), else the
+    experiment kind, else ""."""
+    if "--kind" in argv[:-1]:
+        return argv[argv.index("--kind") + 1]
+    data = [arg for arg in argv if arg.startswith("--data=")]
+    if data:
+        n = len(data[0].split(","))
+        p = math.isqrt(max(n - 1, 0) // 2)
+        return {4: "sym222", 8: "full222"}.get(n, "pxpx2" if p >= 2 and 1 + 2 * p * p == n else "")
+    return argv[1] if argv[:1] == ["experiment"] and len(argv) > 1 else ""
+
+
 def compare(old, new) -> dict:
-    """Which records of two runs of one corpus differ, and by how much."""
+    """Which records of two runs of one corpus differ, and by how much: by
+    command and by command and document kind, with the argv of the first
+    MAX_LISTED calls that differ in more than their floats."""
     if [r[0] for r in old] != [r[0] for r in new]:
         raise ValueError("the dumps hold different corpora")
-    differ, beyond_floats, largest = Counter(), 0, 0.0
+    differ, by_kind, beyond_floats, largest = Counter(), Counter(), [], 0.0
     for a, b in zip(old, new):
         if a == b:
             continue
-        differ[a[0][0] if a[0] else ""] += 1
+        command = a[0][0] if a[0] else ""
+        differ[command] += 1
+        by_kind[" ".join(filter(None, (command, _kind(a[0]))))] += 1
         gap = _float_gap([a[1], _values(a[2]), a[3], a[4]], [b[1], _values(b[2]), b[3], b[4]])
         if gap is None:
-            beyond_floats += 1
+            beyond_floats.append(a[0])
         else:
             largest = max(largest, gap)
     return {"calls": len(old), "differ": sum(differ.values()), "by_command": dict(differ),
-            "beyond_floats": beyond_floats, "largest_relative_difference": largest}
+            "by_kind": dict(by_kind), "beyond_floats": len(beyond_floats),
+            "beyond_floats_argv": beyond_floats[:MAX_LISTED],
+            "largest_relative_difference": largest}
 
 
 def main(argv=None) -> int:
