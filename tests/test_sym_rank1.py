@@ -159,9 +159,9 @@ def test_best_rank1_sym_counts_ties():
 @pytest.mark.parametrize("k", [0, 600, -600])
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_a_tie_is_decided_by_the_order_of_z(sign, k):
-    # +-Y_G3 has three optima, and which of them rounded lowest used to pick
-    # the term.  The tied points come first, in the order of z, and
-    # the one at y2 = 0 is z = -inf.
+    # +-Y_G3 has three optima whose psi differ by round-off only.  The tied
+    # points come first, in the order of z, and the one at y2 = 0 has
+    # z = -inf, so every scale reports that one.
     s = SymTensor222(*np.ldexp(sign * np.array([-1.0, 0.0, 1.0, 0.0]), k))
     enum = stationary_points_sym(s)
     assert enum.ties == 3 and [p.z for p in enum] == sorted(p.z for p in enum)
@@ -189,8 +189,8 @@ inputs = np.random.default_rng(2801).standard_normal((200, 4)).tolist() + SPECIA
 for v in inputs:
     for k in (0, 600, -600):
         enum = stationary_points_sym(SymTensor222(*np.ldexp(v, k)))
-        print(enum.n_complex, enum.ties, *(x.hex() for p in enum for x in
-                                           (p.z, *p.y.tolist(), p.y2_cubed, p.psi, p.delta_residual)))
+        print(enum.n_complex, enum.ties, *(x.hex() for p in enum for x in (
+            p.z, *p.y.tolist(), p.y2_cubed, p.psi, p.delta_residual)))
 """
 
 

@@ -276,7 +276,6 @@ def test_raw_arrays_with_a_non_finite_entry_are_rejected(name, bad):
         _RAW_ARRAY_CALLS[name](X.tolist())
 
 
-
 # the public functions that also take a pxpx2 tensor, with arguments for p = 3
 _E3 = np.eye(3)
 _PXPX2_CALLS = {
@@ -294,13 +293,14 @@ _PXPX2_CALLS = {
 
 @pytest.mark.parametrize("name", sorted(set(_RAW_ARRAY_CALLS) - {"hyperdet_sym"}))
 def test_raw_arrays_of_the_wrong_shape_are_rejected(name):
-    # unchecked, stationary_points_222 and best_rank1_222 reshaped a flat list
-    # in C order, while classify and hyperdet raised AxisError, slab_pencil
-    # IndexError and hopm an unpacking error
+    # unchecked, stationary_points_222 and best_rank1_222 read a flat list in
+    # C order, not slab-major, and classify, hyperdet, slab_pencil and hopm
+    # raise numpy's own errors
     want = "(p, p, 2)" if name in _PXPX2_CALLS else "(2, 2, 2)"
     for bad in ([1, 2, 3, 4, 5, 6, 7, 9], np.zeros((2, 2, 3)), np.zeros((1, 1, 2)),
                 np.zeros((2, 2, 2, 1)), np.zeros((3, 2, 2))):
-        with pytest.raises(ValueError, match=re.escape(f"expected shape {want}, got {np.shape(bad)}")):
+        message = re.escape(f"expected shape {want}, got {np.shape(bad)}")
+        with pytest.raises(ValueError, match=message):
             _RAW_ARRAY_CALLS[name](bad)
     X = np.random.default_rng(5).standard_normal((3, 3, 2))
     if name in _PXPX2_CALLS:
@@ -308,6 +308,7 @@ def test_raw_arrays_of_the_wrong_shape_are_rejected(name):
     else:
         with pytest.raises(ValueError, match=re.escape("expected shape (2, 2, 2), got (3, 3, 2)")):
             _RAW_ARRAY_CALLS[name](X)
+
 
 # every public function that takes a symmetric tensor
 _SYM_CALLS = {
