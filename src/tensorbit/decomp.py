@@ -136,6 +136,8 @@ def sylvester_rank(Xs: SymTensor222, tol: float = 1e-9):
     The tests run on Xs / 8^k (`_unit_sym`), which is exact, so they take
     the same decisions over the whole double range.
     """
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     unit, k = _unit_sym(_as_sym(Xs))
     scale = float(np.abs(unit).max())
     if scale == 0.0:

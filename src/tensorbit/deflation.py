@@ -8,9 +8,10 @@ the residual vanishes.
 
 A `DeflationReport` holds two `classify` labels, the input's and the
 residual's, which carry the Delta values and the residual's multilinear
-rank, and the `slab_pencil` of each.  Experiment rows come from the same
-decision over all their steps at once, `orbits._reports`, with the
-residuals' slab pencils from one stacked slab choice.
+rank, and the `slab_pencil` of each.  It is the one-step case of
+`_steps`, which labels the inputs and residuals of N steps with one
+`orbits._labels` call and takes their pencils with one
+`orbits._slab_pencils` call; the experiment rows are its N-step case.
 
 Each experiment is a sampler and a solver run by one harness.  Trial t
 draws its input from its own counter-based RNG stream (Philox keyed on the
@@ -37,8 +38,8 @@ import numpy as np
 
 from . import rank1
 from .decomp import DomainError
-from .orbits import (OrbitLabel, _ldexp, _quotient, _reports, _slab_pencils, canonical_form,
-                     classify, slab_pencil)
+from .orbits import (OrbitLabel, _labels, _ldexp, _quotient, _slab_pencils, canonical_form,
+                     classify)
 from .smallalg import DEFAULT_COINCIDENCE_TOL, EigenPair2, spectra_small
 from .tensors import (_SYM_INDEX, MultilinearRank, SymTensor222, Tensor222, TensorPxPx2, _as_array,
                       _entries, _slab_major, frobenius_norm_sq, multilinear_transform, unit_scaled)
@@ -117,47 +118,50 @@ class ExperimentStats:
         return out
 
 
-def _pencil_gap(pencil):
-    """The eigenvalue gap of a slab pencil over 1 + its largest |value|;
-    None without a pencil."""
-    if pencil is None:
-        return None
-    return float(pencil.gap / (1.0 + max(map(abs, pencil.values))))
+def _steps(X, R, tol: float, coincidence_tol: float, inputs: bool = True) -> tuple:
+    """(labels, pencils, scales) of N deflation steps, the inputs X
+    (N, 2, 2, 2) deflated to the residuals R: the `orbits._labels` of the
+    2N tensors [X; R], X[n] at ``tol`` and R[n] at the residual band
+    relative to max|X[n]|; the `orbits._slab_pencils` of [X; R], or of R
+    alone without ``inputs``; and the scales max|X[n]|."""
+    n = len(X)
+    A = np.concatenate([X, R])
+    scales = np.abs(X).max(axis=(1, 2, 3)).tolist()
+    labels = _labels(A, [tol] * n + [max(tol, RESIDUAL_BAND)] * n, [None] * n + scales)
+    return labels, _slab_pencils(A if inputs else R, coincidence_tol), scales
 
 
-def _deflation_report(X, R, psi: float, ties: int, warnings, tol: float,
-                      coincidence_tol: float = DEFAULT_COINCIDENCE_TOL) -> DeflationReport:
-    """The report of the 2x2x2 tensor X deflated to the residual R, with
-    criterion psi: the label of X at ``tol``, that of R at the residual band
-    relative to max|X|, and the `slab_pencil` of each."""
-    before = classify(X, tol)
-    after = classify(R, max(tol, RESIDUAL_BAND), float(np.abs(_as_array(X)).max()))
+def _step_report(X, R, psi: float, ties: int, warnings, tol: float,
+                 coincidence_tol: float) -> DeflationReport:
+    """The report of the 2x2x2 tensor X deflated to the residual R with
+    criterion psi: the one-step case of `_steps`."""
+    labels, pencils, _ = _steps(_as_array(X)[None], _as_array(R)[None], tol, coincidence_tol)
+    before, after = (OrbitLabel(o, m, d, MultilinearRank(*r)) for o, m, d, r in labels)
     return DeflationReport(before, after, before.delta, after.delta,
-                           slab_pencil(X, coincidence_tol), slab_pencil(R, coincidence_tol),
+                           *(None if p is None else EigenPair2(*p) for p in pencils),
                            after.mlrank, float(psi), ties, tuple(warnings))
 
 
 def _report_rows(X, R, psi) -> list:
     """The experiment rows of N deflation steps, the input X[n] (N, 2, 2, 2)
-    deflated to the residual R[n] with criterion psi[n], from `_reports` at
-    the default Delta band and the residual band, and the residuals'
-    stacked `slab_pencil`s."""
+    deflated to the residual R[n] with criterion psi[n]: the `_steps` of
+    the default Delta band, without the inputs' pencils.  A row's
+    ``eigen_gap`` is its residual pencil's gap over 1 + its largest
+    |value|, None without a pencil."""
     n = len(X)
     if not n:
         return []
-    labels, _, deltas, ranks = _reports(X, R, 1e-9, RESIDUAL_BAND)
+    labels, pencils, scales = _steps(X, R, 1e-9, DEFAULT_COINCIDENCE_TOL, inputs=False)
     return [{
-        "orbit_before": b,
-        "orbit_after": a,
-        "delta_before": db,
-        "delta_after": da,
-        "delta_after_scaled": abs(da) / s ** 4,
+        "orbit_before": b[0],
+        "orbit_after": a[0],
+        "delta_before": b[2],
+        "delta_after": a[2],
+        "delta_after_scaled": abs(a[2]) / s ** 4,
         "psi": p,
-        "eigen_gap": _pencil_gap(g),
-        "mlrank": "x".join(map(str, r)),
-    } for b, a, db, da, s, p, g, r in zip(labels[:n], labels[n:], deltas[:n], deltas[n:],
-                                          np.abs(X).max(axis=(1, 2, 3)).tolist(), psi.tolist(),
-                                          _slab_pencils(R, DEFAULT_COINCIDENCE_TOL), ranks[n:])]
+        "eigen_gap": None if g is None else g[3] / (1.0 + max(map(abs, g[1]))),
+        "mlrank": "x".join(map(str, a[3])),
+    } for b, a, s, p, g in zip(labels[:n], labels[n:], scales, psi.tolist(), pencils)]
 
 
 def deflate_once(X, tol: float = 1e-9, coincidence_tol: float = DEFAULT_COINCIDENCE_TOL):
@@ -180,8 +184,8 @@ def deflate_once(X, tol: float = 1e-9, coincidence_tol: float = DEFAULT_COINCIDE
         X = X if isinstance(X, Tensor222) else Tensor222(X)
         result = rank1.best_rank1_222(X)
         residual = Tensor222(X.array - result.term.tensor())
-    return residual, _deflation_report(X, residual, result.psi, result.multiplicity,
-                                       result.warnings, tol, coincidence_tol)
+    return residual, _step_report(X, residual, result.psi, result.multiplicity,
+                                  result.warnings, tol, coincidence_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -483,10 +487,10 @@ def check_degenerate_props(X) -> DeflationReport:
             candidates.append(Tensor222(family.array / 2.0))
         psis = [frobenius_norm_sq(unit - c.array) for c in candidates]
         best = int(np.argmin(psis))
-        report = _deflation_report(X, Tensor222(A - np.ldexp(candidates[best].array, exponent)),
-                                   _ldexp(psis[best], 2 * exponent),
-                                   rank1._ties(psis, psis[best], frobenius_norm_sq(unit)), (),
-                                   PROPS_TOL)
+        report = _step_report(X, A - np.ldexp(candidates[best].array, exponent),
+                              _ldexp(psis[best], 2 * exponent),
+                              rank1._ties(psis, psis[best], frobenius_norm_sq(unit)), (),
+                              PROPS_TOL, DEFAULT_COINCIDENCE_TOL)
     if report.orbit_after.orbit != expected:
         raise RuntimeError(f"{label.orbit} input deflated to {report.orbit_after.orbit}, "
                            f"expected {expected}")

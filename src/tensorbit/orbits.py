@@ -8,8 +8,14 @@ additionally carrying a defective double eigenvalue of the slab pencil.
 Symmetric tensors occupy the sub-list D0, D1, G2, D3, G3, and are
 classified by their expansion.  `SymTensor222`, the flat entry order and
 the input checks live in `tensors`; SymTensor222 is re-exported here.
-A label carries the Delta and multilinear rank it was decided from, and
-`_reports` takes the decision of `classify` over a stack.
+A label carries the Delta and multilinear rank it was decided from.
+
+One labeller, `_labels`, and one slab-pencil function, `_slab_pencils`,
+take a stack of tensors; `classify`, `classify_sym`, `pencil_eigs` and
+`slab_pencil` are their one-tensor calls.  numpy takes the stack's exact
+scaling, unfolding SVDs and slab quotients, one call each, and the
+decisions run per tensor or per matrix in Python floats, so a tensor gets
+the same label and pencil alone and in a stack.
 """
 
 from __future__ import annotations
@@ -19,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .smallalg import (DEFAULT_COINCIDENCE_TOL, EigenPair2, _diagonalizable, _eig2_terms,
-                       _eigen_pair, eig2)
+from .smallalg import (DEFAULT_COINCIDENCE_TOL, EigenPair2, _check_coincidence_tol, _eigen_pair,
+                       _hypot)
 from .tensors import (DEFAULT_RANK_TOL, MultilinearRank, SymTensor222, Tensor222, _as_array,
                       _as_sym, _entries, _prescale, _ranks)
 
@@ -123,41 +129,35 @@ def hyperdet_sym(Xs: SymTensor222) -> float:
     return _ldexp(_delta_sym(*unit.tolist()), 4 * exponent)
 
 
+# the (numerator, denominator) slabs of each slab order of a pencil quotient
+_SLAB_ORDERS = {"21": (1, 0), "12": (0, 1)}
+
+
 def pencil_eigs(X, slab_order: str = "21",
                 coincidence_tol: float = DEFAULT_COINCIDENCE_TOL) -> EigenPair2:
     """Eigen classification of the slab quotient X2 X1^-1 (or X1 X2^-1).
 
     ``slab_order`` "21" uses X2 X1^-1, "12" uses X1 X2^-1.  Raises when the
-    designated slab is singular (condition number above the cap), pointing
-    at the other order.
+    designated slab is singular (condition number above the cap) or the
+    quotient overflows, pointing at the other order.
     """
-    return _pencil_eigs(_as_array(X), slab_order, coincidence_tol)
-
-
-def _pencil_eigs(A, slab_order: str, coincidence_tol: float) -> EigenPair2:
-    """`pencil_eigs` of the checked array A."""
-    if slab_order == "21":
-        num, den, other = A[..., 1], A[..., 0], "12"
-    elif slab_order == "12":
-        num, den, other = A[..., 0], A[..., 1], "21"
-    else:
+    if slab_order not in _SLAB_ORDERS:
         raise ValueError("slab_order must be '21' or '12'")
-    if not _invertible(den):
-        raise ValueError(
-            f"designated slab is singular or ill-conditioned; try slab_order='{other}'")
-    return eig2(_quotient(num, den), coincidence_tol)
+    pencil = _slab_pencils(_as_array(X)[None], coincidence_tol, (slab_order,))[0]
+    if pencil is None:
+        raise ValueError("designated slab is singular or ill-conditioned, or the quotient "
+                         f"overflows; try slab_order='{'12' if slab_order == '21' else '21'}'")
+    return EigenPair2(*pencil)
 
 
-def _invertible(den):
-    """Whether each slab (..., 2, 2) is inverted in a pencil quotient: its
-    condition number is at most PENCIL_COND_CAP.  The singular values of
-    [[a, b], [c, d]] are (p +- q) / 2 with p = |(a + d, c - b)| and
+def _invertible(a, b, c, d) -> bool:
+    """Whether the slab [[a, b], [c, d]] of floats is inverted in a pencil
+    quotient: its condition number is at most PENCIL_COND_CAP.  Its
+    singular values are (p +- q) / 2 with p = |(a + d, c - b)| and
     q = |(a - d, b + c)|, which `hypot` takes without squaring an entry."""
-    a, b, c, d = den[..., 0, 0], den[..., 0, 1], den[..., 1, 0], den[..., 1, 1]
-    p, q = np.hypot(a + d, c - b), np.hypot(a - d, b + c)
-    # a singular slab divides by zero, and the zero slab gives NaN: neither is inverted
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return (p + q) / np.abs(p - q) <= PENCIL_COND_CAP
+    p, q = _hypot(a + d, c - b), _hypot(a - d, b + c)
+    # a singular slab has p = q, and the zero slab p = q = 0: neither is inverted
+    return p != q and (p + q) / abs(p - q) <= PENCIL_COND_CAP
 
 
 def _quotient(num, den):
@@ -176,33 +176,33 @@ def _quotient(num, den):
 def slab_pencil(X, coincidence_tol: float = DEFAULT_COINCIDENCE_TOL) -> EigenPair2 | None:
     """`pencil_eigs` of X2 X1^-1, or of X1 X2^-1 when X1 is singular; None
     when both slabs are."""
-    # checked first: a non-finite entry's ValueError must not read as a singular slab
-    A = _as_array(X)
-    for order in ("21", "12"):
-        try:
-            return _pencil_eigs(A, order, coincidence_tol)
-        except ValueError:
-            continue
-    return None
+    pencil = _slab_pencils(_as_array(X)[None], coincidence_tol)[0]
+    return None if pencil is None else EigenPair2(*pencil)
 
 
-def _slab_pencils(A, coincidence_tol: float) -> list:
-    """`slab_pencil(A[n], coincidence_tol)` of each tensor of the stack A
-    (N, 2, 2, 2): X2 X1^-1, or X1 X2^-1 where X1 is not inverted or that
-    quotient is not finite, each order with one solve over its tensors."""
-    M, rest = np.full(A.shape[:-1], np.nan), np.arange(len(A))
-    for num, den in ((A[..., 1], A[..., 0]), (A[..., 0], A[..., 1])):
-        take = rest[_invertible(den[rest])]
-        M[take] = _quotient(num[take], den[take])
-        rest = rest[~np.isfinite(M[rest]).all(axis=(1, 2))]
-        if not len(rest):
+def _slab_pencils(A, coincidence_tol: float, orders=("21", "12")) -> list:
+    """The pencil of each tensor of the stack A (N, 2, 2, 2), as the tuple
+    `smallalg._eigen_pair` gives: that of num den^-1 in the first slab order
+    of ``orders`` whose den is inverted and whose quotient is finite, or
+    None where no order's is.  Each order takes one `_quotient` call over
+    the tensors that the orders before it left; the decisions run per
+    matrix in Python floats."""
+    _check_coincidence_tol(coincidence_tol)
+    pencils, rest = [None] * len(A), list(range(len(A)))
+    for order in orders:
+        i, j = _SLAB_ORDERS[order]
+        num, den = A[rest, ..., i], A[rest, ..., j]
+        left = []
+        for n, slab, m in zip(rest, den.reshape(-1, 4).tolist(),
+                              _quotient(num, den).reshape(-1, 4).tolist()):
+            if _invertible(*slab) and all(map(math.isfinite, m)):
+                pencils[n] = _eigen_pair(*m, coincidence_tol)
+            else:
+                left.append(n)
+        rest = left
+        if not rest:
             break
-    has = np.isfinite(M).all(axis=(1, 2))
-    M = M[has]
-    half, disc, gap, double = _eig2_terms(M, coincidence_tol)
-    pairs = iter(map(_eigen_pair, half.tolist(), disc.tolist(), gap.tolist(), double.tolist(),
-                     _diagonalizable(M, half, coincidence_tol).tolist()))
-    return [next(pairs) if h else None for h in has.tolist()]
+    return pencils
 
 
 def _rank_tol(tol: float) -> float:
@@ -213,19 +213,37 @@ def _rank_tol(tol: float) -> float:
     return min(tol, DEFAULT_RANK_TOL)
 
 
-def _decide(scale: float, unit_max: float, zero_scale, mlr, delta: float, tol: float) -> tuple:
-    """(orbit, margin) from the largest entry magnitude ``scale``, that is
-    ``unit_max`` on the scale of Delta ``delta``, and the multilinear rank
-    ``mlr``: D0 at zero or at most _rank_tol(tol) ``zero_scale``, and the
-    boundary D3 at |Delta| <= tol unit_max^4."""
-    if scale == 0.0 or (zero_scale is not None and scale <= _rank_tol(tol) * zero_scale):
-        return "D0", 0.0
-    quartic = unit_max ** 4
-    if min(mlr) <= 1:
-        orbit = "D1" if max(mlr) <= 1 else ("D2p", "D2pp", "D2")[mlr.index(1)]
-    else:
-        orbit = "G2" if delta > tol * quartic else "G3" if delta < -tol * quartic else "D3"
-    return orbit, abs(delta) / quartic
+def _labels(A, tols, zero_scales) -> list:
+    """The decision of `classify` for each tensor of the stack A (N, 2, 2, 2),
+    A[n] at the Delta band tols[n] and the zero scale zero_scales[n] (None
+    for none): a list of (orbit, margin, delta, [r1, r2, r3]).  A tensor is
+    D0 at zero or at max|entry| <= _rank_tol(tol) zero_scale, and else
+    takes its orbit from the multilinear rank, and at full rank from the
+    sign of Delta with the band tol unit_max^4.  One exact scaling, one SVD
+    call and one list conversion serve the stack; Delta and the decisions
+    run per tensor in Python floats."""
+    if not all(tol > 0 for tol in tols):
+        raise ValueError("tol must be positive")
+    unit, exponents = _prescale(A, 1)
+    rank_tols = [_rank_tol(tol) for tol in tols]
+    labels = []
+    for flat, exponent, mlr, tol, rank_tol, zero_scale in zip(
+            _entries(unit).tolist(), exponents.tolist(), _ranks(unit, rank_tols), tols,
+            rank_tols, zero_scales):
+        # max|entry| from two scans, without a Python call per entry
+        unit_max, delta = max(max(flat), -min(flat)), _delta(*flat)
+        if unit_max == 0.0 or (zero_scale is not None
+                               and math.ldexp(unit_max, exponent) <= rank_tol * zero_scale):
+            orbit, margin = "D0", 0.0
+        else:
+            quartic = unit_max ** 4
+            if min(mlr) <= 1:
+                orbit = "D1" if max(mlr) <= 1 else ("D2p", "D2pp", "D2")[mlr.index(1)]
+            else:
+                orbit = "G2" if delta > tol * quartic else "G3" if delta < -tol * quartic else "D3"
+            margin = abs(delta) / quartic
+        labels.append((orbit, margin, _ldexp(delta, 4 * exponent), mlr))
+    return labels
 
 
 def classify(X, tol: float = 1e-9, zero_scale: float | None = None) -> OrbitLabel:
@@ -243,16 +261,10 @@ def classify(X, tol: float = 1e-9, zero_scale: float | None = None) -> OrbitLabe
     scale and the degree-4 hyperdeterminant neither overflows nor
     underflows.  The label carries that rank and that Delta, scaled back
     as `hyperdet` scales it.  A SymTensor222 is classified by its expansion.
+    This is the one-tensor case of `_labels`.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    X, exponent = _prescale(_as_array(X))
-    unit_max = float(np.abs(X).max())
-    delta = _delta(*_entries(X).tolist())
-    mlrank = MultilinearRank(*map(int, _ranks(X, _rank_tol(tol))))
-    orbit, margin = _decide(math.ldexp(unit_max, exponent), unit_max, zero_scale,
-                            mlrank.as_tuple(), delta, tol)
-    return OrbitLabel(orbit, margin, _ldexp(delta, 4 * exponent), mlrank)
+    orbit, margin, delta, mlrank = _labels(_as_array(X)[None], [tol], [zero_scale])[0]
+    return OrbitLabel(orbit, margin, delta, MultilinearRank(*mlrank))
 
 
 def classify_sym(Xs: SymTensor222, tol: float = 1e-9,
@@ -264,26 +276,3 @@ def classify_sym(Xs: SymTensor222, tol: float = 1e-9,
     column order, so the label is one of D0, D1, G2, D3, G3.
     """
     return classify(_as_sym(Xs), tol, zero_scale)
-
-
-def _reports(X, R, tol: float, band: float):
-    """(labels, margins, deltas, ranks) of N deflation steps, the inputs X
-    (N, 2, 2, 2) deflated to the residuals R: lists over the 2N tensors of
-    [X; R], inputs first.  X[n] is labelled as by `classify(X[n], tol)`,
-    R[n] as by `classify(R[n], band, zero_scale=max|X[n]|)`, from one exact
-    scaling and one rank call.
-    """
-    n = len(X)
-    A = np.concatenate([X, R])
-    unit, exponent = _prescale(A, 1)
-    flat = _entries(unit)
-    delta = _delta(*(flat[..., k] for k in range(8)))
-    scale = np.abs(A).max(axis=(1, 2, 3))
-    ranks = np.stack(_ranks(unit, np.repeat([_rank_tol(tol), _rank_tol(band)], n)[:, None]),
-                     axis=1).tolist()
-    decided = [_decide(*args) for args in zip(
-        scale.tolist(), np.ldexp(scale, -exponent).tolist(), [None] * n + scale[:n].tolist(),
-        ranks, delta.tolist(), [tol] * n + [band] * n)]
-    with np.errstate(over="ignore"):
-        deltas = np.ldexp(delta, 4 * exponent).tolist()
-    return [d[0] for d in decided], [d[1] for d in decided], deltas, ranks

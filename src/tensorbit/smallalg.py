@@ -4,11 +4,14 @@ Root-finding goes through the balanced companion matrix (LAPACK QR under
 numpy), which is robust for the degree <= 8 polynomials that arise here.
 Eigen classification of 2x2 matrices uses the closed-form discriminant
 with an explicit coincidence band, since the downstream orbit tests hinge
-on "identical" versus "distinct" eigenvalues.
+on "identical" versus "distinct" eigenvalues.  It is one decision per
+matrix in Python floats, `_eigen_pair`, which `eig2` and the stacked slab
+pencils of `orbits` both call.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -194,59 +197,57 @@ class EigenPair2:
     gap: float = 0.0
 
 
-def _eig2_terms(M, coincidence_tol: float):
-    """The closed form behind `eig2` for each 2x2 matrix of M (..., 2, 2):
-    half the trace, the discriminant, the gap sqrt(|discriminant|), and
-    whether the eigenvalues are one double eigenvalue, i.e. closer than
-    ``coincidence_tol * (1 + max|lambda|)``."""
-    tr = M[..., 0, 0] + M[..., 1, 1]
-    det = M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
-    disc = tr * tr - 4.0 * det
-    gap = np.sqrt(abs(disc))
-    lam_scale = np.maximum(abs(tr) / 2.0 + gap / 2.0, np.sqrt(abs(det)))
-    return tr / 2.0, disc, gap, gap <= coincidence_tol * (1.0 + lam_scale)
+def _check_coincidence_tol(coincidence_tol: float):
+    """Reject a coincidence band that is negative, NaN or infinite; 0 asks
+    for exact coincidence."""
+    if not 0.0 <= coincidence_tol < math.inf:
+        raise ValueError("coincidence_tol must be finite and non-negative")
 
 
-def _norm2(A):
-    """Spectral norm of each 2x2 matrix of A (..., 2, 2) in closed form:
-    sigma_max^2 = (f + sqrt(f^2 - 4 det^2)) / 2 with f = ||A||_F^2, which is
-    ((|z1| + |z2|) / 2)^2 for z1 = (a + d) + i (c - b) and z2 = (a - d) + i (b + c),
-    written that way to avoid the cancellation in f^2 - 4 det^2."""
-    a, b, c, d = A[..., 0, 0], A[..., 0, 1], A[..., 1, 0], A[..., 1, 1]
-    return (np.hypot(a + d, c - b) + np.hypot(a - d, b + c)) / 2.0
+def _hypot(x: float, y: float) -> float:
+    """np.hypot of two floats: libm's hypot, which the absolute value of a
+    complex takes, and inf where that overflows."""
+    try:
+        return abs(complex(x, y))
+    except OverflowError:
+        return math.inf
 
 
-def _diagonalizable(M, half, coincidence_tol: float):
-    """Whether each 2x2 matrix of M (..., 2, 2) is within the coincidence band
-    of half I, its half trace: a double eigenvalue with two eigenvectors."""
-    band = coincidence_tol * (1.0 + np.abs(M).max(axis=(-2, -1)))
-    return _norm2(M - half[..., None, None] * np.eye(2)) <= band
-
-
-def _eigen_pair(half, disc, gap, double, diagonalizable) -> EigenPair2:
-    """The kind decision of `eig2`, on the `_eig2_terms` of one matrix and,
-    for a double eigenvalue, its `_diagonalizable` verdict."""
-    if double:
-        if diagonalizable:
-            return EigenPair2("DoubleRealDiagonalizable", (half, half), 2, gap)
-        return EigenPair2("DoubleRealDefective", (half, half), 1, gap)
+def _eigen_pair(a, b, c, d, coincidence_tol: float) -> tuple:
+    """(kind, values, eigenvector count, gap) of `eig2` for the matrix
+    [[a, b], [c, d]] of floats, in Python floats.  The eigenvalues are a
+    double one when closer than ``coincidence_tol * (1 + max|lambda|)``;
+    it has two eigenvectors when M - lambda I is within the band
+    ``coincidence_tol * (1 + max|entry|)`` of zero in the spectral norm,
+    which is (|z1| + |z2|) / 2 for z1 = (a' + d') + i (c - b) and
+    z2 = (a' - d') + i (b + c), a' and d' the shifted diagonal, free of the
+    cancellation in the form through the Frobenius norm and determinant."""
+    tr, det = a + d, a * d - b * c
+    half, disc = tr / 2.0, tr * tr - 4.0 * det
+    gap = math.sqrt(abs(disc))
+    if gap <= coincidence_tol * (1.0 + max(abs(tr) / 2.0 + gap / 2.0, math.sqrt(abs(det)))):
+        p, q = a - half, d - half
+        norm = (_hypot(p + q, c - b) + _hypot(p - q, b + c)) / 2.0
+        if norm <= coincidence_tol * (1.0 + max(abs(a), abs(b), abs(c), abs(d))):
+            return "DoubleRealDiagonalizable", (half, half), 2, gap
+        return "DoubleRealDefective", (half, half), 1, gap
     if disc > 0:
-        return EigenPair2("DistinctReal", (half + gap / 2.0, half - gap / 2.0), 2, gap)
-    return EigenPair2("ComplexPair", (half, gap / 2.0), 2, gap)
+        return "DistinctReal", (half + gap / 2.0, half - gap / 2.0), 2, gap
+    return "ComplexPair", (half, gap / 2.0), 2, gap
 
 
 def eig2(M, coincidence_tol: float = DEFAULT_COINCIDENCE_TOL) -> EigenPair2:
     """Classify the eigenstructure of a 2x2 matrix with a coincidence band.
 
     Eigenvalues closer than ``coincidence_tol * (1 + max|lambda|)`` count as
-    identical; defectiveness is decided by the rank of M - lambda I.
+    identical; defectiveness is decided by the norm of M - lambda I
+    (`_eigen_pair`).
     """
     M = np.asarray(M, dtype=float)
     if M.shape != (2, 2) or not np.isfinite(M).all():
         raise ValueError("expected a finite 2x2 matrix")
-    half, disc, gap, double = _eig2_terms(M, coincidence_tol)
-    return _eigen_pair(half, disc, gap, double,
-                       double and _diagonalizable(M, half, coincidence_tol))
+    _check_coincidence_tol(coincidence_tol)
+    return EigenPair2(*_eigen_pair(*M.ravel().tolist(), coincidence_tol))
 
 
 @dataclass(frozen=True)
@@ -269,6 +270,7 @@ def spectra_small(M, coincidence_tol: float = DEFAULT_COINCIDENCE_TOL):
     M = np.asarray(M, dtype=float)
     if M.ndim != 3 or M.shape[1] != M.shape[2] or M.shape[1] > 16:
         raise ValueError("expected square matrices of size p <= 16")
+    _check_coincidence_tol(coincidence_tol)
     n, p = M.shape[:2]
     finite = np.isfinite(M).all(axis=(1, 2))[:, None]
     try:

@@ -198,11 +198,15 @@ class Rank1Term:
     z: np.ndarray
 
     def __init__(self, x, y, z):
+        frozen = {}
         for name, v in (("x", x), ("y", y), ("z", z)):
-            v = np.asarray(v, dtype=float)
-            if v.ndim != 1:
-                raise ValueError(f"factor {name} must be a vector")
-            object.__setattr__(self, name, _frozen_array(v, v.shape))
+            # a factor passed more than once, as y in y (x) y (x) y, is frozen once
+            if id(v) not in frozen:
+                arr = np.asarray(v, dtype=float)
+                if arr.ndim != 1:
+                    raise ValueError(f"factor {name} must be a vector")
+                frozen[id(v)] = _frozen_array(arr, arr.shape)
+            object.__setattr__(self, name, frozen[id(v)])
 
     def tensor(self) -> np.ndarray:
         return np.einsum("i,j,k->ijk", self.x, self.y, self.z)
@@ -327,18 +331,28 @@ def unit_scaled(X):
     return _prescale(_as_array(X, pxpx2=True))
 
 
-def _ranks(arr, tol: float) -> tuple:
-    """Mode-1, 2 and 3 unfolding ranks of a tensor, or of each tensor of a
-    stack (..., n1, n2, n3): the singular values above ``tol`` times the
-    largest one."""
-    k = arr.ndim - 3
-    lead = tuple(range(k))
+# the axes of each tensor in its mode-1, 2 and 3 unfoldings, and the
+# C-order entry indices (3, 2, 4) of those unfoldings of a 2x2x2 tensor
+_MODE_AXES = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
+_UNFOLD_222 = np.stack([np.arange(8).reshape(2, 2, 2).transpose(axes).reshape(2, 4)
+                        for axes in _MODE_AXES])
+
+
+def _ranks(arr, tols) -> list:
+    """The mode-1, 2 and 3 unfolding ranks [r1, r2, r3] of each tensor of the
+    stack arr (N, n1, n2, n3): its singular values above tols[n] times the
+    largest one.  The three unfoldings of 2x2x2 tensors are all 2 x 4 and
+    take one SVD call; others take one per mode."""
+    tols = np.asarray(tols, dtype=float)[:, None]
+    if arr.shape[1:] == (2, 2, 2):
+        sv = np.linalg.svd(arr.reshape(-1, 8)[:, _UNFOLD_222], compute_uv=False)
+        return (sv > tols[..., None] * sv[..., :1]).sum(axis=-1).tolist()
     ranks = []
-    for axes in ((k, k + 1, k + 2), (k + 1, k, k + 2), (k + 2, k, k + 1)):
-        mat = arr.transpose(lead + axes)
-        sv = np.linalg.svd(mat.reshape(mat.shape[:-2] + (-1,)), compute_uv=False)
-        ranks.append((sv > tol * sv[..., :1]).sum(axis=-1))
-    return tuple(ranks)
+    for axes in _MODE_AXES:
+        mat = arr.transpose(0, *(k + 1 for k in axes))
+        sv = np.linalg.svd(mat.reshape(mat.shape[:2] + (-1,)), compute_uv=False)
+        ranks.append((sv > tols * sv[:, :1]).sum(axis=-1))
+    return np.stack(ranks, axis=1).tolist()
 
 
 def multilinear_rank(X, tol: float = DEFAULT_RANK_TOL) -> MultilinearRank:
@@ -346,6 +360,6 @@ def multilinear_rank(X, tol: float = DEFAULT_RANK_TOL) -> MultilinearRank:
 
     Singular values above ``tol`` times the largest one are counted.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
-    return MultilinearRank(*(int(r) for r in _ranks(_as_array(X, pxpx2=True), tol)))
+    return MultilinearRank(*_ranks(_as_array(X, pxpx2=True)[None], [tol])[0])

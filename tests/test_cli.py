@@ -305,6 +305,32 @@ def test_cli_rejects_unused_tolerance_flags(capsys, argv):
     assert code == 2 and "unrecognized arguments" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("classify", "--data=0,1,1,0,1,0,0,0", "--tol=nan"),
+    ("classify", "--data=0,1,1,0,1,0,0,0", "--tol=-1"),
+    ("deflate", "--data=1,2,3,4,5,6,7,9", "--tol=nan"),
+    ("decompose", "--data=1,0,0,1", "--tol=nan"),
+    ("decompose", "--data=1,0,0,1", "--tol=-1")])
+def test_cli_rejects_a_nan_or_non_positive_tol(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (2, "") and "tol must be positive" in err
+
+
+@pytest.mark.parametrize("cmd, data", [("classify", "0,1,1,0,1,0,0,0"),
+                                       ("classify", "0,0,0,0,0,0,0,0"),
+                                       ("deflate", "1,2,3,4,5,6,7,9")])
+@pytest.mark.parametrize("band", ["-1", "nan", "inf"])
+def test_cli_rejects_a_negative_nan_or_infinite_coincidence_tol(capsys, cmd, data, band):
+    code, out, err = _run(capsys, cmd, f"--data={data}", f"--coincidence-tol={band}")
+    assert (code, out) == (2, "") and "coincidence_tol must be finite and non-negative" in err
+
+
+def test_cli_coincidence_tol_zero_asks_for_exact_coincidence(capsys):
+    # the D3 form's pencil has an exact double eigenvalue 0 with one eigenvector
+    code, out, _ = _run(capsys, "classify", "--data=0,1,1,0,1,0,0,0", "--coincidence-tol=0")
+    assert code == 0 and json.loads(out)["pencil"]["kind"] == "DoubleRealDefective"
+
+
 def test_cli_deflate_generic_chain(capsys):
     data = ",".join(str(v) for v in EXAMPLE_A1)
     code, out, _ = _run(capsys, "deflate", f"--data={data}", "--steps", "3")

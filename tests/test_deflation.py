@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 
 from tensorbit import deflation, rank1
 from tensorbit import (DomainError, SymTensor222, Tensor222, canonical_form,
-                       check_degenerate_props, classify, deflate_once, experiment_d3_closure,
+                       check_degenerate_props, classify, classify_sym, deflate_once, eig2, experiment_d3_closure,
                        experiment_generic, experiment_pxpx2, experiment_symmetric,
                        frobenius_norm_sq, hyperdet, multilinear_rank, multilinear_transform,
-                       slab_pencil)
-from tensorbit.deflation import (_deflation_report, _pencil_gap, _sample_d3, _trial_rng,
+                       pencil_eigs, slab_pencil)
+from tensorbit.deflation import (_report_rows, _sample_d3, _steps, _trial_rng,
                                  _trial_rngs, write_trial_csv)
-from tensorbit.orbits import ORBITS, _ldexp, _quotient, _rank_tol, _reports, _slab_pencils
-from tensorbit.tensors import _slab_major
+from tensorbit.orbits import ORBITS, _labels, _ldexp, _quotient, _rank_tol, _slab_pencils
+from tensorbit.tensors import _ranks, _slab_major
 from tensorbit.rank1 import best_rank1_222, best_rank1_pxpx2
 from tensorbit.smallalg import DEFAULT_COINCIDENCE_TOL, spectrum_small
 from tensorbit.cli import main
@@ -196,65 +196,127 @@ def _orbit_representatives():
 
 
 def _same_pencil(got, want):
-    # slab_pencil gives None for a singular pencil, and an EigenPair2 else
+    # slab_pencil gives None for a singular pencil, and an EigenPair2 else;
+    # the stacked pencils are its fields as a tuple
     if want is None:
         return got is None
-    return (got.kind, got.values, got.eigenvector_count, got.gap) == \
-        (want.kind, want.values, want.eigenvector_count, want.gap)
+    if not isinstance(got, tuple):
+        got = (got.kind, got.values, got.eigenvector_count, got.gap)
+    return got == (want.kind, want.values, want.eigenvector_count, want.gap)
+
+
+def _pencil_in_either_order(t, coincidence_tol):
+    # the slab_pencil reference: X2 X1^-1, else X1 X2^-1, else None
+    for order in ("21", "12"):
+        try:
+            return pencil_eigs(t, order, coincidence_tol)
+        except ValueError:
+            pass
+    return None
 
 
 @pytest.mark.parametrize("tol, zero_scale", [(1e-9, None), (1e-6, 1e7)])
-def test_stacked_report_matches_the_scalar_functions(tol, zero_scale):
+def test_stacked_report_matches_the_references(tol, zero_scale):
     # the representatives A are the residuals; the inputs X are A itself or
     # constant tensors whose max|entry| is the zero scale of the residuals
     A = _orbit_representatives()
     X = A if zero_scale is None else np.full_like(A, zero_scale)
     band = max(tol, deflation.RESIDUAL_BAND)
-    labels, margins, deltas, ranks = _reports(X, A, tol, band)
-    pencils = _slab_pencils(A, 1e-6)
+    labels, pencils, scales = _steps(X, A, tol, 1e-6)
     n = len(A)
+    assert len(labels) == len(pencils) == 2 * n
     for i, (x, arr) in enumerate(zip(X, A)):
-        t = Tensor222(arr)
-        before = classify(Tensor222(x), tol)
-        after = classify(t, band, zero_scale=np.abs(x).max())
-        report = _deflation_report(x, arr, 0.0, 1, (), tol, 1e-6)
-        assert (labels[i], margins[i]) == (before.orbit, before.boundary_margin)
-        assert (labels[n + i], margins[n + i]) == (after.orbit, after.boundary_margin)
-        assert (deltas[i], deltas[n + i]) == (hyperdet(Tensor222(x)), hyperdet(t))
-        assert tuple(ranks[i]) == multilinear_rank(Tensor222(x), _rank_tol(tol)).as_tuple()
-        assert tuple(ranks[n + i]) == multilinear_rank(t, _rank_tol(band)).as_tuple()
-        # each label carries the Delta and the rank it was decided from
-        assert (before.delta, after.delta) == (deltas[i], deltas[n + i])
-        assert (before.mlrank.as_tuple(), after.mlrank.as_tuple()) == \
-            (tuple(ranks[i]), tuple(ranks[n + i]))
-        assert _same_pencil(pencils[i], slab_pencil(t, 1e-6))
-        # the N = 1 report is the stack's own case
-        assert (report.orbit_before.orbit, report.orbit_before.boundary_margin) == \
-            (before.orbit, before.boundary_margin)
-        assert (report.orbit_after.orbit, report.orbit_after.boundary_margin) == \
-            (after.orbit, after.boundary_margin)
-        assert (report.delta_before, report.delta_after) == (deltas[i], deltas[n + i])
-        assert report.residual_mlrank.as_tuple() == tuple(ranks[n + i])
-        assert _same_pencil(report.pencil_before, slab_pencil(Tensor222(x), 1e-6))
-        assert _same_pencil(report.pencil_after, slab_pencil(t, 1e-6))
-    assert len(pencils) == n
-    assert None in pencils and len(set(p.kind for p in pencils if p is not None)) == 4
-    if zero_scale is not None:
-        assert "D0" in labels[n + 1:]
+        x, t = Tensor222(x), Tensor222(arr)
+        (_, _, delta_x, rank_x), (_, _, delta_t, rank_t) = labels[i], labels[n + i]
+        assert (delta_x, delta_t) == (hyperdet(x), hyperdet(t))
+        assert rank_x == list(multilinear_rank(x, _rank_tol(tol)))
+        assert rank_t == list(multilinear_rank(t, _rank_tol(band)))
+        assert _same_pencil(pencils[i], _pencil_in_either_order(x, 1e-6))
+        assert _same_pencil(pencils[n + i], _pencil_in_either_order(t, 1e-6))
+        assert scales[i] == np.abs(x.array).max()
+    if zero_scale is None:
+        # seven transforms of each canonical form, as `_orbit_representatives` draws them
+        assert [label[0] for label in labels[:n]] == [orbit for orbit in ORBITS for _ in range(7)]
+    else:
+        assert "D0" in [label[0] for label in labels[n + 1:]]
+    assert None in pencils[n:] and len(set(p[0] for p in pencils[n:] if p is not None)) == 4
+
+
+# X2 X1^-1 overflows for the first tensor, and X1 is singular for the
+# second: slab_pencil takes X1 X2^-1 for both, and None without a slab
+_SLAB_CASES = [(1e-300 * np.eye(2), 1e300 * np.array([[1.0, 2.0], [3.0, 4.0]])),
+               (np.zeros((2, 2)), np.array([[1.0, 2.0], [3.0, 4.0]])),
+               (np.zeros((2, 2)), np.zeros((2, 2))),
+               (np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]]))]
 
 
 def test_stacked_pencils_take_slab_pencils_order():
-    # X2 X1^-1 overflows for the first tensor, and X1 is singular for the
-    # second: slab_pencil takes X1 X2^-1 for both, and None without a slab
-    slabs = [(1e-300 * np.eye(2), 1e300 * np.array([[1.0, 2.0], [3.0, 4.0]])),
-             (np.zeros((2, 2)), np.array([[1.0, 2.0], [3.0, 4.0]])),
-             (np.zeros((2, 2)), np.zeros((2, 2))),
-             (np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]]))]
-    tensors = [Tensor222.from_slabs(*pair) for pair in slabs]
+    tensors = [Tensor222.from_slabs(*pair) for pair in _SLAB_CASES]
     pencils = _slab_pencils(np.stack([t.array for t in tensors]), DEFAULT_COINCIDENCE_TOL)
     for t, pencil in zip(tensors, pencils):
-        assert _same_pencil(pencil, slab_pencil(t))
-    assert pencils[2] is None and pencils[3].kind == "DoubleRealDefective"
+        assert _same_pencil(pencil, _pencil_in_either_order(t, DEFAULT_COINCIDENCE_TOL))
+    assert pencils[2] is None and pencils[3][0] == "DoubleRealDefective"
+
+
+@pytest.mark.parametrize("k", [0, 600, -600])
+def test_every_one_tensor_call_is_its_row_of_a_stacked_call(k):
+    # the orbit representatives, the zero tensor and the slab cases at
+    # 2^k, where their entries stay finite: each public one-tensor call
+    # gives, field by field, the row of the stacked call it is the N = 1 case of
+    base = np.concatenate([_orbit_representatives(), np.zeros((1, 2, 2, 2)),
+                           [Tensor222.from_slabs(*pair).array for pair in _SLAB_CASES]])
+    with np.errstate(over="ignore"):
+        A = np.ldexp(base, k)
+    A = A[np.isfinite(A).all(axis=(1, 2, 3))]
+    n = len(A)
+    for tol, zero_scale in ((1e-9, None), (1e-6, 2.0 ** k)):
+        labels = _labels(A, [tol] * n, [zero_scale] * n)
+        ranks = _ranks(A, [tol] * n)
+        for arr, (orbit, margin, delta, mlrank), rank in zip(A, labels, ranks):
+            label = classify(arr, tol, zero_scale)
+            assert (label.orbit, label.boundary_margin, label.delta, list(label.mlrank)) == \
+                (orbit, margin, delta, mlrank)
+            assert list(multilinear_rank(arr, tol)) == rank
+    # a symmetric tensor is labelled as its expansion
+    syms = [SymTensor222(*np.ldexp(v, k)) for v in np.random.default_rng(29).standard_normal((20, 4))]
+    for s, label in zip(syms, _labels(np.stack([s.tensor().array for s in syms]), [1e-9] * 20,
+                                      [None] * 20)):
+        got = classify_sym(s)
+        assert (got.orbit, got.boundary_margin, got.delta, list(got.mlrank)) == label
+    pencils = {orders: _slab_pencils(A, 1e-6, orders) for orders in (("21", "12"), ("21",), ("12",))}
+    for i, arr in enumerate(A):
+        assert _same_pencil(pencils[("21", "12")][i], slab_pencil(arr, 1e-6))
+        for order in ("21", "12"):
+            if pencils[(order,)][i] is None:
+                with pytest.raises(ValueError, match="designated slab"):
+                    pencil_eigs(arr, order, 1e-6)
+            else:
+                assert _same_pencil(pencils[(order,)][i], pencil_eigs(arr, order, 1e-6))
+        if pencils[("21",)][i] is not None:
+            assert _same_pencil(pencils[("21",)][i], eig2(_quotient(arr[..., 1], arr[..., 0]), 1e-6))
+    # a deflation report is the row of its step in one stack of steps, and
+    # at unit scale, where experiments make them, also its experiment row
+    inputs = [arr for arr, (orbit, *_) in zip(A, labels) if orbit != "D0"]
+    steps = [deflate_once(Tensor222(arr)) for arr in inputs]
+    X, R = np.stack(inputs), np.stack([r.array for r, _ in steps])
+    labels, pencils, _ = _steps(X, R, 1e-9, DEFAULT_COINCIDENCE_TOL)
+    m = len(inputs)
+    for i, (_, report) in enumerate(steps):
+        for label, row in ((report.orbit_before, labels[i]), (report.orbit_after, labels[m + i])):
+            assert (label.orbit, label.boundary_margin, label.delta, list(label.mlrank)) == row
+        assert _same_pencil(pencils[i], report.pencil_before)
+        assert _same_pencil(pencils[m + i], report.pencil_after)
+    if k == 0:
+        # without the slab case whose max|X|^4 overflows the row's scaled Delta
+        keep = np.abs(X).max(axis=(1, 2, 3)) < 1e60
+        rows = _report_rows(X[keep], R[keep], np.array([report.psi for _, report in steps])[keep])
+        for (_, report), row in zip([s for s, ok in zip(steps, keep) if ok], rows):
+            pencil = report.pencil_after
+            assert (row["orbit_before"], row["orbit_after"], row["delta_before"],
+                    row["delta_after"], row["mlrank"], row["eigen_gap"]) == \
+                (report.orbit_before.orbit, report.orbit_after.orbit, report.delta_before,
+                 report.delta_after, "x".join(map(str, report.residual_mlrank)),
+                 None if pencil is None else pencil.gap / (1.0 + max(map(abs, pencil.values))))
 
 
 def test_reports_validate_tol(capsys):
@@ -439,9 +501,9 @@ def test_experiment_gap_statistics():
     before = []
     for trial in range(200):
         t = Tensor222.from_flat(_trial_rng(77, trial).standard_normal(8))
-        g = _pencil_gap(slab_pencil(t, 1e-4))
-        if g is not None:
-            before.append(g)
+        pencil = slab_pencil(t, 1e-4)
+        if pencil is not None:
+            before.append(pencil.gap / (1.0 + max(map(abs, pencil.values))))
     assert np.mean([g > 1e-2 for g in before]) >= 0.95
 
 

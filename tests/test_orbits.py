@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensorbit import (SymTensor222, Tensor222, canonical_form, classify, classify_sym,
-                       hyperdet, hyperdet_sym, multilinear_transform, pencil_eigs,
+                       hyperdet, hyperdet_sym, multilinear_rank, multilinear_transform, pencil_eigs,
                        sylvester_rank)
 from tensorbit.orbits import ORBITS, PENCIL_COND_CAP, _invertible
 from conftest import EXAMPLE_A1, EXAMPLE_A2, SYM_G2, SYM_G3, random_sym, random_tensor
@@ -94,6 +94,10 @@ def test_classify_power_of_two_scale_invariant(seed, orbit, k):
     assert scaled.boundary_margin == label.boundary_margin
 
 
+def _inverted(slabs):
+    return np.array([_invertible(*m) for m in np.reshape(slabs, (-1, 4)).tolist()])
+
+
 def test_invertible_matches_the_svd_condition_number():
     # the closed-form 2x2 condition number takes the decisions of
     # np.linalg.cond at the cap, on random slabs, on slabs at 1e8 (1 +- 1e-3)
@@ -106,11 +110,13 @@ def test_invertible_matches_the_svd_condition_number():
     for slabs in (random, at_cap):
         for k in (0, -500, 500):
             scaled = np.ldexp(slabs, k)
-            np.testing.assert_array_equal(_invertible(scaled),
+            np.testing.assert_array_equal(_inverted(scaled),
                                           np.linalg.cond(scaled) <= PENCIL_COND_CAP)
-    assert 0.3 < _invertible(at_cap).mean() < 0.7
+    assert 0.3 < _inverted(at_cap).mean() < 0.7
     singular = np.array([[[0.0, 0.0], [0.0, 0.0]], [[1.0, 2.0], [2.0, 4.0]]])
-    assert not _invertible(singular).any()
+    assert not _inverted(singular).any()
+    # entries whose hypot overflows give an infinite condition number
+    assert not _inverted([[1.5e308, 1.5e308], [-1.5e308, 1.5e308]]).any()
 
 
 def test_pencil_eigs_worked_examples():
@@ -216,3 +222,13 @@ def test_boundary_margin_diagnostic():
     assert lab.boundary_margin == pytest.approx(4.0)
     lab0 = classify(Tensor222.from_flat(np.zeros(8)))
     assert lab0.boundary_margin == 0.0
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, -math.inf])
+def test_a_nan_or_non_positive_tol_is_rejected(tol):
+    d3 = canonical_form("D3")
+    for call in (lambda: classify(d3, tol), lambda: classify_sym(SymTensor222(0, 1, 0, 0), tol),
+                 lambda: multilinear_rank(d3, tol),
+                 lambda: sylvester_rank(SymTensor222(1, 0, 0, 1), tol)):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            call()

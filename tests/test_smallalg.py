@@ -3,7 +3,7 @@ import pytest
 
 from tensorbit import Polynomial, common_root, eig2, roots, spectrum_small
 from tensorbit.orbits import _quotient
-from tensorbit.smallalg import IMAG_TOL, _norm2, spectra_small
+from tensorbit.smallalg import IMAG_TOL, spectra_small
 from tensorbit.smallalg import is_real_root
 
 
@@ -167,17 +167,40 @@ def test_eig2_similarity_invariance(seed):
 
 
 @pytest.mark.parametrize("seed", range(10))
-def test_norm2_matches_the_svd(seed):
+def test_the_eigenvector_count_follows_the_svd_norm(seed):
+    # a double eigenvalue h plus a rotated nilpotent part of spectral norm
+    # r times the band, at scales 2^k: eig2 finds two eigenvectors exactly
+    # where np.linalg.norm(M - h I, 2) is within the band 1e-6 (1 + max|M|)
     rng = np.random.default_rng(seed)
-    # random, near-double (nearly a multiple of I, or nearly nilpotent after
-    # the shift eig2 makes), nearly orthogonal, rank-1 and zero matrices
-    Q = np.linalg.qr(rng.standard_normal((2, 2)))[0]
-    cases = [rng.standard_normal((2, 2)), np.eye(2) + 1e-9 * rng.standard_normal((2, 2)),
-             [[0.0, 1.0], [-1e-14, 0.0]], 3.0 * Q + 1e-12 * rng.standard_normal((2, 2)),
-             np.outer(*rng.standard_normal((2, 2))), np.zeros((2, 2))]
-    for A in cases:
-        A = np.asarray(A, dtype=float) * 2.0 ** rng.integers(-300, 300)
-        assert abs(_norm2(A) - np.linalg.norm(A, 2)) <= 1e-14 * np.linalg.norm(A, 2)
+    for k in (0, -300, 300):
+        for r in (0.0, 0.5, 0.999, 1.001, 2.0):
+            Q = np.linalg.qr(rng.standard_normal((2, 2)))[0]
+            h = rng.standard_normal() * 2.0 ** k
+            s = r * 1e-6 * (1.0 + abs(h))
+            M = h * np.eye(2) + s * Q @ np.array([[0.0, 1.0], [0.0, 0.0]]) @ Q.T
+            pair = eig2(M)
+            assert pair.kind.startswith("DoubleReal")
+            shifted = M - np.trace(M) / 2.0 * np.eye(2)
+            within = np.linalg.norm(shifted, 2) <= 1e-6 * (1.0 + np.abs(M).max())
+            assert pair.eigenvector_count == (2 if within else 1)
+            assert within == (r < 1.0)
+
+
+@pytest.mark.parametrize("band", [-1.0, np.nan, np.inf])
+def test_a_negative_nan_or_infinite_coincidence_tol_is_rejected(band):
+    for call in (lambda: eig2(np.eye(2), band), lambda: spectrum_small(np.eye(3), band),
+                 lambda: spectra_small(np.eye(3)[None], band)):
+        with pytest.raises(ValueError, match="coincidence_tol must be finite and non-negative"):
+            call()
+
+
+def test_a_zero_coincidence_tol_asks_for_exact_coincidence():
+    assert eig2(np.eye(2), 0.0).kind == "DoubleRealDiagonalizable"
+    assert eig2([[1.0, 1.0], [0.0, 1.0]], 0.0).kind == "DoubleRealDefective"
+    # eigenvalues 1 and 1 + 2^-20, whose discriminant 2^-40 is exact
+    near = np.diag([1.0, 1.0 + 2.0 ** -20])
+    assert (eig2(near, 0.0).kind, eig2(near).kind) == ("DistinctReal", "DoubleRealDiagonalizable")
+    assert spectrum_small(np.eye(3), 0.0).n_coincident_real_pairs == 1
 
 
 def _spectrum_by_loop(M, coincidence_tol):
