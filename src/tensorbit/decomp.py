@@ -146,10 +146,10 @@ def sylvester_rank(Xs: SymTensor222, tol: float = 1e-9):
     if np.max(np.abs(g)) <= _rank_tol(tol) * scale ** 2:
         a, b, c, d = unit.tolist()
         if abs(a) >= abs(d):
-            v1 = np.cbrt(a)
+            v1 = math.cbrt(a)
             v2 = v1 * (b / a) if a != 0.0 else 0.0
         else:
-            v2 = np.cbrt(d)
+            v2 = math.cbrt(d)
             v1 = v2 * (c / d)
         return 1, _decomposition(unit, k, (np.array([v1, v2]),))
     if g[1] ** 2 - 4.0 * g[0] * g[2] > tol * scale ** 4:
@@ -161,7 +161,7 @@ def _from_directions(unit, k: int, dirs) -> SymDecomposition:
     """The decomposition of unit * 8^k along the unit directions ``dirs``,
     with cube weights from the moment equations on unit, where none overflows."""
     w, *_ = np.linalg.lstsq(np.array(_cubes(*np.transpose(dirs))), unit, rcond=None)
-    return _decomposition(unit, k, [np.cbrt(wi) * u for wi, u in zip(w, dirs)])
+    return _decomposition(unit, k, [math.cbrt(wi) * u for wi, u in zip(w.tolist(), dirs)])
 
 
 def _rank2_from_kernel(unit, k: int, g) -> SymDecomposition:
@@ -225,8 +225,8 @@ def canonicalize_sym_form(Xs: SymTensor222) -> CanonicalSymForm:
         return CanonicalSymForm(np.nan, np.nan, None, "b_zero")
     if abs(c) <= 1e-12 * scale:
         return CanonicalSymForm(np.nan, np.nan, None, "c_zero")
-    mu = np.cbrt(c / b / b)
-    eta = np.cbrt(b / c / c)
+    mu = math.cbrt(c / b / b)
+    eta = math.cbrt(b / c / c)
     a_new = (a / b) * (c / b)
     d_new = (d / c) * (b / c)
     return CanonicalSymForm(float(a_new), float(d_new), np.diag([mu, eta]))
@@ -253,21 +253,24 @@ def _kernel_S(unit: np.ndarray, g, orbit: str) -> np.ndarray:
     l's larger entry pinned at +1.  W and m solve the moment equations in
     least squares.
     """
-    g0, g1, g2 = g
+    g0, g1, g2 = g.tolist()
     # the homogeneous roots (s, g2) and (g0, s) of `_rank2_from_kernel`; the D3 root is double
     root = cmath.sqrt(g1 * g1 - 4.0 * g0 * g2) if orbit == "G3" else 0.0
     s = -0.5 * (g1 + math.copysign(1.0, g1) * root)
-    v = np.array([s, g2] if abs(g2) >= abs(g0) else [g0, s])
+    v = (s, g2) if abs(g2) >= abs(g0) else (g0, s)
     if orbit == "G3":
-        v = v / np.linalg.norm(v)
-        cube = np.array(_cubes(*v))
-        (wr, wi), *_ = np.linalg.lstsq(np.stack([cube.real, -cube.imag], axis=1), unit, rcond=None)
-        phases = (cmath.phase(-complex(wr, wi)) + 2.0 * np.pi * np.arange(3)) / 3.0
-        P = (np.cbrt(math.hypot(wr, wi)) * np.exp(1j * phases))[:, None] * v
+        # in Python complex arithmetic, which no SIMD kernel of numpy reaches
+        v = [vi / math.hypot(abs(v[0]), abs(v[1])) for vi in v]
+        (wr, wi), *_ = np.linalg.lstsq(np.array([[q.real, -q.imag] for q in _cubes(*v)]), unit,
+                                       rcond=None)
+        phase, radius = cmath.phase(-complex(wr, wi)), math.cbrt(math.hypot(wr, wi))
+        P = [[cmath.rect(radius, (phase + 2.0 * math.pi * j) / 3.0) * vi for vi in v]
+             for j in range(3)]
         # the three S = [Re p, +-Im p] share the sign of their determinant
-        sign = np.sign(P[0, 0].real * P[0, 1].imag - P[0, 1].real * P[0, 0].imag)
-        S = np.stack([P.real, sign * P.imag], axis=-1)
-        return S[np.argmax(S[:, 0, 0] - S[:, 0, 1])]
+        sign = math.copysign(1.0, P[0][0].real * P[0][1].imag - P[0][1].real * P[0][0].imag)
+        S = [[[p.real, sign * p.imag] for p in row] for row in P]
+        return np.array(max(S, key=lambda M: M[0][0] - M[0][1]))
+    v = np.array(v)
     l1, l2 = l = v / v[np.argmax(np.abs(v))]
     sym = np.array([[l1 * l1, 0.0], [2.0 * l1 * l2 / 3.0, l1 * l1 / 3.0],
                     [l2 * l2 / 3.0, 2.0 * l1 * l2 / 3.0], [0.0, l2 * l2]])

@@ -1,8 +1,10 @@
 import io
 import itertools
 import json
+import sys
 import warnings
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,9 @@ from tensorbit.cli import main
 from tensorbit.decomp import TRANSFORM_TOL, _apply_sym
 from tensorbit.smallalg import NumericalFailure
 from conftest import SYM_G3, random_sym, run_at_baseline_dispatch
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+import cli_corpus  # noqa: E402
 
 
 def _max_err(s, t) -> float:
@@ -503,6 +508,38 @@ def test_canonical_transforms_hold_at_numpy_baseline_dispatch():
     assert [row[:2] for row in rows] == [["D3", "D3"], ["G3", "G3"]]
     for _, _, residual, err in rows:
         assert float.fromhex(residual) <= 1e-15 and float.fromhex(err) <= 1e-15
+
+
+_DECOMPOSITION_HEXES = """
+import numpy as np
+from tensorbit import DomainError, SymTensor222, canonical_transform, sylvester_rank
+inputs = np.random.default_rng(2901).standard_normal((200, 4)).tolist() + SPECIAL
+for v in inputs:
+    for k in (0, 600, -600):
+        Xs = SymTensor222(*np.ldexp(v, k))
+        rank, dec = sylvester_rank(Xs)
+        print(rank, *(x.hex() for u in dec.vectors for x in u.tolist()),
+              dec.reconstruction_error.hex())
+        try:
+            tr = canonical_transform(Xs)
+        except DomainError:
+            continue
+        print(tr.orbit, *(x.hex() for x in tr.S.ravel().tolist()), tr.residual.hex())
+"""
+
+
+def test_decompositions_are_the_same_at_numpy_baseline_dispatch():
+    # cube roots, cube weights and the G3 transform's complex products are
+    # taken in Python floats, so numpy's SIMD kernels do not reach them
+    script = _DECOMPOSITION_HEXES.replace("SPECIAL",
+                                          repr([list(v) for v in cli_corpus.SYM_SPECIAL]))
+    here = io.StringIO()
+    with redirect_stdout(here):
+        exec(script, {})
+    lines = here.getvalue().splitlines()
+    assert sum(line.startswith("G3") for line in lines) > 100
+    assert sum(line.startswith("1 ") for line in lines) >= 9
+    assert run_at_baseline_dispatch(script) == here.getvalue()
 
 
 def _middle_coefficient_sets():
