@@ -13,9 +13,10 @@ A label carries the Delta and multilinear rank it was decided from.
 One labeller, `_labels`, and one slab-pencil function, `_slab_pencils`,
 take a stack of tensors; `classify`, `classify_sym`, `pencil_eigs` and
 `slab_pencil` are their one-tensor calls.  numpy takes the stack's exact
-scaling, unfolding SVDs and slab quotients, one call each, and the
-decisions run per tensor or per matrix in Python floats, so a tensor gets
-the same label and pencil alone and in a stack.
+scaling and unfolding SVDs in one call each, and its slab quotients in
+one call per slab order; the decisions run per tensor or per matrix in
+Python floats, so a tensor gets the same label and pencil alone and in a
+stack.
 """
 
 from __future__ import annotations

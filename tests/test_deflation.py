@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from tensorbit import deflation, rank1
 from tensorbit import (DomainError, SymTensor222, Tensor222, canonical_form,
-                       check_degenerate_props, classify, classify_sym, deflate_once, eig2, experiment_d3_closure,
-                       experiment_generic, experiment_pxpx2, experiment_symmetric,
+                       check_degenerate_props, classify, classify_sym, deflate_once, eig2,
+                       experiment_d3_closure, experiment_generic, experiment_pxpx2,
+                       experiment_symmetric,
                        frobenius_norm_sq, hyperdet, multilinear_rank, multilinear_transform,
                        pencil_eigs, slab_pencil)
 from tensorbit.deflation import (_report_rows, _sample_d3, _steps, _trial_rng,
@@ -236,7 +237,7 @@ def test_stacked_report_matches_the_references(tol, zero_scale):
         assert scales[i] == np.abs(x.array).max()
     if zero_scale is None:
         # seven transforms of each canonical form, as `_orbit_representatives` draws them
-        assert [label[0] for label in labels[:n]] == [orbit for orbit in ORBITS for _ in range(7)]
+        assert [label[0] for label in labels[:n]] == [o for o in ORBITS for _ in range(7)]
     else:
         assert "D0" in [label[0] for label in labels[n + 1:]]
     assert None in pencils[n:] and len(set(p[0] for p in pencils[n:] if p is not None)) == 4
@@ -278,12 +279,14 @@ def test_every_one_tensor_call_is_its_row_of_a_stacked_call(k):
                 (orbit, margin, delta, mlrank)
             assert list(multilinear_rank(arr, tol)) == rank
     # a symmetric tensor is labelled as its expansion
-    syms = [SymTensor222(*np.ldexp(v, k)) for v in np.random.default_rng(29).standard_normal((20, 4))]
+    syms = [SymTensor222(*np.ldexp(v, k))
+            for v in np.random.default_rng(29).standard_normal((20, 4))]
     for s, label in zip(syms, _labels(np.stack([s.tensor().array for s in syms]), [1e-9] * 20,
                                       [None] * 20)):
         got = classify_sym(s)
         assert (got.orbit, got.boundary_margin, got.delta, list(got.mlrank)) == label
-    pencils = {orders: _slab_pencils(A, 1e-6, orders) for orders in (("21", "12"), ("21",), ("12",))}
+    pencils = {orders: _slab_pencils(A, 1e-6, orders)
+               for orders in (("21", "12"), ("21",), ("12",))}
     for i, arr in enumerate(A):
         assert _same_pencil(pencils[("21", "12")][i], slab_pencil(arr, 1e-6))
         for order in ("21", "12"):
@@ -293,7 +296,8 @@ def test_every_one_tensor_call_is_its_row_of_a_stacked_call(k):
             else:
                 assert _same_pencil(pencils[(order,)][i], pencil_eigs(arr, order, 1e-6))
         if pencils[("21",)][i] is not None:
-            assert _same_pencil(pencils[("21",)][i], eig2(_quotient(arr[..., 1], arr[..., 0]), 1e-6))
+            assert _same_pencil(pencils[("21",)][i],
+                                eig2(_quotient(arr[..., 1], arr[..., 0]), 1e-6))
     # a deflation report is the row of its step in one stack of steps, and
     # at unit scale, where experiments make them, also its experiment row
     inputs = [arr for arr, (orbit, *_) in zip(A, labels) if orbit != "D0"]
