@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .smallalg import (DEFAULT_COINCIDENCE_TOL, EigenPair2, _check_coincidence_tol, _eigen_pair,
+from .smallalg import (DEFAULT_COINCIDENCE_TOL, EigenPair2, _check_coincidence_tol, _eig2_fields,
                        _hypot)
 from .tensors import (DEFAULT_RANK_TOL, MultilinearRank, SymTensor222, Tensor222, _as_array,
                       _as_sym, _entries, _prescale, _ranks)
@@ -183,7 +183,7 @@ def slab_pencil(X, coincidence_tol: float = DEFAULT_COINCIDENCE_TOL) -> EigenPai
 
 def _slab_pencils(A, coincidence_tol: float, orders=("21", "12")) -> list:
     """The pencil of each tensor of the stack A (N, 2, 2, 2), as the tuple
-    `smallalg._eigen_pair` gives: that of num den^-1 in the first slab order
+    `smallalg._eig2_fields` gives: that of num den^-1 in the first slab order
     of ``orders`` whose den is inverted and whose quotient is finite, or
     None where no order's is.  Each order takes one `_quotient` call over
     the tensors that the orders before it left; the decisions run per
@@ -197,7 +197,7 @@ def _slab_pencils(A, coincidence_tol: float, orders=("21", "12")) -> list:
         for n, slab, m in zip(rest, den.reshape(-1, 4).tolist(),
                               _quotient(num, den).reshape(-1, 4).tolist()):
             if _invertible(*slab) and all(map(math.isfinite, m)):
-                pencils[n] = _eigen_pair(*m, coincidence_tol)
+                pencils[n] = _eig2_fields(*m, coincidence_tol)
             else:
                 left.append(n)
         rest = left

@@ -5,7 +5,7 @@ numpy), which is robust for the degree <= 8 polynomials that arise here.
 Eigen classification of 2x2 matrices uses the closed-form discriminant
 with an explicit coincidence band, since the downstream orbit tests hinge
 on "identical" versus "distinct" eigenvalues.  It is one decision per
-matrix in Python floats, `_eigen_pair`, which `eig2` and the stacked slab
+matrix in Python floats, `_eig2_fields`, which `eig2` and the stacked slab
 pencils of `orbits` both call.
 """
 
@@ -213,7 +213,7 @@ def _hypot(x: float, y: float) -> float:
         return math.inf
 
 
-def _eigen_pair(a, b, c, d, coincidence_tol: float) -> tuple:
+def _eig2_fields(a, b, c, d, coincidence_tol: float) -> tuple:
     """(kind, values, eigenvector count, gap) of `eig2` for the matrix
     [[a, b], [c, d]] of floats, in Python floats.  The eigenvalues are a
     double one when closer than ``coincidence_tol * (1 + max|lambda|)``;
@@ -241,13 +241,13 @@ def eig2(M, coincidence_tol: float = DEFAULT_COINCIDENCE_TOL) -> EigenPair2:
 
     Eigenvalues closer than ``coincidence_tol * (1 + max|lambda|)`` count as
     identical; defectiveness is decided by the norm of M - lambda I
-    (`_eigen_pair`).
+    (`_eig2_fields`).
     """
     M = np.asarray(M, dtype=float)
     if M.shape != (2, 2) or not np.isfinite(M).all():
         raise ValueError("expected a finite 2x2 matrix")
     _check_coincidence_tol(coincidence_tol)
-    return EigenPair2(*_eigen_pair(*M.ravel().tolist(), coincidence_tol))
+    return EigenPair2(*_eig2_fields(*M.ravel().tolist(), coincidence_tol))
 
 
 @dataclass(frozen=True)
