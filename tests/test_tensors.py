@@ -167,6 +167,17 @@ def test_multilinear_rank_invariant_under_invertible_transforms(seed):
         assert multilinear_rank(out) == base
 
 
+@pytest.mark.parametrize("p", [3, 5])
+def test_multilinear_rank_of_pxpx2_tensors_counts_each_unfolding(p):
+    # the unfoldings p x 2p, p x 2p and 2 x p^2 take one SVD call each
+    rng = np.random.default_rng(p)
+    low = np.einsum("ir,jr,kr->ijk", *(rng.standard_normal((n, 2)) for n in (p, p, 2)))
+    for arr in (rng.standard_normal((p, p, 2)), low):
+        want = [np.linalg.matrix_rank(np.moveaxis(arr, m, 0).reshape(arr.shape[m], -1))
+                for m in range(3)]
+        assert multilinear_rank(TensorPxPx2(arr)) == want
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_frobenius_invariant_under_orthonormal_transforms(seed):
     rng = np.random.default_rng(seed)
