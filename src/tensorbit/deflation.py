@@ -8,10 +8,8 @@ the residual vanishes.
 
 A `DeflationReport` holds two `classify` labels, the input's and the
 residual's, which carry the Delta values and the residual's multilinear
-rank, and the `slab_pencil` of each.  It is the one-step case of
-`_steps`, which labels the inputs and residuals of N steps with one
-`orbits._labels` call and takes their pencils with one
-`orbits._slab_pencils` call; the experiment rows are its N-step case.
+rank, and the `slab_pencil` of each.  It and the experiment rows are
+the one-step and N-step calls of `_steps`.
 
 Each experiment is a sampler and a solver run by one harness.  Trial t
 draws its input from its own counter-based RNG stream (Philox keyed on the

@@ -9,14 +9,8 @@ Symmetric tensors occupy the sub-list D0, D1, G2, D3, G3, and are
 classified by their expansion.  `SymTensor222`, the flat entry order and
 the input checks live in `tensors`; SymTensor222 is re-exported here.
 A label carries the Delta and multilinear rank it was decided from.
-
-One labeller, `_labels`, and one slab-pencil function, `_slab_pencils`,
-take a stack of tensors; `classify`, `classify_sym`, `pencil_eigs` and
-`slab_pencil` are their one-tensor calls.  numpy takes the stack's exact
-scaling and unfolding SVDs in one call each, and its slab quotients in
-one call per slab order; the decisions run per tensor or per matrix in
-Python floats, so a tensor gets the same label and pencil alone and in a
-stack.
+`classify`, `classify_sym`, `pencil_eigs` and `slab_pencil` are the
+one-tensor calls of the stacked `_labels` and `_slab_pencils`.
 """
 
 from __future__ import annotations
@@ -217,12 +211,9 @@ def _rank_tol(tol: float) -> float:
 def _labels(A, tols, zero_scales) -> list:
     """The decision of `classify` for each tensor of the stack A (N, 2, 2, 2),
     A[n] at the Delta band tols[n] and the zero scale zero_scales[n] (None
-    for none): a list of (orbit, margin, delta, [r1, r2, r3]).  A tensor is
-    D0 at zero or at max|entry| <= _rank_tol(tol) zero_scale, and else
-    takes its orbit from the multilinear rank, and at full rank from the
-    sign of Delta with the band tol unit_max^4.  One exact scaling, one SVD
-    call and one list conversion serve the stack; Delta and the decisions
-    run per tensor in Python floats."""
+    for none): a list of (orbit, margin, delta, [r1, r2, r3]).  One exact
+    scaling, one SVD call and one list conversion serve the stack; Delta
+    and the decisions run per tensor in Python floats."""
     if not all(tol > 0 for tol in tols):
         raise ValueError("tol must be positive")
     unit, exponents = _prescale(A, 1)
