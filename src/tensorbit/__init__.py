@@ -30,8 +30,8 @@ from .orbits import (OrbitLabel, canonical_form, classify, classify_sym, hyperde
 from .rank1 import (BestRank1Result, StationaryPoint, SymStationaryPoint, best_rank1_222,
                     best_rank1_pxpx2, best_rank1_sym, detect_infinite_best, hopm, optimal_x,
                     psi, psi_surface, stationary_points_222, stationary_points_sym)
-from .smallalg import (EigenPair2, NumericalFailure, Polynomial, Spectrum, common_root,
-                       eig2, roots, spectrum_small)
+from .smallalg import (EigenPair2, NumericalFailure, Spectrum, common_root, eig2, roots,
+                       spectrum_small)
 from .tensors import (MultilinearRank, Rank1Term, SymTensor222, Tensor222, TensorPxPx2,
                       contract_mode, frobenius_norm_sq, multilinear_rank, multilinear_transform)
 

@@ -372,7 +372,7 @@ def _circle_roots(T):
     s = tan(theta/2), (1 + s^2)^4 F is a real degree-8 polynomial in s whose
     s^8 coefficient is F(phi0 + pi); phi0 puts the largest of 16 grid values
     of F there, so the degree never drops.  Those values give the
-    coefficients (`_sample_maps`), and the companion matrix the roots.
+    coefficients (`_sample_maps`), and `smallalg.roots` the roots.
     """
     grid = (T @ _GRID_BASIS).reshape(3, 2, 16)     # (m, D, E) and their derivatives
     Q, h = np.add(*(grid[1:, :1] * grid[1:]))     # D^2 + E^2 and D D' + E E'
@@ -383,10 +383,7 @@ def _circle_roots(T):
     if abs(F[j]) <= F_ROUNDOFF * float((mq + hh).max()):
         raise ValueError("the stationarity polynomial vanishes to round-off; "
                          "use best_rank1_222")
-    poly = _SAMPLE_MAPS[j] @ F
-    companion = np.eye(8, k=-1)
-    companion[0] = poly[7::-1] / -poly[8]
-    s = np.linalg.eigvals(companion)
+    s = smallalg.roots(_SAMPLE_MAPS[j] @ F)
     return (((_GRID[j] - np.pi) + 2.0 * np.arctan(s.real)).tolist(),
             [abs(z.imag) > NONREAL_BAND * (1.0 + abs(z.real)) for z in s.tolist()])
 
@@ -898,16 +895,15 @@ def stationary_points_sym(Xs: SymTensor222) -> EnumerationResult:
     that puts the chart's point at infinity at the direction w of
     `_SYM_CHARTS` where |H| is largest.  A nonzero binary cubic vanishes at
     three directions at most, so the chart cubic keeps degree 3 and no
-    root is lost.  Its roots are the eigenvalues of its companion matrix,
-    built as `np.roots` builds it.  Roots that `smallalg.is_real_root`
-    calls real are real and those within its band of each other are one
-    direction, which is listed once; ``n_complex`` counts the non-real
-    roots, so a double real root is one point and no complex one.  A chart
-    direction where H is zero in floats, as e1 is at b = 0 and e2 at
-    c = 0, replaces the root nearest to it, so that y2 = 0 or y1 = 0 is
-    exact there.  ``z`` is y1/y2, and -inf at y2 = 0.
+    root is lost; `smallalg.roots` gives its roots.  Roots that
+    `smallalg.is_real_root` calls real are real and those within its band
+    of each other are one direction, which is listed once; ``n_complex``
+    counts the non-real roots, so a double real root is one point and no
+    complex one.  A chart direction where H is zero in floats, as e1 is at
+    b = 0 and e2 at c = 0, replaces the root nearest to it, so that y2 = 0
+    or y1 = 0 is exact there.  ``z`` is y1/y2, and -inf at y2 = 0.
 
-    Everything but the eigenvalues is computed in Python floats, so the
+    Everything but the roots is computed in Python floats, so the
     points do not depend on numpy's CPU dispatch.  The solve, the order of
     the points and their ties run on Xs / 2^e (exact), so psi scales
     exactly; psi is ||X - y (x) y (x) y||^2 from the residual, and as in
@@ -933,8 +929,7 @@ def stationary_points_sym(Xs: SymTensor222) -> EnumerationResult:
     (w1, w2), (fw, hw) = _SYM_CHARTS[j], F[j]
     # the tensor in the basis (w, v), v = (-w2, w1), is (f(w), -H(w), H(v), f(v)),
     # and its cubic in z has leading term H(w) z^3
-    p = _stationarity_cubic(fw, -hw, *forms(-w2, w1)[::-1])[::-1]
-    roots = np.linalg.eigvals([[-q / p[0] for q in p[1:]], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    roots = smallalg.roots(_stationarity_cubic(fw, -hw, *forms(-w2, w1)[::-1]))
     # round-off moves a double root off the real axis or splits it along it
     # by about the same amount, so one band decides realness and distinctness
     real = sorted(t.real for t in roots.tolist() if smallalg.is_real_root(t))

@@ -1,7 +1,8 @@
 """Small real-coefficient polynomial and eigenvalue kernels.
 
-Root-finding goes through the balanced companion matrix (LAPACK QR under
-numpy), which is robust for the degree <= 8 polynomials that arise here.
+`roots` is the package's one companion-matrix root finder: both
+stationary-point enumerations of `rank1` call it, for a degree-8 and a
+degree-3 polynomial.
 Eigen classification of 2x2 matrices uses the closed-form discriminant
 with an explicit coincidence band, since the downstream orbit tests hinge
 on "identical" versus "distinct" eigenvalues.  It is one decision per
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "Polynomial",
     "NumericalFailure",
     "roots",
     "common_root",
@@ -42,124 +42,61 @@ class NumericalFailure(RuntimeError):
         self.iterations = iterations
 
 
-@dataclass(frozen=True)
-class Polynomial:
-    """Real polynomial with ascending-degree coefficients."""
-
-    coefficients: np.ndarray
-
-    def __init__(self, coefficients):
-        c = np.atleast_1d(np.asarray(coefficients, dtype=float))
-        if c.ndim != 1:
-            raise ValueError("coefficients must be one-dimensional")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("coefficients must be finite")
-        c = c.copy()
-        c.flags.writeable = False
-        object.__setattr__(self, "coefficients", c)
-
-    @property
-    def degree(self) -> int:
-        """Index of the last coefficient above the drop tolerance."""
-        c = self.coefficients
-        scale = np.max(np.abs(c))
-        if scale == 0.0:
-            return -1
-        idx = np.nonzero(np.abs(c) > COEFF_DROP_TOL * scale)[0]
-        return int(idx[-1]) if idx.size else -1
-
-    def trimmed(self) -> np.ndarray:
-        """Coefficients up to the numerical degree (ascending)."""
-        return self.coefficients[: self.degree + 1]
-
-    def __call__(self, u):
-        # Horner, highest degree first
-        c = self.coefficients
-        acc = np.zeros_like(np.asarray(u, dtype=complex) if np.iscomplexobj(u) else np.asarray(u, dtype=float))
-        for coef in c[::-1]:
-            acc = acc * u + coef
-        return acc
-
-    def derivative(self) -> "Polynomial":
-        c = self.coefficients
-        if c.size <= 1:
-            return Polynomial([0.0])
-        return Polynomial(c[1:] * np.arange(1, c.size))
-
-
 def is_real_root(r):
     """Whether each root r lies within IMAG_TOL * (1 + |Re r|) of the real
     axis: the one realness band of the package; r is a number or an array."""
     return abs(r.imag) <= IMAG_TOL * (1.0 + abs(r.real))
 
 
-def roots(f: Polynomial, tol: float = 1e-8) -> np.ndarray:
-    """All complex roots of ``f`` (with multiplicity), companion-matrix QR.
-
-    Each root is polished with one Newton step; the residual |f(root)| is
-    checked against ``tol`` times the coefficient scale.
+def roots(coefficients) -> np.ndarray:
+    """All complex roots, with multiplicity, of the real polynomial with
+    ascending ``coefficients``: the eigenvalues of its companion matrix, built
+    as `np.roots` builds it, from one `np.linalg.eigvals` call (LAPACK
+    balances the matrix before its QR eigensolve).  Raises ValueError on fewer
+    than two coefficients and on a last coefficient that is zero or not
+    finite; `np.linalg.LinAlgError`, a ValueError, on any other non-finite one.
     """
-    if not isinstance(f, Polynomial):
-        f = Polynomial(f)
-    c = f.trimmed()
-    if c.size == 0:
-        raise ValueError("zero polynomial has no well-defined roots")
-    if c.size == 1:
-        raise ValueError("constant polynomial has no roots")
-    # np.roots balances the companion matrix before the QR eigensolve
-    rts = np.roots(c[::-1])
-    dF = f.derivative()
-    polished = []
-    scale = np.max(np.abs(c))
-    for r in rts:
-        for _ in range(2):
-            fr = complex(f(r))
-            dfr = complex(dF(r))
-            if abs(dfr) < 1e-300:
-                break
-            step = fr / dfr
-            if not np.isfinite(step.real) or not np.isfinite(step.imag):
-                break
-            r_new = r - step
-            if abs(complex(f(r_new))) < abs(fr):
-                r = r_new
-            else:
-                break
-        polished.append(r)
-    polished = np.asarray(polished)
-    resid = np.abs(f(polished))
-    if np.any(resid > tol * scale * (1.0 + np.abs(polished)) ** f.degree):
-        bad = float(np.max(resid))
-        raise NumericalFailure(f"root residual {bad:.3e} exceeds tolerance", iterations=2)
-    return polished
+    c = np.asarray(coefficients, dtype=float)
+    if c.ndim != 1 or c.size < 2 or not (c[-1] != 0.0 and math.isfinite(c[-1])):
+        raise ValueError("expected two or more coefficients, the last one finite and nonzero")
+    companion = np.eye(c.size - 1, k=-1)
+    companion[0] = -c[-2::-1] / c[-1]
+    return np.linalg.eigvals(companion)
 
 
-def common_root(f: Polynomial, g: Polynomial, tol: float = 1e-8):
+def _degree(c) -> int:
+    """Index of the last of the coefficients c above COEFF_DROP_TOL times the
+    largest one, or -1 when they are all zero."""
+    big = np.nonzero(np.abs(c) > COEFF_DROP_TOL * np.abs(c).max(initial=0.0))[0]
+    return int(big[-1]) if big.size else -1
+
+
+def common_root(f, g, tol: float = 1e-8):
     """Real common root of two quadratics f = a u^2 + b u + c and
-    g = d u^2 + e u + n, or None.
+    g = d u^2 + e u + n, given by ascending coefficients, or None.
 
     Tests the resultant relation (ae - bd)(bn - ec) = (cd - an)^2; the
     shared root is then (bn - ec)/(cd - an) = (cd - an)/(ae - bd).  When
     both denominators vanish, f and g are proportional, both linear, or one
-    of them is zero, and the root comes from their real roots (`roots`,
-    checked against ``tol``): the smallest root of f within 10 ``tol`` of a
-    root of g, as the mean of the two, or the smallest root of the nonzero
-    one when the other is zero.
+    of them is zero, and the root comes from their real `roots`: the
+    smallest root of f within 10 ``tol`` of a root of g, as the mean of the
+    two, or the smallest root of the nonzero one when the other is zero.
+    Degrees drop their coefficients below COEFF_DROP_TOL times the largest.
     """
-    if not isinstance(f, Polynomial):
-        f = Polynomial(f)
-    if not isinstance(g, Polynomial):
-        g = Polynomial(g)
-    if f.degree > 2 or g.degree > 2:
+    f, g = (np.atleast_1d(np.asarray(q, dtype=float)) for q in (f, g))
+    if f.ndim != 1 or g.ndim != 1 or not (np.isfinite(f).all() and np.isfinite(g).all()):
+        raise ValueError("coefficients must be finite and one-dimensional")
+    df, dg = _degree(f), _degree(g)
+    if df > 2 or dg > 2:
         raise ValueError("common_root expects polynomials of degree at most 2")
-    if f.degree < 0 and g.degree < 0:
+    if df < 0 and dg < 0:
         raise ValueError("both polynomials are zero")
-    if f.degree == 0 or g.degree == 0:
+    if df == 0 or dg == 0:
         return None   # a nonzero constant shares no root
     ca = np.zeros(3)
-    ca[: f.coefficients.size] = f.coefficients[:3]
+    ca[: f.size] = f[:3]
     cb = np.zeros(3)
-    cb[: g.coefficients.size] = g.coefficients[:3]
+    cb[: g.size] = g[:3]
     c, b, a = ca
     n, e, d = cb
     scale = max(np.max(np.abs(ca)), np.max(np.abs(cb)))
@@ -170,7 +107,7 @@ def common_root(f: Polynomial, g: Polynomial, tol: float = 1e-8):
         return float((b * n - e * c) / den1)
     if abs(den2) > 1e-10 * scale ** 2:
         return float(den1 / den2)
-    rts = [roots(Polynomial(q), tol) for q in (ca, cb) if q.any()]
+    rts = [roots(q[: _degree(q) + 1]) for q in (ca, cb) if q.any()]
     real = [np.sort(r.real[is_real_root(r)]) for r in rts]
     if len(real) == 1:
         return float(real[0][0]) if real[0].size else None

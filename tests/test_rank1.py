@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 from tensorbit import (Rank1Term, Tensor222, TensorPxPx2, best_rank1_222, best_rank1_pxpx2,
                        canonical_form, detect_infinite_best, frobenius_norm_sq, hopm,
                        hyperdet, multilinear_transform, optimal_x, psi, psi_surface,
-                       stationary_points_222)
-from tensorbit import deflation, rank1
+                       stationary_points_222, stationary_points_sym)
+from tensorbit import deflation, rank1, smallalg
 from tensorbit.rank1 import NOT_CONVERGED, _best_rank1_stack
 from tensorbit.tensors import unit_scaled
 from conftest import (BOUNDARY_TO_D2, KHL, TABLE_A1, TABLE_A2, WORKED_G2, WORKED_G3,
-                      random_tensor)
+                      random_sym, random_tensor)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import reference  # noqa: E402  (the benchmark's independent SVD bisection solver)
@@ -454,10 +454,14 @@ def test_sample_map_matches_the_product_form():
         assert np.abs(rank1._SAMPLE_MAPS[j] @ F - reference).max() <= 1e-14 * scale
 
 
-def test_enumeration_makes_one_eigenvalue_call(monkeypatch):
-    # the polynomial comes from a constant map of samples of F, not from
-    # products, and its roots from one companion eigenvalue call
-    calls = {"eigvals": 0, "roots": 0, "convolve": 0}
+@pytest.mark.parametrize("enumerate_points, tensor", [
+    (stationary_points_222, random_tensor(4)), (stationary_points_sym, random_sym(4))],
+    ids=["full222", "sym222"])
+def test_enumeration_makes_one_eigenvalue_call(monkeypatch, enumerate_points, tensor):
+    # the 2x2x2 polynomial comes from a constant map of samples of F, not from
+    # products; each enumeration takes its roots from one smallalg.roots call,
+    # the package's one companion eigenvalue call, looked up on the module
+    calls = {"smallalg.roots": 0, "eigvals": 0, "np.roots": 0, "convolve": 0}
 
     def counted(name, fn):
         def run(*args, **kwargs):
@@ -465,11 +469,12 @@ def test_enumeration_makes_one_eigenvalue_call(monkeypatch):
             return fn(*args, **kwargs)
         return run
 
+    monkeypatch.setattr(smallalg, "roots", counted("smallalg.roots", smallalg.roots))
     monkeypatch.setattr(np.linalg, "eigvals", counted("eigvals", np.linalg.eigvals))
-    monkeypatch.setattr(np, "roots", counted("roots", np.roots))
+    monkeypatch.setattr(np, "roots", counted("np.roots", np.roots))
     monkeypatch.setattr(np, "convolve", counted("convolve", np.convolve))
-    assert len(stationary_points_222(random_tensor(4))) >= 4
-    assert calls == {"eigvals": 1, "roots": 0, "convolve": 0}
+    assert len(enumerate_points(tensor)) >= 1
+    assert calls == {"smallalg.roots": 1, "eigvals": 1, "np.roots": 0, "convolve": 0}
 
 
 @pytest.mark.parametrize("mode", [1, 2])
