@@ -57,10 +57,12 @@ def roots(coefficients) -> np.ndarray:
     finite; `np.linalg.LinAlgError`, a ValueError, on any other non-finite one.
     """
     c = np.asarray(coefficients, dtype=float)
-    if c.ndim != 1 or c.size < 2 or not (c[-1] != 0.0 and math.isfinite(c[-1])):
+    n = c.size - 1
+    if c.ndim != 1 or n < 1 or not (c[-1] != 0.0 and math.isfinite(c[-1])):
         raise ValueError("expected two or more coefficients, the last one finite and nonzero")
-    companion = np.eye(c.size - 1, k=-1)
-    companion[0] = -c[-2::-1] / c[-1]
+    companion = np.eye(n, k=-1)
+    # np.roots' -c[n-1::-1] / c[n]: division rounds |q| / |p| alike in either sign
+    companion[0] = c[-2::-1] / -c[-1]
     return np.linalg.eigvals(companion)
 
 
