@@ -383,31 +383,40 @@ def _circle_roots(T):
     if abs(F[j]) <= F_ROUNDOFF * float((mq + hh).max()):
         raise ValueError("the stationarity polynomial vanishes to round-off; "
                          "use best_rank1_222")
-    s = smallalg.roots(_SAMPLE_MAPS[j] @ F)
-    return (((_GRID[j] - np.pi) + 2.0 * np.arctan(s.real)).tolist(),
-            [abs(z.imag) > NONREAL_BAND * (1.0 + abs(z.real)) for z in s.tolist()])
+    s, phi0 = smallalg.roots(_SAMPLE_MAPS[j] @ F).tolist(), float(_GRID[j]) - math.pi
+    # libm's atan, which numpy's SIMD arctan does not match on every argument
+    return ([phi0 + 2.0 * math.atan(z.real) for z in s],
+            [abs(z.imag) > NONREAL_BAND * (1.0 + abs(z.real)) for z in s])
 
 
-def _lambda_derivatives(T, phi, sign):
+def _wave(rows, phi):
+    """(b cos phi + c sin phi, c cos phi - b sin phi) for each row (a, b, c)
+    of m, D and E: each minus its constant, and its phi-derivative, which
+    are minus its second and third derivatives."""
+    c, s = math.cos(phi), math.sin(phi)
+    return [(u * c + v * s, v * c - u * s) for _, u, v in rows]
+
+
+def _lambda_derivatives(rows, phi, sign):
     """sqrt(Q), the angle of the branch's eigenvector and the first four
-    derivatives of lambda = m + sign sqrt(Q) at each phi: differentiate
-    r r' = h = D D' + E E', with r = sqrt(Q), three times, and use that
-    m, D and E have third and fourth derivatives minus their first and second.
-    """
-    wave = (1j * T[:, 1:2] + T[:, 2:]) * np.exp(1j * phi)
-    (m1, D1, E1), (m2, D2, E2) = wave.real, -wave.imag
-    D, E = T[1, 0] - D2, T[2, 0] - E2
-    r, h, g = np.hypot(D, E), D * D1 + E * E1, D1 * D1 + E1 * E1
-    h1 = g + D * D2 + E * E2
+    derivatives of lambda = m + sign sqrt(Q) at phi, in floats: differentiate
+    r r' = h = D D' + E E', with r = sqrt(Q), three times.  All four are nan
+    at r = 0, as numpy's 0 / 0 makes them."""
+    (mu, m1), (Du, D1), (Eu, E1) = _wave(rows, phi)
+    D, E = rows[1][0] + Du, rows[2][0] + Eu
+    r, h, g = abs(complex(D, E)), D * D1 + E * E1, D1 * D1 + E1 * E1
+    if not r:
+        return r, 0.0, (math.nan,) * 4
+    h1 = g - D * Du - E * Eu
     r1 = h / r
     r2 = (h1 - r1 * r1) / r
-    r3 = (3.0 * (D1 * D2 + E1 * E2) - h - 3.0 * r1 * r2) / r
-    r4 = (3.0 * (D2 * D2 + E2 * E2 - g) - h1 - 3.0 * r2 * r2 - 4.0 * r1 * r3) / r
-    return r, np.arctan2(sign * E, sign * D) / 2.0, (m1 + sign * r1, m2 + sign * r2,
-                                                     sign * r3 - m1, sign * r4 - m2)
+    r3 = (3.0 * -(D1 * Du + E1 * Eu) - h - 3.0 * r1 * r2) / r
+    r4 = (3.0 * (Du * Du + Eu * Eu - g) - h1 - 3.0 * r2 * r2 - 4.0 * r1 * r3) / r
+    return r, math.atan2(sign * E, sign * D) / 2.0, (m1 + sign * r1, sign * r2 - mu,
+                                                     sign * r3 - m1, sign * r4 + mu)
 
 
-def _triple_root(T, entries, seed, nonreal):
+def _triple_root(rows, entries, seed, nonreal):
     """(near, phi_d, alpha): whether each root of F is one of three near phi_d,
     where det M = a + rho cos(phi - phi0) turns to zero, and the angle of the
     bottom eigenvector there.  On D3 (rho = |a|) lambda_bot = det(M)^2 /
@@ -426,9 +435,9 @@ def _triple_root(T, entries, seed, nonreal):
     if sum(g <= CLUSTER_BAND for g in gap) != 3:
         return None
     w = 2.0 * math.asin(max(g for g in gap if g <= CLUSTER_BAND))
-    wave = (1j * T[:, 1] + T[:, 2]) * np.exp(1j * phi_d)
-    (m1, D1, E1), (_, D, E) = wave.real.tolist(), (T[:, 0] + wave.imag).tolist()
-    rho_m, N = math.hypot(*T[0, 1:]), math.hypot(*T[1:, 1:].ravel())
+    (_, m1), (Du, D1), (Eu, E1) = _wave(rows, phi_d)
+    D, E = rows[1][0] + Du, rows[2][0] + Eu
+    rho_m, N = math.hypot(*rows[0][1:]), math.hypot(*rows[1][1:], *rows[2][1:])
     r, v1 = math.hypot(D, E), math.hypot(D1, E1) + w * N
     r0 = r - w * v1
     if r0 <= 0.0 or w * (rho_m + N + v1 * v1 / r0) >= abs(m1 + (D * D1 + E * E1) / r):
@@ -477,9 +486,10 @@ def _circle_points(T, scale, entries):
     every copy says so.
     """
     seed, nonreal = _circle_roots(T)
-    triple = _triple_root(T, entries, seed, nonreal)
+    rows = T.tolist()
+    triple = _triple_root(rows, entries, seed, nonreal)
     accounted = nonreal if triple is None else [n or t for n, t in zip(nonreal, triple[0])]
-    (_, mb, mc), (Da, Db, Dc), (Ea, Eb, Ec) = T.tolist()
+    (_, mb, mc), (Da, Db, Dc), (Ea, Eb, Ec) = rows
     phi, tol = [p for p in seed for _ in range(3)], CROSSING_TOL * scale
     for k in range(CIRCLE_STEPS + 1):
         branch, stalled, near, steps, last = [], [], [], [], None
@@ -533,17 +543,21 @@ def _circle_points(T, scale, entries):
     for order in (1, 2):
         if not stalled:
             break
-        lanes, trial = map(np.array, zip(*stalled))
-        with np.errstate(divide="ignore", invalid="ignore"):
+        left = []
+        for lane, p0 in stalled:
+            p = p0
             for n in range(CIRCLE_STEPS + 1):
-                r, alpha, lam = _lambda_derivatives(T, trial, np.array(_LANE_SIGN)[lanes])
-                step = lam[order] / lam[order + 1]
+                r, alpha, lam = _lambda_derivatives(rows, p, _LANE_SIGN[lane])
+                a, b = lam[order], lam[order + 1]
+                step = a / b if b else _divide(a, b)
                 if n < CIRCLE_STEPS:
-                    trial = trial - np.minimum(np.maximum(step, -0.5), 0.5)
-            ok = (np.abs(step) <= STEP_TOL) & (np.abs(lam[0]) <= 1e-13 * scale * (1.0 + scale / r))
-        listed += [(lane, p, a, False) for lane, p, a in
-                   zip(lanes[ok].tolist(), trial[ok].tolist(), alpha[ok].tolist())]
-        stalled = [pair for pair, done in zip(stalled, ok.tolist()) if not done]
+                    p -= min(max(step, -0.5), 0.5)
+            # a nan step stops the test before r = 0 could divide
+            if abs(step) <= STEP_TOL and abs(lam[0]) <= 1e-13 * scale * (1.0 + scale / r):
+                listed.append((lane, p, alpha, False))
+            else:
+                left.append((lane, p0))
+        stalled = left
     # in lane order, by the eigenvector of S(phi) they take: top, then bottom branch
     groups = [[point for lane, *point in sorted(listed) if lane % 3 == b] for b in (0, 1)]
     if triple is not None:

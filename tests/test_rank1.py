@@ -1,7 +1,9 @@
+import io
 import itertools
 import math
 import sys
 import warnings
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +19,7 @@ from tensorbit import deflation, rank1, smallalg
 from tensorbit.rank1 import NOT_CONVERGED, _best_rank1_stack
 from tensorbit.tensors import unit_scaled
 from conftest import (BOUNDARY_TO_D2, KHL, TABLE_A1, TABLE_A2, WORKED_G2, WORKED_G3,
-                      random_sym, random_tensor)
+                      random_sym, random_tensor, run_at_baseline_dispatch)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import reference  # noqa: E402  (the benchmark's independent SVD bisection solver)
@@ -719,15 +721,15 @@ def _branch_slopes(A, enum):
     non-degenerate point of the table enum of A, recomputed on the branch
     whose eigenvector is the point's y, at phi = 2 atan(z2)."""
     T = rank1._mde_rows(unit_scaled(A)[0])
-    scale = np.abs(T).max()
-    points = [p for p in enum if not p.degenerate]
-    phi, alpha = 2.0 * np.arctan([p.z2 for p in points]), np.arctan([p.y2 for p in points])
+    rows, scale = T.tolist(), float(np.abs(T).max())
     slopes = []
-    for sign in (1.0, -1.0):
-        r, beta, lam = rank1._lambda_derivatives(T, phi, sign)
-        slopes.append((np.abs(np.cos(beta - alpha)), np.abs(lam[0]) / (scale * (1.0 + scale / r))))
-    (top, on_top), (bottom, on_bottom) = slopes
-    return np.where(top >= bottom, on_top, on_bottom)
+    for point in (p for p in enum if not p.degenerate):
+        phi, alpha = 2.0 * math.atan(point.z2), math.atan(point.y2)
+        (top, on_top), (bottom, on_bottom) = [
+            (abs(math.cos(beta - alpha)), abs(lam[0]) / (scale * (1.0 + scale / r)))
+            for r, beta, lam in (rank1._lambda_derivatives(rows, phi, sign) for sign in (1.0, -1.0))]
+        slopes.append(on_top if top >= bottom else on_bottom)
+    return np.array(slopes)
 
 
 def test_certified_points_are_converged(d3_corpora):
@@ -743,6 +745,82 @@ def test_certified_points_are_converged(d3_corpora):
         if enum.certified:
             worst = max(worst, _branch_slopes(A, enum).max())
     assert worst <= 1e-13
+
+
+def _lambda_derivatives_by_the_complex_wave(T, phi, sign):
+    """sqrt(Q), the eigenvector angle and the first four derivatives of the
+    branch sign at the angles phi, in numpy: (m, D, E) minus their constants
+    are the imaginary part of (i b + c) e^(i phi) for the rows (a, b, c) of T."""
+    wave = (1j * T[:, 1:2] + T[:, 2:]) * np.exp(1j * np.asarray(phi))
+    (m1, D1, E1), (m2, D2, E2) = wave.real, -wave.imag
+    D, E = T[1, 0] - D2, T[2, 0] - E2
+    r, h, g = np.hypot(D, E), D * D1 + E * E1, D1 * D1 + E1 * E1
+    h1 = g + D * D2 + E * E2
+    r1 = h / r
+    r2 = (h1 - r1 * r1) / r
+    r3 = (3.0 * (D1 * D2 + E1 * E2) - h - 3.0 * r1 * r2) / r
+    r4 = (3.0 * (D2 * D2 + E2 * E2 - g) - h1 - 3.0 * r2 * r2 - 4.0 * r1 * r3) / r
+    return r, np.arctan2(sign * E, sign * D) / 2.0, (m1 + sign * r1, m2 + sign * r2,
+                                                     sign * r3 - m1, sign * r4 - m2)
+
+
+def test_lambda_derivatives_match_the_complex_wave():
+    # the Python-float derivatives of the stalled lanes against numpy's
+    # complex form, and numpy's nan where sqrt(Q) = 0 makes them 0 / 0
+    rng = np.random.default_rng(31)
+    for _ in range(50):
+        T = rank1._mde_rows(rng.standard_normal((2, 2, 2)))
+        phi = rng.uniform(-4.0, 4.0, 5)
+        for sign in (1.0, -1.0):
+            want = _lambda_derivatives_by_the_complex_wave(T, phi, sign)
+            got = [rank1._lambda_derivatives(T.tolist(), p, sign) for p in phi.tolist()]
+            np.testing.assert_allclose([g[0] for g in got], want[0], rtol=1e-14)
+            np.testing.assert_allclose([g[1] for g in got], want[1], rtol=1e-12, atol=1e-15)
+            for n in range(4):
+                np.testing.assert_allclose([g[2][n] for g in got], want[2][n], rtol=1e-9,
+                                           atol=1e-9 * np.abs(want[2][n]).max())
+    # D = a + b cos(phi) + c sin(phi) and E vanish at phi = 0
+    rows = [[0.5, 1.0, -2.0], [-1.0, 1.0, 0.5], [2.0, -2.0, 1.0]]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want = _lambda_derivatives_by_the_complex_wave(np.array(rows), [0.0], 1.0)
+    r, _, lam = rank1._lambda_derivatives(rows, 0.0, 1.0)
+    assert r == want[0][0] == 0.0
+    assert all(math.isnan(v) for v in lam) and np.isnan(want[2]).all()
+
+
+_POINT_HEXES = """
+import numpy as np
+from tensorbit import stationary_points_222
+for v in INPUTS:
+    for k in (0, 600, -600):
+        try:
+            A = np.array([float.fromhex(x) for x in v]).reshape(2, 2, 2)
+            enum = stationary_points_222(np.ldexp(A, k))
+        except ValueError as exc:
+            print(exc)
+            continue
+        print(enum.n_complex, enum.ties, enum.record, *(x.hex() for p in enum for x in (
+            p.y2, p.z2, *p.x.tolist(), p.psi, p.delta_residual)),
+            *((p.hessian_pd, p.degenerate) for p in enum))
+"""
+
+
+def test_points_are_the_same_at_numpy_baseline_dispatch(d3_corpora):
+    # the points are built in Python floats around one LAPACK call: on
+    # Gaussian input, on D3 residuals and transforms, and on the two corpus
+    # calls that took numpy's arctan and its complex stalled-lane
+    # derivatives, whose output moved with numpy's SIMD kernels
+    gaussian = np.random.default_rng(3001).standard_normal((200, 8))
+    corpus = [Tensor222.from_flat(v).array.ravel() for v in
+              [(0, 3, 3, -1, -1, 3, -3, -2), (2, 3, -2, 3, -3, 1, -3, -3)]]
+    inputs = np.concatenate([gaussian, d3_corpora["residual"][:200].reshape(-1, 8),
+                             d3_corpora["d3"][:100].reshape(-1, 8), corpus])
+    script = _POINT_HEXES.replace("INPUTS", repr([[float(x).hex() for x in v] for v in inputs]))
+    here = io.StringIO()
+    with redirect_stdout(here):
+        exec(script, {})
+    assert len(here.getvalue().splitlines()) == 3 * len(inputs)
+    assert run_at_baseline_dispatch(script) == here.getvalue()
 
 
 # ---------------------------------------------------------------------------
