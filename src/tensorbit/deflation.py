@@ -40,7 +40,8 @@ from .orbits import (OrbitLabel, _labels, _ldexp, _quotient, _slab_pencils, cano
                      classify)
 from .smallalg import DEFAULT_COINCIDENCE_TOL, EigenPair2, spectra_small
 from .tensors import (_SYM_INDEX, MultilinearRank, SymTensor222, Tensor222, TensorPxPx2, _as_array,
-                      _entries, _slab_major, frobenius_norm_sq, multilinear_transform, unit_scaled)
+                      _entries, _prescale, _slab_major, frobenius_norm_sq, multilinear_transform,
+                      unit_scaled)
 
 __all__ = [
     "DeflationReport",
@@ -149,17 +150,20 @@ def _report_rows(X, R, psi) -> list:
     n = len(X)
     if not n:
         return []
-    labels, pencils, scales = _steps(X, R, 1e-9, DEFAULT_COINCIDENCE_TOL, inputs=False)
+    unit, exponents = _prescale(X, 1)
+    labels, pencils, scales = _steps(unit, np.ldexp(R, -exponents[:, None, None, None]), 1e-9,
+                                     DEFAULT_COINCIDENCE_TOL, inputs=False)
     return [{
         "orbit_before": b[0],
         "orbit_after": a[0],
-        "delta_before": b[2],
-        "delta_after": a[2],
+        "delta_before": _ldexp(b[2], 4 * e),
+        "delta_after": _ldexp(a[2], 4 * e),
         "delta_after_scaled": abs(a[2]) / s ** 4,
         "psi": p,
         "eigen_gap": None if g is None else g[3] / (1.0 + max(map(abs, g[1]))),
         "mlrank": "x".join(map(str, a[3])),
-    } for b, a, s, p, g in zip(labels[:n], labels[n:], scales, psi.tolist(), pencils)]
+    } for b, a, s, e, p, g in zip(labels[:n], labels[n:], scales, exponents.tolist(),
+                                  psi.tolist(), pencils)]
 
 
 def deflate_once(X, tol: float = 1e-9, coincidence_tol: float = DEFAULT_COINCIDENCE_TOL):

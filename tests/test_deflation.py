@@ -127,6 +127,22 @@ def test_deflate_once_decisions_do_not_change_with_scale(k):
                     assert got == math.ldexp(want, 4 * k)
 
 
+@pytest.mark.parametrize("k", [300, -300, 600, -600])
+def test_experiment_rows_do_not_change_with_scale(k):
+    # the rows of N theta-grid steps on 2^k X are those on X, with psi
+    # scaled by 4^k and Delta by 16^k where that is finite; the scaled
+    # Delta, |Delta(R)| / max|X|^4, is the same number
+    X = np.random.default_rng(41).standard_normal((100, 2, 2, 2))
+    with np.errstate(over="ignore"):
+        rows, reasons = deflation._theta_step(np.ldexp(X, k))
+    ref, ref_reasons = deflation._theta_step(X)
+    assert reasons == ref_reasons
+    for row, want in zip(rows, ref):
+        assert row == dict(want, psi=_ldexp(want["psi"], 2 * k),
+                           delta_before=_ldexp(want["delta_before"], 4 * k),
+                           delta_after=_ldexp(want["delta_after"], 4 * k))
+
+
 # ---------------------------------------------------------------------------
 # experiments
 # ---------------------------------------------------------------------------
@@ -299,7 +315,7 @@ def test_every_one_tensor_call_is_its_row_of_a_stacked_call(k):
             assert _same_pencil(pencils[("21",)][i],
                                 eig2(_quotient(arr[..., 1], arr[..., 0]), 1e-6))
     # a deflation report is the row of its step in one stack of steps, and
-    # at unit scale, where experiments make them, also its experiment row
+    # also its experiment row
     inputs = [arr for arr, (orbit, *_) in zip(A, labels) if orbit != "D0"]
     steps = [deflate_once(Tensor222(arr)) for arr in inputs]
     X, R = np.stack(inputs), np.stack([r.array for r, _ in steps])
@@ -310,17 +326,14 @@ def test_every_one_tensor_call_is_its_row_of_a_stacked_call(k):
             assert (label.orbit, label.boundary_margin, label.delta, list(label.mlrank)) == row
         assert _same_pencil(pencils[i], report.pencil_before)
         assert _same_pencil(pencils[m + i], report.pencil_after)
-    if k == 0:
-        # without the slab case whose max|X|^4 overflows the row's scaled Delta
-        keep = np.abs(X).max(axis=(1, 2, 3)) < 1e60
-        rows = _report_rows(X[keep], R[keep], np.array([report.psi for _, report in steps])[keep])
-        for (_, report), row in zip([s for s, ok in zip(steps, keep) if ok], rows):
-            pencil = report.pencil_after
-            assert (row["orbit_before"], row["orbit_after"], row["delta_before"],
-                    row["delta_after"], row["mlrank"], row["eigen_gap"]) == \
-                (report.orbit_before.orbit, report.orbit_after.orbit, report.delta_before,
-                 report.delta_after, "x".join(map(str, report.residual_mlrank)),
-                 None if pencil is None else pencil.gap / (1.0 + max(map(abs, pencil.values))))
+    rows = _report_rows(X, R, np.array([report.psi for _, report in steps]))
+    for (_, report), row in zip(steps, rows):
+        pencil = report.pencil_after
+        assert (row["orbit_before"], row["orbit_after"], row["delta_before"],
+                row["delta_after"], row["mlrank"], row["eigen_gap"]) == \
+            (report.orbit_before.orbit, report.orbit_after.orbit, report.delta_before,
+             report.delta_after, "x".join(map(str, report.residual_mlrank)),
+             None if pencil is None else pencil.gap / (1.0 + max(map(abs, pencil.values))))
 
 
 def test_reports_validate_tol(capsys):
