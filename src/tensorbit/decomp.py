@@ -194,6 +194,8 @@ def _rank3_apolar(unit, k: int) -> SymDecomposition:
 def sym_rank2_decompose(Xs: SymTensor222, tol: float = 1e-9) -> SymDecomposition:
     """Rank-2 decomposition of an orbit-G2 tensor along the two real roots
     of Sylvester's kernel quadratic (whose discriminant is Delta > 0)."""
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     Xs = _as_sym(Xs)
     label = classify_sym(Xs, max(tol, 1e-12))
     if label.orbit != "G2":
@@ -205,6 +207,8 @@ def sym_rank2_decompose(Xs: SymTensor222, tol: float = 1e-9) -> SymDecomposition
 def sym_rank3_decompose(Xs: SymTensor222, tol: float = 1e-9) -> SymDecomposition:
     """Rank-3 decomposition of an orbit-D3 or G3 tensor along the roots of
     an apolar cubic (`_rank3_apolar`)."""
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     Xs = _as_sym(Xs)
     label = classify_sym(Xs, max(tol, 1e-12))
     if label.orbit not in ("D3", "G3"):
