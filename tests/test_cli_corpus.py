@@ -19,7 +19,8 @@ def test_a_subset_runs_to_the_same_digest_twice():
     subset = calls[::60] + calls[-4:]
     first, second = cli_corpus.run(subset), cli_corpus.run(subset)
     assert cli_corpus.digest(first) == cli_corpus.digest(second)
-    assert cli_corpus.compare(first, second)["differ"] == 0
+    same = cli_corpus.compare(first, second)
+    assert same["differ"] == 0 and same["differ_argv"] == []
     assert {code for _, code, *_ in first} == {0, 2}
 
 
@@ -37,13 +38,17 @@ def test_compare_tells_float_differences_from_the_rest():
            record(calls[2], '{"orbit": "D3", "delta": 24, "multilinear_rank": [2, 2, 2]}')]
     out = cli_corpus.compare(old, new)
     assert out["differ"] == 3 and out["by_command"] == {"classify": 3}
+    assert out["differ_argv"] == calls
     assert out["by_kind"] == {"classify sym222": 1, "classify full222": 2}
     assert out["beyond_floats"] == 2 and out["beyond_floats_argv"] == calls[1:]
     assert 1e-16 < out["largest_relative_difference"] < 2e-16
-    # the count goes on where the list of argv stops
+    # the counts go on where the lists of argv stop
     many = cli_corpus.compare(old[1:] * 40, new[1:] * 40)
     assert many["beyond_floats"] == 80
     assert many["beyond_floats_argv"] == calls[1:] * (cli_corpus.MAX_LISTED // 2)
+    floats = cli_corpus.compare(old[:1] * 60, new[:1] * 60)
+    assert (floats["differ"], floats["beyond_floats"]) == (60, 0)
+    assert floats["differ_argv"] == calls[:1] * cli_corpus.MAX_LISTED
 
 
 def test_a_call_has_the_kind_of_its_document_or_experiment():

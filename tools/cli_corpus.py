@@ -9,10 +9,10 @@ the corpus.  ``--src`` names the directory that holds the `tensorbit`
 package (default: this checkout's ``src``), ``--limit`` runs the first N
 calls only, and ``--dump`` writes one JSON record per call.  ``--compare``
 reads two dumps of the same corpus and prints how many calls differ, by
-command and by command and document kind, how many of them differ in more
-than their floats (an orbit, a rank, an exit code or a message) with the
-argv of the first 50 of those, and the largest relative difference of a
-float.
+command and by command and document kind, with the argv of the first 50 of
+them; how many of them differ in more than their floats (an orbit, a rank,
+an exit code or a message), with the argv of the first 50 of those; and the
+largest relative difference of a float.
 
 The corpus covers the seven single-tensor request kinds (classify, rank1
 and deflate of full222 and sym222 documents, and decompose) on Gaussian
@@ -40,7 +40,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 PER_VARIANT = 36        # tensors of each request kind per entry variant
-MAX_LISTED = 50         # calls that differ beyond their floats listed by --compare
+MAX_LISTED = 50         # calls listed by --compare: of those that differ, and beyond floats
 SCALES = (1.0, 2.0 ** 600, 2.0 ** -600)
 REQUEST_KINDS = (("classify", 8), ("classify", 4), ("rank1", 8), ("rank1", 4),
                  ("deflate", 8), ("deflate", 4), ("decompose", 4))
@@ -189,13 +189,15 @@ def _kind(argv) -> str:
 def compare(old, new) -> dict:
     """Which records of two runs of one corpus differ, and by how much: by
     command and by command and document kind, with the argv of the first
-    MAX_LISTED calls that differ in more than their floats."""
+    MAX_LISTED calls that differ and of the first MAX_LISTED that differ in
+    more than their floats."""
     if [r[0] for r in old] != [r[0] for r in new]:
         raise ValueError("the dumps hold different corpora")
-    differ, by_kind, beyond_floats, largest = Counter(), Counter(), [], 0.0
+    differ, by_kind, differ_argv, beyond_floats, largest = Counter(), Counter(), [], [], 0.0
     for a, b in zip(old, new):
         if a == b:
             continue
+        differ_argv.append(a[0])
         command = a[0][0] if a[0] else ""
         differ[command] += 1
         by_kind[" ".join(filter(None, (command, _kind(a[0]))))] += 1
@@ -205,7 +207,8 @@ def compare(old, new) -> dict:
         else:
             largest = max(largest, gap)
     return {"calls": len(old), "differ": sum(differ.values()), "by_command": dict(differ),
-            "by_kind": dict(by_kind), "beyond_floats": len(beyond_floats),
+            "by_kind": dict(by_kind), "differ_argv": differ_argv[:MAX_LISTED],
+            "beyond_floats": len(beyond_floats),
             "beyond_floats_argv": beyond_floats[:MAX_LISTED],
             "largest_relative_difference": largest}
 
