@@ -4,18 +4,7 @@ import pytest
 from tensorbit import common_root, eig2, roots, spectrum_small
 from tensorbit.orbits import _quotient
 from tensorbit.smallalg import IMAG_TOL, spectra_small
-from tensorbit.smallalg import is_real_root
-
-
-def _value(coefficients, u):
-    """The polynomial with ascending coefficients at u, by Horner."""
-    return np.polyval(np.asarray(coefficients)[::-1], u)
-
-
-def _degree(coefficients) -> int:
-    """The degree with coefficients below 1e-12 times the largest dropped."""
-    c = np.abs(np.asarray(coefficients))
-    return int(np.nonzero(c > 1e-12 * c.max())[0][-1]) if c.any() else -1
+from tensorbit.smallalg import _degree, is_real_root
 
 
 def test_roots_simple_quadratic():
@@ -79,7 +68,7 @@ def test_roots_residuals_small(seed):
         if _degree(coefs) < 1:
             continue
         rs = roots(coefs[: _degree(coefs) + 1])
-        resid = np.abs(_value(coefs, rs))
+        resid = np.abs(np.polyval(coefs[::-1], rs))
         scale = np.max(np.abs(coefs))
         assert np.all(resid <= 1e-7 * scale * (1 + np.abs(rs)) ** _degree(coefs))
 
