@@ -292,17 +292,6 @@ def test_sylvester_rank_agrees_with_classify_sym_at_every_tol(tol):
         assert sylvester_rank(s, tol)[0] == rank_of[classify_sym(s, tol).orbit]
 
 
-@pytest.mark.parametrize("tol", [-1.0, -5.0, 0.0, np.nan])
-def test_decompositions_reject_a_tol_that_is_not_positive(tol):
-    # as sylvester_rank does; -1 once became the band 1e-12 and gave a
-    # rank-2 decomposition of (1, 0, 0, 1)
-    for decompose, s in ((sym_rank2_decompose, SymTensor222(1, 0, 0, 1)),
-                         (sym_rank3_decompose, SymTensor222(*SYM_G3)),
-                         (sylvester_rank, SymTensor222(1, 0, 0, 1))):
-        with pytest.raises(ValueError, match="tol must be positive"):
-            decompose(s, tol)
-
-
 def test_rank3_random_g3_tensors():
     count = 0
     for seed in range(400):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from tensorbit import (SymTensor222, Tensor222, canonical_form, classify, classify_sym,
                        hyperdet, hyperdet_sym, multilinear_rank, multilinear_transform, pencil_eigs,
-                       sylvester_rank)
+                       sylvester_rank, sym_rank2_decompose, sym_rank3_decompose)
 from tensorbit.orbits import ORBITS, PENCIL_COND_CAP, _invertible
 from conftest import EXAMPLE_A1, EXAMPLE_A2, SYM_G2, SYM_G3, random_sym, random_tensor
 
@@ -229,6 +229,8 @@ def test_a_nan_or_non_positive_tol_is_rejected(tol):
     d3 = canonical_form("D3")
     for call in (lambda: classify(d3, tol), lambda: classify_sym(SymTensor222(0, 1, 0, 0), tol),
                  lambda: multilinear_rank(d3, tol),
-                 lambda: sylvester_rank(SymTensor222(1, 0, 0, 1), tol)):
+                 lambda: sylvester_rank(SymTensor222(1, 0, 0, 1), tol),
+                 lambda: sym_rank2_decompose(SymTensor222(1, 0, 0, 1), tol),
+                 lambda: sym_rank3_decompose(SymTensor222(*SYM_G3), tol)):
         with pytest.raises(ValueError, match="tol must be positive"):
             call()

@@ -22,20 +22,13 @@ def test_roots_worked_symmetric_cubic():
 
 
 def test_roots_zero_polynomial_rejected():
-    with pytest.raises(ValueError):
-        roots([0.0, 0.0])
-    with pytest.raises(ValueError):
-        roots([3.0])
-
-
-@pytest.mark.parametrize("coefficients", [[], [1.0, 0.0], [1.0, -0.0], [1.0, 2.0, np.inf],
-                                          [1.0, -np.inf], [1.0, np.nan], [np.nan, 1.0],
-                                          [1.0, np.inf, 1.0], [[1.0, 2.0]]])
-def test_roots_rejects_what_has_no_companion_matrix(coefficients):
     # fewer than two coefficients, a last one zero or not finite, or another
     # one not finite, which LAPACK refuses with LinAlgError, a ValueError
-    with pytest.raises(ValueError):
-        roots(coefficients)
+    for coefficients in ([0.0, 0.0], [3.0], [], [1.0, 0.0], [1.0, -0.0], [1.0, 2.0, np.inf],
+                         [1.0, -np.inf], [1.0, np.nan], [np.nan, 1.0], [1.0, np.inf, 1.0],
+                         [[1.0, 2.0]]):
+        with pytest.raises(ValueError):
+            roots(coefficients)
 
 
 @pytest.mark.parametrize("seed", range(5))
